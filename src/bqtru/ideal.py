@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidWeight, MalformedData, NonIntegralU
 from .quat import Quaternion, rho
-from .ring import EvalDomain, RingElem, mult_matrix
+from .ring import EvalDomain, RingElem, interpolate, mult_matrix
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,6 @@ def build_sigma(T, weights, dom: EvalDomain) -> RingElem:
         if int(w) % dom.q == 0:
             raise InvalidWeight(f"weight {w} vanishes mod {dom.q}")
         vals[int(k)] = int(w) % dom.q
-    from .ring import interpolate
-
     return interpolate(dom, vals)
 
 
@@ -156,15 +154,16 @@ def basis_coordinates(basis: LatticeBasis, vec):
 def build_D_prime(spec: IdealSpec, dom: EvalDomain) -> LatticeBasis:
     """HNF basis of the coefficient lattice of <q, sigma>.
 
-    Stacks q*I with the lifted Lagrange rows for T; sigma itself is w_i
-    times those rows modulo q, so the span is the full ideal lattice.
+    Stacks q*I with the Lagrange rows for T (already in [0, q)); sigma
+    itself is w_i times those rows modulo q, so the span is the full ideal
+    lattice.
     """
     nsq = dom.size
     lam = dom.lagrange_matrix()
     stack = np.zeros((nsq + len(spec.T), nsq), dtype=np.int64)
     stack[:nsq] = dom.q * np.eye(nsq, dtype=np.int64)
     for r, k in enumerate(spec.T):
-        stack[nsq + r] = lam[int(k)] % dom.q
+        stack[nsq + r] = lam[int(k)]
     H = _row_hnf(stack)
     return LatticeBasis(np.array(H, dtype=object), nsq, "D_prime")
 
@@ -189,17 +188,12 @@ def _quat_block_matrix(H: Quaternion) -> np.ndarray:
     ])
 
 
-def _lifted_lagrange(dom: EvalDomain) -> np.ndarray:
-    """All n^2 Lagrange coefficient rows, lifted to representatives in [0, q)."""
-    return dom.lagrange_matrix() % dom.q
-
-
 def build_bqtru_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
     """Key-recovery lattice [[qI, 0, 0], [HH, I, 0], [DD, 0, I]] of dimension 12 n^2."""
     nsq = dom.size
     four = 4 * nsq
     HH = _quat_block_matrix(H) % dom.q
-    D = _lifted_lagrange(dom)
+    D = dom.lagrange_matrix()
     rows = np.zeros((12 * nsq, 12 * nsq), dtype=np.int64)
     rows[:four, :four] = dom.q * np.eye(four, dtype=np.int64)
     rows[four:2 * four, :four] = HH
@@ -222,7 +216,7 @@ def build_expanded_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
     ell = int(math.floor(math.log2(dom.q)))
     coeffs = [1 << t for t in range(ell + 1)]
     HH = _quat_block_matrix(H) % dom.q
-    D = _lifted_lagrange(dom)
+    D = dom.lagrange_matrix()
     scaled = np.concatenate([c * D for c in coeffs], axis=0)  # ((l+1)n^2, n^2)
     tail = 4 * len(coeffs) * nsq
     dim = 2 * four + tail
@@ -280,10 +274,11 @@ def rho_flat(rho_vals: np.ndarray) -> np.ndarray:
 def gamma_vector(rho_gamma: np.ndarray, dom: EvalDomain) -> np.ndarray:
     """Integer coefficient vector (length 4n^2) interpolating rho_gamma.
 
-    Uses the same lifted interpolant rows as the lattice constructions, so
-    the result is the exact integer product rho_flat @ blockdiag(D).
+    Uses the same interpolant rows, in [0, q), as the lattice
+    constructions, so the result is the exact integer product
+    rho_flat @ blockdiag(D).
     """
-    D = _lifted_lagrange(dom).astype(object)
+    D = dom.lagrange_matrix().astype(object)
     vals = np.asarray(rho_gamma, dtype=object)
     return np.concatenate([vals[:, c] @ D for c in range(4)])
 

@@ -1,13 +1,16 @@
-"""Lattice toolbox: LLL, Babai nearest-plane, and sphere decoding.
+"""Lattice toolbox: LLL, Babai nearest-plane, sphere decoding, and an exact
+coset decoder for q-ary lattices.
 
 Everything operates on row bases.  Gram-Schmidt data is kept in 64-bit
 floats; the sphere decoder re-checks its final answer against the best
 running distance so the returned vector is the exact closest point for
-the radii used here (integer bases, moderate dimensions).
+the radii used here (integer bases, moderate dimensions).  The coset
+decoder works in exact integer arithmetic and needs no basis at all.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -192,6 +195,53 @@ def sphere_decode(rb: ReducedBasis, t, radius: float | None = None,
     if best is None:
         raise NoPointInRadius("no lattice point within the given radius")
     return best
+
+
+def coset_decode(gens, q: int, targets) -> np.ndarray:
+    """Exact closest points of the lattice qZ^N + sum_t Z*gens[t] to targets.
+
+    Every lattice point is congruent mod q to c @ gens for some c in
+    Z_q^k, and the point of that class closest to a target a is
+    a - centered(a - c @ gens mod q); q is odd, so the centered residue is
+    unique.  Scanning every c therefore yields the exact closest point with
+    no node budget.  Ties between classes go to the first c in
+    lexicographic order.
+
+    targets is one integer vector of length N or a stack of them, decoded
+    one at a time.  The q multiples of the last generator are scanned in
+    one vectorised step and the other generators in a loop, so q*N
+    candidates are held at once while the work grows as q^k.
+    """
+    t = np.asarray(targets)
+    if not np.issubdtype(t.dtype, np.integer):
+        raise ValueError("targets must be integer vectors")
+    a = np.atleast_2d(t).astype(np.int64)
+    N = a.shape[1]
+    gens = np.asarray(gens, dtype=np.int64).reshape(-1, N) % q
+    half = (q - 1) // 2
+    # residues are kept shifted by half, in [0, q), so that one masked add
+    # reduces them; their sums of squares stay below N * q^2
+    dtype = np.int32 if N * q * q < 2 ** 31 else np.int64
+    if len(gens):
+        head = gens[:-1]
+        steps = np.multiply.outer(np.arange(q, dtype=dtype), gens[-1].astype(dtype))
+        steps %= q
+    else:  # qZ^N alone is a single class
+        head, steps = gens, np.zeros((1, N), dtype=dtype)
+    out = np.empty_like(a)
+    for i, target in enumerate(a):
+        best_d = best_r = None
+        for c in itertools.product(range(q), repeat=len(head)):
+            base = (target + half - np.asarray(c, dtype=np.int64) @ head) % q
+            r = base.astype(dtype) - steps
+            np.add(r, q, out=r, where=r < 0)
+            # sum of (r - half)^2, less the constant N * half^2
+            d = np.einsum("jk,jk->j", r, r) - 2 * half * r.sum(axis=1, dtype=dtype)
+            j = d.argmin()
+            if best_d is None or d[j] < best_d:
+                best_d, best_r = d[j], r[j] - half
+        out[i] = target - best_r
+    return out[0] if t.ndim == 1 else out
 
 
 def gaussian_heuristic(dim: int, det_abs: int) -> float:

@@ -1,15 +1,17 @@
 """Key generation, encryption, and CVP-based decryption.
 
 Keys live over the bivariate convolution ring; a keypair carries the
-secret grid subset T, the interpolant combination sigma, and the derived
-coefficient-lattice basis used by decryption.  All randomness comes from
-an explicit random.Random instance supplied by the caller.
+secret grid subset T, the interpolant combination sigma, and the
+Lagrange rows for T that generate the coefficient lattice decryption
+searches.  All randomness comes from an explicit random.Random instance
+supplied by the caller.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .errors import (
     WeightTooLarge,
 )
 from .ideal import IdealSpec, LatticeBasis, build_D_prime, derive_T, make_ideal
-from .lattice import lll_reduce, sphere_decode
+from .lattice import coset_decode, lll_reduce, sphere_decode
 from .params import Params
 from .quat import (
     Quaternion,
@@ -44,22 +46,39 @@ class PublicKey:
     H: Quaternion
 
 
+# keys with a larger secret set T decrypt through the sphere decoder: the
+# exact coset scan costs q^|T| candidates per component
+MAX_SCAN_T = 2
+
+
 @dataclass
 class PrivateKey:
+    """Secret key material.
+
+    lagrange_T holds the Lagrange rows lambda_t (t in T, entries in
+    [0, q)); the private lattice D' is qZ^{n^2} + sum_t Z*lambda_t.  Keys
+    with |T| <= MAX_SCAN_T decrypt by an exact scan over the cosets of
+    qZ^{n^2} in D' and never build a basis of D'.  The HNF basis D_prime
+    and its LLL reduction are made on first use, only by the
+    sphere-decoder path for larger T.
+    """
+
     params: Params
     F: Quaternion
     G: Quaternion
     rho_gamma: np.ndarray
     ideal: IdealSpec
     F_p_inv: Quaternion
-    D_prime: LatticeBasis
+    lagrange_T: np.ndarray
     W: tuple
-    _reduced: object = field(default=None, repr=False, compare=False)
 
+    @cached_property
+    def D_prime(self) -> LatticeBasis:
+        return build_D_prime(self.ideal, EvalDomain(self.params.n, self.params.q))
+
+    @cached_property
     def reduced_basis(self):
-        if self._reduced is None:
-            self._reduced = lll_reduce(self.D_prime.rows.astype(np.int64))
-        return self._reduced
+        return lll_reduce(self.D_prime.rows.astype(np.int64))
 
 
 @dataclass
@@ -118,9 +137,9 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
         H = quat_mul_schoolbook(F_inv, G_q) + theta
         rho_gamma = rho(quat_mul_schoolbook(F_q, theta), dom)
         F_p_inv = quat_inverse_mod_p(F.with_modulus(p))
-        D_prime = build_D_prime(ideal, dom)
         pk = PublicKey(params, H)
-        sk = PrivateKey(params, F, G, rho_gamma, ideal, F_p_inv, D_prime, W)
+        sk = PrivateKey(params, F, G, rho_gamma, ideal, F_p_inv,
+                        dom.lagrange_matrix()[T], W)
         return pk, sk
     raise RetriesExhausted(f"no usable G found in {max_attempts} attempts")
 
@@ -173,22 +192,29 @@ def encrypt(pk: PublicKey, M: Quaternion, rng, phi: Quaternion | None = None) ->
 def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> Quaternion:
     """Recover M by solving one closest-vector problem per component.
 
-    F o C equals a coefficient-lattice point plus the small vector
-    p*G o Phi + F o M; subtracting the closest lattice point and reducing
-    centered mod p undoes the blinding.
+    F o C equals a point of D' = qZ^{n^2} + sum_{t in T} Z*lambda_t plus
+    the small vector p*G o Phi + F o M; subtracting the closest lattice
+    point and reducing centered mod p undoes the blinding.
+
+    For |T| <= MAX_SCAN_T (every honestly generated key has T = {(1,1)})
+    the closest point is found exactly by scanning the q^|T| cosets of
+    qZ^{n^2} in D' for each of the four components; its work does not
+    depend on the ciphertext, so strict rejections cost no more than
+    honest decryptions.  Larger T falls back to a sphere decoder over the
+    LLL-reduced D', capped at 50,000 nodes per component; a far target
+    can then get a point that is not the closest.
     """
     params = sk.params
     p, q = params.p, params.q
-    rb = sk.reduced_basis()
     A = quat_mul_schoolbook(sk.F.with_modulus(q), ct.C).lift_positive()
+    targets = np.stack([comp.coeffs for comp in A.components]).astype(np.int64)
+    if len(sk.ideal.T) <= MAX_SCAN_T:
+        closest = coset_decode(sk.lagrange_T, q, targets)
+    else:
+        closest = [sphere_decode(sk.reduced_basis, a.astype(np.float64), max_nodes=50_000)
+                   for a in targets]
     half_q = (q - 1) // 2
-    v_comps = []
-    for comp in A.components:
-        a = comp.coeffs.astype(np.int64)
-        B = sphere_decode(rb, a.astype(np.float64), max_nodes=50_000)
-        v = a - B
-        v = (v + half_q) % q - half_q
-        v_comps.append(v)
+    v_comps = [(v + half_q) % q - half_q for v in targets - closest]
     V = Quaternion(*(RingElem(v % p, params.n, p) for v in v_comps))
     M_hat = quat_mul_schoolbook(sk.F_p_inv, V).lift_centered()
     if strict:
@@ -392,8 +418,7 @@ def deserialize_private(text: str) -> PrivateKey:
     dom = EvalDomain(params.n, params.q)
     ideal = make_ideal(T, weights, dom)
     F_p_inv = quat_inverse_mod_p(F.with_modulus(params.p))
-    D_prime = build_D_prime(ideal, dom)
-    return PrivateKey(params, F, G, rho_gamma, ideal, F_p_inv, D_prime, W)
+    return PrivateKey(params, F, G, rho_gamma, ideal, F_p_inv, dom.lagrange_matrix()[T], W)
 
 
 def deserialize_ct(text: str) -> Ciphertext:

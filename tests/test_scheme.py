@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bqtru
+import bqtru.scheme as scheme
 from bqtru.errors import (
     DecryptionFailure,
     MalformedData,
@@ -14,6 +20,7 @@ from bqtru.errors import (
     WeightTooLarge,
 )
 from bqtru.ideal import verify_key_membership
+from bqtru.lattice import sphere_decode
 from bqtru.params import MODERATE, TOY, Params
 from bqtru.quat import Quaternion, quat_mul_schoolbook, rho
 from bqtru.ring import EvalDomain
@@ -223,6 +230,100 @@ class TestDecrypt:
             except DecryptionFailure:
                 pass
         assert good >= 49
+
+
+def with_secret_points(sk, T):
+    """The key as a key file naming the secret set T instead, loaded back."""
+    lines = []
+    for line in serialize_private(sk).splitlines():
+        label = line.split(":")[0]
+        if label == "T":
+            line = "T: " + " ".join(map(str, T))
+        elif label == "weights":
+            line = "weights: " + " ".join("1" for _ in T)
+        lines.append(line)
+    return deserialize_private("\n".join(lines) + "\n")
+
+
+class TestDecryptPaths:
+    def test_honest_key_never_builds_D_prime(self, moderate_key, monkeypatch):
+        pk, sk = moderate_key
+        assert len(sk.ideal.T) == 1
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the coset scan needs no basis of D'")
+
+        for name in ("build_D_prime", "lll_reduce", "sphere_decode"):
+            monkeypatch.setattr(scheme, name, forbidden)
+        rng = random.Random(76)
+        sk2 = deserialize_private(serialize_private(sk))
+        M = random_message(MODERATE, rng)
+        assert decrypt(sk2, encrypt(pk, M, rng), strict=True) == M
+
+    def test_three_point_key_decrypts_through_sphere_decoder(self, monkeypatch):
+        # honest keygen always yields T = {(1,1)}, but a key file may name
+        # more secret points and deserialize_private accepts it.  Extra
+        # points only enlarge D', which still contains F o theta o Phi, so
+        # the key still decrypts; at |T| = 3 the coset scan would cost q^3
+        # candidates, so decrypt takes the sphere-decoder path.  (The toy
+        # set cannot decrypt at all, so the wide-q set stands in for it.)
+        rng = random.Random(77)
+        pk, sk = keygen(HIGH_Q, rng)
+        T = list(sk.ideal.T) + [k for k in (7, 19, 30) if k not in sk.ideal.T]
+        sk3 = with_secret_points(sk, T[:3])
+        assert len(sk3.ideal.T) == 3
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sphere_decode(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "sphere_decode", counting)
+        for _ in range(5):
+            M = random_message(HIGH_Q, rng)
+            assert decrypt(sk3, encrypt(pk, M, rng), strict=True) == M
+        assert len(calls) == 5 * 4
+
+    def test_results_do_not_depend_on_blas_threads(self):
+        # strict decrypts at `highest`, honest and garbage, in a child
+        # process with OpenBLAS pinned to one thread and in one left at
+        # its default thread count
+        script = textwrap.dedent("""
+            import random
+            import numpy as np
+            from bqtru.errors import DecryptionFailure
+            from bqtru.params import HIGHEST
+            from bqtru.quat import Quaternion
+            from bqtru.ring import RingElem
+            from bqtru.scheme import Ciphertext, decrypt, encrypt, keygen, random_message
+            rng = random.Random(78)
+            pk, sk = keygen(HIGHEST, rng)
+            cts = [encrypt(pk, random_message(HIGHEST, rng), rng) for _ in range(3)]
+            cts.append(Ciphertext(Quaternion(*(
+                RingElem(np.array([rng.randrange(199) for _ in range(121)]), 11, 199)
+                for _ in range(4)))))
+            for ct in cts:
+                try:
+                    print(decrypt(sk, ct, strict=True).vector().tobytes().hex())
+                except DecryptionFailure:
+                    print("rejected")
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bqtru.__file__)))
+
+        def run(threads):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True, timeout=120).stdout
+
+        pinned, default = run("1"), run(None)
+        assert pinned == default
+        lines = pinned.splitlines()
+        assert len(lines) == 4 and lines[-1] == "rejected"
+        assert "rejected" not in lines[:3]
 
 
 class TestMessageCodec:
