@@ -219,24 +219,22 @@ def coset_decode(gens, q: int, targets) -> np.ndarray:
     N = a.shape[1]
     gens = np.asarray(gens, dtype=np.int64).reshape(-1, N) % q
     half = (q - 1) // 2
-    # residues are kept shifted by half, in [0, q), so that one masked add
-    # reduces them; their sums of squares stay below N * q^2
-    dtype = np.int32 if N * q * q < 2 ** 31 else np.int64
     if len(gens):
         head = gens[:-1]
-        steps = np.multiply.outer(np.arange(q, dtype=dtype), gens[-1].astype(dtype))
-        steps %= q
+        steps = np.arange(q, dtype=np.int64)[:, None] * gens[-1] % q
     else:  # qZ^N alone is a single class
-        head, steps = gens, np.zeros((1, N), dtype=dtype)
+        head, steps = gens, np.zeros((1, N), dtype=np.int64)
     out = np.empty_like(a)
+    r = np.empty_like(steps)
     for i, target in enumerate(a):
         best_d = best_r = None
         for c in itertools.product(range(q), repeat=len(head)):
+            # residues shifted by half, in [0, q), so one masked add reduces them
             base = (target + half - np.asarray(c, dtype=np.int64) @ head) % q
-            r = base.astype(dtype) - steps
+            np.subtract(base, steps, out=r)
             np.add(r, q, out=r, where=r < 0)
             # sum of (r - half)^2, less the constant N * half^2
-            d = np.einsum("jk,jk->j", r, r) - 2 * half * r.sum(axis=1, dtype=dtype)
+            d = np.einsum("jk,jk->j", r, r) - 2 * half * r.sum(axis=1)
             j = d.argmin()
             if best_d is None or d[j] < best_d:
                 best_d, best_r = d[j], r[j] - half

@@ -47,7 +47,11 @@ class PublicKey:
 
 
 # keys with a larger secret set T decrypt through the sphere decoder: the
-# exact coset scan costs q^|T| candidates per component
+# exact coset scan costs q^|T| candidates per component.  At |T| = 2 the
+# scan takes longer than the sphere decoder once a key's reduced basis is
+# built, but it needs no basis (an HNF and an LLL of D', longer than the
+# scan itself when a key is loaded per decryption) and rejects garbage far
+# faster; BENCH_2.json records the timings under "two_point_keys"
 MAX_SCAN_T = 2
 
 
@@ -55,11 +59,11 @@ MAX_SCAN_T = 2
 class PrivateKey:
     """Secret key material.
 
-    lagrange_T holds the Lagrange rows lambda_t (t in T, entries in
-    [0, q)); the private lattice D' is qZ^{n^2} + sum_t Z*lambda_t.  Keys
-    with |T| <= MAX_SCAN_T decrypt by an exact scan over the cosets of
-    qZ^{n^2} in D' and never build a basis of D'.  The HNF basis D_prime
-    and its LLL reduction are made on first use, only by the
+    The private lattice D' is qZ^{n^2} + sum_{t in T} Z*lambda_t, with
+    lambda_t the Lagrange rows for the secret points (lagrange_T, entries
+    in [0, q)).  Keys with |T| <= MAX_SCAN_T decrypt by an exact scan over
+    the cosets of qZ^{n^2} in D' and never build a basis of D'.  The HNF
+    basis D_prime and its LLL reduction are made on first use, only by the
     sphere-decoder path for larger T.
     """
 
@@ -69,8 +73,11 @@ class PrivateKey:
     rho_gamma: np.ndarray
     ideal: IdealSpec
     F_p_inv: Quaternion
-    lagrange_T: np.ndarray
     W: tuple
+
+    @cached_property
+    def lagrange_T(self) -> np.ndarray:
+        return EvalDomain(self.params.n, self.params.q).lagrange_matrix()[list(self.ideal.T)]
 
     @cached_property
     def D_prime(self) -> LatticeBasis:
@@ -138,8 +145,7 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
         rho_gamma = rho(quat_mul_schoolbook(F_q, theta), dom)
         F_p_inv = quat_inverse_mod_p(F.with_modulus(p))
         pk = PublicKey(params, H)
-        sk = PrivateKey(params, F, G, rho_gamma, ideal, F_p_inv,
-                        dom.lagrange_matrix()[T], W)
+        sk = PrivateKey(params, F, G, rho_gamma, ideal, F_p_inv, W)
         return pk, sk
     raise RetriesExhausted(f"no usable G found in {max_attempts} attempts")
 
@@ -418,7 +424,7 @@ def deserialize_private(text: str) -> PrivateKey:
     dom = EvalDomain(params.n, params.q)
     ideal = make_ideal(T, weights, dom)
     F_p_inv = quat_inverse_mod_p(F.with_modulus(params.p))
-    return PrivateKey(params, F, G, rho_gamma, ideal, F_p_inv, dom.lagrange_matrix()[T], W)
+    return PrivateKey(params, F, G, rho_gamma, ideal, F_p_inv, W)
 
 
 def deserialize_ct(text: str) -> Ciphertext:

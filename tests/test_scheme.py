@@ -20,10 +20,10 @@ from bqtru.errors import (
     WeightTooLarge,
 )
 from bqtru.ideal import verify_key_membership
-from bqtru.lattice import sphere_decode
+from bqtru.lattice import coset_decode, sphere_decode
 from bqtru.params import MODERATE, TOY, Params
 from bqtru.quat import Quaternion, quat_mul_schoolbook, rho
-from bqtru.ring import EvalDomain
+from bqtru.ring import EvalDomain, RingElem
 from bqtru.scheme import (
     Ciphertext,
     decode_message,
@@ -259,6 +259,40 @@ class TestDecryptPaths:
         sk2 = deserialize_private(serialize_private(sk))
         M = random_message(MODERATE, rng)
         assert decrypt(sk2, encrypt(pk, M, rng), strict=True) == M
+
+    def test_two_point_key_decrypts_through_coset_scan(self, moderate_key, monkeypatch):
+        # a key file naming a second secret point: decrypt scans the q^2
+        # cosets, agrees with the sphere decoder on honest ciphertexts and
+        # still rejects garbage in strict mode
+        pk, sk = moderate_key
+        extra = next(k for k in (20, 30, 40) if k not in sk.ideal.T)
+        sk2 = with_secret_points(sk, list(sk.ideal.T) + [extra])
+        sk_ref = with_secret_points(sk, list(sk.ideal.T) + [extra])
+        ref_basis = sk_ref.reduced_basis
+        assert len(sk2.ideal.T) == 2
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a two-point key needs no basis of D'")
+
+        for name in ("build_D_prime", "lll_reduce", "sphere_decode"):
+            monkeypatch.setattr(scheme, name, forbidden)
+        rng = random.Random(79)
+        for _ in range(5):
+            M = random_message(MODERATE, rng)
+            ct = encrypt(pk, M, rng)
+            assert decrypt(sk2, ct, strict=True) == M
+            # the sphere-decoder path over the same D' finds the same points
+            A = quat_mul_schoolbook(sk.F.with_modulus(MODERATE.q), ct.C).lift_positive()
+            for comp in A.components:
+                a = comp.coeffs.astype(np.float64)
+                ref = sphere_decode(ref_basis, a, max_nodes=50_000)
+                got = coset_decode(sk2.lagrange_T, MODERATE.q, comp.coeffs)
+                assert np.array_equal(got, ref)
+        garbage = Ciphertext(Quaternion(*(
+            RingElem(np.array([rng.randrange(MODERATE.q) for _ in range(MODERATE.nsq)]),
+                     MODERATE.n, MODERATE.q) for _ in range(4))))
+        with pytest.raises(DecryptionFailure):
+            decrypt(sk2, garbage, strict=True)
 
     def test_three_point_key_decrypts_through_sphere_decoder(self, monkeypatch):
         # honest keygen always yields T = {(1,1)}, but a key file may name
