@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .analysis import analysis_report
+from .analysis import analysis_report, public_key_size_bits
 from .errors import (
     BqtruError,
     DecryptionFailure,
@@ -38,7 +38,7 @@ from .lattice import gaussian_heuristic, lll_reduce
 from .ntru import conv as ntru_conv
 from .params import PARAM_SETS, Params, get_params
 from .quat import Quaternion, quat_mul_schoolbook, quat_mul_strassen
-from .ring import CONV_COUNTER, EvalDomain
+from .ring import CONV_COUNTER, EvalDomain, RingElem
 from .scheme import (
     decode_message,
     decrypt,
@@ -48,7 +48,6 @@ from .scheme import (
     encode_message,
     encrypt,
     keygen,
-    packed_public_key_bits,
     serialize_ct,
     serialize_private,
     serialize_public,
@@ -116,7 +115,7 @@ def cmd_keygen(args, out) -> int:
     _write_atomic(args.out + ".priv", serialize_private(sk))
     print(f"wrote {args.out}.pub and {args.out}.priv", file=out)
     print(f"parameter_set = {label}", file=out)
-    print(f"packed_public_key_bits = {packed_public_key_bits(params)}", file=out)
+    print(f"packed_public_key_bits = {public_key_size_bits(params)}", file=out)
     return 0
 
 
@@ -255,7 +254,6 @@ def _read_text(path: str) -> str:
 
 
 def _rand_elem(n, q, rng):
-    from .ring import RingElem
     return RingElem(np.array([rng.randrange(q) for _ in range(n * n)]), n, q)
 
 

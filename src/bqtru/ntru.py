@@ -20,19 +20,9 @@ from .errors import (
     RetriesExhausted,
     WeightTooLarge,
 )
+from .ring import OpCounter, solve_mod_prime
 
-
-class _MultCounter:
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def reset(self):
-        self.count = 0
-
-
-MULT_COUNTER = _MultCounter()
+MULT_COUNTER = OpCounter()
 
 
 @dataclass(frozen=True)
@@ -70,41 +60,20 @@ def circulant(h: np.ndarray) -> np.ndarray:
     return np.stack([np.roll(h, r) for r in range(n)])
 
 
-def _poly_inverse_mod_prime(f: np.ndarray, m: int) -> np.ndarray:
-    """Inverse in Z_m[x]/(x^n-1), m prime, by solving the circulant system."""
-    n = len(f)
-    M = (circulant(f).T % m).astype(object)
-    aug = np.concatenate([M, np.eye(n, dtype=object)], axis=1)
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r][col] % m), None)
-        if piv is None:
-            continue
-        aug[[row, piv]] = aug[[piv, row]]
-        inv = pow(int(aug[row][col]) % m, m - 2, m)
-        aug[row] = aug[row] * inv % m
-        for r in range(n):
-            if r != row and aug[r][col] % m:
-                aug[r] = (aug[r] - aug[r][col] * aug[row]) % m
-        row += 1
-    if row < n:
-        raise NotInvertible("polynomial is singular modulo the prime")
-    sol = aug[:, n:]
-    e0 = np.zeros(n, dtype=object)
-    e0[0] = 1
-    return np.array(sol @ e0 % m, dtype=np.int64)
-
-
 def poly_inverse(f: np.ndarray, modulus: int) -> np.ndarray:
-    """Inverse mod a prime or a power of two (Hensel lifting from GF(2))."""
+    """Inverse mod a prime or a power of two (Hensel lifting from GF(2)).
+
+    Over a prime field the inverse u solves u @ circulant(f) = e0.
+    """
     f = np.asarray(f, dtype=np.int64) % modulus
+    e0 = np.zeros(len(f), dtype=np.int64)
+    e0[0] = 1
     if modulus % 2 == 0:
         k = modulus.bit_length() - 1
         if modulus != 1 << k:
             raise ValueError("even modulus must be a power of two")
-        inv = _poly_inverse_mod_prime(f, 2)
-        two = np.zeros(len(f), dtype=np.int64)
-        two[0] = 2
+        inv = solve_mod_prime(circulant(f).T, e0, 2)
+        two = 2 * e0
         m = 2
         while m < modulus:
             m = min(m * m, modulus)
@@ -112,7 +81,7 @@ def poly_inverse(f: np.ndarray, modulus: int) -> np.ndarray:
             prod = conv(f % m, inv, m)
             inv = conv(inv, (two - prod) % m, m)
         return inv % modulus
-    return _poly_inverse_mod_prime(f, modulus)
+    return solve_mod_prime(circulant(f).T, e0, modulus)
 
 
 def sample_ntru_ternary(n: int, plus: int, minus: int, rng: random.Random) -> np.ndarray:

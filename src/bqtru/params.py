@@ -24,7 +24,9 @@ class Params:
 
     n is the degree of both cyclic variables, so ring elements have n**2
     coefficients and quaternions 4*n**2.  The splitting condition n | q-1
-    guarantees the full n**2-point evaluation grid exists mod q.
+    guarantees the full n**2-point evaluation grid exists mod q.  Ring
+    arithmetic is int64, and a product sums n**2 terms below (q-1)**2, so
+    n**2 * (q-1)**2 must stay below 2**63.
     """
 
     n: int
@@ -38,6 +40,8 @@ class Params:
 
     def __post_init__(self):
         n, p, q = self.n, self.p, self.q
+        if n * n * (q - 1) ** 2 >= 2 ** 63:
+            raise ValueError(f"q={q} is too large for int64 arithmetic at n={n}")
         if not _is_prime(n):
             raise ValueError(f"n={n} must be prime")
         if not _is_prime(p) or not _is_prime(q):

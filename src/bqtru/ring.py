@@ -2,7 +2,9 @@
 
 Elements are length-n**2 coefficient vectors; the coefficient of x^a y^b
 lives at index a*n + b (x-major lexicographic order).  The modulus is an
-odd prime, or None for unreduced integer arithmetic.
+odd prime, or None for unreduced integer arithmetic.  Coefficients are
+int64, so a product is exact while n**2 * (m-1)**2 < 2**63; Params
+rejects larger moduli.
 
 A module-level counter tracks convolution products so that callers can
 verify operation counts (16 vs 7 ring products per quaternion multiply).
@@ -17,7 +19,9 @@ import numpy as np
 from .errors import ContextMismatch, NotAGridPoint, NotInvertible
 
 
-class _ConvCounter:
+class OpCounter:
+    """A resettable operation count (diagnostic only; not used for logic)."""
+
     __slots__ = ("count",)
 
     def __init__(self):
@@ -27,8 +31,8 @@ class _ConvCounter:
         self.count = 0
 
 
-#: incremented once per convolution product (diagnostic only; not used for logic)
-CONV_COUNTER = _ConvCounter()
+#: incremented once per convolution product
+CONV_COUNTER = OpCounter()
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +230,7 @@ class EvalDomain:
                 ainv, binv = pow(a, q - 2, q), pow(b, q - 2, q)
                 pa = np.array([pow(ainv, i, q) for i in range(n)], dtype=np.int64)
                 pb = np.array([pow(binv, j, q) for j in range(n)], dtype=np.int64)
-                rows[k] = (np.outer(pa, pb).reshape(-1) * ninv2) % q
+                rows[k] = np.outer(pa, pb).reshape(-1) % q * ninv2 % q
             self._lagrange_rows = rows
         return self._lagrange_rows
 
@@ -289,33 +293,32 @@ def interpolate(dom: EvalDomain, values) -> RingElem:
     return RingElem(coeffs, dom.n, dom.q)
 
 
-def _solve_mod_prime(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Solve A x = b over Z_m (m prime) by Gaussian elimination."""
+def solve_mod_prime(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Solve A x = b over Z_m (m prime) by Gauss-Jordan elimination in int64.
+
+    Every intermediate stays within (m-1)**2 in absolute value, so the
+    arithmetic is exact while that is below 2**63; raises NotInvertible
+    when A is singular mod m.
+    """
+    if (m - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"modulus {m} is too large for int64 elimination")
     k = A.shape[0]
-    M = np.concatenate([A % m, (b % m).reshape(-1, 1)], axis=1).astype(object)
-    row = 0
-    pivots = []
+    M = np.concatenate([np.asarray(A, dtype=np.int64) % m,
+                        np.asarray(b, dtype=np.int64).reshape(-1, 1) % m], axis=1)
     for col in range(k):
-        piv = None
-        for r in range(row, k):
-            if M[r, col] % m != 0:
-                piv = r
-                break
-        if piv is None:
+        nonzero = np.flatnonzero(M[col:, col])
+        if nonzero.size == 0:
             raise NotInvertible("singular system")
-        if piv != row:
-            M[[row, piv]] = M[[piv, row]]
-        inv = pow(int(M[row, col]), m - 2, m)
-        M[row] = M[row] * inv % m
-        for r in range(k):
-            if r != row and M[r, col] % m != 0:
-                M[r] = (M[r] - M[r, col] * M[row]) % m
-        pivots.append(col)
-        row += 1
-    x = np.zeros(k, dtype=np.int64)
-    for r, col in enumerate(pivots):
-        x[col] = int(M[r, k])
-    return x
+        piv = col + int(nonzero[0])
+        if piv != col:
+            M[[col, piv]] = M[[piv, col]]
+        # columns left of col are already zero in the pivot row
+        M[col, col:] = M[col, col:] * pow(int(M[col, col]), m - 2, m) % m
+        factors = M[:, col].copy()
+        factors[col] = 0
+        M[:, col:] -= factors[:, None] * M[col, col:]
+        M[:, col:] %= m
+    return M[:, k].copy()
 
 
 def ring_inverse(f: RingElem, m: int | None = None) -> RingElem:
@@ -333,9 +336,5 @@ def ring_inverse(f: RingElem, m: int | None = None) -> RingElem:
     e0 = np.zeros(fm.n * fm.n, dtype=np.int64)
     e0[0] = 1
     # u * M(f) = e0  <=>  M(f)^T u = e0
-    u = _solve_mod_prime(M.T, e0, m)
+    u = solve_mod_prime(M.T, e0, m)
     return RingElem(u, fm.n, m)
-
-
-def lift_centered(f: RingElem) -> RingElem:
-    return f.lift_centered()

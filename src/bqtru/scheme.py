@@ -37,7 +37,7 @@ from .quat import (
     rho,
     scalar_norm,
 )
-from .ring import EvalDomain, RingElem, ring_inverse
+from .ring import EvalDomain, RingElem
 
 
 @dataclass
@@ -121,7 +121,7 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
     inverses impossible.
     """
     rng = _rng_of(rng)
-    n, p, q = params.n, params.p, params.q
+    n, q = params.n, params.q
     dom = EvalDomain(n, q)
     for _ in range(max_attempts):
         G = Quaternion(*(sample_ternary(n, params.d_g, rng) for _ in range(4)))
@@ -129,9 +129,10 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
         T = derive_T(G_q, dom)
         if not 1 <= len(T) <= params.max_T:
             continue
-        F = _find_F(params, T, dom, rng)
-        if F is None:
+        found = _find_F(params, T, dom, rng)
+        if found is None:
             continue
+        F, F_p_inv = found
         F_q = F.with_modulus(q)
         weights = [rng.randrange(1, q) for _ in T]
         while True:
@@ -143,7 +144,6 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
         F_inv = quat_inverse_mod_J(F_q, T, dom)
         H = quat_mul_schoolbook(F_inv, G_q) + theta
         rho_gamma = rho(quat_mul_schoolbook(F_q, theta), dom)
-        F_p_inv = quat_inverse_mod_p(F.with_modulus(p))
         pk = PublicKey(params, H)
         sk = PrivateKey(params, F, G, rho_gamma, ideal, F_p_inv, W)
         return pk, sk
@@ -152,7 +152,8 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
 
 def _find_F(params: Params, T, dom: EvalDomain, rng: random.Random,
             attempts: int = 100):
-    """F whose norm vanishes only inside T and is invertible mod p."""
+    """(F, F^-1 mod p) for an F whose norm vanishes only inside T and is
+    invertible mod p, or None when every attempt fails."""
     for _ in range(attempts):
         comps = [_sample_signed(params.n, params.d_f + 1, params.d_f, rng)]
         comps += [sample_ternary(params.n, params.d_f, rng) for _ in range(3)]
@@ -161,10 +162,9 @@ def _find_F(params: Params, T, dom: EvalDomain, rng: random.Random,
         if any(norm_vals[k] == 0 for k in range(dom.size) if k not in T):
             continue
         try:
-            ring_inverse(quat_norm(F.with_modulus(params.p)))
+            return F, quat_inverse_mod_p(F.with_modulus(params.p))
         except NotInvertible:
             continue
-        return F
     return None
 
 
@@ -440,20 +440,3 @@ def deserialize_ct(text: str) -> Ciphertext:
     comps = [RingElem(_read_coeffs(fields, f"c{i}", n * n, 0, q), n, q)
              for i in range(4)]
     return Ciphertext(Quaternion(*comps))
-
-
-def packed_public_key_bits(params: Params) -> int:
-    """Payload size of the bit-packed public key: one field element per slot."""
-    return 4 * params.nsq * (params.q - 1).bit_length()
-
-
-def pack_public_key(pk: PublicKey) -> bytes:
-    """Fixed-width bit packing, used only for size accounting."""
-    width = (pk.params.q - 1).bit_length()
-    acc = 0
-    nbits = 0
-    for c in pk.H.lift_positive().components:
-        for v in c.coeffs:
-            acc = (acc << width) | int(v)
-            nbits += width
-    return acc.to_bytes((nbits + 7) // 8, "big")

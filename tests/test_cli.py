@@ -133,6 +133,11 @@ class TestAnalyze:
         assert code == 0
         assert "public_key_bits = 3872  [reference: 3872]" in out
 
+    def test_modulus_too_large_for_int64(self):
+        code, _ = run("analyze", "--n", "3", "--p", "3", "--q", "4294967311",
+                      "--d-f", "1", "--d-g", "1", "--d-phi", "1")
+        assert code == 1
+
     def test_toy_report(self):
         code, out = run("analyze", "--params", "toy")
         assert code == 0

@@ -3,8 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqtru.errors import ContextMismatch, NotAGridPoint, NotInvertible
+from bqtru.params import Params
 from bqtru.ring import (
     EvalDomain,
     RingElem,
@@ -15,6 +18,7 @@ from bqtru.ring import (
     mult_matrix,
     ring_eval,
     ring_inverse,
+    solve_mod_prime,
 )
 
 
@@ -213,6 +217,59 @@ class TestRingInverse:
                 continue
             assert conv_mul(f, u) == RingElem.one(3, m)
             found += 1
+
+
+def unit_lu(rng, k, m):
+    """L @ U mod m with unit-diagonal triangular factors: det 1, so invertible."""
+    L = np.tril([[rng.randrange(m) for _ in range(k)] for _ in range(k)], -1)
+    U = np.triu([[rng.randrange(m) for _ in range(k)] for _ in range(k)], 1)
+    eye = np.eye(k, dtype=np.int64)
+    return (L + eye) @ (U + eye) % m
+
+
+class TestSolveModPrime:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 7, 199, 659]), st.integers(1, 24), st.integers(0, 2**32))
+    def test_invertible_systems(self, m, k, seed):
+        rng = random.Random(seed)
+        A = unit_lu(rng, k, m)
+        # shuffle the rows so the pivots are not all on the diagonal
+        A = A[rng.sample(range(k), k)]
+        b = np.array([rng.randrange(m) for _ in range(k)], dtype=np.int64)
+        x = solve_mod_prime(A, b, m)
+        assert x.dtype == np.int64 and ((0 <= x) & (x < m)).all()
+        assert np.array_equal(A @ x % m, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 7, 199, 659]), st.integers(2, 24), st.integers(0, 2**32))
+    def test_repeated_row_is_singular(self, m, k, seed):
+        rng = random.Random(seed)
+        A = unit_lu(rng, k, m)
+        i, j = rng.sample(range(k), 2)
+        A[j] = A[i]
+        b = np.array([rng.randrange(m) for _ in range(k)], dtype=np.int64)
+        with pytest.raises(NotInvertible):
+            solve_mod_prime(A, b, m)
+
+
+class TestInt64Bound:
+    def test_overflowing_q_rejected(self):
+        # 4294967311 is prime and 3 divides q-1, but 9 (q-1)^2 > 2^63
+        with pytest.raises(ValueError, match="int64"):
+            Params(3, 3, 4294967311, 1, 1, 1)
+        # (q-1)^2 > 2^63 as well, so the solver refuses it too
+        with pytest.raises(ValueError, match="int64"):
+            solve_mod_prime(np.eye(2, dtype=np.int64), np.ones(2), 4294967311)
+
+    def test_round_trip_near_the_bound(self):
+        # (q-1)^3 overflows int64 here, n^2 (q-1)^2 does not
+        q = 10000141
+        Params(3, 3, q, 1, 1, 1)
+        dom = EvalDomain(3, q)
+        rng = random.Random(9)
+        for _ in range(20):
+            values = np.array([rng.randrange(q) for _ in range(9)], dtype=np.int64)
+            assert np.array_equal(dom.eval_all(interpolate(dom, values)), values)
 
 
 class TestLiftCentered:

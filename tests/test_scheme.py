@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bqtru
+import bqtru.ring as ring
 import bqtru.scheme as scheme
 from bqtru.errors import (
     DecryptionFailure,
@@ -35,8 +36,6 @@ from bqtru.scheme import (
     encrypt,
     keygen,
     message_capacity,
-    pack_public_key,
-    packed_public_key_bits,
     random_message,
     sample_ternary,
     serialize_ct,
@@ -139,6 +138,40 @@ class TestKeygen:
     def test_retries_exhausted(self):
         with pytest.raises(RetriesExhausted):
             keygen(TOY, random.Random(0), max_attempts=0)
+
+    def test_one_mod_p_solve_per_usable_F(self, monkeypatch):
+        # N(F)^-1 mod p is solved for once per F candidate whose norm
+        # vanishes only inside T -- never a second time for the accepted
+        # F -- and once per private-key load
+        solves, usable, current_T = [], [], []
+        dom = EvalDomain(7, 113)
+        real_solve, real_derive_T, real_norm = (
+            ring.solve_mod_prime, scheme.derive_T, scheme.quat_norm)
+
+        def solve(*args):
+            solves.append(args[2])
+            return real_solve(*args)
+
+        def derive_T(G, d):
+            current_T[:] = real_derive_T(G, d)
+            return list(current_T)
+
+        def quat_norm(F):
+            N = real_norm(F)
+            if F.modulus == 113:
+                vals = dom.eval_all(N)
+                usable.append(all(vals[k] for k in range(49) if k not in current_T))
+            return N
+
+        monkeypatch.setattr(ring, "solve_mod_prime", solve)
+        monkeypatch.setattr(scheme, "derive_T", derive_T)
+        monkeypatch.setattr(scheme, "quat_norm", quat_norm)
+        _, sk = keygen(MODERATE, random.Random(63))
+        assert sum(usable) >= 1
+        assert solves == [3] * sum(usable)
+        solves.clear()
+        deserialize_private(serialize_private(sk))
+        assert solves == [3]
 
 
 class TestEncrypt:
@@ -479,12 +512,3 @@ class TestSerialization:
         with pytest.raises(MalformedData):
             deserialize_private(serialize_public(pk))
 
-
-class TestPackedSizes:
-    def test_table_values(self):
-        assert packed_public_key_bits(MODERATE) == 1372
-        assert packed_public_key_bits(Params(11, 3, 199, 17, 17, 13)) == 3872
-
-    def test_packed_length(self, moderate_key):
-        pk, _ = moderate_key
-        assert len(pack_public_key(pk)) == (1372 + 7) // 8
