@@ -289,6 +289,6 @@ def analysis_report(params: Params, label: str = "") -> str:
         f"lattice_dim_expanded_built = {acct.built_dim}",
         f"expansion_ratio = {acct.real_ratio:.4f}",
         f"expansion_ratio_bound = {acct.bound:.4f}",
-        f"poltyrev_sigma_sq_max = {poltyrev_sigma_sq_max(params, params.max_T):.4f}",
+        f"poltyrev_sigma_sq_max = {poltyrev_sigma_sq_max(params, params.n):.4f}",
     ]
     return "\n".join(lines) + "\n"

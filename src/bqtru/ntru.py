@@ -35,6 +35,9 @@ class NtruParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        # conv sums n products below (q-1)**2 in int64
+        if self.n * (self.q - 1) ** 2 >= 2 ** 63:
+            raise ValueError(f"q={self.q} is too large for int64 arithmetic at n={self.n}")
         if math.gcd(self.p, self.q) != 1:
             raise ValueError("p and q must be coprime")
         if self.q <= self.p:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _is_prime(m: int) -> bool:
@@ -36,7 +36,6 @@ class Params:
     d_g: int
     d_phi: int
     d_m: int = 0
-    max_T: int = field(default=0)
 
     def __post_init__(self):
         n, p, q = self.n, self.p, self.q
@@ -59,10 +58,6 @@ class Params:
             d = getattr(self, name)
             if d < 0 or d > half:
                 raise ValueError(f"{name}={d} out of range [0, {half}]")
-        if self.max_T == 0:
-            object.__setattr__(self, "max_T", n)
-        if self.max_T > n:
-            raise ValueError(f"max_T={self.max_T} exceeds n={n}")
 
     @property
     def nsq(self) -> int:

@@ -143,15 +143,6 @@ class RingElem:
             return RingElem(self.coeffs, self.n, None)
         return RingElem(self.coeffs % self.modulus, self.n, None)
 
-    # -- text rendering (key file format) -----------------------------
-    def render(self) -> str:
-        return " ".join(str(int(c)) for c in self.coeffs)
-
-    @classmethod
-    def parse(cls, text: str, n: int, modulus=None) -> "RingElem":
-        vals = [int(t) for t in text.split()]
-        return cls(np.array(vals, dtype=np.int64), n, modulus)
-
 
 def conv_mul(f: RingElem, g: RingElem) -> RingElem:
     """2-D cyclic convolution product."""

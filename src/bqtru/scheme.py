@@ -24,8 +24,8 @@ from .errors import (
     RetriesExhausted,
     WeightTooLarge,
 )
-from .ideal import IdealSpec, LatticeBasis, build_D_prime, derive_T, make_ideal
-from .lattice import coset_decode, lll_reduce, sphere_decode
+from .ideal import IdealSpec, derive_T, make_ideal
+from .lattice import coset_decode
 from .params import Params
 from .quat import (
     Quaternion,
@@ -46,13 +46,14 @@ class PublicKey:
     H: Quaternion
 
 
-# keys with a larger secret set T decrypt through the sphere decoder: the
-# exact coset scan costs q^|T| candidates per component.  At |T| = 2 the
-# scan takes longer than the sphere decoder once a key's reduced basis is
-# built, but it needs no basis (an HNF and an LLL of D', longer than the
-# scan itself when a key is loaded per decryption) and rejects garbage far
-# faster; BENCH_2.json records the timings under "two_point_keys"
-MAX_SCAN_T = 2
+# decryption scans the q^|T| cosets of qZ^{n^2} in D' per component; keygen
+# and key load admit only secret sets T whose scan stays within this bound
+MAX_SCAN_CLASSES = 2 ** 16
+
+
+def _scannable(T, q: int) -> bool:
+    """Whether decryption can scan the cosets of a secret set T exactly."""
+    return 1 <= len(T) and q ** len(T) <= MAX_SCAN_CLASSES
 
 
 @dataclass
@@ -61,10 +62,9 @@ class PrivateKey:
 
     The private lattice D' is qZ^{n^2} + sum_{t in T} Z*lambda_t, with
     lambda_t the Lagrange rows for the secret points (lagrange_T, entries
-    in [0, q)).  Keys with |T| <= MAX_SCAN_T decrypt by an exact scan over
-    the cosets of qZ^{n^2} in D' and never build a basis of D'.  The HNF
-    basis D_prime and its LLL reduction are made on first use, only by the
-    sphere-decoder path for larger T.
+    in [0, q)).  Decryption scans the q^|T| cosets of qZ^{n^2} in D' and
+    never builds a basis of D'; keygen and deserialize_private admit only
+    a T for which _scannable(T, q) holds.
     """
 
     params: Params
@@ -78,14 +78,6 @@ class PrivateKey:
     @cached_property
     def lagrange_T(self) -> np.ndarray:
         return EvalDomain(self.params.n, self.params.q).lagrange_matrix()[list(self.ideal.T)]
-
-    @cached_property
-    def D_prime(self) -> LatticeBasis:
-        return build_D_prime(self.ideal, EvalDomain(self.params.n, self.params.q))
-
-    @cached_property
-    def reduced_basis(self):
-        return lll_reduce(self.D_prime.rows.astype(np.int64))
 
 
 @dataclass
@@ -127,7 +119,7 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
         G = Quaternion(*(sample_ternary(n, params.d_g, rng) for _ in range(4)))
         G_q = G.with_modulus(q)
         T = derive_T(G_q, dom)
-        if not 1 <= len(T) <= params.max_T:
+        if not _scannable(T, q):
             continue
         found = _find_F(params, T, dom, rng)
         if found is None:
@@ -202,25 +194,19 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> Quaternion:
     the small vector p*G o Phi + F o M; subtracting the closest lattice
     point and reducing centered mod p undoes the blinding.
 
-    For |T| <= MAX_SCAN_T (every honestly generated key has T = {(1,1)})
-    the closest point is found exactly by scanning the q^|T| cosets of
-    qZ^{n^2} in D' for each of the four components; its work does not
-    depend on the ciphertext, so strict rejections cost no more than
-    honest decryptions.  Larger T falls back to a sphere decoder over the
-    LLL-reduced D', capped at 50,000 nodes per component; a far target
-    can then get a point that is not the closest.
+    The closest point is found exactly by scanning the q^|T| cosets of
+    qZ^{n^2} in D' for each of the four components; no admitted key scans
+    more than MAX_SCAN_CLASSES cosets, and keys from keygen at `moderate`
+    and `highest` have T = {(1,1)}, q cosets.  The work does not depend on
+    the ciphertext, so strict rejections cost no more than honest
+    decryptions.
     """
     params = sk.params
     p, q = params.p, params.q
     A = quat_mul_schoolbook(sk.F.with_modulus(q), ct.C).lift_positive()
     targets = np.stack([comp.coeffs for comp in A.components]).astype(np.int64)
-    if len(sk.ideal.T) <= MAX_SCAN_T:
-        closest = coset_decode(sk.lagrange_T, q, targets)
-    else:
-        closest = [sphere_decode(sk.reduced_basis, a.astype(np.float64), max_nodes=50_000)
-                   for a in targets]
-    half_q = (q - 1) // 2
-    v_comps = [(v + half_q) % q - half_q for v in targets - closest]
+    # coset_decode returns target - centered residue, so v_comps are centered
+    v_comps = targets - coset_decode(sk.lagrange_T, q, targets)
     V = Quaternion(*(RingElem(v % p, params.n, p) for v in v_comps))
     M_hat = quat_mul_schoolbook(sk.F_p_inv, V).lift_centered()
     if strict:
@@ -342,13 +328,20 @@ def _coeff_line(label: str, values) -> str:
     return label + ": " + " ".join(str(int(v)) for v in values)
 
 
-def _read_coeffs(lines: dict, label: str, count: int, lo: int, hi: int) -> np.ndarray:
+def _read_ints(lines: dict, label: str) -> list:
     if label not in lines:
         raise MalformedData(f"missing field {label}")
-    vals = np.array([int(v) for v in lines[label].split()], dtype=np.int64)
-    if len(vals) != count or vals.min() < lo or vals.max() >= hi:
+    try:
+        return [int(v) for v in lines[label].split()]
+    except ValueError as exc:
+        raise MalformedData(f"field {label} is not a list of integers") from exc
+
+
+def _read_coeffs(lines: dict, label: str, count: int, lo: int, hi: int) -> np.ndarray:
+    vals = _read_ints(lines, label)
+    if len(vals) != count or any(not lo <= v < hi for v in vals):
         raise MalformedData(f"field {label} malformed")
-    return vals
+    return np.array(vals, dtype=np.int64)
 
 
 def serialize_public(pk: PublicKey) -> str:
@@ -415,9 +408,12 @@ def deserialize_private(text: str) -> PrivateKey:
                               params.n, None) for i in range(4)))
     G = Quaternion(*(RingElem(_read_coeffs(fields, f"g{i}", nsq, -1, 2),
                               params.n, None) for i in range(4)))
-    T = [int(v) for v in fields.get("T", "").split()]
-    if not T or any(not 0 <= t < nsq for t in T):
+    T = _read_ints(fields, "T")
+    if len(set(T)) != len(T) or any(not 0 <= t < nsq for t in T):
         raise MalformedData("bad T field")
+    if not _scannable(T, params.q):
+        raise MalformedData(f"T must name at least one point, and q^|T| = {params.q}^{len(T)} "
+                            f"coset classes may not exceed {MAX_SCAN_CLASSES}")
     weights = _read_coeffs(fields, "weights", len(T), 1, params.q)
     W = tuple(int(v) for v in _read_coeffs(fields, "W", 4, 1, params.q))
     rho_gamma = _read_coeffs(fields, "rhogamma", 4 * nsq, 0, params.q).reshape(nsq, 4)

@@ -46,6 +46,18 @@ class TestParams:
         with pytest.raises(WeightTooLarge):
             NtruParams(7, 3, 101, 4)
 
+    def test_int64_bound(self):
+        # conv sums n products below (q-1)^2 in int64; at this q it wrapped
+        # and returned 4294966191 in every slot instead of 5
+        with pytest.raises(ValueError):
+            NtruParams(5, 3, 4294967311, 1)
+        q = 1358187914  # largest q with 5 * (q-1)^2 < 2^63
+        NtruParams(5, 3, q, 1)
+        with pytest.raises(ValueError):
+            NtruParams(5, 2, q + 1, 1)
+        f = np.full(5, q - 1, dtype=np.int64)
+        assert np.array_equal(conv(f, f, q), np.full(5, 5))
+
 
 class TestConv:
     def test_matches_naive(self):

@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import subprocess
@@ -10,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bqtru
+import bqtru.ideal as ideal
+import bqtru.lattice as lattice
 import bqtru.ring as ring
 import bqtru.scheme as scheme
+from bqtru.cli import main as cli_main
 from bqtru.errors import (
     DecryptionFailure,
     MalformedData,
@@ -20,8 +24,8 @@ from bqtru.errors import (
     RetriesExhausted,
     WeightTooLarge,
 )
-from bqtru.ideal import verify_key_membership
-from bqtru.lattice import coset_decode, sphere_decode
+from bqtru.ideal import build_D_prime, derive_T, verify_key_membership
+from bqtru.lattice import coset_decode, lll_reduce, sphere_decode
 from bqtru.params import MODERATE, TOY, Params
 from bqtru.quat import Quaternion, quat_mul_schoolbook, rho
 from bqtru.ring import EvalDomain, RingElem
@@ -265,8 +269,8 @@ class TestDecrypt:
         assert good >= 49
 
 
-def with_secret_points(sk, T):
-    """The key as a key file naming the secret set T instead, loaded back."""
+def secret_points_text(sk, T):
+    """The key file of sk, rewritten to name the secret set T instead."""
     lines = []
     for line in serialize_private(sk).splitlines():
         label = line.split(":")[0]
@@ -275,19 +279,34 @@ def with_secret_points(sk, T):
         elif label == "weights":
             line = "weights: " + " ".join("1" for _ in T)
         lines.append(line)
-    return deserialize_private("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def with_secret_points(sk, T):
+    """The key as a key file naming the secret set T instead, loaded back."""
+    return deserialize_private(secret_points_text(sk, T))
+
+
+def reduced_D_prime(sk):
+    """LLL-reduced basis of the secret lattice D' of sk (reference path)."""
+    dom = EvalDomain(sk.params.n, sk.params.q)
+    return lll_reduce(build_D_prime(sk.ideal, dom).rows.astype(np.int64))
+
+
+def forbid_basis_of_D_prime(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the coset scan needs no basis of D'")
+
+    monkeypatch.setattr(ideal, "build_D_prime", forbidden)
+    monkeypatch.setattr(lattice, "lll_reduce", forbidden)
+    monkeypatch.setattr(lattice, "sphere_decode", forbidden)
 
 
 class TestDecryptPaths:
     def test_honest_key_never_builds_D_prime(self, moderate_key, monkeypatch):
         pk, sk = moderate_key
         assert len(sk.ideal.T) == 1
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the coset scan needs no basis of D'")
-
-        for name in ("build_D_prime", "lll_reduce", "sphere_decode"):
-            monkeypatch.setattr(scheme, name, forbidden)
+        forbid_basis_of_D_prime(monkeypatch)
         rng = random.Random(76)
         sk2 = deserialize_private(serialize_private(sk))
         M = random_message(MODERATE, rng)
@@ -300,21 +319,15 @@ class TestDecryptPaths:
         pk, sk = moderate_key
         extra = next(k for k in (20, 30, 40) if k not in sk.ideal.T)
         sk2 = with_secret_points(sk, list(sk.ideal.T) + [extra])
-        sk_ref = with_secret_points(sk, list(sk.ideal.T) + [extra])
-        ref_basis = sk_ref.reduced_basis
+        ref_basis = reduced_D_prime(sk2)
         assert len(sk2.ideal.T) == 2
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a two-point key needs no basis of D'")
-
-        for name in ("build_D_prime", "lll_reduce", "sphere_decode"):
-            monkeypatch.setattr(scheme, name, forbidden)
+        forbid_basis_of_D_prime(monkeypatch)
         rng = random.Random(79)
         for _ in range(5):
             M = random_message(MODERATE, rng)
             ct = encrypt(pk, M, rng)
             assert decrypt(sk2, ct, strict=True) == M
-            # the sphere-decoder path over the same D' finds the same points
+            # the sphere decoder over the same D' finds the same points
             A = quat_mul_schoolbook(sk.F.with_modulus(MODERATE.q), ct.C).lift_positive()
             for comp in A.components:
                 a = comp.coeffs.astype(np.float64)
@@ -327,29 +340,66 @@ class TestDecryptPaths:
         with pytest.raises(DecryptionFailure):
             decrypt(sk2, garbage, strict=True)
 
-    def test_three_point_key_decrypts_through_sphere_decoder(self, monkeypatch):
-        # honest keygen always yields T = {(1,1)}, but a key file may name
-        # more secret points and deserialize_private accepts it.  Extra
-        # points only enlarge D', which still contains F o theta o Phi, so
-        # the key still decrypts; at |T| = 3 the coset scan would cost q^3
-        # candidates, so decrypt takes the sphere-decoder path.  (The toy
-        # set cannot decrypt at all, so the wide-q set stands in for it.)
-        rng = random.Random(77)
-        pk, sk = keygen(HIGH_Q, rng)
-        T = list(sk.ideal.T) + [k for k in (7, 19, 30) if k not in sk.ideal.T]
-        sk3 = with_secret_points(sk, T[:3])
-        assert len(sk3.ideal.T) == 3
+    def test_unscannable_key_file_rejected_at_load(self, moderate_key):
+        # the scan would cost q^|T| classes per component: 113^3 at
+        # moderate and 547^2 at the wide-q set, both above 2^16
+        _, sk = moderate_key
+        T = list(sk.ideal.T) + [k for k in (20, 30, 40) if k not in sk.ideal.T]
+        with pytest.raises(MalformedData):
+            with_secret_points(sk, T[:3])
+        _, sk_wide = keygen(HIGH_Q, random.Random(77))
+        extra = next(k for k in (20, 30) if k not in sk_wide.ideal.T)
+        with pytest.raises(MalformedData):
+            with_secret_points(sk_wide, list(sk_wide.ideal.T) + [extra])
+
+    def test_cli_decrypt_with_unscannable_key_exits_1(self, moderate_key, tmp_path):
+        pk, sk = moderate_key
+        T = list(sk.ideal.T) + [k for k in (20, 30, 40) if k not in sk.ideal.T]
+        key = tmp_path / "three.priv"
+        key.write_text(secret_points_text(sk, T[:3]))
+        ct = tmp_path / "msg.ct"
+        ct.write_text(serialize_ct(encrypt(pk, random_message(MODERATE, 0), 1)))
+        out = tmp_path / "msg.out"
+        code = cli_main(["decrypt", "--key", str(key), "--in", str(ct),
+                         "--out", str(out)], out=io.StringIO())
+        assert code == 1
+        assert not out.exists()
+
+    def test_three_point_toy_key_decrypts_through_coset_scan(self, monkeypatch):
+        # 7^3 = 343 classes: keygen admits this toy key, and the scan finds
+        # a closest point of D' for every component, as the uncapped sphere
+        # decoder does (ties may pick different but equally close points)
+        rng = random.Random(80)
+        pk, sk = keygen(TOY, random.Random(66))
+        assert len(sk.ideal.T) == 3
+        ref_basis = reduced_D_prime(sk)
+        for _ in range(20):
+            ct = encrypt(pk, random_message(TOY, rng), rng)
+            A = quat_mul_schoolbook(sk.F.with_modulus(TOY.q), ct.C).lift_positive()
+            targets = np.stack([comp.coeffs for comp in A.components])
+            with monkeypatch.context() as m:
+                forbid_basis_of_D_prime(m)
+                decrypt(sk, ct)
+                got = coset_decode(sk.lagrange_T, TOY.q, targets)
+            for a, g in zip(targets, got):
+                ref = sphere_decode(ref_basis, a.astype(np.float64))
+                assert np.dot(a - g, a - g) == np.dot(a - ref, a - ref)
+
+    def test_keygen_never_returns_unscannable_key(self, monkeypatch):
+        # a G whose zero set has three grid points would need 113^3
+        # classes per component at moderate: keygen draws another G
         calls = []
 
-        def counting(*args, **kwargs):
+        def three_points(G_q, dom):
             calls.append(1)
-            return sphere_decode(*args, **kwargs)
+            return [1, 2, 3] if len(calls) <= 3 else derive_T(G_q, dom)
 
-        monkeypatch.setattr(scheme, "sphere_decode", counting)
-        for _ in range(5):
-            M = random_message(HIGH_Q, rng)
-            assert decrypt(sk3, encrypt(pk, M, rng), strict=True) == M
-        assert len(calls) == 5 * 4
+        monkeypatch.setattr(scheme, "derive_T", three_points)
+        _, sk = keygen(MODERATE, random.Random(81))
+        assert len(calls) > 3 and len(sk.ideal.T) == 1
+        monkeypatch.setattr(scheme, "derive_T", lambda G_q, dom: [1, 2, 3])
+        with pytest.raises(RetriesExhausted):
+            keygen(MODERATE, random.Random(82), max_attempts=5)
 
     def test_results_do_not_depend_on_blas_threads(self):
         # strict decrypts at `highest`, honest and garbage, in a child
@@ -506,6 +556,33 @@ class TestSerialization:
         bad = text.replace("h3:", "h3: 113", 1)  # 113 is not a residue mod 113
         with pytest.raises(MalformedData):
             deserialize_public(bad)
+
+    @pytest.mark.parametrize("kind, label, values", [
+        ("private", "f0", "a a"),
+        ("private", "T", "x"),
+        ("private", "T", "24 24"),
+        ("ct", "c0", "z"),
+        ("private", "rhogamma", "1" + "0" * 30),
+    ])
+    def test_malformed_field_raises_malformed_data(self, moderate_key, kind, label, values):
+        # non-integer values, a repeated secret point (T: 24 24 with
+        # weights: 5 6 would build sigma from one point at weight 6) and an
+        # integer past int64 are typed errors, not ValueError/OverflowError
+        pk, sk = moderate_key
+        if kind == "private":
+            text, load = serialize_private(sk), deserialize_private
+        else:
+            ct = encrypt(pk, random_message(MODERATE, 0), 1)
+            text, load = serialize_ct(ct), deserialize_ct
+        lines = []
+        for line in text.splitlines():
+            if line.split(":")[0] == label:
+                line = f"{label}: {values}"
+            elif label == "T" and line.startswith("weights:"):
+                line = "weights: " + " ".join(str(5 + i) for i in range(len(values.split())))
+            lines.append(line)
+        with pytest.raises(MalformedData):
+            load("\n".join(lines) + "\n")
 
     def test_wrong_kind(self, moderate_key):
         pk, _ = moderate_key
