@@ -112,8 +112,12 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
     which would force the norm of F to vanish there and make the required
     inverses impossible.
     """
-    rng = _rng_of(rng)
     n, q = params.n, params.q
+    if q > MAX_SCAN_CLASSES:
+        # even one secret point has q coset classes
+        raise RetriesExhausted(f"no secret set T is scannable at q = {q}: decryption needs "
+                               f"q^|T| <= 2^16 = {MAX_SCAN_CLASSES} coset classes")
+    rng = _rng_of(rng)
     dom = EvalDomain(n, q)
     for _ in range(max_attempts):
         G = Quaternion(*(sample_ternary(n, params.d_g, rng) for _ in range(4)))
@@ -199,16 +203,17 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> Quaternion:
     more than MAX_SCAN_CLASSES cosets, and keys from keygen at `moderate`
     and `highest` have T = {(1,1)}, q cosets.  The work does not depend on
     the ciphertext, so strict rejections cost no more than honest
-    decryptions.
+    decryptions.  The products F o C mod q and F_p^-1 o V mod p take the
+    Strassen route, 7 convolutions each.
     """
     params = sk.params
     p, q = params.p, params.q
-    A = quat_mul_schoolbook(sk.F.with_modulus(q), ct.C).lift_positive()
+    A = quat_mul_strassen(sk.F.with_modulus(q), ct.C).lift_positive()
     targets = np.stack([comp.coeffs for comp in A.components]).astype(np.int64)
     # coset_decode returns target - centered residue, so v_comps are centered
     v_comps = targets - coset_decode(sk.lagrange_T, q, targets)
     V = Quaternion(*(RingElem(v % p, params.n, p) for v in v_comps))
-    M_hat = quat_mul_schoolbook(sk.F_p_inv, V).lift_centered()
+    M_hat = quat_mul_strassen(sk.F_p_inv, V).lift_centered()
     if strict:
         # On success V - F o M_hat equals p * G o Phi exactly over Z.  Two
         # checkable consequences: each quaternion component of G o Phi sums
@@ -216,7 +221,8 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> Quaternion:
         # because G is balanced -- it evaluates to 0 at the grid point
         # (1, 1), i.e. its coefficients sum to zero.  (The mod-p residue of
         # V - F o M_hat is zero by construction of M_hat and carries no
-        # information.)
+        # information.)  The product is over Z, where 2 has no inverse, so
+        # it cannot take the Strassen route.
         FM = quat_mul_schoolbook(sk.F, M_hat)
         limit = 8 * min(params.d_g, params.d_phi)
         for v, c in zip(v_comps, FM.components):

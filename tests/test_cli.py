@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -57,6 +58,15 @@ class TestKeygen:
         code, _ = run("keygen", "--params", "toy", "--seed", "1",
                       "--out", "/nonexistent-dir-zzz/k")
         assert code == 1
+
+    def test_unscannable_q_exits_2_at_once(self, tmp_path, capsys):
+        # every secret set has q^|T| >= 65539 > 2^16 coset classes
+        t0 = time.perf_counter()
+        code, _ = run("keygen", "--n", "3", "--p", "3", "--q", "65539", "--d-f", "1",
+                      "--d-g", "1", "--d-phi", "1", "--seed", "1", "--out", str(tmp_path / "k"))
+        assert code == 2
+        assert time.perf_counter() - t0 < 0.5
+        assert "q^|T| <= 2^16" in capsys.readouterr().err
 
 
 class TestEncryptDecrypt:

@@ -155,6 +155,27 @@ class TestLagrange:
         assert conv_mul(other, lam).is_zero()
 
 
+class TestGridTables:
+    """The gathered tables against the per-point pow definition."""
+
+    @pytest.mark.parametrize("n,q", [(3, 7), (5, 11), (7, 113), (7, 547), (11, 199)])
+    def test_match_per_point_powers(self, n, q):
+        dom = EvalDomain(n, q)
+        ninv2 = pow(n * n, q - 2, q)
+        E = np.empty((n * n, n * n), dtype=np.int64)
+        L = np.empty((n * n, n * n), dtype=np.int64)
+        for k, (a, b) in enumerate(dom.points):
+            ainv, binv = pow(a, q - 2, q), pow(b, q - 2, q)
+            for i in range(n):
+                for j in range(n):
+                    E[k, i * n + j] = pow(a, i, q) * pow(b, j, q) % q
+                    L[k, i * n + j] = pow(ainv, i, q) * pow(binv, j, q) * ninv2 % q
+        assert dom.eval_matrix().dtype == np.int64
+        assert dom.lagrange_matrix().dtype == np.int64
+        assert np.array_equal(dom.eval_matrix(), E)
+        assert np.array_equal(dom.lagrange_matrix(), L)
+
+
 class TestInterpolate:
     def test_zero_and_one(self, dom3):
         assert interpolate(dom3, np.zeros(9)).is_zero()
@@ -219,6 +240,34 @@ class TestRingInverse:
             found += 1
 
 
+class TestRingInverseOracle:
+    """ring_inverse (unit-group powering) against the linear-solve oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(3, 3), (3, 7), (5, 5), (7, 3), (11, 3), (7, 113)]),
+           st.integers(0, 2**32), st.booleans())
+    def test_matches_solve_mod_prime(self, nm, seed, force_nonunit):
+        n, m = nm
+        rng = random.Random(seed)
+        coeffs = [rng.randrange(m) for _ in range(n * n)]
+        if force_nonunit:
+            # value 0 at (1, 1): the coefficients sum to 0 mod m
+            coeffs[0] = (coeffs[0] - sum(coeffs)) % m
+        f = RingElem(np.array(coeffs), n, m)
+        e0 = np.zeros(n * n, dtype=np.int64)
+        e0[0] = 1
+        try:
+            expect = solve_mod_prime(mult_matrix(f).T, e0, m)
+        except NotInvertible:
+            expect = None
+        if expect is None:
+            with pytest.raises(NotInvertible):
+                ring_inverse(f)
+        else:
+            assert np.array_equal(ring_inverse(f).coeffs, expect)
+        assert not (force_nonunit and expect is not None)
+
+
 def unit_lu(rng, k, m):
     """L @ U mod m with unit-diagonal triangular factors: det 1, so invertible."""
     L = np.tril([[rng.randrange(m) for _ in range(k)] for _ in range(k)], -1)
@@ -260,6 +309,9 @@ class TestInt64Bound:
         # (q-1)^2 > 2^63 as well, so the solver refuses it too
         with pytest.raises(ValueError, match="int64"):
             solve_mod_prime(np.eye(2, dtype=np.int64), np.ones(2), 4294967311)
+        # the powering inverse would wrap inside conv_mul
+        with pytest.raises(ValueError, match="int64"):
+            ring_inverse(RingElem.one(3, 4294967311))
 
     def test_round_trip_near_the_bound(self):
         # (q-1)^3 overflows int64 here, n^2 (q-1)^2 does not

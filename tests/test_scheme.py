@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import bqtru
 import bqtru.ideal as ideal
 import bqtru.lattice as lattice
-import bqtru.ring as ring
+import bqtru.quat as quat
 import bqtru.scheme as scheme
 from bqtru.cli import main as cli_main
 from bqtru.errors import (
@@ -28,7 +28,7 @@ from bqtru.ideal import build_D_prime, derive_T, verify_key_membership
 from bqtru.lattice import coset_decode, lll_reduce, sphere_decode
 from bqtru.params import MODERATE, TOY, Params
 from bqtru.quat import Quaternion, quat_mul_schoolbook, rho
-from bqtru.ring import EvalDomain, RingElem
+from bqtru.ring import CONV_COUNTER, EvalDomain, RingElem
 from bqtru.scheme import (
     Ciphertext,
     decode_message,
@@ -144,17 +144,17 @@ class TestKeygen:
             keygen(TOY, random.Random(0), max_attempts=0)
 
     def test_one_mod_p_solve_per_usable_F(self, monkeypatch):
-        # N(F)^-1 mod p is solved for once per F candidate whose norm
+        # N(F)^-1 mod p is computed once per F candidate whose norm
         # vanishes only inside T -- never a second time for the accepted
         # F -- and once per private-key load
-        solves, usable, current_T = [], [], []
+        inverses, usable, current_T = [], [], []
         dom = EvalDomain(7, 113)
-        real_solve, real_derive_T, real_norm = (
-            ring.solve_mod_prime, scheme.derive_T, scheme.quat_norm)
+        real_inverse, real_derive_T, real_norm = (
+            quat.ring_inverse, scheme.derive_T, scheme.quat_norm)
 
-        def solve(*args):
-            solves.append(args[2])
-            return real_solve(*args)
+        def ring_inverse(f, m=None):
+            inverses.append(f.modulus if m is None else m)
+            return real_inverse(f, m)
 
         def derive_T(G, d):
             current_T[:] = real_derive_T(G, d)
@@ -167,15 +167,24 @@ class TestKeygen:
                 usable.append(all(vals[k] for k in range(49) if k not in current_T))
             return N
 
-        monkeypatch.setattr(ring, "solve_mod_prime", solve)
+        monkeypatch.setattr(quat, "ring_inverse", ring_inverse)
         monkeypatch.setattr(scheme, "derive_T", derive_T)
         monkeypatch.setattr(scheme, "quat_norm", quat_norm)
         _, sk = keygen(MODERATE, random.Random(63))
         assert sum(usable) >= 1
-        assert solves == [3] * sum(usable)
-        solves.clear()
+        assert inverses == [3] * sum(usable)
+        inverses.clear()
         deserialize_private(serialize_private(sk))
-        assert solves == [3]
+        assert inverses == [3]
+
+    def test_unscannable_q_fails_before_drawing_G(self, monkeypatch):
+        # q > MAX_SCAN_CLASSES: even |T| = 1 is too many coset classes
+        def derive_T(*_):
+            raise AssertionError("keygen drew a G")
+
+        monkeypatch.setattr(scheme, "derive_T", derive_T)
+        with pytest.raises(RetriesExhausted, match=r"q\^\|T\| <= 2\^16"):
+            keygen(Params(3, 3, 65539, 1, 1, 1), random.Random(0))
 
 
 class TestEncrypt:
@@ -220,6 +229,18 @@ class TestDecrypt:
             M = random_message(MODERATE, rng)
             ok += decrypt(sk, encrypt(pk, M, rng)) == M
         assert ok >= 99
+
+    def test_convolution_count(self, moderate_key):
+        # F o C mod q and F_p^-1 o V mod p take the 7-product route; the
+        # strict check F o M_hat is over Z and stays schoolbook (16)
+        pk, sk = moderate_key
+        rng = random.Random(68)
+        M = random_message(MODERATE, rng)
+        ct = encrypt(pk, M, rng)
+        for strict, convs in ((False, 14), (True, 30)):
+            before = CONV_COUNTER.count
+            assert decrypt(sk, ct, strict=strict) == M
+            assert CONV_COUNTER.count - before == convs
 
     def test_oversized_q_never_fails(self):
         assert HIGH_Q.q > 24 * 7 * 3
