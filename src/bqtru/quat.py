@@ -1,11 +1,16 @@
 """Split-quaternion algebra (i^2 = j^2 = 1, ij = -ji = k) over the bivariate ring.
 
-Products are available in two equivalent forms: the schoolbook expansion
-(16 ring products) and the Strassen route through the 2x2 matrix image
-(7 ring products).  Both are instrumented via ring.CONV_COUNTER.
+Products are available in two equivalent coefficient-domain forms: the
+schoolbook expansion (16 ring products) and the Strassen route through
+the 2x2 matrix image (7 ring products).  Both are instrumented via
+ring.CONV_COUNTER.
 
-Scalar quaternions (entries in Z_q rather than ring elements) back the
-grid-evaluation map and the blinding factor used in key generation.
+Mod q a quaternion is also its evaluation array rho(F): row k is the
+scalar quaternion F(points[k]) over Z_q.  rho is an isomorphism of
+algebras, so a mod-q product is rho_mul of two arrays (n**2 scalar
+products, no convolution) and rho_interpolate maps back; rho_inverse
+inverts pointwise.  Scalar quaternions also back the blinding factor used
+in key generation.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContextMismatch, EvenModulus, NormVanishesOutsideT, NotInvertible
-from .ring import EvalDomain, RingElem, conv_mul, interpolate, ring_inverse
+from .ring import EvalDomain, RingElem, conv_mul, ring_inverse
 
 
 class Quaternion:
@@ -211,12 +216,55 @@ def rho(F: Quaternion, dom: EvalDomain) -> np.ndarray:
 
     Shape (n**2, 4); a homomorphism for both + and the quaternion product.
     """
-    return np.stack([dom.eval_all(c) for c in F.components], axis=1)
+    if F.modulus != dom.q or F.n != dom.n:
+        raise ContextMismatch("quaternion does not match the domain")
+    return dom.transform(np.stack([c.coeffs for c in F.components])).T
+
+
+def rho_interpolate(vals, dom: EvalDomain) -> Quaternion:
+    """The quaternion mod q whose evaluation array is vals (inverse of rho)."""
+    coeffs = dom.inverse_transform(np.asarray(vals, dtype=np.int64).T)
+    return Quaternion(*(RingElem(c, dom.n, dom.q) for c in coeffs))
 
 
 def rho_mul(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
-    """Pointwise scalar-quaternion product of two evaluation vectors."""
-    return np.array([scalar_mul(a, b, q) for a, b in zip(u, v)], dtype=np.int64)
+    """Pointwise scalar-quaternion product of two evaluation arrays mod q.
+
+    Each entry sums four products below (q-1)**2, exact in int64 under
+    Params' bound.
+    """
+    a0, a1, a2, a3 = (np.asarray(u, dtype=np.int64) % q).T
+    b0, b1, b2, b3 = (np.asarray(v, dtype=np.int64) % q).T
+    return np.stack([
+        a0 * b0 + a1 * b1 + a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 - a2 * b3 + a3 * b2,
+        a0 * b2 + a1 * b3 + a2 * b0 - a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    ], axis=1) % q
+
+
+def rho_inverse(u: np.ndarray, q: int, t_indices=()) -> np.ndarray:
+    """Pointwise inverse mod prime q of an evaluation array off T, zero on T.
+
+    Raises NormVanishesOutsideT when a point outside T has zero norm.
+    """
+    a = np.asarray(u, dtype=np.int64) % q
+    norms = (a[:, 0] * a[:, 0] - a[:, 1] * a[:, 1] - a[:, 2] * a[:, 2]
+             + a[:, 3] * a[:, 3]) % q
+    off_T = np.ones(len(a), dtype=bool)
+    off_T[list(t_indices)] = False
+    bad = np.flatnonzero(off_T & (norms == 0))
+    if bad.size:
+        raise NormVanishesOutsideT(f"norm vanishes at grid index {int(bad[0])} outside T")
+    # N^(q-2) = N^-1 by Fermat, by square-and-multiply on the whole array
+    ninv, base, e = np.ones_like(norms), norms, q - 2
+    while e:
+        if e & 1:
+            ninv = ninv * base % q
+        base = base * base % q
+        e >>= 1
+    ninv[~off_T] = 0
+    return a * np.array([1, -1, -1, -1]) * ninv[:, None] % q
 
 
 def quat_inverse_mod_J(F: Quaternion, t_indices, dom: EvalDomain) -> Quaternion:
@@ -226,15 +274,4 @@ def quat_inverse_mod_J(F: Quaternion, t_indices, dom: EvalDomain) -> Quaternion:
     scalar inverse of F at each point of E \\ T and to zero on T, so that
     F o F^-1 == 1 at every point off T.
     """
-    q = dom.q
-    t_set = set(int(i) for i in t_indices)
-    vals = rho(F, dom)
-    norm_vals = dom.eval_all(quat_norm(F))
-    inv_vals = np.zeros_like(vals)
-    for k in range(dom.size):
-        if k in t_set:
-            continue
-        if norm_vals[k] == 0:
-            raise NormVanishesOutsideT(f"norm of F vanishes at grid index {k} outside T")
-        inv_vals[k] = scalar_inverse(vals[k], q)
-    return Quaternion(*(interpolate(dom, inv_vals[:, c]) for c in range(4)))
+    return rho_interpolate(rho_inverse(rho(F, dom), dom.q, t_indices), dom)

@@ -13,8 +13,15 @@ in about 2*log2(e) convolutions (12 at n = 11, m = 3).  solve_mod_prime,
 the int64 Gauss-Jordan elimination, serves the NTRU baseline and the
 tests as the reference inverse.
 
+Mod q the ring is Z_q^(n**2), because n | q-1: EvalDomain maps
+coefficients to the values on the n**2-point grid of n-th roots of unity
+and back, each way a product with the n x n Vandermonde matrix on both
+sides, so a product mod q costs two transforms, n**2 scalar products and
+one inverse transform instead of a convolution.
+
 A module-level counter tracks convolution products so that callers can
-verify operation counts (16 vs 7 ring products per quaternion multiply).
+verify operation counts (16 vs 7 ring products per quaternion multiply);
+the evaluation domain runs none.
 """
 
 from __future__ import annotations
@@ -186,7 +193,13 @@ class EvalDomain:
     """The n**2-point root-of-unity grid mod q, with Lagrange machinery.
 
     omega is derived from the smallest primitive root of q, so domains are
-    deterministic and reproducible for fixed (n, q).
+    deterministic and reproducible for fixed (n, q); eval_domain returns
+    one shared domain per (n, q).
+
+    Point k = a*n + b is (omega^a, omega^b), so the values of f on the
+    grid are the n x n array V @ coeffs(f) @ V with the symmetric
+    Vandermonde V[a, i] = omega^(a*i); transform and inverse_transform
+    apply that map and its inverse to stacked rows in O(n**3) each.
     """
 
     def __init__(self, n: int, q: int):
@@ -199,8 +212,11 @@ class EvalDomain:
         self._w_pows = np.array(w_pows, dtype=np.int64)
         self.points = [(w_pows[a], w_pows[b]) for a in range(n) for b in range(n)]
         self._point_index = {pt: i for i, pt in enumerate(self.points)}
+        ai = np.outer(np.arange(n), np.arange(n))
+        self._vandermonde = self._w_pows[ai % n]
+        self._vandermonde_inv = self._w_pows[-ai % n]
+        self._ninv2 = pow(n * n, q - 2, q)
         self._lagrange_rows = None
-        self._eval_matrix = None
 
     @staticmethod
     def _find_omega(n: int, q: int) -> int:
@@ -219,33 +235,48 @@ class EvalDomain:
         except KeyError:
             raise NotAGridPoint(f"({a}, {b}) is not on the grid")
 
-    def _power_table(self, sign: int) -> np.ndarray:
-        """T[k, i*n+j] = omega^(sign*(a*i + b*j)) for points[k] = (omega^a, omega^b)."""
-        n = self.n
-        # row k = (a, b) and column (i, j) share the digit split of the index
-        idx = np.arange(n * n)
-        a, b = idx // n, idx % n
-        return self._w_pows[sign * (np.outer(a, a) + np.outer(b, b)) % n]
+    def _sandwich(self, V: np.ndarray, rows) -> np.ndarray:
+        """Rows of V @ X @ V mod q, X each row of rows as an n x n array.
+
+        Every entry is reduced into [0, q) first, so each matrix product
+        sums n terms below (q-1)**2: exact while n * (q-1)**2 < 2**63.
+        """
+        n, q = self.n, self.q
+        X = (np.asarray(rows, dtype=np.int64) % q).reshape(-1, n, n)
+        Y = np.matmul(V, X) % q
+        return (np.matmul(Y, V) % q).reshape(-1, n * n)
+
+    def transform(self, coeffs) -> np.ndarray:
+        """Grid values of each row of a (k, n**2) coefficient array, ordered like points."""
+        return self._sandwich(self._vandermonde, coeffs)
+
+    def inverse_transform(self, values) -> np.ndarray:
+        """Coefficient rows, in [0, q), of the elements taking each row of grid values."""
+        return self._sandwich(self._vandermonde_inv, values) * self._ninv2 % self.q
 
     def lagrange_matrix(self) -> np.ndarray:
         """Row k = coefficient vector of the interpolant for points[k], in [0, q)."""
         if self._lagrange_rows is None:
             n, q = self.n, self.q
-            ninv2 = pow(n * n, q - 2, q)
-            self._lagrange_rows = self._power_table(-1) * ninv2 % q
+            # row k = (a, b) and column (i, j) share the digit split of the index
+            idx = np.arange(n * n)
+            a, b = idx // n, idx % n
+            rows = self._w_pows[-(np.outer(a, a) + np.outer(b, b)) % n] * self._ninv2 % q
+            rows.flags.writeable = False
+            self._lagrange_rows = rows
         return self._lagrange_rows
-
-    def eval_matrix(self) -> np.ndarray:
-        """E with E[k, i*n+j] = a_k^i * b_k^j, so E @ vec(f) = grid values of f."""
-        if self._eval_matrix is None:
-            self._eval_matrix = self._power_table(1)
-        return self._eval_matrix
 
     def eval_all(self, f: RingElem) -> np.ndarray:
         """Values of f on all grid points, ordered like self.points."""
         if f.modulus != self.q or f.n != self.n:
             raise ContextMismatch("element does not match the domain")
-        return self.eval_matrix() @ (f.coeffs % self.q) % self.q
+        return self.transform(f.coeffs[None])[0]
+
+
+@lru_cache(maxsize=None)
+def eval_domain(n: int, q: int) -> EvalDomain:
+    """The shared EvalDomain for (n, q); its tables are built once per process."""
+    return EvalDomain(n, q)
 
 
 def _primitive_root(q: int) -> int:
@@ -281,11 +312,10 @@ def absorb_check(alpha: RingElem, dom: EvalDomain, a: int, b: int) -> bool:
 
 def interpolate(dom: EvalDomain, values) -> RingElem:
     """Inverse of grid evaluation: the element taking the given grid values."""
-    vals = np.asarray(values, dtype=np.int64) % dom.q
+    vals = np.asarray(values, dtype=np.int64)
     if vals.shape != (dom.size,):
         raise ValueError(f"expected {dom.size} values")
-    coeffs = vals @ dom.lagrange_matrix() % dom.q
-    return RingElem(coeffs, dom.n, dom.q)
+    return RingElem(dom.inverse_transform(vals[None])[0], dom.n, dom.q)
 
 
 def solve_mod_prime(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:

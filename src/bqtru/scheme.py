@@ -29,21 +29,28 @@ from .lattice import coset_decode
 from .params import Params
 from .quat import (
     Quaternion,
-    quat_inverse_mod_J,
     quat_inverse_mod_p,
     quat_mul_schoolbook,
     quat_mul_strassen,
     quat_norm,
     rho,
+    rho_interpolate,
+    rho_inverse,
+    rho_mul,
     scalar_norm,
 )
-from .ring import EvalDomain, RingElem
+from .ring import EvalDomain, RingElem, eval_domain
 
 
 @dataclass
 class PublicKey:
     params: Params
     H: Quaternion
+
+    @cached_property
+    def rho_H(self) -> np.ndarray:
+        """rho(H), the evaluation array encryption multiplies by."""
+        return rho(self.H, eval_domain(self.params.n, self.params.q))
 
 
 # decryption scans the q^|T| cosets of qZ^{n^2} in D' per component; keygen
@@ -64,7 +71,8 @@ class PrivateKey:
     lambda_t the Lagrange rows for the secret points (lagrange_T, entries
     in [0, q)).  Decryption scans the q^|T| cosets of qZ^{n^2} in D' and
     never builds a basis of D'; keygen and deserialize_private admit only
-    a T for which _scannable(T, q) holds.
+    a T for which _scannable(T, q) holds.  rho_F caches rho(F mod q), the
+    evaluation array decryption multiplies by.
     """
 
     params: Params
@@ -77,7 +85,12 @@ class PrivateKey:
 
     @cached_property
     def lagrange_T(self) -> np.ndarray:
-        return EvalDomain(self.params.n, self.params.q).lagrange_matrix()[list(self.ideal.T)]
+        return eval_domain(self.params.n, self.params.q).lagrange_matrix()[list(self.ideal.T)]
+
+    @cached_property
+    def rho_F(self) -> np.ndarray:
+        q = self.params.q
+        return rho(self.F.with_modulus(q), eval_domain(self.params.n, q))
 
 
 @dataclass
@@ -111,6 +124,10 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
     ones): a fully balanced component vanishes at the grid point (1,1),
     which would force the norm of F to vanish there and make the required
     inverses impossible.
+
+    All mod-q products are pointwise on the evaluation grid: rho(H) is
+    rho(F)^-1 * rho(G) off T plus rho(theta), which is W * weight_t at
+    each t in T and zero elsewhere, and rho_gamma = rho(F) * rho(theta).
     """
     n, q = params.n, params.q
     if q > MAX_SCAN_CLASSES:
@@ -118,7 +135,7 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
         raise RetriesExhausted(f"no secret set T is scannable at q = {q}: decryption needs "
                                f"q^|T| <= 2^16 = {MAX_SCAN_CLASSES} coset classes")
     rng = _rng_of(rng)
-    dom = EvalDomain(n, q)
+    dom = eval_domain(n, q)
     for _ in range(max_attempts):
         G = Quaternion(*(sample_ternary(n, params.d_g, rng) for _ in range(4)))
         G_q = G.with_modulus(q)
@@ -129,19 +146,18 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
         if found is None:
             continue
         F, F_p_inv = found
-        F_q = F.with_modulus(q)
         weights = [rng.randrange(1, q) for _ in T]
         while True:
             W = tuple(rng.randrange(1, q) for _ in range(4))
             if scalar_norm(W, q) != 0:
                 break
         ideal = make_ideal(T, weights, dom)
-        theta = Quaternion(*(ideal.sigma.scale(w) for w in W))
-        F_inv = quat_inverse_mod_J(F_q, T, dom)
-        H = quat_mul_schoolbook(F_inv, G_q) + theta
-        rho_gamma = rho(quat_mul_schoolbook(F_q, theta), dom)
-        pk = PublicKey(params, H)
-        sk = PrivateKey(params, F, G, rho_gamma, ideal, F_p_inv, W)
+        rho_theta = np.zeros((dom.size, 4), dtype=np.int64)
+        rho_theta[T] = np.outer(weights, W) % q
+        rho_F = rho(F.with_modulus(q), dom)
+        rho_H = (rho_mul(rho_inverse(rho_F, q, T), rho(G_q, dom), q) + rho_theta) % q
+        pk = PublicKey(params, rho_interpolate(rho_H, dom))
+        sk = PrivateKey(params, F, G, rho_mul(rho_F, rho_theta, q), ideal, F_p_inv, W)
         return pk, sk
     raise RetriesExhausted(f"no usable G found in {max_attempts} attempts")
 
@@ -187,8 +203,10 @@ def encrypt(pk: PublicKey, M: Quaternion, rng, phi: Quaternion | None = None) ->
     if phi is None:
         rng = _rng_of(rng)
         phi = Quaternion(*(sample_ternary(params.n, params.d_phi, rng) for _ in range(4)))
-    prod = quat_mul_strassen(pk.H, phi.with_modulus(params.q))
-    return Ciphertext(prod.scale(params.p) + M.with_modulus(params.q))
+    q = params.q
+    dom = eval_domain(params.n, q)
+    prod = rho_interpolate(rho_mul(pk.rho_H, rho(phi.with_modulus(q), dom), q), dom)
+    return Ciphertext(prod.scale(params.p) + M.with_modulus(q))
 
 
 def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> Quaternion:
@@ -203,13 +221,16 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> Quaternion:
     more than MAX_SCAN_CLASSES cosets, and keys from keygen at `moderate`
     and `highest` have T = {(1,1)}, q cosets.  The work does not depend on
     the ciphertext, so strict rejections cost no more than honest
-    decryptions.  The products F o C mod q and F_p^-1 o V mod p take the
-    Strassen route, 7 convolutions each.
+    decryptions.  F o C mod q is computed pointwise on the evaluation
+    grid, rho(F) * rho(C), with no convolution; F_p^-1 o V mod p takes the
+    Strassen route (7 convolutions), because n does not divide p-1, so Z_p
+    has no grid of n-th roots of unity.
     """
     params = sk.params
     p, q = params.p, params.q
-    A = quat_mul_strassen(sk.F.with_modulus(q), ct.C).lift_positive()
-    targets = np.stack([comp.coeffs for comp in A.components]).astype(np.int64)
+    dom = eval_domain(params.n, q)
+    # the inverse transform returns the [0, q) representatives the scan expects
+    targets = dom.inverse_transform(rho_mul(sk.rho_F, rho(ct.C, dom), q).T)
     # coset_decode returns target - centered residue, so v_comps are centered
     v_comps = targets - coset_decode(sk.lagrange_T, q, targets)
     V = Quaternion(*(RingElem(v % p, params.n, p) for v in v_comps))
@@ -423,8 +444,7 @@ def deserialize_private(text: str) -> PrivateKey:
     weights = _read_coeffs(fields, "weights", len(T), 1, params.q)
     W = tuple(int(v) for v in _read_coeffs(fields, "W", 4, 1, params.q))
     rho_gamma = _read_coeffs(fields, "rhogamma", 4 * nsq, 0, params.q).reshape(nsq, 4)
-    dom = EvalDomain(params.n, params.q)
-    ideal = make_ideal(T, weights, dom)
+    ideal = make_ideal(T, weights, eval_domain(params.n, params.q))
     F_p_inv = quat_inverse_mod_p(F.with_modulus(params.p))
     return PrivateKey(params, F, G, rho_gamma, ideal, F_p_inv, W)
 

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import bqtru.cli as cli
 from bqtru.cli import main
 from bqtru.scheme import deserialize_ct, serialize_ct
 
@@ -167,6 +168,42 @@ class TestBench:
         assert "count_ratio = 16/7" in out
         # univariate baseline over 4n^2 coefficients costs 16 n^4 mults
         assert "univariate_scalar_mults = 1296" in out
+        lines = dict(line.split(" = ") for line in out.splitlines())
+        for name in ("schoolbook", "strassen", "evaluation"):
+            assert float(lines[f"median_{name}_product_s"]) > 0
+
+
+class TestParser:
+    def test_built_once_and_stateless(self, tmp_path, monkeypatch):
+        builds, stricts = [], []
+        real_build, real_decrypt = cli.build_parser, cli.decrypt
+
+        def build_parser():
+            builds.append(1)
+            return real_build()
+
+        def decrypt(sk, ct, strict=False):
+            stricts.append(strict)
+            return real_decrypt(sk, ct, strict=strict)
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        monkeypatch.setattr(cli, "decrypt", decrypt)
+        cli._parser.cache_clear()
+        try:
+            key, msg, ct = str(tmp_path / "k"), tmp_path / "msg", str(tmp_path / "ct")
+            msg.write_bytes(b"abc")
+            assert run("keygen", "--params", "moderate", "--seed", "3", "--out", key)[0] == 0
+            assert run("encrypt", "--key", key + ".pub", "--in", str(msg), "--out", ct,
+                       "--seed", "4")[0] == 0
+            for flags in (["--strict"], []):
+                out = str(tmp_path / "out")
+                assert run("decrypt", "--key", key + ".priv", "--in", ct, "--out", out,
+                           *flags)[0] == 0
+                assert open(out, "rb").read() == b"abc"
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert stricts == [True, False]
 
 
 class TestAttack:

@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bqtru.errors import EvenModulus, NormVanishesOutsideT
+from bqtru.errors import ContextMismatch, EvenModulus, NormVanishesOutsideT
 from bqtru.quat import (
     Quaternion,
     conjugate,
@@ -15,11 +17,24 @@ from bqtru.quat import (
     quat_norm,
     quat_to_matrix,
     rho,
+    rho_interpolate,
+    rho_inverse,
     rho_mul,
     scalar_inverse,
     scalar_mul,
+    scalar_norm,
 )
-from bqtru.ring import CONV_COUNTER, EvalDomain, RingElem, conv_mul, lagrange_interpolant
+from bqtru.ring import (
+    CONV_COUNTER,
+    EvalDomain,
+    RingElem,
+    conv_mul,
+    eval_domain,
+    lagrange_interpolant,
+)
+
+# (n, q) with n | q-1: the shipped sets plus the wide-q test set
+GRIDS = [(3, 7), (5, 11), (7, 113), (11, 199), (7, 547)]
 
 
 def rand_quat(rng, n, modulus):
@@ -28,6 +43,16 @@ def rand_quat(rng, n, modulus):
         for _ in range(4)
     ]
     return Quaternion(*comps)
+
+
+def rand_rho(rng, n, q):
+    """Random evaluation array with some zero-norm rows, (a, a, b, b) among them."""
+    vals = np.array([[rng.randrange(q) for _ in range(4)] for _ in range(n * n)],
+                    dtype=np.int64)
+    for k in rng.sample(range(n * n), n):
+        a, b = rng.randrange(q), rng.randrange(q)
+        vals[k] = (a, a, b, b)
+    return vals
 
 
 def mat_mul_2x2(A, B):
@@ -201,6 +226,21 @@ class TestRho:
             rhs = rho_mul(rho(F, dom3), rho(G, dom3), 7)
             assert np.array_equal(lhs, rhs)
 
+    @settings(max_examples=25, deadline=None)
+    @given(nq=st.sampled_from(GRIDS), seed=st.integers(0, 2 ** 32))
+    def test_pointwise_product_matches_schoolbook(self, nq, seed):
+        n, q = nq
+        dom = eval_domain(n, q)
+        rng = random.Random(seed)
+        F, G = rand_quat(rng, n, q), rand_quat(rng, n, q)
+        assert rho_interpolate(rho(F, dom), dom) == F
+        prod = rho_interpolate(rho_mul(rho(F, dom), rho(G, dom), q), dom)
+        assert prod == quat_mul_schoolbook(F, G)
+
+    def test_context_mismatch(self, dom3):
+        with pytest.raises(ContextMismatch):
+            rho(Quaternion.one(3, 3), dom3)
+
     def test_sum_homomorphism(self, dom3):
         rng = random.Random(20)
         F, G = rand_quat(rng, 3, 7), rand_quat(rng, 3, 7)
@@ -227,6 +267,32 @@ class TestScalarQuat:
             prod = quat_mul_schoolbook(pa, pb)
             expect = scalar_mul(a, b, 7)
             assert tuple(int(c.coeffs[0]) for c in prod.components) == expect
+
+    @settings(max_examples=25, deadline=None)
+    @given(nq=st.sampled_from(GRIDS), seed=st.integers(0, 2 ** 32))
+    def test_vectorised_mul_matches_per_point(self, nq, seed):
+        n, q = nq
+        rng = random.Random(seed)
+        u, v = rand_rho(rng, n, q), rand_rho(rng, n, q)
+        expect = np.array([scalar_mul(a, b, q) for a, b in zip(u, v)], dtype=np.int64)
+        assert np.array_equal(rho_mul(u, v, q), expect)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nq=st.sampled_from(GRIDS), seed=st.integers(0, 2 ** 32))
+    def test_vectorised_inverse_matches_per_point(self, nq, seed):
+        n, q = nq
+        rng = random.Random(seed)
+        u = rand_rho(rng, n, q)
+        zeros = [k for k in range(n * n) if scalar_norm(u[k], q) == 0]
+        # T holds every zero-norm point and a few others
+        T = sorted(set(zeros) | set(rng.sample(range(n * n), 2)))
+        inv = rho_inverse(u, q, T)
+        for k in range(n * n):
+            expect = (0, 0, 0, 0) if k in T else scalar_inverse(u[k], q)
+            assert tuple(inv[k]) == expect
+        # a zero-norm point left outside T is refused
+        with pytest.raises(NormVanishesOutsideT):
+            rho_inverse(u, q, [t for t in T if t != zeros[0]])
 
     def test_inverse(self):
         rng = random.Random(22)
@@ -274,3 +340,19 @@ class TestInverseModJ:
         F, T = self._valid_instance(rng, dom3)
         with pytest.raises(NormVanishesOutsideT):
             quat_inverse_mod_J(F, [], dom3)
+
+    @settings(max_examples=20, deadline=None)
+    @given(nq=st.sampled_from(GRIDS), seed=st.integers(0, 2 ** 32))
+    def test_norm_zero_outside_T_rejected_on_every_grid(self, nq, seed):
+        n, q = nq
+        dom = eval_domain(n, q)
+        rng = random.Random(seed)
+        vals = rand_rho(rng, n, q)
+        zeros = [k for k in range(n * n) if scalar_norm(vals[k], q) == 0]
+        F = rho_interpolate(vals, dom)
+        Finv = quat_inverse_mod_J(F, zeros, dom)
+        prod_vals = rho(quat_mul_schoolbook(F, Finv), dom)
+        for k in range(n * n):
+            assert tuple(prod_vals[k]) == ((0, 0, 0, 0) if k in zeros else (1, 0, 0, 0))
+        with pytest.raises(NormVanishesOutsideT):
+            quat_inverse_mod_J(F, zeros[1:], dom)

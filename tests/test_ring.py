@@ -13,6 +13,7 @@ from bqtru.ring import (
     RingElem,
     absorb_check,
     conv_mul,
+    eval_domain,
     interpolate,
     lagrange_interpolant,
     mult_matrix,
@@ -156,7 +157,7 @@ class TestLagrange:
 
 
 class TestGridTables:
-    """The gathered tables against the per-point pow definition."""
+    """The forward transform and the Lagrange table against the per-point pow definition."""
 
     @pytest.mark.parametrize("n,q", [(3, 7), (5, 11), (7, 113), (7, 547), (11, 199)])
     def test_match_per_point_powers(self, n, q):
@@ -170,9 +171,11 @@ class TestGridTables:
                 for j in range(n):
                     E[k, i * n + j] = pow(a, i, q) * pow(b, j, q) % q
                     L[k, i * n + j] = pow(ainv, i, q) * pow(binv, j, q) * ninv2 % q
-        assert dom.eval_matrix().dtype == np.int64
+        # row r of the transform of the identity is the grid values of monomial r
+        forward = dom.transform(np.eye(n * n, dtype=np.int64))
+        assert forward.dtype == np.int64
         assert dom.lagrange_matrix().dtype == np.int64
-        assert np.array_equal(dom.eval_matrix(), E)
+        assert np.array_equal(forward, E.T)
         assert np.array_equal(dom.lagrange_matrix(), L)
 
 
@@ -192,6 +195,27 @@ class TestInterpolate:
         values = np.array([rng.randrange(11) for _ in range(25)])
         f = interpolate(dom5, values)
         assert np.array_equal(dom5.eval_all(f), values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nq=st.sampled_from([(3, 7), (5, 11), (7, 113), (11, 199), (7, 547)]),
+           rows=st.integers(1, 5), seed=st.integers(0, 2 ** 32))
+    def test_transform_round_trips(self, nq, rows, seed):
+        n, q = nq
+        dom = eval_domain(n, q)
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-q, 2 * q, size=(rows, n * n))
+        Y = dom.transform(X)
+        assert Y.shape == X.shape and Y.min() >= 0 and Y.max() < q
+        assert np.array_equal(dom.inverse_transform(Y), X % q)
+        assert np.array_equal(dom.transform(dom.inverse_transform(X)), X % q)
+        # row by row it is the Lagrange interpolation of the old table
+        assert np.array_equal(dom.inverse_transform(X), (X % q) @ dom.lagrange_matrix() % q)
+
+    def test_one_shared_domain_per_n_q(self):
+        assert eval_domain(7, 113) is eval_domain(7, 113)
+        assert eval_domain(7, 113) is not eval_domain(7, 547)
+        with pytest.raises(ValueError):
+            eval_domain(7, 113).lagrange_matrix()[0, 0] = 1
 
 
 class TestRingInverse:

@@ -177,6 +177,33 @@ class TestKeygen:
         deserialize_private(serialize_private(sk))
         assert inverses == [3]
 
+    def test_no_mod_q_quaternion_product(self, monkeypatch):
+        # the only mod-q convolutions are the four of N(F) per F draw; H and
+        # rho_gamma are pointwise products on the evaluation grid
+        mod_q_convs, norms = [], []
+        real_conv, real_norm = quat.conv_mul, scheme.quat_norm
+
+        def conv_mul(f, g):
+            mod_q_convs.append(f.modulus == 113)
+            return real_conv(f, g)
+
+        def quat_norm(F):
+            norms.append(F.modulus == 113)
+            return real_norm(F)
+
+        def refuse(*_):
+            raise AssertionError("keygen ran a quaternion product")
+
+        monkeypatch.setattr(quat, "conv_mul", conv_mul)
+        monkeypatch.setattr(scheme, "quat_norm", quat_norm)
+        for name in ("quat_mul_schoolbook", "quat_mul_strassen"):
+            monkeypatch.setattr(scheme, name, refuse)
+        monkeypatch.setattr(quat, "quat_inverse_mod_J", refuse)
+        pk, sk = keygen(MODERATE, random.Random(63))
+        assert sum(norms) >= 1
+        assert sum(mod_q_convs) == 4 * sum(norms)
+        assert verify_key_membership(sk, pk, EvalDomain(7, 113))
+
     def test_unscannable_q_fails_before_drawing_G(self, monkeypatch):
         # q > MAX_SCAN_CLASSES: even |T| = 1 is too many coset classes
         def derive_T(*_):
@@ -205,6 +232,22 @@ class TestEncrypt:
         with pytest.raises(MessageOutOfRange):
             encrypt(pk, bad, random.Random(0))
 
+    def test_no_convolution(self, moderate_key):
+        # H o Phi mod q is a pointwise product on the evaluation grid
+        pk, _ = moderate_key
+        rng = random.Random(69)
+        M = random_message(MODERATE, rng)
+        before = CONV_COUNTER.count
+        encrypt(pk, M, rng)
+        assert CONV_COUNTER.count == before
+
+    def test_cached_evaluation_arrays(self, moderate_key):
+        pk, sk = moderate_key
+        dom = EvalDomain(7, 113)
+        assert np.array_equal(pk.rho_H, rho(pk.H, dom))
+        assert np.array_equal(sk.rho_F, rho(sk.F.with_modulus(113), dom))
+        assert pk.rho_H is pk.rho_H and sk.rho_F is sk.rho_F
+
     def test_strassen_schoolbook_agree(self, moderate_key):
         pk, _ = moderate_key
         rng = random.Random(64)
@@ -231,13 +274,14 @@ class TestDecrypt:
         assert ok >= 99
 
     def test_convolution_count(self, moderate_key):
-        # F o C mod q and F_p^-1 o V mod p take the 7-product route; the
-        # strict check F o M_hat is over Z and stays schoolbook (16)
+        # F o C mod q is pointwise on the grid (no convolution), F_p^-1 o V
+        # mod p takes the 7-product route, and the strict check F o M_hat
+        # is over Z and stays schoolbook (16)
         pk, sk = moderate_key
         rng = random.Random(68)
         M = random_message(MODERATE, rng)
         ct = encrypt(pk, M, rng)
-        for strict, convs in ((False, 14), (True, 30)):
+        for strict, convs in ((False, 7), (True, 23)):
             before = CONV_COUNTER.count
             assert decrypt(sk, ct, strict=strict) == M
             assert CONV_COUNTER.count - before == convs
