@@ -25,6 +25,7 @@ from .errors import (
     BqtruError,
     DecryptionFailure,
     MalformedData,
+    NotInvertible,
     PayloadTooLarge,
     ReductionBudgetExceeded,
     RetriesExhausted,
@@ -40,6 +41,7 @@ from .ntru import conv as ntru_conv
 from .params import PARAM_SETS, Params, get_params
 from .quat import (
     Quaternion,
+    quat_inverse_mod_p,
     quat_mul_schoolbook,
     quat_mul_strassen,
     rho,
@@ -194,6 +196,20 @@ def cmd_bench(args, out) -> int:
     ]
     t_uni = _median_time(lambda h, r: ntru_conv(h, r, q), uni_pairs)
 
+    # the quaternion inverse mod p that keygen and private-key load compute
+    units = []
+    while len(units) < args.trials:
+        F = Quaternion(*(_rand_elem(n, params.p, rng) for _ in range(4)))
+        try:
+            quat_inverse_mod_p(F)
+        except NotInvertible:
+            continue
+        units.append((F, None))
+    CONV_COUNTER.reset()
+    quat_inverse_mod_p(units[0][0])
+    inverse_convs = CONV_COUNTER.count
+    t_inverse = _median_time(lambda F, _: quat_inverse_mod_p(F), units)
+
     print(f"parameter_set = {label}", file=out)
     print(f"trials = {args.trials}", file=out)
     print(f"schoolbook_convolutions_per_product = {school_convs}", file=out)
@@ -205,6 +221,8 @@ def cmd_bench(args, out) -> int:
     print(f"median_strassen_product_s = {t_strassen:.6f}", file=out)
     print(f"median_evaluation_product_s = {t_eval:.6f}", file=out)
     print(f"median_univariate_conv_s = {t_uni:.6f}", file=out)
+    print(f"mod_p_inverse_convolutions = {inverse_convs}", file=out)
+    print(f"median_mod_p_inverse_s = {t_inverse:.6f}", file=out)
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidWeight, MalformedData, NonIntegralU
-from .quat import Quaternion, rho
+from .quat import Quaternion
 from .ring import EvalDomain, RingElem, interpolate, mult_matrix
 
 
@@ -67,10 +67,10 @@ class LatticeBasis:
         return cls(rows, dim, head[3])
 
 
-def derive_T(G: Quaternion, dom: EvalDomain):
-    """Grid indices where all four components of G vanish (may be empty)."""
-    vals = rho(G, dom)
-    return [k for k in range(dom.size) if not vals[k].any()]
+def derive_T(rho_G: np.ndarray) -> list:
+    """Grid indices where all four components of G vanish (may be empty),
+    read from its evaluation array rho(G)."""
+    return np.flatnonzero(~rho_G.any(axis=1)).tolist()
 
 
 def build_sigma(T, weights, dom: EvalDomain) -> RingElem:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,14 +47,18 @@ class NtruParams:
             raise WeightTooLarge("2d+1 nonzero slots do not fit")
 
 
+@lru_cache(maxsize=None)
+def _cyclic_index(n: int) -> np.ndarray:
+    """IDX[k, i] = (k - i) mod n, so g[IDX] @ f is the cyclic convolution."""
+    k = np.arange(n)
+    return (k[:, None] - k[None, :]) % n
+
+
 def conv(f: np.ndarray, g: np.ndarray, modulus: int | None = None) -> np.ndarray:
     """Cyclic convolution; counts its n^2 scalar multiplications."""
     n = len(f)
     MULT_COUNTER.count += n * n
-    out = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(f):
-        if c:
-            out += c * np.roll(g, i)
+    out = np.asarray(g, dtype=np.int64)[_cyclic_index(n)] @ np.asarray(f, dtype=np.int64)
     return out % modulus if modulus is not None else out
 
 

@@ -2,8 +2,12 @@
 
 Products are available in two equivalent coefficient-domain forms: the
 schoolbook expansion (16 ring products) and the Strassen route through
-the 2x2 matrix image (7 ring products).  Both are instrumented via
-ring.CONV_COUNTER.
+the 2x2 matrix image (7 ring products).  Both count their convolutions in
+ring.CONV_COUNTER; they are the paper's reference paths.
+
+The norm N(F) and the inverse mod p, N(F)^-1 o conj(F), run pointwise in
+ring.product_domain (q's own grid, or an auxiliary prime's for p), so
+quat_inverse_mod_p convolves only inside ring_inverse.
 
 Mod q a quaternion is also its evaluation array rho(F): row k is the
 scalar quaternion F(points[k]) over Z_q.  rho is an isomorphism of
@@ -18,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContextMismatch, EvenModulus, NormVanishesOutsideT, NotInvertible
-from .ring import EvalDomain, RingElem, conv_mul, ring_inverse
+from .ring import EvalDomain, RingElem, conv_mul, product_domain, ring_inverse
 
 
 class Quaternion:
@@ -167,17 +171,49 @@ def conjugate(F: Quaternion) -> Quaternion:
     return Quaternion(F.c0, -F.c1, -F.c2, -F.c3)
 
 
+def _centered(a: np.ndarray, m: int) -> np.ndarray:
+    a = a % m
+    return np.where(a > m // 2, a - m, a)
+
+
+def _grid_values(comps, dom: EvalDomain) -> np.ndarray:
+    """Rows of grid values in dom of the centered lifts of ring elements."""
+    return dom.transform(_centered(np.stack([c.coeffs for c in comps]), comps[0].modulus))
+
+
+def _from_grid_values(vals: np.ndarray, n: int, m: int, dom: EvalDomain):
+    """Ring elements mod m from rows of grid values in dom of exact integer results."""
+    return [RingElem(c, n, m) for c in _centered(dom.inverse_transform(vals), dom.q)]
+
+
 def quat_norm(F: Quaternion) -> RingElem:
-    """N(F) = c0^2 - c1^2 - c2^2 + c3^2; satisfies F o conj(F) = N(F)."""
-    c0, c1, c2, c3 = F.components
-    return conv_mul(c0, c0) - conv_mul(c1, c1) - conv_mul(c2, c2) + conv_mul(c3, c3)
+    """N(F) = c0^2 - c1^2 - c2^2 + c3^2; satisfies F o conj(F) = N(F).
+
+    Computed pointwise in ring.product_domain, with no convolution; the
+    modulus must be an odd prime.
+    """
+    m = F.modulus
+    if m is None:
+        raise ValueError("the quaternion norm needs a prime modulus")
+    dom = product_domain(F.n, m)
+    N = rho_norms(_grid_values(F.components, dom).T, dom.q)
+    return _from_grid_values(N[None], F.n, m, dom)[0]
 
 
 def quat_inverse_mod_p(F: Quaternion) -> Quaternion:
-    """Inverse in the quaternion algebra over Z_p: N(F)^-1 o conj(F)."""
-    ninv = ring_inverse(quat_norm(F))
-    Fbar = conjugate(F)
-    return Quaternion(*(conv_mul(ninv, c) for c in Fbar.components))
+    """Inverse in the quaternion algebra over Z_p: N(F)^-1 o conj(F).
+
+    F is transformed once into ring.product_domain; the norm and the four
+    products are pointwise there, so ring_inverse's digit products are
+    the only convolutions.
+    """
+    m, n = F.modulus, F.n
+    dom = product_domain(n, m)
+    vals = _grid_values(F.components, dom)
+    N = _from_grid_values(rho_norms(vals.T, dom.q)[None], n, m, dom)[0]
+    ninv = _grid_values((ring_inverse(N),), dom)
+    conj = vals * np.array([[1], [-1], [-1], [-1]])
+    return Quaternion(*_from_grid_values(ninv * conj % dom.q, n, m, dom))
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +279,19 @@ def rho_mul(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
     ], axis=1) % q
 
 
+def rho_norms(u: np.ndarray, q: int) -> np.ndarray:
+    """Scalar norms mod q of the rows of an evaluation array: the grid values of N(F)."""
+    a0, a1, a2, a3 = (np.asarray(u, dtype=np.int64) % q).T
+    return (a0 * a0 - a1 * a1 - a2 * a2 + a3 * a3) % q
+
+
 def rho_inverse(u: np.ndarray, q: int, t_indices=()) -> np.ndarray:
     """Pointwise inverse mod prime q of an evaluation array off T, zero on T.
 
     Raises NormVanishesOutsideT when a point outside T has zero norm.
     """
     a = np.asarray(u, dtype=np.int64) % q
-    norms = (a[:, 0] * a[:, 0] - a[:, 1] * a[:, 1] - a[:, 2] * a[:, 2]
-             + a[:, 3] * a[:, 3]) % q
+    norms = rho_norms(a, q)
     off_T = np.ones(len(a), dtype=bool)
     off_T[list(t_indices)] = False
     bad = np.flatnonzero(off_T & (norms == 0))

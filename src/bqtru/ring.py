@@ -8,16 +8,21 @@ rejects larger moduli.
 
 Inverses are powers: every unit u satisfies u**e == 1 for
 e = (m**k - 1) * m**s, where n = m**s * n' with m not dividing n' and
-k = ord_{n'}(m), so ring_inverse returns f**(e-1) by square-and-multiply
-in about 2*log2(e) convolutions (12 at n = 11, m = 3).  solve_mod_prime,
-the int64 Gauss-Jordan elimination, serves the NTRU baseline and the
-tests as the reference inverse.
+k = ord_{n'}(m), so ring_inverse returns f**(e-1).  It walks the base-m
+digits of e-1: each m-th power is the Frobenius map f(x,y) -> f(x^m, y^m),
+a coefficient map, so only the digit products are convolutions (6 at
+n = 11, m = 3, counting the check).  solve_mod_prime, the int64
+Gauss-Jordan elimination, serves the NTRU baseline and the tests as the
+reference inverse.
 
 Mod q the ring is Z_q^(n**2), because n | q-1: EvalDomain maps
 coefficients to the values on the n**2-point grid of n-th roots of unity
 and back, each way a product with the n x n Vandermonde matrix on both
 sides, so a product mod q costs two transforms, n**2 scalar products and
-one inverse transform instead of a convolution.
+one inverse transform instead of a convolution.  Mod a prime m with
+n not dividing m-1 (p in every shipped set), product_domain supplies an
+auxiliary prime P = 1 (mod n) large enough that products of centered
+lifts are exact over Z, and the result is reduced mod m.
 
 A module-level counter tracks convolution products so that callers can
 verify operation counts (16 vs 7 ring products per quaternion multiply);
@@ -31,6 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContextMismatch, NotAGridPoint, NotInvertible
+from .params import _is_prime
 
 
 class OpCounter:
@@ -279,6 +285,28 @@ def eval_domain(n: int, q: int) -> EvalDomain:
     return EvalDomain(n, q)
 
 
+@lru_cache(maxsize=None)
+def product_domain(n: int, m: int) -> EvalDomain:
+    """An evaluation domain that gives exact products mod m, m an odd prime.
+
+    It is m's own domain when n | m-1.  Otherwise it is the domain of the
+    smallest prime P = 1 (mod n) above 4 * n**2 * (m-1)**2.  A sum of up
+    to four products of centered lifts has coefficients of absolute value
+    at most n**2 * (m-1)**2, so its centered lift mod P is the integer
+    result, which is then reduced mod m.
+    """
+    if (m - 1) % n == 0:
+        P = m
+    else:
+        P = (4 * n * (m - 1) ** 2 + 1) * n + 1
+        while not _is_prime(P):
+            P += n
+    # the transform sums n products below (P-1)**2, a quaternion norm four
+    if max(n, 4) * (P - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"no int64 evaluation domain for products mod {m} at n={n}")
+    return eval_domain(n, P)
+
+
 def _primitive_root(q: int) -> int:
     phi = q - 1
     factors = set()
@@ -362,13 +390,48 @@ def _unit_exponent(n: int, m: int) -> int:
     return (m ** k - 1) * m ** s
 
 
+@lru_cache(maxsize=None)
+def _frobenius_index(n: int, m: int) -> np.ndarray:
+    """FROB[k] = index of x^(m*a) y^(m*b) for k = (a, b)."""
+    idx = np.arange(n * n)
+    return (idx // n * m % n) * n + idx % n * m % n
+
+
+def frobenius(f: RingElem) -> RingElem:
+    """f**m for f over Z_m, m prime: f(x^m, y^m), no convolution.
+
+    The m-th power is additive in characteristic m and fixes Z_m, so it
+    moves each coefficient to its monomial raised to the m-th power;
+    coefficients that land on one monomial (when m divides n) add up.
+    """
+    m = f.modulus
+    if m is None:
+        raise ValueError("the Frobenius map needs a prime modulus")
+    out = np.zeros_like(f.coeffs)
+    np.add.at(out, _frobenius_index(f.n, m), f.coeffs)
+    return RingElem(out, f.n, m)
+
+
+def _power(f: RingElem, d: int) -> RingElem:
+    """f**d, d >= 1, by left-to-right square-and-multiply."""
+    u = f
+    for bit in bin(d)[3:]:
+        u = conv_mul(u, u)
+        if bit == "1":
+            u = conv_mul(u, f)
+    return u
+
+
 def ring_inverse(f: RingElem, m: int | None = None) -> RingElem:
     """Inverse of f in Z_m[x,y]/(x^n-1, y^n-1), m an odd prime.
 
     Every unit satisfies u**e == 1 (see _unit_exponent), so the inverse is
-    f**(e-1), computed by square-and-multiply: about 2*log2(e) convolutions,
-    12 at n = 11, m = 3 (e = 242, counting the check).  Raises
-    NotInvertible when f * f**(e-1) is not 1.
+    f**(e-1).  With the base-m digits d_j of e-1, Horner's rule
+    u <- frobenius(u) * f**d_j needs one convolution per nonzero digit
+    after the first, plus those for the digit powers: the digits of e-1
+    are m-1 and m-2 only, so at m = 3 that is f**2 alone.  That gives 6
+    convolutions at n = 11 and 7 at n = 7 (m = 3, counting the check).
+    Raises NotInvertible when f * f**(e-1) is not 1.
     """
     if m is None:
         m = f.modulus
@@ -378,12 +441,16 @@ def ring_inverse(f: RingElem, m: int | None = None) -> RingElem:
     if n * n * (m - 1) ** 2 >= 2 ** 63:
         raise ValueError(f"modulus {m} is too large for int64 convolution")
     fm = f if f.modulus == m else f.with_modulus(m)
-    u = fm
-    # left-to-right binary powering; the leading bit of e-1 is fm itself
-    for bit in bin(_unit_exponent(n, m) - 1)[3:]:
-        u = conv_mul(u, u)
-        if bit == "1":
-            u = conv_mul(u, fm)
+    digits, r = [], _unit_exponent(n, m) - 1
+    while r:
+        r, d = divmod(r, m)
+        digits.append(d)
+    powers = {d: _power(fm, d) for d in set(digits) if d}
+    u = powers[digits[-1]]
+    for d in reversed(digits[:-1]):
+        u = frobenius(u)
+        if d:
+            u = conv_mul(u, powers[d])
     if conv_mul(fm, u) != RingElem.one(n, m):
         raise NotInvertible("element is not a unit")
     return u

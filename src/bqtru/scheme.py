@@ -37,6 +37,7 @@ from .quat import (
     rho_interpolate,
     rho_inverse,
     rho_mul,
+    rho_norms,
     scalar_norm,
 )
 from .ring import EvalDomain, RingElem, eval_domain
@@ -138,8 +139,8 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
     dom = eval_domain(n, q)
     for _ in range(max_attempts):
         G = Quaternion(*(sample_ternary(n, params.d_g, rng) for _ in range(4)))
-        G_q = G.with_modulus(q)
-        T = derive_T(G_q, dom)
+        rho_G = rho(G.with_modulus(q), dom)
+        T = derive_T(rho_G)
         if not _scannable(T, q):
             continue
         found = _find_F(params, T, dom, rng)
@@ -152,14 +153,27 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
             if scalar_norm(W, q) != 0:
                 break
         ideal = make_ideal(T, weights, dom)
-        rho_theta = np.zeros((dom.size, 4), dtype=np.int64)
-        rho_theta[T] = np.outer(weights, W) % q
+        rho_theta = _rho_theta(T, weights, W, params)
         rho_F = rho(F.with_modulus(q), dom)
-        rho_H = (rho_mul(rho_inverse(rho_F, q, T), rho(G_q, dom), q) + rho_theta) % q
+        rho_H = (rho_mul(rho_inverse(rho_F, q, T), rho_G, q) + rho_theta) % q
         pk = PublicKey(params, rho_interpolate(rho_H, dom))
         sk = PrivateKey(params, F, G, rho_mul(rho_F, rho_theta, q), ideal, F_p_inv, W)
         return pk, sk
     raise RetriesExhausted(f"no usable G found in {max_attempts} attempts")
+
+
+def _rho_theta(T, weights, W, params: Params) -> np.ndarray:
+    """rho(theta): weight_t * W at each t in T, zero elsewhere."""
+    rho_theta = np.zeros((params.nsq, 4), dtype=np.int64)
+    rho_theta[list(T)] = np.outer(weights, W) % params.q
+    return rho_theta
+
+
+def _zeros_inside(norm_vals: np.ndarray, T) -> bool:
+    """Whether every grid zero of a norm lies in T."""
+    zero_off_T = norm_vals == 0
+    zero_off_T[list(T)] = False
+    return not zero_off_T.any()
 
 
 def _find_F(params: Params, T, dom: EvalDomain, rng: random.Random,
@@ -170,8 +184,7 @@ def _find_F(params: Params, T, dom: EvalDomain, rng: random.Random,
         comps = [_sample_signed(params.n, params.d_f + 1, params.d_f, rng)]
         comps += [sample_ternary(params.n, params.d_f, rng) for _ in range(3)]
         F = Quaternion(*comps)
-        norm_vals = dom.eval_all(quat_norm(F.with_modulus(dom.q)))
-        if any(norm_vals[k] == 0 for k in range(dom.size) if k not in T):
+        if not _zeros_inside(dom.eval_all(quat_norm(F.with_modulus(dom.q))), T):
             continue
         try:
             return F, quat_inverse_mod_p(F.with_modulus(params.p))
@@ -352,23 +365,23 @@ def _parse_params(line: str) -> Params:
 
 
 def _coeff_line(label: str, values) -> str:
-    return label + ": " + " ".join(str(int(v)) for v in values)
+    return label + ": " + " ".join(map(str, np.asarray(values).tolist()))
 
 
-def _read_ints(lines: dict, label: str) -> list:
+def _read_ints(lines: dict, label: str) -> np.ndarray:
     if label not in lines:
         raise MalformedData(f"missing field {label}")
     try:
-        return [int(v) for v in lines[label].split()]
-    except ValueError as exc:
-        raise MalformedData(f"field {label} is not a list of integers") from exc
+        return np.array(lines[label].split(), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise MalformedData(f"field {label} is not a list of int64 integers") from exc
 
 
 def _read_coeffs(lines: dict, label: str, count: int, lo: int, hi: int) -> np.ndarray:
     vals = _read_ints(lines, label)
-    if len(vals) != count or any(not lo <= v < hi for v in vals):
+    if len(vals) != count or ((vals < lo) | (vals >= hi)).any():
         raise MalformedData(f"field {label} malformed")
-    return np.array(vals, dtype=np.int64)
+    return vals
 
 
 def serialize_public(pk: PublicKey) -> str:
@@ -425,6 +438,13 @@ def deserialize_public(text: str) -> PublicKey:
 
 
 def deserialize_private(text: str) -> PrivateKey:
+    """Parse a private key and check it from evaluation arrays alone.
+
+    G must vanish on T, the grid zeros of N(F) (the scalar norms of rho(F))
+    must lie inside T, and rhogamma must equal rho(F) * rho(theta); any
+    mismatch, like a field out of range, raises MalformedData.  The key
+    keeps rho(F) cached for decryption.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or lines[0] != f"{_MAGIC} private":
         raise MalformedData("bad private key header")
@@ -435,7 +455,7 @@ def deserialize_private(text: str) -> PrivateKey:
                               params.n, None) for i in range(4)))
     G = Quaternion(*(RingElem(_read_coeffs(fields, f"g{i}", nsq, -1, 2),
                               params.n, None) for i in range(4)))
-    T = _read_ints(fields, "T")
+    T = _read_ints(fields, "T").tolist()
     if len(set(T)) != len(T) or any(not 0 <= t < nsq for t in T):
         raise MalformedData("bad T field")
     if not _scannable(T, params.q):
@@ -444,9 +464,22 @@ def deserialize_private(text: str) -> PrivateKey:
     weights = _read_coeffs(fields, "weights", len(T), 1, params.q)
     W = tuple(int(v) for v in _read_coeffs(fields, "W", 4, 1, params.q))
     rho_gamma = _read_coeffs(fields, "rhogamma", 4 * nsq, 0, params.q).reshape(nsq, 4)
-    ideal = make_ideal(T, weights, eval_domain(params.n, params.q))
-    F_p_inv = quat_inverse_mod_p(F.with_modulus(params.p))
-    return PrivateKey(params, F, G, rho_gamma, ideal, F_p_inv, W)
+    dom = eval_domain(params.n, params.q)
+    rho_F = rho(F.with_modulus(params.q), dom)
+    if rho(G.with_modulus(params.q), dom)[T].any():
+        raise MalformedData("G does not vanish on T")
+    if not _zeros_inside(rho_norms(rho_F, params.q), T):
+        raise MalformedData("N(F) vanishes at a grid point outside T")
+    if not np.array_equal(rho_gamma, rho_mul(rho_F, _rho_theta(T, weights, W, params),
+                                             params.q)):
+        raise MalformedData("rhogamma is not rho(F) * rho(theta)")
+    try:
+        F_p_inv = quat_inverse_mod_p(F.with_modulus(params.p))
+    except NotInvertible as exc:
+        raise MalformedData("F is not invertible mod p") from exc
+    sk = PrivateKey(params, F, G, rho_gamma, make_ideal(T, weights, dom), F_p_inv, W)
+    sk.rho_F = rho_F
+    return sk
 
 
 def deserialize_ct(text: str) -> Ciphertext:

@@ -171,6 +171,9 @@ class TestBench:
         lines = dict(line.split(" = ") for line in out.splitlines())
         for name in ("schoolbook", "strassen", "evaluation"):
             assert float(lines[f"median_{name}_product_s"]) > 0
+        # e - 1 = 5 = 12 in base 3 at toy: f^2, one digit product, the check
+        assert int(lines["mod_p_inverse_convolutions"]) <= 3
+        assert float(lines["median_mod_p_inverse_s"]) > 0
 
 
 class TestParser:

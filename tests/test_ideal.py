@@ -64,7 +64,7 @@ def toy_keygen(rng, dom, p=3, d=1):
     q = dom.q
     while True:
         G = Quaternion(*(sample_balanced(rng, dom.n, d, q) for _ in range(4)))
-        T = derive_T(G, dom)
+        T = derive_T(rho(G, dom))
         if not (1 <= len(T) <= dom.n):
             continue
         for _ in range(200):
@@ -109,7 +109,7 @@ def dom5():
 
 class TestDeriveT:
     def test_constant_never_vanishes(self, dom3):
-        assert derive_T(Quaternion.one(3, 7), dom3) == []
+        assert derive_T(rho(Quaternion.one(3, 7), dom3)) == []
 
     def test_planted_zero_set(self, dom3):
         chosen = [2, 5]
@@ -117,7 +117,7 @@ class TestDeriveT:
         vals[chosen] = 0
         c = interpolate(dom3, vals)
         G = Quaternion(c, c, c, c)
-        assert derive_T(G, dom3) == chosen
+        assert derive_T(rho(G, dom3)) == chosen
 
     def test_matches_scan_oracle(self):
         dom = EvalDomain(7, 113)
@@ -128,14 +128,14 @@ class TestDeriveT:
                 k for k, (a, b) in enumerate(dom.points)
                 if all(ring_eval(c, a, b) == 0 for c in G.components)
             ]
-            assert derive_T(G, dom) == scan
+            assert derive_T(rho(G, dom)) == scan
 
     def test_balanced_components_vanish_at_unity(self, dom3):
         rng = random.Random(31)
         k11 = dom3.index_of(1, 1)
         for _ in range(20):
             G = Quaternion(*(sample_balanced(rng, 3, 2, 7) for _ in range(4)))
-            assert k11 in derive_T(G, dom3)
+            assert k11 in derive_T(rho(G, dom3))
 
 
 class TestBuildSigma:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqtru.errors import ContextMismatch, EvenModulus, NormVanishesOutsideT
+from bqtru.errors import ContextMismatch, EvenModulus, NormVanishesOutsideT, NotInvertible
+from bqtru.params import PARAM_SETS
 from bqtru.quat import (
     Quaternion,
     conjugate,
@@ -31,6 +32,7 @@ from bqtru.ring import (
     conv_mul,
     eval_domain,
     lagrange_interpolant,
+    ring_inverse,
 )
 
 # (n, q) with n | q-1: the shipped sets plus the wide-q test set
@@ -211,6 +213,56 @@ class TestInverseModP:
             assert quat_mul_schoolbook(F, Finv) == Quaternion.one(3, 3)
             assert quat_mul_schoolbook(Finv, F) == Quaternion.one(3, 3)
             found += 1
+
+
+def conv_norm(F):
+    """N(F) by four convolutions (the coefficient-domain reference)."""
+    c0, c1, c2, c3 = F.components
+    return conv_mul(c0, c0) - conv_mul(c1, c1) - conv_mul(c2, c2) + conv_mul(c3, c3)
+
+
+def conv_inverse_mod_p(F):
+    """N(F)^-1 o conj(F) with the four products as convolutions (reference)."""
+    ninv = ring_inverse(conv_norm(F))
+    return Quaternion(*(conv_mul(ninv, c) for c in conjugate(F).components))
+
+
+class TestEvaluationRoutes:
+    """quat_norm and quat_inverse_mod_p run pointwise in product_domain."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(PARAM_SETS)), st.sampled_from(["p", "q"]),
+           st.booleans(), st.integers(0, 2**32))
+    def test_match_convolution_reference(self, name, which, ternary, seed):
+        params = PARAM_SETS[name]
+        n, m = params.n, getattr(params, which)
+        rng = random.Random(seed)
+        if ternary:
+            # the shape keygen draws: small coefficients, first one unbalanced
+            F = Quaternion(*(RingElem(np.array([rng.randrange(-1, 2) for _ in range(n * n)]),
+                                      n, m) for _ in range(4)))
+        else:
+            F = rand_quat(rng, n, m)
+        CONV_COUNTER.reset()
+        N = quat_norm(F)
+        assert CONV_COUNTER.count == 0
+        assert N == conv_norm(F)
+        try:
+            expect = conv_inverse_mod_p(F)
+        except NotInvertible:
+            with pytest.raises(NotInvertible):
+                quat_inverse_mod_p(F)
+            return
+        CONV_COUNTER.reset()
+        assert quat_inverse_mod_p(F) == expect
+        if which == "p":
+            # only ring_inverse's convolutions remain: 3 at toy, 7 at
+            # moderate and 6 at highest
+            assert CONV_COUNTER.count <= 7
+
+    def test_unreduced_norm_rejected(self):
+        with pytest.raises(ValueError):
+            quat_norm(Quaternion.one(3, None))
 
 
 class TestRho:

@@ -7,16 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqtru.errors import ContextMismatch, NotAGridPoint, NotInvertible
-from bqtru.params import Params
+from bqtru.params import Params, _is_prime
 from bqtru.ring import (
+    CONV_COUNTER,
     EvalDomain,
     RingElem,
     absorb_check,
     conv_mul,
     eval_domain,
+    frobenius,
     interpolate,
     lagrange_interpolant,
     mult_matrix,
+    product_domain,
     ring_eval,
     ring_inverse,
     solve_mod_prime,
@@ -268,7 +271,7 @@ class TestRingInverseOracle:
     """ring_inverse (unit-group powering) against the linear-solve oracle."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([(3, 3), (3, 7), (5, 5), (7, 3), (11, 3), (7, 113)]),
+    @given(st.sampled_from([(3, 3), (3, 7), (5, 5), (7, 3), (9, 3), (11, 3), (7, 113)]),
            st.integers(0, 2**32), st.booleans())
     def test_matches_solve_mod_prime(self, nm, seed, force_nonunit):
         n, m = nm
@@ -290,6 +293,56 @@ class TestRingInverseOracle:
         else:
             assert np.array_equal(ring_inverse(f).coeffs, expect)
         assert not (force_nonunit and expect is not None)
+
+    @pytest.mark.parametrize("n, m, most", [(11, 3, 6), (7, 3, 7)])
+    def test_convolution_count(self, n, m, most):
+        # the p-th powers are Frobenius maps; only the digit products of
+        # e-1 (22221 and 222221 in base 3) and the check are convolutions
+        rng = random.Random(n)
+        while True:
+            f = rand_elem(rng, n, m)
+            CONV_COUNTER.reset()
+            try:
+                ring_inverse(f)
+            except NotInvertible:
+                continue
+            assert CONV_COUNTER.count <= most
+            return
+
+
+class TestFrobenius:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(3, 3), (5, 3), (9, 3), (3, 5), (5, 5), (7, 3), (3, 7)]),
+           st.integers(0, 2**32))
+    def test_is_the_mth_power(self, nm, seed):
+        # m | n (3, 9 and 5 at m = 3, 3 and 5) folds coefficients together
+        n, m = nm
+        f = rand_elem(random.Random(seed), n, m)
+        power = RingElem.one(n, m)
+        for _ in range(m):
+            power = conv_mul(power, f)
+        CONV_COUNTER.reset()
+        assert frobenius(f) == power
+        assert CONV_COUNTER.count == 0
+
+
+class TestProductDomain:
+    @pytest.mark.parametrize("n, m, P", [(11, 199, 199), (7, 113, 113), (11, 3, 2003),
+                                         (7, 3, 827), (3, 3, 151)])
+    def test_own_or_auxiliary_prime(self, n, m, P):
+        # m itself when n | m-1, else the least prime P = 1 (mod n) above
+        # 4 n^2 (m-1)^2
+        dom = product_domain(n, m)
+        assert dom is eval_domain(n, P)
+        if P != m:
+            assert P > 4 * n * n * (m - 1) ** 2 and (P - 1) % n == 0
+            assert not any(_is_prime(c) for c in range(4 * n * n * (m - 1) ** 2 + 1, P)
+                           if (c - 1) % n == 0)
+
+    def test_too_large_for_int64(self):
+        # 11 does not divide 1998, and P > 4 * 121 * 1998^2 gives 11 (P-1)^2 > 2^63
+        with pytest.raises(ValueError):
+            product_domain(11, 1999)
 
 
 def unit_lu(rng, k, m):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import random
@@ -26,9 +27,9 @@ from bqtru.errors import (
 )
 from bqtru.ideal import build_D_prime, derive_T, verify_key_membership
 from bqtru.lattice import coset_decode, lll_reduce, sphere_decode
-from bqtru.params import MODERATE, TOY, Params
+from bqtru.params import MODERATE, PARAM_SETS, TOY, Params
 from bqtru.quat import Quaternion, quat_mul_schoolbook, rho
-from bqtru.ring import CONV_COUNTER, EvalDomain, RingElem
+from bqtru.ring import CONV_COUNTER, EvalDomain, RingElem, eval_domain
 from bqtru.scheme import (
     Ciphertext,
     decode_message,
@@ -156,8 +157,8 @@ class TestKeygen:
             inverses.append(f.modulus if m is None else m)
             return real_inverse(f, m)
 
-        def derive_T(G, d):
-            current_T[:] = real_derive_T(G, d)
+        def derive_T(rho_G):
+            current_T[:] = real_derive_T(rho_G)
             return list(current_T)
 
         def quat_norm(F):
@@ -178,8 +179,8 @@ class TestKeygen:
         assert inverses == [3]
 
     def test_no_mod_q_quaternion_product(self, monkeypatch):
-        # the only mod-q convolutions are the four of N(F) per F draw; H and
-        # rho_gamma are pointwise products on the evaluation grid
+        # keygen runs no mod-q convolution: N(F) per F draw, H and rho_gamma
+        # are pointwise products on the evaluation grid
         mod_q_convs, norms = [], []
         real_conv, real_norm = quat.conv_mul, scheme.quat_norm
 
@@ -201,7 +202,7 @@ class TestKeygen:
         monkeypatch.setattr(quat, "quat_inverse_mod_J", refuse)
         pk, sk = keygen(MODERATE, random.Random(63))
         assert sum(norms) >= 1
-        assert sum(mod_q_convs) == 4 * sum(norms)
+        assert sum(mod_q_convs) == 0
         assert verify_key_membership(sk, pk, EvalDomain(7, 113))
 
     def test_unscannable_q_fails_before_drawing_G(self, monkeypatch):
@@ -334,17 +335,39 @@ class TestDecrypt:
         assert good >= 49
 
 
-def secret_points_text(sk, T):
-    """The key file of sk, rewritten to name the secret set T instead."""
-    lines = []
-    for line in serialize_private(sk).splitlines():
-        label = line.split(":")[0]
-        if label == "T":
-            line = "T: " + " ".join(map(str, T))
-        elif label == "weights":
-            line = "weights: " + " ".join("1" for _ in T)
-        lines.append(line)
+def replace_field(text, label, values):
+    """text with the values of field `label` replaced."""
+    lines = [f"{label}: {values}" if line.split(":")[0] == label else line
+             for line in text.splitlines()]
     return "\n".join(lines) + "\n"
+
+
+def field_values(text, label):
+    return next(line.split(":", 1)[1].split() for line in text.splitlines()
+                if line.split(":")[0] == label)
+
+
+def secret_points_text(sk, T):
+    """The key file of sk, rewritten to name the secret set T instead.
+
+    The file stays consistent as key load checks it.  Every component of G
+    becomes (1 - y)(1 + x + ... + x^(n-1)), which vanishes at (1, 1) and at
+    every grid point (omega^a, omega^b) with a != 0; the weights become 1
+    and rhogamma is recomputed.  Decryption reads none of the three.
+    """
+    params = sk.params
+    g = np.zeros((params.n, params.n), dtype=np.int64)
+    g[:, 0], g[:, 1] = 1, -1
+    g_line = " ".join(map(str, g.reshape(-1)))
+    rho_theta = scheme._rho_theta(T, [1] * len(T), sk.W, params)
+    rho_gamma = quat.rho_mul(sk.rho_F, rho_theta, params.q).reshape(-1)
+    replace = {"T": " ".join(map(str, T)), "weights": " ".join("1" for _ in T),
+               "rhogamma": " ".join(map(str, rho_gamma)),
+               **{f"g{i}": g_line for i in range(4)}}
+    text = serialize_private(sk)
+    for label, values in replace.items():
+        text = replace_field(text, label, values)
+    return text
 
 
 def with_secret_points(sk, T):
@@ -455,14 +478,14 @@ class TestDecryptPaths:
         # classes per component at moderate: keygen draws another G
         calls = []
 
-        def three_points(G_q, dom):
+        def three_points(rho_G):
             calls.append(1)
-            return [1, 2, 3] if len(calls) <= 3 else derive_T(G_q, dom)
+            return [1, 2, 3] if len(calls) <= 3 else derive_T(rho_G)
 
         monkeypatch.setattr(scheme, "derive_T", three_points)
         _, sk = keygen(MODERATE, random.Random(81))
         assert len(calls) > 3 and len(sk.ideal.T) == 1
-        monkeypatch.setattr(scheme, "derive_T", lambda G_q, dom: [1, 2, 3])
+        monkeypatch.setattr(scheme, "derive_T", lambda rho_G: [1, 2, 3])
         with pytest.raises(RetriesExhausted):
             keygen(MODERATE, random.Random(82), max_attempts=5)
 
@@ -654,3 +677,123 @@ class TestSerialization:
         with pytest.raises(MalformedData):
             deserialize_private(serialize_public(pk))
 
+
+class TestCodecRobustness:
+    """Every field rejects what is not a list of in-range int64 values."""
+
+    def _cases(self, pk, sk, ct):
+        p = MODERATE
+        yield serialize_public(pk), deserialize_public, {
+            f"h{i}": (-1, p.q) for i in range(4)}
+        yield serialize_private(sk), deserialize_private, {
+            **{f"{c}{i}": (-2, 2) for c in "fg" for i in range(4)},
+            "T": (-1, p.nsq), "weights": (0, p.q), "W": (0, p.q), "rhogamma": (-1, p.q)}
+        yield serialize_ct(ct), deserialize_ct, {f"c{i}": (-1, p.q) for i in range(4)}
+
+    def test_every_field(self, moderate_key):
+        pk, sk = moderate_key
+        ct = encrypt(pk, random_message(MODERATE, 0), 1)
+        checked = 0
+        for text, load, fields in self._cases(pk, sk, ct):
+            load(text)
+            for label, (below, above) in fields.items():
+                vals = field_values(text, label)
+                for bad in ("1" + "0" * 19, "-" + "9" * 20, "1.5", "x", "0x1",
+                            str(below), str(above)):
+                    with pytest.raises(MalformedData):
+                        load(replace_field(text, label, " ".join([bad] + vals[1:])))
+                for count in (vals[:-1], vals + vals[-1:]):
+                    with pytest.raises(MalformedData):
+                        load(replace_field(text, label, " ".join(count)))
+                checked += 1
+        assert checked == 4 + 12 + 4
+
+
+class TestKeyValidation:
+    """deserialize_private checks the key against its own evaluation arrays."""
+
+    def test_honest_keys_load(self, toy_key, moderate_key):
+        for _, sk in (toy_key, moderate_key):
+            sk2 = deserialize_private(serialize_private(sk))
+            assert np.array_equal(sk2.rho_F, sk.rho_F)
+
+    def _tampered(self, sk, label):
+        text = serialize_private(sk)
+        vals = [int(v) for v in field_values(text, label)]
+        q = sk.params.q
+        if label == "g0":
+            # a balanced component no longer vanishes at (1, 1), which is in T
+            vals[vals.index(0)] = 1
+        elif label == "f0":
+            # F = 1 + i: N(F) = 1 - 1 = 0 at every grid point
+            vals = [1] + [0] * (sk.params.nsq - 1)
+            text = replace_field(text, "f1", " ".join(map(str, vals)))
+            for other in ("f2", "f3"):
+                text = replace_field(text, other, " ".join(["0"] * sk.params.nsq))
+        elif label == "T":
+            # a grid point where G does not vanish
+            rho_G = rho(sk.G.with_modulus(q), eval_domain(sk.params.n, q))
+            vals = [int(np.flatnonzero(rho_G.any(axis=1))[0])]
+        else:
+            vals[0] = vals[0] % (q - 1) + 1
+        return replace_field(text, label, " ".join(map(str, vals)))
+
+    @pytest.mark.parametrize("label, match", [
+        ("g0", "G does not vanish on T"),
+        ("T", "G does not vanish on T"),
+        ("f0", r"N\(F\) vanishes"),
+        ("weights", "rhogamma"),
+        ("W", "rhogamma"),
+        ("rhogamma", "rhogamma"),
+    ])
+    def test_tampered_field_rejected(self, moderate_key, label, match):
+        _, sk = moderate_key
+        with pytest.raises(MalformedData, match=match):
+            deserialize_private(self._tampered(sk, label))
+
+    def test_runs_no_convolution_but_the_mod_p_inverse(self, moderate_key):
+        # the checks read evaluation arrays; the 7 convolutions are
+        # ring_inverse's, for F^-1 mod p
+        _, sk = moderate_key
+        text = serialize_private(sk)
+        CONV_COUNTER.reset()
+        deserialize_private(text)
+        assert CONV_COUNTER.count == 7
+
+
+def golden_digest(name):
+    """sha256 over keys for seeds 0-9, two ciphertexts per key (under the
+    key and its reloaded copy) and their strict decrypts with both copies
+    of the private key."""
+    params = PARAM_SETS[name]
+    h = hashlib.sha256()
+    for seed in range(10):
+        pk, sk = keygen(params, random.Random(seed))
+        pub, priv = serialize_public(pk), serialize_private(sk)
+        h.update(pub.encode())
+        h.update(priv.encode())
+        pk2, sk2 = deserialize_public(pub), deserialize_private(priv)
+        for j, key in enumerate((pk, pk2)):
+            rng = random.Random(1000 * seed + j)
+            ct = encrypt(key, random_message(params, rng), rng)
+            text = serialize_ct(ct)
+            h.update(text.encode())
+            for s in (sk, sk2):
+                try:
+                    h.update(decrypt(s, deserialize_ct(text), strict=True).vector().tobytes())
+                except DecryptionFailure:
+                    h.update(b"rejected")
+    return h.hexdigest()
+
+
+class TestGolden:
+    """Keys, ciphertexts and decrypts are byte-identical to the reference
+    release (the coefficient-domain norm, inverse and codec)."""
+
+    @pytest.mark.parametrize("name, digest", [
+        ("toy", "dbb1c5dd7ca6bb4694032ba838057ec873c5ca3d1ba248d32bfca2a0ed927994"),
+        ("moderate", "509d6a8b2173df3ca54b61aeb36e2c727dfb0c3c932bfcd8137d415a98b8c6bd"),
+        ("highest", "c02ac5a7b28497d083bc4225c3757c5c0edfbe7f6c275d3c8d680e1fc0ceb87d"),
+    ])
+    def test_outputs_unchanged(self, name, digest):
+        assert golden_digest(name) == digest
