@@ -85,7 +85,7 @@ def _resolve_params(args) -> tuple[Params, str]:
         explicit = (args.p, args.q, args.d_f, args.d_g, args.d_phi)
         if any(v is None for v in explicit):
             raise MalformedData("explicit parameters need --p --q --d-f --d-g --d-phi")
-        p = Params(args.n, args.p, args.q, args.d_f, args.d_g, args.d_phi, args.d_phi)
+        p = Params(args.n, args.p, args.q, args.d_f, args.d_g, args.d_phi)
         return p, "custom"
     name = args.params
     return get_params(name), name

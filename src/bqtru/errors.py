@@ -25,10 +25,6 @@ class NormVanishesOutsideT(BqtruError):
     """Quaternion norm has a grid zero outside the secret point set."""
 
 
-class InvalidWeight(BqtruError):
-    """Ideal weight must be nonzero mod q."""
-
-
 class NonIntegralU(BqtruError):
     """Key membership check produced a non-integral quotient (internal bug)."""
 
@@ -55,10 +51,6 @@ class PayloadTooLarge(BqtruError):
 
 class RankDeficient(BqtruError):
     """Lattice basis rows are linearly dependent."""
-
-
-class NoPointInRadius(BqtruError):
-    """Sphere decoder found no lattice point within the given radius."""
 
 
 class MalformedData(BqtruError):

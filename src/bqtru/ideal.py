@@ -1,32 +1,22 @@
-"""Secret-ideal data and the lattices built from it.
+"""Lattices built from the secret grid subset T and the public key.
 
-The two-sided ideal is generated by q and a single combination sigma of
-Lagrange interpolants supported on the secret point set T.  From sigma we
-derive a canonical basis D' of the coefficient lattice (via Hermite normal
-form), the block-diagonal private lattice, the public key-recovery lattice
-and its power-of-two expansion, plus the membership identity that every
-honestly generated key must satisfy.
+The two-sided ideal is generated by q and Lagrange interpolants supported
+on the secret point set T; decryption scans its coefficient lattice
+directly (lattice.coset_decode).  This module derives T from G and builds
+the public key-recovery lattice and its power-of-two expansion, plus the
+membership identity that every honestly generated key must satisfy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidWeight, MalformedData, NonIntegralU
+from .errors import NonIntegralU
 from .quat import Quaternion
-from .ring import EvalDomain, RingElem, interpolate, mult_matrix
-
-
-@dataclass(frozen=True)
-class IdealSpec:
-    """T (grid indices), nonzero weights mod q, and sigma = sum w_i * lambda_i."""
-
-    T: tuple
-    weights: tuple
-    sigma: RingElem
+from .ring import EvalDomain, mult_matrix
 
 
 @dataclass(frozen=True)
@@ -40,141 +30,11 @@ class LatticeBasis:
         if self.rows.shape != (self.dim, self.dim):
             raise ValueError("basis must be square with dim rows")
 
-    def determinant(self) -> int:
-        """Exact determinant via integer HNF diagonal."""
-        H = _row_hnf(self.rows)
-        det = 1
-        for i in range(self.dim):
-            det *= int(H[i][i])
-        return det
-
-    def render(self) -> str:
-        lines = [f"dim {self.dim} label {self.label}"]
-        for row in self.rows:
-            lines.append(" ".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "LatticeBasis":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
-        if len(head) != 4 or head[0] != "dim" or head[2] != "label":
-            raise MalformedData("bad basis header")
-        dim = int(head[1])
-        if len(lines) != dim + 1:
-            raise MalformedData("row count does not match header")
-        rows = np.array([[int(v) for v in ln.split()] for ln in lines[1:]], dtype=object)
-        return cls(rows, dim, head[3])
-
 
 def derive_T(rho_G: np.ndarray) -> list:
     """Grid indices where all four components of G vanish (may be empty),
     read from its evaluation array rho(G)."""
     return np.flatnonzero(~rho_G.any(axis=1)).tolist()
-
-
-def build_sigma(T, weights, dom: EvalDomain) -> RingElem:
-    """sigma = sum_i weights[i] * lambda_{T[i]}; evaluates to weights on T, 0 off T."""
-    if len(T) != len(weights):
-        raise ValueError("need one weight per T index")
-    vals = np.zeros(dom.size, dtype=np.int64)
-    for k, w in zip(T, weights):
-        if int(w) % dom.q == 0:
-            raise InvalidWeight(f"weight {w} vanishes mod {dom.q}")
-        vals[int(k)] = int(w) % dom.q
-    return interpolate(dom, vals)
-
-
-def make_ideal(T, weights, dom: EvalDomain) -> IdealSpec:
-    return IdealSpec(tuple(int(k) for k in T), tuple(int(w) for w in weights),
-                     build_sigma(T, weights, dom))
-
-
-# ---------------------------------------------------------------------------
-# integer Hermite normal form and membership testing
-# ---------------------------------------------------------------------------
-
-def _row_hnf(mat):
-    """Row-style HNF (list of Python-int rows, pivots positive, reduced above)."""
-    A = [[int(x) for x in row] for row in np.asarray(mat)]
-    m = len(A)
-    k = len(A[0])
-    row = 0
-    for col in range(k):
-        while True:
-            nz = [r for r in range(row, m) if A[r][col] != 0]
-            if not nz:
-                break
-            r0 = min(nz, key=lambda r: abs(A[r][col]))
-            A[row], A[r0] = A[r0], A[row]
-            done = True
-            for r in range(row + 1, m):
-                if A[r][col] != 0:
-                    qt = A[r][col] // A[row][col]
-                    A[r] = [a - qt * b for a, b in zip(A[r], A[row])]
-                    if A[r][col] != 0:
-                        done = False
-            if done:
-                break
-        if row < m and A[row][col] != 0:
-            if A[row][col] < 0:
-                A[row] = [-a for a in A[row]]
-            for r in range(row):
-                qt = A[r][col] // A[row][col]
-                if qt:
-                    A[r] = [a - qt * b for a, b in zip(A[r], A[row])]
-            row += 1
-    return A[:row]
-
-
-def basis_contains(basis: LatticeBasis, vec) -> bool:
-    """Whether vec is an integer combination of the basis rows (exact)."""
-    return basis_coordinates(basis, vec) is not None
-
-
-def basis_coordinates(basis: LatticeBasis, vec):
-    """Integer coordinates of vec w.r.t. the HNF of the basis, or None."""
-    H = _row_hnf(basis.rows)
-    if len(H) != basis.dim:
-        raise ValueError("basis rows are not linearly independent")
-    v = [int(x) for x in np.asarray(vec)]
-    x = [0] * basis.dim
-    for j in range(basis.dim):
-        rem = v[j] - sum(x[i] * H[i][j] for i in range(j))
-        if rem % H[j][j] != 0:
-            return None
-        x[j] = rem // H[j][j]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# lattice constructions
-# ---------------------------------------------------------------------------
-
-def build_D_prime(spec: IdealSpec, dom: EvalDomain) -> LatticeBasis:
-    """HNF basis of the coefficient lattice of <q, sigma>.
-
-    Stacks q*I with the Lagrange rows for T (already in [0, q)); sigma
-    itself is w_i times those rows modulo q, so the span is the full ideal
-    lattice.
-    """
-    nsq = dom.size
-    lam = dom.lagrange_matrix()
-    stack = np.zeros((nsq + len(spec.T), nsq), dtype=np.int64)
-    stack[:nsq] = dom.q * np.eye(nsq, dtype=np.int64)
-    for r, k in enumerate(spec.T):
-        stack[nsq + r] = lam[int(k)]
-    H = _row_hnf(stack)
-    return LatticeBasis(np.array(H, dtype=object), nsq, "D_prime")
-
-
-def build_private_lattice(D_prime: LatticeBasis) -> LatticeBasis:
-    """Block diagonal with four copies of D'; one block per quaternion slot."""
-    nsq = D_prime.dim
-    rows = np.zeros((4 * nsq, 4 * nsq), dtype=object)
-    for b in range(4):
-        rows[b * nsq:(b + 1) * nsq, b * nsq:(b + 1) * nsq] = D_prime.rows
-    return LatticeBasis(rows, 4 * nsq, "private")
 
 
 def _quat_block_matrix(H: Quaternion) -> np.ndarray:
@@ -188,20 +48,30 @@ def _quat_block_matrix(H: Quaternion) -> np.ndarray:
     ])
 
 
-def build_bqtru_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
-    """Key-recovery lattice [[qI, 0, 0], [HH, I, 0], [DD, 0, I]] of dimension 12 n^2."""
+def _recovery_lattice(H: Quaternion, dom: EvalDomain, scales, label: str) -> LatticeBasis:
+    """[[qI, 0, 0], [HH, I, 0], [DD, 0, I]], where DD holds, per quaternion
+    slot, the interpolant rows scaled by each of the scales in turn."""
     nsq = dom.size
     four = 4 * nsq
     HH = _quat_block_matrix(H) % dom.q
     D = dom.lagrange_matrix()
-    rows = np.zeros((12 * nsq, 12 * nsq), dtype=np.int64)
+    scaled = np.concatenate([c * D for c in scales], axis=0)  # (len(scales) n^2, n^2)
+    per = len(scales) * nsq
+    tail = 4 * per
+    dim = 2 * four + tail
+    rows = np.zeros((dim, dim), dtype=np.int64)
     rows[:four, :four] = dom.q * np.eye(four, dtype=np.int64)
     rows[four:2 * four, :four] = HH
     rows[four:2 * four, four:2 * four] = np.eye(four, dtype=np.int64)
     for b in range(4):
-        rows[2 * four + b * nsq:2 * four + (b + 1) * nsq, b * nsq:(b + 1) * nsq] = D
-    rows[2 * four:, 2 * four:] = np.eye(four, dtype=np.int64)
-    return LatticeBasis(rows.astype(object), 12 * nsq, "bqtru")
+        rows[2 * four + b * per:2 * four + (b + 1) * per, b * nsq:(b + 1) * nsq] = scaled
+    rows[2 * four:, 2 * four:] = np.eye(tail, dtype=np.int64)
+    return LatticeBasis(rows.astype(object), dim, label)
+
+
+def build_bqtru_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
+    """Key-recovery lattice [[qI, 0, 0], [HH, I, 0], [DD, 0, I]] of dimension 12 n^2."""
+    return _recovery_lattice(H, dom, [1], "bqtru")
 
 
 def build_expanded_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
@@ -211,24 +81,8 @@ def build_expanded_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
     reducer reach interpolant combinations with coefficients up to q using
     only small integer multiples.
     """
-    nsq = dom.size
-    four = 4 * nsq
     ell = int(math.floor(math.log2(dom.q)))
-    coeffs = [1 << t for t in range(ell + 1)]
-    HH = _quat_block_matrix(H) % dom.q
-    D = dom.lagrange_matrix()
-    scaled = np.concatenate([c * D for c in coeffs], axis=0)  # ((l+1)n^2, n^2)
-    tail = 4 * len(coeffs) * nsq
-    dim = 2 * four + tail
-    rows = np.zeros((dim, dim), dtype=np.int64)
-    rows[:four, :four] = dom.q * np.eye(four, dtype=np.int64)
-    rows[four:2 * four, :four] = HH
-    rows[four:2 * four, four:2 * four] = np.eye(four, dtype=np.int64)
-    per = len(coeffs) * nsq
-    for b in range(4):
-        rows[2 * four + b * per:2 * four + (b + 1) * per, b * nsq:(b + 1) * nsq] = scaled
-    rows[2 * four:, 2 * four:] = np.eye(tail, dtype=np.int64)
-    return LatticeBasis(rows.astype(object), dim, "expanded")
+    return _recovery_lattice(H, dom, [1 << t for t in range(ell + 1)], "expanded")
 
 
 def expansion_psi(member, dom: EvalDomain) -> np.ndarray:

@@ -1,11 +1,9 @@
-"""Lattice toolbox: LLL, Babai nearest-plane, sphere decoding, and an exact
-coset decoder for q-ary lattices.
+"""Lattice toolbox: LLL reduction, an exact coset decoder for q-ary
+lattices, and volume heuristics.
 
-Everything operates on row bases.  Gram-Schmidt data is kept in 64-bit
-floats; the sphere decoder re-checks its final answer against the best
-running distance so the returned vector is the exact closest point for
-the radii used here (integer bases, moderate dimensions).  The coset
-decoder works in exact integer arithmetic and needs no basis at all.
+Everything operates on row bases.  LLL keeps its Gram-Schmidt data in
+64-bit floats; the coset decoder works in exact integer arithmetic and
+needs no basis at all.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import NoPointInRadius, RankDeficient, ReductionBudgetExceeded
+from .errors import RankDeficient, ReductionBudgetExceeded
 
 
 class ReducedBasis:
@@ -109,92 +107,6 @@ def lll_reduce(basis, delta: float = 0.99,
             i = max(i - 1, 1)
     mu, bstar, norms = _gso(rows)
     return ReducedBasis(rows, mu, bstar, norms, delta)
-
-
-def babai_nearest_plane(rb: ReducedBasis, t) -> np.ndarray:
-    """Nearest-plane estimate; distance at most half the sum of GSO lengths."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape != (rb.rows.shape[1],):
-        raise ValueError("target has the wrong dimension")
-    w = t.copy()
-    out = np.zeros(rb.rows.shape[1], dtype=np.int64)
-    for i in range(rb.dim - 1, -1, -1):
-        c = round(w @ rb.bstar[i] / rb.norms_sq[i])
-        if c:
-            out += c * rb.rows[i]
-            w = w - c * rb.rows[i].astype(np.float64)
-    return out
-
-
-def sphere_decode(rb: ReducedBasis, t, radius: float | None = None,
-                  max_nodes: int | None = None) -> np.ndarray:
-    """Exact closest vector by Schnorr-Euchner enumeration.
-
-    The search starts from the Babai solution (or the caller's radius) and
-    shrinks whenever a better point is found, so the result is the true
-    closest point whenever any lattice point lies within the initial radius.
-
-    max_nodes caps the number of visited tree nodes; when the cap is hit
-    the best point found so far is returned (for targets far from the
-    lattice the full tree is astronomically large and the exact answer is
-    worthless anyway).
-    """
-    t = np.asarray(t, dtype=np.float64)
-    k = rb.dim
-    # coordinates of t in the basis (least squares handles non-square spans)
-    x, *_ = np.linalg.lstsq(rb.rows.T.astype(np.float64), t, rcond=None)
-
-    if radius is None:
-        guess = babai_nearest_plane(rb, t)
-        best_sq = float(np.sum((t - guess) ** 2))
-        best = guess
-        bound = best_sq * (1 + 1e-9) + 1e-9
-    else:
-        best = None
-        best_sq = math.inf
-        bound = float(radius) ** 2 * (1 + 1e-9)
-
-    u = np.zeros(k)
-    centers = np.zeros(k)
-    dists = np.zeros(k + 1)
-    steps = np.zeros(k)
-    i = k - 1
-    centers[i] = x[i]
-    u[i] = round(centers[i])
-    steps[i] = math.copysign(1.0, centers[i] - u[i]) or 1.0
-    best_u = None
-    nodes = 0
-    while True:
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            break
-        diff = centers[i] - u[i]
-        d = dists[i + 1] + diff * diff * rb.norms_sq[i]
-        if d <= bound:
-            if i == 0:
-                if d < best_sq:
-                    best_sq = d
-                    best_u = u.copy()
-                    bound = d * (1 + 1e-9) + 1e-9
-                u[0] += steps[0]
-                steps[0] = -steps[0] - math.copysign(1.0, steps[0])
-            else:
-                dists[i] = d
-                i -= 1
-                centers[i] = x[i] + (x[i + 1:] - u[i + 1:]) @ rb.mu[i + 1:, i]
-                u[i] = round(centers[i])
-                steps[i] = math.copysign(1.0, centers[i] - u[i]) or 1.0
-        else:
-            i += 1
-            if i == k:
-                break
-            u[i] += steps[i]
-            steps[i] = -steps[i] - math.copysign(1.0, steps[i])
-    if best_u is not None:
-        best = best_u.astype(np.int64) @ rb.rows
-    if best is None:
-        raise NoPointInRadius("no lattice point within the given radius")
-    return best
 
 
 def coset_decode(gens, q: int, targets) -> np.ndarray:

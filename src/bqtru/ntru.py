@@ -1,5 +1,8 @@
 """Minimal univariate NTRU over Z_q[x]/(x^n - 1), used as a baseline.
 
+Key generation, encryption and decryption only; no command reads or
+writes an NTRU key, so there is no key file format.
+
 Deliberately schoolbook: one encryption costs a single cyclic convolution
 of n^2 scalar multiplications, which is the figure the operation-count
 comparisons are made against.
@@ -16,7 +19,6 @@ import numpy as np
 
 from .errors import (
     DecryptionFailure,
-    MalformedData,
     NotInvertible,
     RetriesExhausted,
     WeightTooLarge,
@@ -147,36 +149,3 @@ def ntru_decrypt(sk, c: np.ndarray, params: NtruParams, strict: bool = False) ->
 
 def ntru_public_key_bits(params: NtruParams) -> int:
     return params.n * (params.q - 1).bit_length()
-
-
-# ---------------------------------------------------------------------------
-# text serialization, mirroring the quaternion scheme's format
-# ---------------------------------------------------------------------------
-
-_MAGIC = "NTRU v1"
-
-
-def serialize_ntru_public(h: np.ndarray, params: NtruParams) -> str:
-    return "\n".join([
-        f"{_MAGIC} public",
-        f"n={params.n} p={params.p} q={params.q} d={params.d}",
-        "h: " + " ".join(str(int(v)) for v in h % params.q),
-    ]) + "\n"
-
-
-def deserialize_ntru_public(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 3 or lines[0] != f"{_MAGIC} public":
-        raise MalformedData("bad NTRU public key")
-    try:
-        kv = dict(tok.split("=") for tok in lines[1].split())
-        params = NtruParams(int(kv["n"]), int(kv["p"]), int(kv["q"]), int(kv["d"]))
-    except (KeyError, ValueError) as exc:
-        raise MalformedData("bad NTRU parameter line") from exc
-    label, _, rest = lines[2].partition(":")
-    if label.strip() != "h":
-        raise MalformedData("missing h line")
-    h = np.array([int(v) for v in rest.split()], dtype=np.int64)
-    if len(h) != params.n or h.min() < 0 or h.max() >= params.q:
-        raise MalformedData("h coefficients out of range")
-    return h, params

@@ -35,7 +35,6 @@ class Params:
     d_f: int
     d_g: int
     d_phi: int
-    d_m: int = 0
 
     def __post_init__(self):
         n, p, q = self.n, self.p, self.q
@@ -54,7 +53,7 @@ class Params:
         if q % n == 0:
             raise ValueError("gcd(n, q) must be 1")
         half = n * n // 2
-        for name in ("d_f", "d_g", "d_phi", "d_m"):
+        for name in ("d_f", "d_g", "d_phi"):
             d = getattr(self, name)
             if d < 0 or d > half:
                 raise ValueError(f"{name}={d} out of range [0, {half}]")
@@ -66,11 +65,11 @@ class Params:
 
 # "toy" relaxes the weight guidance so n=3 keygen terminates quickly.
 # It is NOT SECURE and exists for testing and demonstrations only.
-TOY = Params(n=3, p=3, q=7, d_f=1, d_g=1, d_phi=1, d_m=1)
+TOY = Params(n=3, p=3, q=7, d_f=1, d_g=1, d_phi=1)
 
 # The two production-style sets (moderate / highest security levels).
-MODERATE = Params(n=7, p=3, q=113, d_f=7, d_g=6, d_phi=6, d_m=6)
-HIGHEST = Params(n=11, p=3, q=199, d_f=17, d_g=17, d_phi=13, d_m=13)
+MODERATE = Params(n=7, p=3, q=113, d_f=7, d_g=6, d_phi=6)
+HIGHEST = Params(n=11, p=3, q=199, d_f=17, d_g=17, d_phi=13)
 
 PARAM_SETS = {"toy": TOY, "moderate": MODERATE, "highest": HIGHEST}
 

@@ -1,10 +1,10 @@
 """Key generation, encryption, and CVP-based decryption.
 
-Keys live over the bivariate convolution ring; a keypair carries the
-secret grid subset T, the interpolant combination sigma, and the
-Lagrange rows for T that generate the coefficient lattice decryption
-searches.  All randomness comes from an explicit random.Random instance
-supplied by the caller.
+Keys live over the bivariate convolution ring; a private key carries the
+secret grid subset T with its nonzero weights mod q, and the Lagrange
+rows for T that generate the coefficient lattice decryption searches.
+All randomness comes from an explicit random.Random instance supplied by
+the caller.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     RetriesExhausted,
     WeightTooLarge,
 )
-from .ideal import IdealSpec, derive_T, make_ideal
+from .ideal import derive_T
 from .lattice import coset_decode
 from .params import Params
 from .quat import (
@@ -68,25 +68,29 @@ def _scannable(T, q: int) -> bool:
 class PrivateKey:
     """Secret key material.
 
-    The private lattice D' is qZ^{n^2} + sum_{t in T} Z*lambda_t, with
-    lambda_t the Lagrange rows for the secret points (lagrange_T, entries
-    in [0, q)).  Decryption scans the q^|T| cosets of qZ^{n^2} in D' and
-    never builds a basis of D'; keygen and deserialize_private admit only
-    a T for which _scannable(T, q) holds.  rho_F caches rho(F mod q), the
-    evaluation array decryption multiplies by.
+    T is the secret set of grid indices, with one nonzero weight mod q per
+    index in weights; rho(theta) is weight_t * W at each t in T and zero
+    elsewhere.  The private lattice D' is qZ^{n^2} + sum_{t in T}
+    Z*lambda_t, with lambda_t the Lagrange rows for the secret points
+    (lagrange_T, entries in [0, q)).  Decryption scans the q^|T| cosets
+    of qZ^{n^2} in D' and never builds a basis of D'; keygen and
+    deserialize_private admit only a T for which _scannable(T, q) holds.
+    rho_F caches rho(F mod q), the evaluation array decryption multiplies
+    by.
     """
 
     params: Params
     F: Quaternion
     G: Quaternion
     rho_gamma: np.ndarray
-    ideal: IdealSpec
+    T: tuple
+    weights: tuple
     F_p_inv: Quaternion
     W: tuple
 
     @cached_property
     def lagrange_T(self) -> np.ndarray:
-        return eval_domain(self.params.n, self.params.q).lagrange_matrix()[list(self.ideal.T)]
+        return eval_domain(self.params.n, self.params.q).lagrange_matrix()[list(self.T)]
 
     @cached_property
     def rho_F(self) -> np.ndarray:
@@ -152,12 +156,12 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
             W = tuple(rng.randrange(1, q) for _ in range(4))
             if scalar_norm(W, q) != 0:
                 break
-        ideal = make_ideal(T, weights, dom)
         rho_theta = _rho_theta(T, weights, W, params)
         rho_F = rho(F.with_modulus(q), dom)
         rho_H = (rho_mul(rho_inverse(rho_F, q, T), rho_G, q) + rho_theta) % q
         pk = PublicKey(params, rho_interpolate(rho_H, dom))
-        sk = PrivateKey(params, F, G, rho_mul(rho_F, rho_theta, q), ideal, F_p_inv, W)
+        sk = PrivateKey(params, F, G, rho_mul(rho_F, rho_theta, q), tuple(T),
+                        tuple(weights), F_p_inv, W)
         return pk, sk
     raise RetriesExhausted(f"no usable G found in {max_attempts} attempts")
 
@@ -355,11 +359,8 @@ def _param_line(params: Params) -> str:
 def _parse_params(line: str) -> Params:
     try:
         kv = dict(tok.split("=") for tok in line.split())
-        # the message weight is not part of the wire format; every shipped
-        # parameter set uses d_m = d_phi
         return Params(n=int(kv["n"]), p=int(kv["p"]), q=int(kv["q"]),
-                      d_f=int(kv["df"]), d_g=int(kv["dg"]), d_phi=int(kv["dphi"]),
-                      d_m=int(kv["dphi"]))
+                      d_f=int(kv["df"]), d_g=int(kv["dg"]), d_phi=int(kv["dphi"]))
     except (KeyError, ValueError) as exc:
         raise MalformedData(f"bad parameter line: {line!r}") from exc
 
@@ -398,8 +399,8 @@ def serialize_private(sk: PrivateKey) -> str:
         out.append(_coeff_line(f"f{i}", c.coeffs))
     for i, c in enumerate(sk.G.components):
         out.append(_coeff_line(f"g{i}", c.coeffs))
-    out.append(_coeff_line("T", sk.ideal.T))
-    out.append(_coeff_line("weights", sk.ideal.weights))
+    out.append(_coeff_line("T", sk.T))
+    out.append(_coeff_line("weights", sk.weights))
     out.append(_coeff_line("W", sk.W))
     out.append(_coeff_line("rhogamma", np.asarray(sk.rho_gamma).reshape(-1)))
     return "\n".join(out) + "\n"
@@ -419,7 +420,10 @@ def _split_fields(lines) -> dict:
         if ":" not in ln:
             raise MalformedData(f"expected 'label: values', got {ln!r}")
         label, _, rest = ln.partition(":")
-        fields[label.strip()] = rest.strip()
+        label = label.strip()
+        if label in fields:
+            raise MalformedData(f"field {label} repeated")
+        fields[label] = rest.strip()
     return fields
 
 
@@ -477,7 +481,7 @@ def deserialize_private(text: str) -> PrivateKey:
         F_p_inv = quat_inverse_mod_p(F.with_modulus(params.p))
     except NotInvertible as exc:
         raise MalformedData("F is not invertible mod p") from exc
-    sk = PrivateKey(params, F, G, rho_gamma, make_ideal(T, weights, dom), F_p_inv, W)
+    sk = PrivateKey(params, F, G, rho_gamma, tuple(T), tuple(weights.tolist()), F_p_inv, W)
     sk.rho_F = rho_F
     return sk
 

@@ -5,7 +5,6 @@ runs, 1000-pair product comparisons, published size/security figures), so
 the module is slower than the unit suites.
 """
 
-import itertools
 import math
 import random
 from math import comb
@@ -25,7 +24,7 @@ from bqtru.analysis import (
     wilson_interval,
 )
 from bqtru.ideal import build_expanded_lattice, verify_key_membership
-from bqtru.lattice import gaussian_heuristic, lll_reduce, sphere_decode
+from bqtru.lattice import gaussian_heuristic, lll_reduce
 from bqtru.ntru import (
     NtruParams,
     ntru_decrypt,
@@ -48,6 +47,8 @@ from bqtru.quat import (
 )
 from bqtru.ring import CONV_COUNTER, EvalDomain, RingElem, lagrange_interpolant
 from bqtru.scheme import decrypt, encrypt, keygen, random_message
+
+from oracles import exhaustive_cvp, sphere_decode
 
 RNG_BASE = 20_000
 
@@ -157,10 +158,10 @@ class TestCriterion5AlgebraicSuites:
         for _ in range(100):
             _, sk = keygen(TOY, rng)
             F = sk.F.with_modulus(7)
-            Finv = quat_inverse_mod_J(F, sk.ideal.T, dom)
+            Finv = quat_inverse_mod_J(F, sk.T, dom)
             vals = rho(quat_mul_schoolbook(F, Finv), dom)
             for k in range(9):
-                if k not in sk.ideal.T:
+                if k not in sk.T:
                     assert vals[k].tolist() == [1, 0, 0, 0]
 
     def test_matrix_isomorphism(self):
@@ -215,11 +216,7 @@ class TestCriterion6LatticeCorrectness:
                                              for _ in range(dim)])
             got = sphere_decode(rb, t)
             x = np.linalg.solve(rb.rows.T.astype(float), t)
-            best_sq = math.inf
-            ranges = [range(int(round(c)) - 2, int(round(c)) + 3) for c in x]
-            for coeffs in itertools.product(*ranges):
-                v = np.array(coeffs) @ rb.rows
-                best_sq = min(best_sq, float(np.sum((t - v) ** 2)))
+            _, best_sq = exhaustive_cvp(rb.rows, t, np.round(x), 2)
             d = float(np.sum((t - got) ** 2))
             assert d == pytest.approx(best_sq, abs=1e-6)
             assert d <= best_sq + 1e-6

@@ -5,21 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bqtru.errors import InvalidWeight, MalformedData, NonIntegralU
+from bqtru.errors import NonIntegralU
 from bqtru.ideal import (
-    IdealSpec,
-    LatticeBasis,
-    basis_contains,
-    build_D_prime,
     build_bqtru_lattice,
     build_expanded_lattice,
-    build_private_lattice,
-    build_sigma,
     derive_T,
     expansion_psi,
     gamma_vector,
     hybrid_norm,
-    make_ideal,
     rho_flat,
     verify_key_membership,
 )
@@ -39,6 +32,15 @@ from bqtru.ring import (
     lagrange_interpolant,
     ring_eval,
     ring_inverse,
+)
+
+from oracles import (
+    InvalidWeight,
+    basis_contains,
+    build_D_prime,
+    build_private_lattice,
+    build_sigma,
+    determinant,
 )
 
 
@@ -187,36 +189,34 @@ class TestBuildSigma:
 
 class TestDPrime:
     def test_degenerate_empty_T(self, dom3):
-        spec = IdealSpec((), (), RingElem.zero(3, 7))
-        basis = build_D_prime(spec, dom3)
+        basis = build_D_prime((), dom3)
         assert np.array_equal(basis.rows.astype(np.int64), 7 * np.eye(9, dtype=np.int64))
-        assert basis.determinant() == 7 ** 9
+        assert determinant(basis) == 7 ** 9
 
     def test_single_point_determinant(self, dom3):
-        spec = make_ideal([4], [3], dom3)
-        basis = build_D_prime(spec, dom3)
-        det = abs(basis.determinant())
+        basis = build_D_prime([4], dom3)
+        det = abs(determinant(basis))
         assert det % 7 ** 8 == 0
         assert det == 7 ** 8
 
     def test_sigma_is_a_member(self, dom5):
         rng = random.Random(34)
-        spec = make_ideal(rng.sample(range(25), 2), [5, 9], dom5)
-        basis = build_D_prime(spec, dom5)
-        assert basis_contains(basis, spec.sigma.coeffs % 11)
+        T = rng.sample(range(25), 2)
+        basis = build_D_prime(T, dom5)
+        assert basis_contains(basis, build_sigma(T, [5, 9], dom5).coeffs % 11)
 
     def test_membership_matches_eval_oracle(self, dom3):
         # multiples of sigma take arbitrary values on T and vanish off T, so
         # v lies in the lattice of <q, sigma> iff its values off T are 0 mod q
         rng = random.Random(35)
-        spec = make_ideal([1, 6], [2, 5], dom3)
-        basis = build_D_prime(spec, dom3)
+        T = [1, 6]
+        basis = build_D_prime(T, dom3)
         hits = 0
         for _ in range(60):
             if rng.random() < 0.5:
                 # plant a member: free values on T, zero elsewhere
                 vals = np.zeros(9, dtype=np.int64)
-                for k in spec.T:
+                for k in T:
                     vals[k] = rng.randrange(7)
                 v = interpolate(dom3, vals).coeffs.copy()
                 v[rng.randrange(9)] += 7 * rng.randrange(-2, 3)
@@ -224,7 +224,7 @@ class TestDPrime:
                 v = np.array([rng.randrange(-10, 11) for _ in range(9)])
             elem = RingElem(v % 7, 3, 7)
             vals = dom3.eval_all(elem)
-            expect = all(vals[k] == 0 for k in range(9) if k not in spec.T)
+            expect = all(vals[k] == 0 for k in range(9) if k not in T)
             got = basis_contains(basis, v)
             assert got == expect
             hits += got
@@ -232,8 +232,7 @@ class TestDPrime:
 
     def test_row_combinations_are_members(self, dom3):
         rng = random.Random(36)
-        spec = make_ideal([0], [4], dom3)
-        basis = build_D_prime(spec, dom3)
+        basis = build_D_prime([0], dom3)
         for _ in range(20):
             z = np.array([rng.randrange(-3, 4) for _ in range(9)], dtype=object)
             assert basis_contains(basis, z @ basis.rows)
@@ -241,29 +240,28 @@ class TestDPrime:
 
 class TestPrivateLattice:
     def test_shape_and_determinant(self, dom3):
-        spec = make_ideal([2], [1], dom3)
-        dp = build_D_prime(spec, dom3)
+        dp = build_D_prime([2], dom3)
         priv = build_private_lattice(dp)
         assert priv.dim == 36
-        assert priv.determinant() == dp.determinant() ** 4
+        assert determinant(priv) == determinant(dp) ** 4
 
     def test_dimension_at_n7(self):
         dom = EvalDomain(7, 113)
-        spec = make_ideal([0], [1], dom)
-        priv = build_private_lattice(build_D_prime(spec, dom))
+        priv = build_private_lattice(build_D_prime([0], dom))
         assert priv.dim == 196
 
     def test_ideal_multiples_are_members(self, dom3):
         # J = <sigma> + qA: every W' o sigma lands in the private lattice
         rng = random.Random(37)
-        spec = make_ideal([3, 7], [2, 6], dom3)
-        priv = build_private_lattice(build_D_prime(spec, dom3))
+        T = [3, 7]
+        sigma = build_sigma(T, [2, 6], dom3)
+        priv = build_private_lattice(build_D_prime(T, dom3))
         for _ in range(10):
             Wp = Quaternion(*(
                 RingElem(np.array([rng.randrange(7) for _ in range(9)]), 3, 7)
                 for _ in range(4)
             ))
-            sig_q = Quaternion(spec.sigma, RingElem.zero(3, 7),
+            sig_q = Quaternion(sigma, RingElem.zero(3, 7),
                                RingElem.zero(3, 7), RingElem.zero(3, 7))
             prod = quat_mul_schoolbook(Wp, sig_q)
             assert basis_contains(priv, prod.lift_positive().vector())
@@ -406,17 +404,3 @@ class TestHybridNorm:
         assert nz <= 4 * len(sk.T)
         assert int(np.count_nonzero(rho(sk.theta, dom3))) == 4 * len(sk.T)
 
-
-class TestLatticeBasisIO:
-    def test_round_trip(self, dom3):
-        basis = build_D_prime(make_ideal([1], [2], dom3), dom3)
-        again = LatticeBasis.parse(basis.render())
-        assert again.dim == basis.dim
-        assert again.label == basis.label
-        assert np.array_equal(again.rows.astype(np.int64), basis.rows.astype(np.int64))
-
-    def test_malformed_header(self):
-        with pytest.raises(MalformedData):
-            LatticeBasis.parse("rank 4 label x\n1 0\n0 1\n")
-        with pytest.raises(MalformedData):
-            LatticeBasis.parse("dim 2 label x\n1 0\n")

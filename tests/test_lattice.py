@@ -5,17 +5,18 @@ import random
 import numpy as np
 import pytest
 
-from bqtru.errors import NoPointInRadius, RankDeficient
-from bqtru.ideal import build_D_prime, make_ideal
-from bqtru.lattice import (
+from bqtru.errors import RankDeficient
+from bqtru.lattice import coset_decode, gaussian_heuristic, lll_reduce, poltyrev_sigma_max
+from bqtru.ring import EvalDomain, RingElem
+
+from oracles import (
+    NoPointInRadius,
     babai_nearest_plane,
-    coset_decode,
-    gaussian_heuristic,
-    lll_reduce,
-    poltyrev_sigma_max,
+    build_D_prime,
+    determinant,
+    exhaustive_cvp,
     sphere_decode,
 )
-from bqtru.ring import EvalDomain, RingElem
 
 
 def rand_basis(rng, dim, lo=-5, hi=6):
@@ -23,19 +24,6 @@ def rand_basis(rng, dim, lo=-5, hi=6):
         rows = np.array([[rng.randrange(lo, hi) for _ in range(dim)] for _ in range(dim)])
         if abs(np.linalg.det(rows.astype(float))) > 0.5:
             return rows
-
-
-def exhaustive_cvp(rows, t, center, box):
-    """Brute-force closest vector over a coefficient box around `center`."""
-    dim = rows.shape[0]
-    best, best_sq = None, math.inf
-    ranges = [range(int(c) - box, int(c) + box + 1) for c in center]
-    for coeffs in itertools.product(*ranges):
-        v = np.array(coeffs) @ rows
-        d = float(np.sum((t - v) ** 2))
-        if d < best_sq:
-            best, best_sq = v, d
-    return best, best_sq
 
 
 class TestLLL:
@@ -148,11 +136,10 @@ class TestSphereDecode:
         # (measured: >= 99% there, ~84-91% at one half).
         dom = EvalDomain(n, q)
         rng = np.random.default_rng(55)
-        spec = make_ideal([0], [1], dom)
-        basis = build_D_prime(spec, dom)
+        basis = build_D_prime([0], dom)
         rb = lll_reduce(basis.rows.astype(np.int64))
         nsq = n * n
-        sigma_sq = 0.05 * poltyrev_sigma_max(abs(basis.determinant()), nsq)
+        sigma_sq = 0.05 * poltyrev_sigma_max(abs(determinant(basis)), nsq)
         ok = 0
         trials = 500
         for _ in range(trials):
@@ -162,6 +149,26 @@ class TestSphereDecode:
             got = sphere_decode(rb, t)
             ok += np.array_equal(got, planted)
         assert ok / trials >= 0.99
+
+
+class TestExhaustiveCvp:
+    def test_matches_coefficient_loop(self):
+        # the grid oracle against the loop over itertools.product it
+        # replaced: same point (first in lexicographic order), same distance
+        rng = random.Random(56)
+        for _ in range(30):
+            dim = rng.randrange(2, 5)
+            rows = rand_basis(rng, dim, -3, 4)
+            t = np.array([rng.uniform(-4, 4) for _ in range(dim)])
+            center = np.array([rng.randrange(-2, 3) for _ in range(dim)])
+            best, best_sq = None, math.inf
+            for coeffs in itertools.product(*(range(c - 2, c + 3) for c in center)):
+                v = np.array(coeffs) @ rows
+                d = float(np.sum((t - v) ** 2))
+                if d < best_sq:
+                    best, best_sq = v, d
+            got, got_sq = exhaustive_cvp(rows, t, center, 2)
+            assert np.array_equal(got, best) and got_sq == best_sq
 
 
 class TestHeuristics:
@@ -199,8 +206,7 @@ COSET_CASES = [(3, 7, (4,)), (3, 7, (1, 6)), (7, 113, (0,)), (7, 113, (3, 40))]
 def coset_lattice(n, q, T):
     """Domain, Lagrange generator rows and LLL-reduced D' for one case."""
     dom = EvalDomain(n, q)
-    spec = make_ideal(T, [1] * len(T), dom)
-    rb = lll_reduce(build_D_prime(spec, dom).rows.astype(np.int64))
+    rb = lll_reduce(build_D_prime(T, dom).rows.astype(np.int64))
     return dom, dom.lagrange_matrix()[list(T)], rb
 
 

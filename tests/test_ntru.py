@@ -5,7 +5,6 @@ import pytest
 
 from bqtru.errors import (
     DecryptionFailure,
-    MalformedData,
     NotInvertible,
     WeightTooLarge,
 )
@@ -14,14 +13,12 @@ from bqtru.ntru import (
     NtruParams,
     circulant,
     conv,
-    deserialize_ntru_public,
     ntru_decrypt,
     ntru_encrypt,
     ntru_keygen,
     ntru_public_key_bits,
     poly_inverse,
     sample_ntru_ternary,
-    serialize_ntru_public,
 )
 
 SMALL = NtruParams(17, 3, 103, 2)
@@ -171,15 +168,3 @@ class TestScheme:
 class TestSizing:
     def test_table_value(self):
         assert ntru_public_key_bits(NtruParams(167, 3, 128, 3)) == 1169
-
-    def test_serialization_round_trip(self):
-        rng = random.Random(90)
-        h, _ = ntru_keygen(SMALL, rng)
-        text = serialize_ntru_public(h, SMALL)
-        h2, params2 = deserialize_ntru_public(text)
-        assert np.array_equal(h2, h % SMALL.q)
-        assert params2 == SMALL
-
-    def test_malformed_rejected(self):
-        with pytest.raises(MalformedData):
-            deserialize_ntru_public("NTRU v2 public\nn=3 p=3 q=8 d=1\nh: 1 2 3\n")

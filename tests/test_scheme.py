@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bqtru
-import bqtru.ideal as ideal
 import bqtru.lattice as lattice
 import bqtru.quat as quat
 import bqtru.scheme as scheme
@@ -25,8 +24,8 @@ from bqtru.errors import (
     RetriesExhausted,
     WeightTooLarge,
 )
-from bqtru.ideal import build_D_prime, derive_T, verify_key_membership
-from bqtru.lattice import coset_decode, lll_reduce, sphere_decode
+from bqtru.ideal import derive_T, verify_key_membership
+from bqtru.lattice import coset_decode, lll_reduce
 from bqtru.params import MODERATE, PARAM_SETS, TOY, Params
 from bqtru.quat import Quaternion, quat_mul_schoolbook, rho
 from bqtru.ring import CONV_COUNTER, EvalDomain, RingElem, eval_domain
@@ -47,6 +46,8 @@ from bqtru.scheme import (
     serialize_private,
     serialize_public,
 )
+
+from oracles import build_D_prime, sphere_decode
 
 # oversized q beyond the 24*d*p guard: decryption noise can never wrap mod q
 HIGH_Q = Params(7, 3, 547, 7, 7, 7)
@@ -95,7 +96,7 @@ class TestKeygen:
         resid = quat_mul_schoolbook(sk.F.with_modulus(7), pk.H) - sk.G.with_modulus(7)
         vals = rho(resid, dom)
         for k in range(9):
-            if k not in sk.ideal.T:
+            if k not in sk.T:
                 assert not vals[k].any()
 
     def test_rho_gamma_identity(self, moderate_key):
@@ -110,7 +111,7 @@ class TestKeygen:
         pk, sk = moderate_key
         # gamma is supported on T: weights times W, carried through F
         for k in range(49):
-            if k not in sk.ideal.T:
+            if k not in sk.T:
                 assert not np.asarray(sk.rho_gamma)[k].any()
 
     def test_membership_identity(self, moderate_key):
@@ -138,7 +139,7 @@ class TestKeygen:
 
     def test_T_window(self, moderate_key):
         _, sk = moderate_key
-        assert 1 <= len(sk.ideal.T) <= 7
+        assert 1 <= len(sk.T) <= 7
 
     def test_retries_exhausted(self):
         with pytest.raises(RetriesExhausted):
@@ -378,22 +379,22 @@ def with_secret_points(sk, T):
 def reduced_D_prime(sk):
     """LLL-reduced basis of the secret lattice D' of sk (reference path)."""
     dom = EvalDomain(sk.params.n, sk.params.q)
-    return lll_reduce(build_D_prime(sk.ideal, dom).rows.astype(np.int64))
+    return lll_reduce(build_D_prime(sk.T, dom).rows.astype(np.int64))
 
 
 def forbid_basis_of_D_prime(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the coset scan needs no basis of D'")
 
-    monkeypatch.setattr(ideal, "build_D_prime", forbidden)
+    # the D' basis and the sphere decoder live in the test oracles, out of
+    # reach of the library; LLL is the one basis routine it still has
     monkeypatch.setattr(lattice, "lll_reduce", forbidden)
-    monkeypatch.setattr(lattice, "sphere_decode", forbidden)
 
 
 class TestDecryptPaths:
     def test_honest_key_never_builds_D_prime(self, moderate_key, monkeypatch):
         pk, sk = moderate_key
-        assert len(sk.ideal.T) == 1
+        assert len(sk.T) == 1
         forbid_basis_of_D_prime(monkeypatch)
         rng = random.Random(76)
         sk2 = deserialize_private(serialize_private(sk))
@@ -405,10 +406,10 @@ class TestDecryptPaths:
         # cosets, agrees with the sphere decoder on honest ciphertexts and
         # still rejects garbage in strict mode
         pk, sk = moderate_key
-        extra = next(k for k in (20, 30, 40) if k not in sk.ideal.T)
-        sk2 = with_secret_points(sk, list(sk.ideal.T) + [extra])
+        extra = next(k for k in (20, 30, 40) if k not in sk.T)
+        sk2 = with_secret_points(sk, list(sk.T) + [extra])
         ref_basis = reduced_D_prime(sk2)
-        assert len(sk2.ideal.T) == 2
+        assert len(sk2.T) == 2
         forbid_basis_of_D_prime(monkeypatch)
         rng = random.Random(79)
         for _ in range(5):
@@ -432,17 +433,17 @@ class TestDecryptPaths:
         # the scan would cost q^|T| classes per component: 113^3 at
         # moderate and 547^2 at the wide-q set, both above 2^16
         _, sk = moderate_key
-        T = list(sk.ideal.T) + [k for k in (20, 30, 40) if k not in sk.ideal.T]
+        T = list(sk.T) + [k for k in (20, 30, 40) if k not in sk.T]
         with pytest.raises(MalformedData):
             with_secret_points(sk, T[:3])
         _, sk_wide = keygen(HIGH_Q, random.Random(77))
-        extra = next(k for k in (20, 30) if k not in sk_wide.ideal.T)
+        extra = next(k for k in (20, 30) if k not in sk_wide.T)
         with pytest.raises(MalformedData):
-            with_secret_points(sk_wide, list(sk_wide.ideal.T) + [extra])
+            with_secret_points(sk_wide, list(sk_wide.T) + [extra])
 
     def test_cli_decrypt_with_unscannable_key_exits_1(self, moderate_key, tmp_path):
         pk, sk = moderate_key
-        T = list(sk.ideal.T) + [k for k in (20, 30, 40) if k not in sk.ideal.T]
+        T = list(sk.T) + [k for k in (20, 30, 40) if k not in sk.T]
         key = tmp_path / "three.priv"
         key.write_text(secret_points_text(sk, T[:3]))
         ct = tmp_path / "msg.ct"
@@ -459,7 +460,7 @@ class TestDecryptPaths:
         # decoder does (ties may pick different but equally close points)
         rng = random.Random(80)
         pk, sk = keygen(TOY, random.Random(66))
-        assert len(sk.ideal.T) == 3
+        assert len(sk.T) == 3
         ref_basis = reduced_D_prime(sk)
         for _ in range(20):
             ct = encrypt(pk, random_message(TOY, rng), rng)
@@ -484,7 +485,7 @@ class TestDecryptPaths:
 
         monkeypatch.setattr(scheme, "derive_T", three_points)
         _, sk = keygen(MODERATE, random.Random(81))
-        assert len(calls) > 3 and len(sk.ideal.T) == 1
+        assert len(calls) > 3 and len(sk.T) == 1
         monkeypatch.setattr(scheme, "derive_T", lambda rho_G: [1, 2, 3])
         with pytest.raises(RetriesExhausted):
             keygen(MODERATE, random.Random(82), max_attempts=5)
@@ -611,9 +612,16 @@ class TestSerialization:
         _, sk = moderate_key
         again = deserialize_private(serialize_private(sk))
         assert again.F == sk.F and again.G == sk.G
-        assert again.ideal == sk.ideal
+        assert again.T == sk.T and again.weights == sk.weights
         assert again.W == sk.W
         assert np.array_equal(np.asarray(again.rho_gamma), np.asarray(sk.rho_gamma))
+
+    def test_custom_params_round_trip(self):
+        # a key made under parameters outside PARAM_SETS loads back with
+        # equal params
+        pk, sk = keygen(HIGH_Q, random.Random(83))
+        assert deserialize_public(serialize_public(pk)).params == HIGH_Q
+        assert deserialize_private(serialize_private(sk)).params == HIGH_Q
 
     def test_deserialized_key_decrypts(self, moderate_key):
         pk, sk = moderate_key
@@ -679,7 +687,8 @@ class TestSerialization:
 
 
 class TestCodecRobustness:
-    """Every field rejects what is not a list of in-range int64 values."""
+    """Every field rejects what is not a list of in-range int64 values,
+    and a label given twice."""
 
     def _cases(self, pk, sk, ct):
         p = MODERATE
@@ -705,6 +714,9 @@ class TestCodecRobustness:
                 for count in (vals[:-1], vals + vals[-1:]):
                     with pytest.raises(MalformedData):
                         load(replace_field(text, label, " ".join(count)))
+                # a repeated label, even with the same values
+                with pytest.raises(MalformedData):
+                    load(text + f"{label}: {' '.join(vals)}\n")
                 checked += 1
         assert checked == 4 + 12 + 4
 
