@@ -1,10 +1,10 @@
-"""Key generation, encryption, and CVP-based decryption.
+"""Key generation, encryption, CVP-based decryption, and their text files.
 
-Keys live over the bivariate convolution ring; a private key carries the
-secret grid subset T with its nonzero weights mod q, and the Lagrange
-rows for T that generate the coefficient lattice decryption searches.
-All randomness comes from an explicit random.Random instance supplied by
-the caller.
+Keys live over the bivariate convolution ring; a private key holds its key
+file's fields (F, G, the secret grid subset T with its nonzero weights mod
+q, W) and F^-1 mod p, and derives the rest.  Keys and ciphertexts share
+one text format, written by _dump and read by _load.  All randomness
+comes from an explicit random.Random instance supplied by the caller.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _scannable(T, q: int) -> bool:
 
 @dataclass
 class PrivateKey:
-    """Secret key material.
+    """Secret key material: the key file's secret fields and F^-1 mod p.
 
     T is the secret set of grid indices, with one nonzero weight mod q per
     index in weights; rho(theta) is weight_t * W at each t in T and zero
@@ -76,17 +76,16 @@ class PrivateKey:
     of qZ^{n^2} in D' and never builds a basis of D'; keygen and
     deserialize_private admit only a T for which _scannable(T, q) holds.
     rho_F caches rho(F mod q), the evaluation array decryption multiplies
-    by.
+    by, and rho_gamma derives rho(F) * rho(theta).
     """
 
     params: Params
     F: Quaternion
     G: Quaternion
-    rho_gamma: np.ndarray
     T: tuple
     weights: tuple
-    F_p_inv: Quaternion
     W: tuple
+    F_p_inv: Quaternion
 
     @cached_property
     def lagrange_T(self) -> np.ndarray:
@@ -96,6 +95,11 @@ class PrivateKey:
     def rho_F(self) -> np.ndarray:
         q = self.params.q
         return rho(self.F.with_modulus(q), eval_domain(self.params.n, q))
+
+    @cached_property
+    def rho_gamma(self) -> np.ndarray:
+        return rho_mul(self.rho_F, _rho_theta(self.T, self.weights, self.W, self.params),
+                       self.params.q)
 
 
 @dataclass
@@ -156,13 +160,10 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
             W = tuple(rng.randrange(1, q) for _ in range(4))
             if scalar_norm(W, q) != 0:
                 break
-        rho_theta = _rho_theta(T, weights, W, params)
-        rho_F = rho(F.with_modulus(q), dom)
-        rho_H = (rho_mul(rho_inverse(rho_F, q, T), rho_G, q) + rho_theta) % q
-        pk = PublicKey(params, rho_interpolate(rho_H, dom))
-        sk = PrivateKey(params, F, G, rho_mul(rho_F, rho_theta, q), tuple(T),
-                        tuple(weights), F_p_inv, W)
-        return pk, sk
+        sk = PrivateKey(params, F, G, tuple(T), tuple(weights), W, F_p_inv)
+        rho_H = (rho_mul(rho_inverse(sk.rho_F, q, T), rho_G, q)
+                 + _rho_theta(T, weights, W, params)) % q
+        return PublicKey(params, rho_interpolate(rho_H, dom)), sk
     raise RetriesExhausted(f"no usable G found in {max_attempts} attempts")
 
 
@@ -365,58 +366,22 @@ def _parse_params(line: str) -> Params:
         raise MalformedData(f"bad parameter line: {line!r}") from exc
 
 
-def _coeff_line(label: str, values) -> str:
-    return label + ": " + " ".join(map(str, np.asarray(values).tolist()))
-
-
-def _read_ints(lines: dict, label: str) -> np.ndarray:
-    if label not in lines:
-        raise MalformedData(f"missing field {label}")
-    try:
-        return np.array(lines[label].split(), dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise MalformedData(f"field {label} is not a list of int64 integers") from exc
-
-
-def _read_coeffs(lines: dict, label: str, count: int, lo: int, hi: int) -> np.ndarray:
-    vals = _read_ints(lines, label)
-    if len(vals) != count or ((vals < lo) | (vals >= hi)).any():
-        raise MalformedData(f"field {label} malformed")
-    return vals
-
-
-def serialize_public(pk: PublicKey) -> str:
-    out = [f"{_MAGIC} public", _param_line(pk.params)]
-    H = pk.H.lift_positive()
-    for i, c in enumerate(H.components):
-        out.append(_coeff_line(f"h{i}", c.coeffs))
+def _dump(kind: str, header_line: str, fields: dict) -> str:
+    """The magic line with the kind, the header line, one 'label: values' line per field."""
+    out = [f"{_MAGIC} {kind}", header_line]
+    out += [label + ": " + " ".join(map(str, np.asarray(values).tolist()))
+            for label, values in fields.items()]
     return "\n".join(out) + "\n"
 
 
-def serialize_private(sk: PrivateKey) -> str:
-    out = [f"{_MAGIC} private", _param_line(sk.params)]
-    for i, c in enumerate(sk.F.components):
-        out.append(_coeff_line(f"f{i}", c.coeffs))
-    for i, c in enumerate(sk.G.components):
-        out.append(_coeff_line(f"g{i}", c.coeffs))
-    out.append(_coeff_line("T", sk.T))
-    out.append(_coeff_line("weights", sk.weights))
-    out.append(_coeff_line("W", sk.W))
-    out.append(_coeff_line("rhogamma", np.asarray(sk.rho_gamma).reshape(-1)))
-    return "\n".join(out) + "\n"
-
-
-def serialize_ct(ct: Ciphertext) -> str:
-    q = ct.C.modulus
-    out = [f"{_MAGIC} ct", f"q={q} n={ct.C.n}"]
-    for i, c in enumerate(ct.C.lift_positive().components):
-        out.append(_coeff_line(f"c{i}", c.coeffs))
-    return "\n".join(out) + "\n"
-
-
-def _split_fields(lines) -> dict:
+def _load(text: str, kind: str):
+    """(header line, {label: values text}) of a file of this kind; a wrong
+    magic line or kind, an unlabelled line or a repeated label is MalformedData."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 2 or lines[0] != f"{_MAGIC} {kind}":
+        raise MalformedData(f"not a {_MAGIC} {kind} file")
     fields = {}
-    for ln in lines:
+    for ln in lines[2:]:
         if ":" not in ln:
             raise MalformedData(f"expected 'label: values', got {ln!r}")
         label, _, rest = ln.partition(":")
@@ -424,78 +389,94 @@ def _split_fields(lines) -> dict:
         if label in fields:
             raise MalformedData(f"field {label} repeated")
         fields[label] = rest.strip()
-    return fields
+    return lines[1], fields
+
+
+def _read_coeffs(fields: dict, label: str, count, lo: int, hi: int) -> np.ndarray:
+    """The field's int64 values, each in [lo, hi): count of them, or any number if None."""
+    if label not in fields:
+        raise MalformedData(f"missing field {label}")
+    try:
+        vals = np.array(fields[label].split(), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise MalformedData(f"field {label} is not a list of int64 integers") from exc
+    if count not in (None, len(vals)) or ((vals < lo) | (vals >= hi)).any():
+        raise MalformedData(f"field {label} malformed")
+    return vals
+
+
+def _quat_fields(label: str, Q: Quaternion) -> dict:
+    """The fields label0..label3 that hold the coefficients of Q."""
+    return {f"{label}{i}": c.coeffs for i, c in enumerate(Q.components)}
+
+
+def _read_quat(fields: dict, label: str, n: int, lo: int, hi: int, modulus) -> Quaternion:
+    """The quaternion in fields label0..label3, n^2 values in [lo, hi) each."""
+    return Quaternion(*(RingElem(_read_coeffs(fields, f"{label}{i}", n * n, lo, hi), n, modulus)
+                        for i in range(4)))
+
+
+def serialize_public(pk: PublicKey) -> str:
+    return _dump("public", _param_line(pk.params), _quat_fields("h", pk.H.lift_positive()))
+
+
+def serialize_private(sk: PrivateKey) -> str:
+    return _dump("private", _param_line(sk.params), {
+        **_quat_fields("f", sk.F), **_quat_fields("g", sk.G),
+        "T": sk.T, "weights": sk.weights, "W": sk.W, "rhogamma": sk.rho_gamma.reshape(-1)})
+
+
+def serialize_ct(ct: Ciphertext) -> str:
+    return _dump("ct", f"q={ct.C.modulus} n={ct.C.n}", _quat_fields("c", ct.C.lift_positive()))
 
 
 def deserialize_public(text: str) -> PublicKey:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or lines[0] != f"{_MAGIC} public":
-        raise MalformedData("bad public key header")
-    params = _parse_params(lines[1])
-    fields = _split_fields(lines[2:])
-    comps = [
-        RingElem(_read_coeffs(fields, f"h{i}", params.nsq, 0, params.q),
-                 params.n, params.q)
-        for i in range(4)
-    ]
-    return PublicKey(params, Quaternion(*comps))
+    header, fields = _load(text, "public")
+    params = _parse_params(header)
+    return PublicKey(params, _read_quat(fields, "h", params.n, 0, params.q, params.q))
 
 
 def deserialize_private(text: str) -> PrivateKey:
     """Parse a private key and check it from evaluation arrays alone.
 
     G must vanish on T, the grid zeros of N(F) (the scalar norms of rho(F))
-    must lie inside T, and rhogamma must equal rho(F) * rho(theta); any
-    mismatch, like a field out of range, raises MalformedData.  The key
-    keeps rho(F) cached for decryption.
+    must lie inside T, the file's rhogamma must equal the key's rho_gamma,
+    and F must be invertible mod p, checked in that order; any failure,
+    like a field out of range, raises MalformedData.  The key keeps rho(F)
+    cached for decryption.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or lines[0] != f"{_MAGIC} private":
-        raise MalformedData("bad private key header")
-    params = _parse_params(lines[1])
-    fields = _split_fields(lines[2:])
-    nsq = params.nsq
-    F = Quaternion(*(RingElem(_read_coeffs(fields, f"f{i}", nsq, -1, 2),
-                              params.n, None) for i in range(4)))
-    G = Quaternion(*(RingElem(_read_coeffs(fields, f"g{i}", nsq, -1, 2),
-                              params.n, None) for i in range(4)))
-    T = _read_ints(fields, "T").tolist()
-    if len(set(T)) != len(T) or any(not 0 <= t < nsq for t in T):
+    header, fields = _load(text, "private")
+    params = _parse_params(header)
+    F = _read_quat(fields, "f", params.n, -1, 2, None)
+    G = _read_quat(fields, "g", params.n, -1, 2, None)
+    T = _read_coeffs(fields, "T", None, 0, params.nsq).tolist()
+    if len(set(T)) != len(T):
         raise MalformedData("bad T field")
     if not _scannable(T, params.q):
         raise MalformedData(f"T must name at least one point, and q^|T| = {params.q}^{len(T)} "
                             f"coset classes may not exceed {MAX_SCAN_CLASSES}")
     weights = _read_coeffs(fields, "weights", len(T), 1, params.q)
-    W = tuple(int(v) for v in _read_coeffs(fields, "W", 4, 1, params.q))
-    rho_gamma = _read_coeffs(fields, "rhogamma", 4 * nsq, 0, params.q).reshape(nsq, 4)
-    dom = eval_domain(params.n, params.q)
-    rho_F = rho(F.with_modulus(params.q), dom)
-    if rho(G.with_modulus(params.q), dom)[T].any():
+    W = _read_coeffs(fields, "W", 4, 1, params.q)
+    rho_gamma = _read_coeffs(fields, "rhogamma", 4 * params.nsq, 0, params.q)
+    sk = PrivateKey(params, F, G, tuple(T), tuple(weights.tolist()), tuple(W.tolist()), None)
+    if rho(G.with_modulus(params.q), eval_domain(params.n, params.q))[T].any():
         raise MalformedData("G does not vanish on T")
-    if not _zeros_inside(rho_norms(rho_F, params.q), T):
+    if not _zeros_inside(rho_norms(sk.rho_F, params.q), T):
         raise MalformedData("N(F) vanishes at a grid point outside T")
-    if not np.array_equal(rho_gamma, rho_mul(rho_F, _rho_theta(T, weights, W, params),
-                                             params.q)):
+    if not np.array_equal(rho_gamma, sk.rho_gamma.reshape(-1)):
         raise MalformedData("rhogamma is not rho(F) * rho(theta)")
     try:
-        F_p_inv = quat_inverse_mod_p(F.with_modulus(params.p))
+        sk.F_p_inv = quat_inverse_mod_p(F.with_modulus(params.p))
     except NotInvertible as exc:
         raise MalformedData("F is not invertible mod p") from exc
-    sk = PrivateKey(params, F, G, rho_gamma, tuple(T), tuple(weights.tolist()), F_p_inv, W)
-    sk.rho_F = rho_F
     return sk
 
 
 def deserialize_ct(text: str) -> Ciphertext:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or lines[0] != f"{_MAGIC} ct":
-        raise MalformedData("bad ciphertext header")
+    header, fields = _load(text, "ct")
     try:
-        kv = dict(tok.split("=") for tok in lines[1].split())
+        kv = dict(tok.split("=") for tok in header.split())
         q, n = int(kv["q"]), int(kv["n"])
     except (KeyError, ValueError) as exc:
         raise MalformedData("bad ciphertext parameter line") from exc
-    fields = _split_fields(lines[2:])
-    comps = [RingElem(_read_coeffs(fields, f"c{i}", n * n, 0, q), n, q)
-             for i in range(4)]
-    return Ciphertext(Quaternion(*comps))
+    return Ciphertext(_read_quat(fields, "c", n, 0, q, q))

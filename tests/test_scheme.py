@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import os
@@ -20,14 +21,15 @@ from bqtru.errors import (
     DecryptionFailure,
     MalformedData,
     MessageOutOfRange,
+    NotInvertible,
     PayloadTooLarge,
     RetriesExhausted,
     WeightTooLarge,
 )
 from bqtru.ideal import derive_T, verify_key_membership
 from bqtru.lattice import coset_decode, lll_reduce
-from bqtru.params import MODERATE, PARAM_SETS, TOY, Params
-from bqtru.quat import Quaternion, quat_mul_schoolbook, rho
+from bqtru.params import HIGHEST, MODERATE, PARAM_SETS, TOY, Params
+from bqtru.quat import Quaternion, quat_inverse_mod_p, quat_mul_schoolbook, rho, rho_norms
 from bqtru.ring import CONV_COUNTER, EvalDomain, RingElem, eval_domain
 from bqtru.scheme import (
     Ciphertext,
@@ -136,6 +138,21 @@ class TestKeygen:
         assert (c0 == 1).sum() == 8 and (c0 == -1).sum() == 7
         for c in sk.F.components[1:]:
             assert (c.coeffs == 1).sum() == 7 and (c.coeffs == -1).sum() == 7
+
+    @pytest.mark.parametrize("params", [MODERATE, HIGHEST], ids=["moderate", "highest"])
+    def test_public_key_gives_theta_away(self, params):
+        # T = {(1,1)} and G(1,1) = 0, so H(1,1) = theta(1,1) and theta is
+        # H_i(1,1) * (n^2)^-1 times the all-ones polynomial in each
+        # component: H - theta_hat is the plain NTRU key F^-1 o G mod q
+        n, q = params.n, params.q
+        ones = RingElem(np.ones(params.nsq, dtype=np.int64), n, q)
+        for seed in range(5):
+            pk, sk = keygen(params, random.Random(seed))
+            assert sk.T == (0,)  # grid index 0 is the point (1, 1)
+            theta_hat = Quaternion(*(ones.scale(int(c.coeffs.sum()) * pow(n * n, -1, q))
+                                     for c in pk.H.components))
+            H0 = pk.H - theta_hat
+            assert quat_mul_schoolbook(sk.F.with_modulus(q), H0) == sk.G.with_modulus(q)
 
     def test_T_window(self, moderate_key):
         _, sk = moderate_key
@@ -616,6 +633,18 @@ class TestSerialization:
         assert again.W == sk.W
         assert np.array_equal(np.asarray(again.rho_gamma), np.asarray(sk.rho_gamma))
 
+    @pytest.mark.parametrize("name", ["toy", "moderate", "highest"])
+    def test_private_keys_compare_equal(self, name):
+        # keys compare by their fields; rho_gamma is derived, not a field
+        _, sk = keygen(PARAM_SETS[name], random.Random(84))
+        again = deserialize_private(serialize_private(sk))
+        assert (again == sk) is True
+        assert [f.name for f in dataclasses.fields(sk)] == [
+            "params", "F", "G", "T", "weights", "W", "F_p_inv"]
+        other = dataclasses.replace(sk, weights=tuple(w % (sk.params.q - 1) + 1
+                                                      for w in sk.weights))
+        assert (other != sk) is True
+
     def test_custom_params_round_trip(self):
         # a key made under parameters outside PARAM_SETS loads back with
         # equal params
@@ -762,6 +791,49 @@ class TestKeyValidation:
         _, sk = moderate_key
         with pytest.raises(MalformedData, match=match):
             deserialize_private(self._tampered(sk, label))
+
+    @pytest.fixture(scope="class")
+    def non_invertible_F_text(self, moderate_key):
+        """The key file of the moderate key with an F whose norm vanishes
+        only inside T but that has no inverse mod p, rhogamma recomputed."""
+        _, sk = moderate_key
+        params, dom = sk.params, eval_domain(7, 113)
+        rng = random.Random(85)
+        for _ in range(2000):
+            comps = [scheme._sample_signed(7, params.d_f + 1, params.d_f, rng)]
+            comps += [sample_ternary(7, params.d_f, rng) for _ in range(3)]
+            F = Quaternion(*comps)
+            norms = rho_norms(rho(F.with_modulus(113), dom), 113)
+            if not set(np.flatnonzero(norms == 0).tolist()) <= set(sk.T):
+                continue
+            try:
+                quat_inverse_mod_p(F.with_modulus(3))
+            except NotInvertible:
+                rho_theta = scheme._rho_theta(sk.T, sk.weights, sk.W, params)
+                rho_gamma = quat.rho_mul(rho(F.with_modulus(113), dom), rho_theta, 113)
+                text = replace_field(serialize_private(sk), "rhogamma",
+                                     " ".join(map(str, rho_gamma.reshape(-1))))
+                for i, c in enumerate(F.components):
+                    text = replace_field(text, f"f{i}", " ".join(map(str, c.coeffs)))
+                return text
+        pytest.fail("no F with N(F) vanishing only inside T is singular mod p")
+
+    def test_F_not_invertible_mod_p_rejected(self, non_invertible_F_text):
+        with pytest.raises(MalformedData, match="F is not invertible mod p"):
+            deserialize_private(non_invertible_F_text)
+
+    def test_cli_decrypt_with_non_invertible_F_exits_1(self, moderate_key, non_invertible_F_text,
+                                                       tmp_path):
+        pk, _ = moderate_key
+        key = tmp_path / "singular.priv"
+        key.write_text(non_invertible_F_text)
+        ct = tmp_path / "msg.ct"
+        ct.write_text(serialize_ct(encrypt(pk, random_message(MODERATE, 0), 1)))
+        out = tmp_path / "msg.out"
+        code = cli_main(["decrypt", "--key", str(key), "--in", str(ct),
+                         "--out", str(out)], out=io.StringIO())
+        assert code == 1
+        assert not out.exists()
 
     def test_runs_no_convolution_but_the_mod_p_inverse(self, moderate_key):
         # the checks read evaluation arrays; the 7 convolutions are
