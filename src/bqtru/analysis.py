@@ -17,15 +17,8 @@ import numpy as np
 
 from .lattice import poltyrev_sigma_max
 from .params import Params
-from .quat import Quaternion, quat_mul_schoolbook
 from .ring import RingElem
-from .scheme import (
-    decrypt,
-    encrypt,
-    keygen,
-    random_message,
-    sample_ternary,
-)
+from .scheme import decrypt, encrypt, keygen, random_message
 
 
 # ---------------------------------------------------------------------------
@@ -108,21 +101,6 @@ def monte_carlo_failure_rate(params: Params, trials: int, rng,
             successes += decrypt(sk, encrypt(pk, M, rng)) == M
     lo, hi = wilson_interval(successes, trials)
     return MonteCarloResult(successes, trials, successes / trials, lo, hi)
-
-
-def empirical_noise_variance(params: Params, samples: int, rng) -> float:
-    """Sample variance of the mask coefficients under one honest key."""
-    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
-    _, sk = keygen(params, rng)
-    n, p = params.n, params.p
-    acc = []
-    for _ in range(samples):
-        phi = Quaternion(*(sample_ternary(n, params.d_phi, rng) for _ in range(4)))
-        M = random_message(params, rng)
-        mask = quat_mul_schoolbook(sk.G, phi).scale(p) + quat_mul_schoolbook(sk.F, M)
-        acc.append(mask.vector())
-    flat = np.concatenate(acc).astype(np.float64)
-    return float(flat.var())
 
 
 # ---------------------------------------------------------------------------

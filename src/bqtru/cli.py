@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import analysis_report, public_key_size_bits
+from .analysis import analysis_report, expansion_ratio, public_key_size_bits
 from .errors import (
     BqtruError,
     DecryptionFailure,
@@ -30,12 +30,7 @@ from .errors import (
     ReductionBudgetExceeded,
     RetriesExhausted,
 )
-from .ideal import (
-    build_bqtru_lattice,
-    build_expanded_lattice,
-    hybrid_norm,
-    rho_flat,
-)
+from .ideal import build_bqtru_lattice, hybrid_norm, rho_flat
 from .lattice import gaussian_heuristic, lll_reduce
 from .ntru import conv as ntru_conv
 from .params import PARAM_SETS, Params, get_params
@@ -229,7 +224,6 @@ def cmd_bench(args, out) -> int:
 def cmd_attack(args, out) -> int:
     params, label = _resolve_params(args)
     _warn_if_toy(label, out)
-    dom = eval_domain(params.n, params.q)
     rng = _rng_from(args)
 
     sk = None
@@ -237,21 +231,21 @@ def cmd_attack(args, out) -> int:
         pk = deserialize_public(_read_text(args.target))
         if pk.params.n != params.n or pk.params.q != params.q:
             raise MalformedData("target key does not match the chosen parameters")
-    else:
+    elif params.n <= 3:
         pk, sk = keygen(params, rng)
 
-    M = build_bqtru_lattice(pk.H, dom)
-    E = build_expanded_lattice(pk.H, dom)
-    det = params.q ** (4 * params.nsq)
-    gh = gaussian_heuristic(M.dim, det)
-    print(f"key_recovery_lattice_dim = {M.dim}", file=out)
-    print(f"expanded_lattice_dim = {E.dim}", file=out)
+    # the dimensions are closed formulas; the lattices are built only to be reduced
+    dim = 12 * params.nsq
+    gh = gaussian_heuristic(dim, params.q ** (4 * params.nsq))
+    print(f"key_recovery_lattice_dim = {dim}", file=out)
+    print(f"expanded_lattice_dim = {expansion_ratio(params).built_dim}", file=out)
     print(f"gaussian_heuristic = {gh:.4f}", file=out)
 
     if params.n > 3:
         print("reduction skipped: dimension too large for desk-scale LLL", file=out)
         return 0
 
+    M = build_bqtru_lattice(pk.H, eval_domain(params.n, params.q))
     rb = lll_reduce(M, delta=0.99, max_swaps=args.budget)
     norms = np.sqrt((rb.rows.astype(np.float64) ** 2).sum(axis=1))
     shortest = int(np.argmin(norms))

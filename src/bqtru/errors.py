@@ -9,10 +9,6 @@ class ContextMismatch(BqtruError):
     """Operands live in different ring contexts (degree or modulus)."""
 
 
-class NotAGridPoint(BqtruError):
-    """Requested point is not on the root-of-unity evaluation grid."""
-
-
 class NotInvertible(BqtruError):
     """Element has no multiplicative inverse in the requested ring."""
 
@@ -23,10 +19,6 @@ class EvenModulus(BqtruError):
 
 class NormVanishesOutsideT(BqtruError):
     """Quaternion norm has a grid zero outside the secret point set."""
-
-
-class NonIntegralU(BqtruError):
-    """Key membership check produced a non-integral quotient (internal bug)."""
 
 
 class WeightTooLarge(BqtruError):

@@ -3,8 +3,10 @@
 The two-sided ideal is generated by q and Lagrange interpolants supported
 on the secret point set T; decryption scans its coefficient lattice
 directly (lattice.coset_decode).  This module derives T from G and builds
-the public key-recovery lattice and its power-of-two expansion, plus the
-membership identity that every honestly generated key must satisfy.
+the 12 n^2-dimensional public key-recovery lattice that `bqtru attack`
+reduces at toy scale.  Its power-of-two expansion (whose dimension
+analysis.expansion_ratio computes) and the key-membership identity every
+honest key satisfies are reference paths in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonIntegralU
 from .quat import Quaternion
 from .ring import EvalDomain, mult_matrix
 
@@ -48,64 +49,22 @@ def _quat_block_matrix(H: Quaternion) -> np.ndarray:
     ])
 
 
-def _recovery_lattice(H: Quaternion, dom: EvalDomain, scales, label: str) -> LatticeBasis:
-    """[[qI, 0, 0], [HH, I, 0], [DD, 0, I]], where DD holds, per quaternion
-    slot, the interpolant rows scaled by each of the scales in turn."""
-    nsq = dom.size
-    four = 4 * nsq
-    HH = _quat_block_matrix(H) % dom.q
-    D = dom.lagrange_matrix()
-    scaled = np.concatenate([c * D for c in scales], axis=0)  # (len(scales) n^2, n^2)
-    per = len(scales) * nsq
-    tail = 4 * per
-    dim = 2 * four + tail
-    rows = np.zeros((dim, dim), dtype=np.int64)
-    rows[:four, :four] = dom.q * np.eye(four, dtype=np.int64)
-    rows[four:2 * four, :four] = HH
-    rows[four:2 * four, four:2 * four] = np.eye(four, dtype=np.int64)
-    for b in range(4):
-        rows[2 * four + b * per:2 * four + (b + 1) * per, b * nsq:(b + 1) * nsq] = scaled
-    rows[2 * four:, 2 * four:] = np.eye(tail, dtype=np.int64)
-    return LatticeBasis(rows.astype(object), dim, label)
-
-
 def build_bqtru_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
-    """Key-recovery lattice [[qI, 0, 0], [HH, I, 0], [DD, 0, I]] of dimension 12 n^2."""
-    return _recovery_lattice(H, dom, [1], "bqtru")
+    """Key-recovery lattice [[qI, 0, 0], [HH, I, 0], [DD, 0, I]] of dimension 12 n^2.
 
-
-def build_expanded_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
-    """Expansion with interpolant rows scaled by powers of two 1, 2, ..., 2^l.
-
-    Dimension (4l + 12) n^2 with l = floor(log2 q); the scaled copies let a
-    reducer reach interpolant combinations with coefficients up to q using
-    only small integer multiples.
-    """
-    ell = int(math.floor(math.log2(dom.q)))
-    return _recovery_lattice(H, dom, [1 << t for t in range(ell + 1)], "expanded")
-
-
-def expansion_psi(member, dom: EvalDomain) -> np.ndarray:
-    """Recombine an expanded-lattice vector's scaled-row coordinates.
-
-    Folds the 4(l+1)n^2 tail block back to 4n^2 by summing 2^t-weighted
-    slices; the image of any expanded-lattice member lies in the 12 n^2
-    lattice built from the same public key.
+    HH maps vector(F) to vector(F o H) mod q, and DD holds the interpolant
+    rows once per quaternion slot.
     """
     nsq = dom.size
     four = 4 * nsq
-    ell = int(math.floor(math.log2(dom.q)))
-    per = (ell + 1) * nsq
-    member = np.asarray(member, dtype=object)
-    head = member[:2 * four]
-    folded = []
+    rows = np.zeros((3 * four, 3 * four), dtype=np.int64)
+    rows[:four, :four] = dom.q * np.eye(four, dtype=np.int64)
+    rows[four:2 * four, :four] = _quat_block_matrix(H) % dom.q
+    D = dom.lagrange_matrix()
     for b in range(4):
-        block = member[2 * four + b * per:2 * four + (b + 1) * per]
-        acc = np.zeros(nsq, dtype=object)
-        for t in range(ell + 1):
-            acc = acc + (1 << t) * block[t * nsq:(t + 1) * nsq]
-        folded.append(acc)
-    return np.concatenate([head] + folded)
+        rows[2 * four + b * nsq:2 * four + (b + 1) * nsq, b * nsq:(b + 1) * nsq] = D
+    rows[four:, four:] = np.eye(2 * four, dtype=np.int64)
+    return LatticeBasis(rows.astype(object), 3 * four, "bqtru")
 
 
 def hybrid_norm(g_part, f_part, rho_part) -> float:
@@ -116,49 +75,7 @@ def hybrid_norm(g_part, f_part, rho_part) -> float:
     return math.sqrt(float(np.dot(g, g) + np.dot(f, f))) + ham
 
 
-# ---------------------------------------------------------------------------
-# key membership (the short-vector identity behind key recovery)
-# ---------------------------------------------------------------------------
-
 def rho_flat(rho_vals: np.ndarray) -> np.ndarray:
     """Flatten an (n^2, 4) evaluation array component-major to length 4n^2."""
     return np.asarray(rho_vals).T.reshape(-1)
 
-
-def gamma_vector(rho_gamma: np.ndarray, dom: EvalDomain) -> np.ndarray:
-    """Integer coefficient vector (length 4n^2) interpolating rho_gamma.
-
-    Uses the same interpolant rows, in [0, q), as the lattice
-    constructions, so the result is the exact integer product
-    rho_flat @ blockdiag(D).
-    """
-    D = dom.lagrange_matrix().astype(object)
-    vals = np.asarray(rho_gamma, dtype=object)
-    return np.concatenate([vals[:, c] @ D for c in range(4)])
-
-
-def verify_key_membership(sk, pk, dom: EvalDomain, strict: bool = False) -> bool:
-    """Check the defining identity (-U, F, -rho(gamma)) @ M == (G, F, -rho(gamma)).
-
-    U is the exact integer quotient (F o H - G - gamma) / q; a non-integral
-    quotient means the key material is inconsistent (returns False, or
-    raises NonIntegralU in strict mode, where it flags an upstream bug).
-    """
-    q = dom.q
-    four = 4 * dom.size
-    F = sk.F.lift_centered() if sk.F.modulus is not None else sk.F
-    G = sk.G.lift_centered() if sk.G.modulus is not None else sk.G
-    M = build_bqtru_lattice(pk.H, dom)
-    HH = M.rows[four:2 * four, :four]
-    FH_vec = F.vector().astype(object) @ HH
-    gamma = gamma_vector(sk.rho_gamma, dom)
-    diff = FH_vec - G.vector().astype(object) - gamma
-    if any(int(v) % q != 0 for v in diff):
-        if strict:
-            raise NonIntegralU("F o H - G - gamma is not divisible by q")
-        return False
-    U = np.array([int(v) // q for v in diff], dtype=object)
-    r = rho_flat(np.asarray(sk.rho_gamma, dtype=object))
-    x = np.concatenate([-U, F.vector().astype(object), -r])
-    target = np.concatenate([G.vector().astype(object), F.vector().astype(object), -r])
-    return bool(np.array_equal(x @ M.rows, target))

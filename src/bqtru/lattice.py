@@ -32,21 +32,6 @@ class ReducedBasis:
     def dim(self) -> int:
         return self.rows.shape[0]
 
-    def is_size_reduced(self, tol: float = 1e-9) -> bool:
-        k = self.dim
-        for i in range(k):
-            for j in range(i):
-                if abs(self.mu[i, j]) > 0.5 + tol:
-                    return False
-        return True
-
-    def satisfies_lovasz(self, tol: float = 1e-9) -> bool:
-        for i in range(1, self.dim):
-            lhs = (self.delta - self.mu[i, i - 1] ** 2) * self.norms_sq[i - 1]
-            if self.norms_sq[i] < lhs - tol * self.norms_sq[i - 1]:
-                return False
-        return True
-
 
 def _gso_rows(rows: np.ndarray, mu, bstar, norms, start: int):
     """Recompute Gram-Schmidt data for rows start..k-1 (earlier rows valid)."""

@@ -23,7 +23,7 @@ from .errors import (
     RetriesExhausted,
     WeightTooLarge,
 )
-from .ring import OpCounter, solve_mod_prime
+from .ring import OpCounter
 
 MULT_COUNTER = OpCounter()
 
@@ -68,6 +68,34 @@ def circulant(h: np.ndarray) -> np.ndarray:
     """Matrix with row r = x^r * h; vector(f) @ circulant(h) = vector(f*h)."""
     n = len(h)
     return np.stack([np.roll(h, r) for r in range(n)])
+
+
+def solve_mod_prime(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Solve A x = b over Z_m (m prime) by Gauss-Jordan elimination in int64.
+
+    Every intermediate stays within (m-1)**2 in absolute value, so the
+    arithmetic is exact while that is below 2**63; raises NotInvertible
+    when A is singular mod m.
+    """
+    if (m - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"modulus {m} is too large for int64 elimination")
+    k = A.shape[0]
+    M = np.concatenate([np.asarray(A, dtype=np.int64) % m,
+                        np.asarray(b, dtype=np.int64).reshape(-1, 1) % m], axis=1)
+    for col in range(k):
+        nonzero = np.flatnonzero(M[col:, col])
+        if nonzero.size == 0:
+            raise NotInvertible("singular system")
+        piv = col + int(nonzero[0])
+        if piv != col:
+            M[[col, piv]] = M[[piv, col]]
+        # columns left of col are already zero in the pivot row
+        M[col, col:] = M[col, col:] * pow(int(M[col, col]), m - 2, m) % m
+        factors = M[:, col].copy()
+        factors[col] = 0
+        M[:, col:] -= factors[:, None] * M[col, col:]
+        M[:, col:] %= m
+    return M[:, k].copy()
 
 
 def poly_inverse(f: np.ndarray, modulus: int) -> np.ndarray:

@@ -24,7 +24,8 @@ class Params:
 
     n is the degree of both cyclic variables, so ring elements have n**2
     coefficients and quaternions 4*n**2.  The splitting condition n | q-1
-    guarantees the full n**2-point evaluation grid exists mod q.  Ring
+    guarantees the full n**2-point evaluation grid exists mod q (and, as
+    q = 1 mod n, that n and q are coprime).  Ring
     arithmetic is int64, and a product sums n**2 terms below (q-1)**2, so
     n**2 * (q-1)**2 must stay below 2**63.
     """
@@ -46,12 +47,10 @@ class Params:
             raise ValueError("p and q must be prime")
         if q <= p:
             raise ValueError("q must exceed p")
-        if p == 2 or q == 2:
-            raise ValueError("even moduli are not supported (centered lift needs odd m)")
+        if p == 2:
+            raise ValueError("p must be odd (the centered lift needs an odd modulus)")
         if (q - 1) % n != 0:
             raise ValueError(f"n={n} must divide q-1={q - 1}")
-        if q % n == 0:
-            raise ValueError("gcd(n, q) must be 1")
         half = n * n // 2
         for name in ("d_f", "d_g", "d_phi"):
             d = getattr(self, name)

@@ -12,16 +12,18 @@ quat_inverse_mod_p convolves only inside ring_inverse.
 Mod q a quaternion is also its evaluation array rho(F): row k is the
 scalar quaternion F(points[k]) over Z_q.  rho is an isomorphism of
 algebras, so a mod-q product is rho_mul of two arrays (n**2 scalar
-products, no convolution) and rho_interpolate maps back; rho_inverse
-inverts pointwise.  Scalar quaternions also back the blinding factor used
-in key generation.
+products, no convolution) and rho_interpolate maps back.  rho_inverse
+inverts pointwise off the secret set T, which is how keygen inverts F
+modulo the secret ideal, and scalar_norm vets the scalar weight W it
+draws.  Conjugation in the coefficient domain, scalar products and the
+inverse mod the secret ideal are reference paths in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContextMismatch, EvenModulus, NormVanishesOutsideT, NotInvertible
+from .errors import ContextMismatch, EvenModulus, NormVanishesOutsideT
 from .ring import EvalDomain, RingElem, conv_mul, product_domain, ring_inverse
 
 
@@ -61,16 +63,6 @@ class Quaternion:
     def unit(cls, which: str, n: int, modulus=None) -> "Quaternion":
         comps = [RingElem.zero(n, modulus) for _ in range(4)]
         comps["1ijk".index(which)] = RingElem.one(n, modulus)
-        return cls(*comps)
-
-    @classmethod
-    def from_scalar(cls, s, n: int, modulus=None) -> "Quaternion":
-        """Embed a length-4 scalar quaternion as constant polynomials."""
-        comps = []
-        for v in s:
-            c = np.zeros(n * n, dtype=np.int64)
-            c[0] = int(v)
-            comps.append(RingElem(c, n, modulus))
         return cls(*comps)
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
@@ -167,10 +159,6 @@ def quat_mul_strassen(F: Quaternion, G: Quaternion) -> Quaternion:
     return matrix_to_quat(C)
 
 
-def conjugate(F: Quaternion) -> Quaternion:
-    return Quaternion(F.c0, -F.c1, -F.c2, -F.c3)
-
-
 def _centered(a: np.ndarray, m: int) -> np.ndarray:
     a = a % m
     return np.where(a > m // 2, a - m, a)
@@ -220,31 +208,10 @@ def quat_inverse_mod_p(F: Quaternion) -> Quaternion:
 # scalar quaternions over Z_q (entries are integers, not polynomials)
 # ---------------------------------------------------------------------------
 
-def scalar_mul(a, b, q: int):
-    """Product of two scalar quaternions (4-tuples) mod q."""
-    a0, a1, a2, a3 = (int(v) % q for v in a)
-    b0, b1, b2, b3 = (int(v) % q for v in b)
-    return (
-        (a0 * b0 + a1 * b1 + a2 * b2 - a3 * b3) % q,
-        (a0 * b1 + a1 * b0 - a2 * b3 + a3 * b2) % q,
-        (a0 * b2 + a1 * b3 + a2 * b0 - a3 * b1) % q,
-        (a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0) % q,
-    )
-
-
 def scalar_norm(a, q: int) -> int:
+    """Norm a0^2 - a1^2 - a2^2 + a3^2 mod q of a scalar quaternion (4-tuple)."""
     a0, a1, a2, a3 = (int(v) % q for v in a)
     return (a0 * a0 - a1 * a1 - a2 * a2 + a3 * a3) % q
-
-
-def scalar_inverse(a, q: int):
-    """Inverse of a scalar quaternion mod prime q; fails on zero norm."""
-    nrm = scalar_norm(a, q)
-    if nrm == 0:
-        raise NotInvertible("scalar quaternion has zero norm")
-    ninv = pow(nrm, q - 2, q)
-    a0, a1, a2, a3 = (int(v) % q for v in a)
-    return (a0 * ninv % q, -a1 * ninv % q, -a2 * ninv % q, -a3 * ninv % q)
 
 
 def rho(F: Quaternion, dom: EvalDomain) -> np.ndarray:
@@ -307,12 +274,3 @@ def rho_inverse(u: np.ndarray, q: int, t_indices=()) -> np.ndarray:
     ninv[~off_T] = 0
     return a * np.array([1, -1, -1, -1]) * ninv[:, None] % q
 
-
-def quat_inverse_mod_J(F: Quaternion, t_indices, dom: EvalDomain) -> Quaternion:
-    """Inverse of F modulo the secret ideal: pointwise inversion off T.
-
-    Every grid zero of N(F) must lie inside T; the result evaluates to the
-    scalar inverse of F at each point of E \\ T and to zero on T, so that
-    F o F^-1 == 1 at every point off T.
-    """
-    return rho_interpolate(rho_inverse(rho(F, dom), dom.q, t_indices), dom)

@@ -11,18 +11,18 @@ e = (m**k - 1) * m**s, where n = m**s * n' with m not dividing n' and
 k = ord_{n'}(m), so ring_inverse returns f**(e-1).  It walks the base-m
 digits of e-1: each m-th power is the Frobenius map f(x,y) -> f(x^m, y^m),
 a coefficient map, so only the digit products are convolutions (6 at
-n = 11, m = 3, counting the check).  solve_mod_prime, the int64
-Gauss-Jordan elimination, serves the NTRU baseline and the tests as the
-reference inverse.
+n = 11, m = 3, counting the check).
 
 Mod q the ring is Z_q^(n**2), because n | q-1: EvalDomain maps
 coefficients to the values on the n**2-point grid of n-th roots of unity
 and back, each way a product with the n x n Vandermonde matrix on both
 sides, so a product mod q costs two transforms, n**2 scalar products and
-one inverse transform instead of a convolution.  Mod a prime m with
-n not dividing m-1 (p in every shipped set), product_domain supplies an
-auxiliary prime P = 1 (mod n) large enough that products of centered
-lifts are exact over Z, and the result is reduced mod m.
+one inverse transform instead of a convolution.  Its lagrange_matrix
+holds the interpolant rows the secret and key-recovery lattices are made
+of.  Mod a prime m with n not dividing m-1 (p in every shipped set),
+product_domain supplies an auxiliary prime P = 1 (mod n) large enough
+that products of centered lifts are exact over Z, and the result is
+reduced mod m.
 
 A module-level counter tracks convolution products so that callers can
 verify operation counts (16 vs 7 ring products per quaternion multiply);
@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContextMismatch, NotAGridPoint, NotInvertible
+from .errors import ContextMismatch, NotInvertible
 from .params import _is_prime
 
 
@@ -180,23 +180,8 @@ def mult_matrix(f: RingElem) -> np.ndarray:
     return f.coeffs[_sub_index(f.n)].T.copy()
 
 
-def ring_eval(f: RingElem, a: int, b: int) -> int:
-    """Evaluate f at (a, b) in Z_q; a ring homomorphism for modulus q."""
-    q = f.modulus
-    if q is None:
-        raise ValueError("evaluation requires a modular context")
-    n = f.n
-    pa = np.ones(n, dtype=np.int64)
-    pb = np.ones(n, dtype=np.int64)
-    for i in range(1, n):
-        pa[i] = pa[i - 1] * a % q
-        pb[i] = pb[i - 1] * b % q
-    grid = f.coeffs.reshape(n, n)
-    return int((pa @ (grid @ pb % q)) % q)
-
-
 class EvalDomain:
-    """The n**2-point root-of-unity grid mod q, with Lagrange machinery.
+    """The n**2-point root-of-unity grid mod q and its Lagrange interpolants.
 
     omega is derived from the smallest primitive root of q, so domains are
     deterministic and reproducible for fixed (n, q); eval_domain returns
@@ -217,7 +202,6 @@ class EvalDomain:
         w_pows = [pow(self.omega, a, q) for a in range(n)]
         self._w_pows = np.array(w_pows, dtype=np.int64)
         self.points = [(w_pows[a], w_pows[b]) for a in range(n) for b in range(n)]
-        self._point_index = {pt: i for i, pt in enumerate(self.points)}
         ai = np.outer(np.arange(n), np.arange(n))
         self._vandermonde = self._w_pows[ai % n]
         self._vandermonde_inv = self._w_pows[-ai % n]
@@ -234,12 +218,6 @@ class EvalDomain:
     @property
     def size(self) -> int:
         return self.n * self.n
-
-    def index_of(self, a: int, b: int) -> int:
-        try:
-            return self._point_index[(a % self.q, b % self.q)]
-        except KeyError:
-            raise NotAGridPoint(f"({a}, {b}) is not on the grid")
 
     def _sandwich(self, V: np.ndarray, rows) -> np.ndarray:
         """Rows of V @ X @ V mod q, X each row of rows as an n x n array.
@@ -322,56 +300,6 @@ def _primitive_root(q: int) -> int:
         if all(pow(g, phi // r, q) != 1 for r in factors):
             return g
     raise ValueError(f"no primitive root mod {q}")
-
-
-def lagrange_interpolant(dom: EvalDomain, a: int, b: int) -> RingElem:
-    """The unique element that is 1 at (a, b) and 0 at every other grid point."""
-    k = dom.index_of(a, b)
-    return RingElem(dom.lagrange_matrix()[k], dom.n, dom.q)
-
-
-def absorb_check(alpha: RingElem, dom: EvalDomain, a: int, b: int) -> bool:
-    """Check alpha * lam_{a,b} == alpha(a,b) * lam_{a,b} coefficientwise."""
-    lam = lagrange_interpolant(dom, a, b)
-    lhs = conv_mul(alpha, lam)
-    rhs = lam.scale(ring_eval(alpha, a, b))
-    return lhs == rhs
-
-
-def interpolate(dom: EvalDomain, values) -> RingElem:
-    """Inverse of grid evaluation: the element taking the given grid values."""
-    vals = np.asarray(values, dtype=np.int64)
-    if vals.shape != (dom.size,):
-        raise ValueError(f"expected {dom.size} values")
-    return RingElem(dom.inverse_transform(vals[None])[0], dom.n, dom.q)
-
-
-def solve_mod_prime(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Solve A x = b over Z_m (m prime) by Gauss-Jordan elimination in int64.
-
-    Every intermediate stays within (m-1)**2 in absolute value, so the
-    arithmetic is exact while that is below 2**63; raises NotInvertible
-    when A is singular mod m.
-    """
-    if (m - 1) ** 2 >= 2 ** 63:
-        raise ValueError(f"modulus {m} is too large for int64 elimination")
-    k = A.shape[0]
-    M = np.concatenate([np.asarray(A, dtype=np.int64) % m,
-                        np.asarray(b, dtype=np.int64).reshape(-1, 1) % m], axis=1)
-    for col in range(k):
-        nonzero = np.flatnonzero(M[col:, col])
-        if nonzero.size == 0:
-            raise NotInvertible("singular system")
-        piv = col + int(nonzero[0])
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-        # columns left of col are already zero in the pivot row
-        M[col, col:] = M[col, col:] * pow(int(M[col, col]), m - 2, m) % m
-        factors = M[:, col].copy()
-        factors[col] = 0
-        M[:, col:] -= factors[:, None] * M[col, col:]
-        M[:, col:] %= m
-    return M[:, k].copy()
 
 
 def _unit_exponent(n: int, m: int) -> int:

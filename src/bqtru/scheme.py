@@ -240,9 +240,11 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> Quaternion:
     and `highest` have T = {(1,1)}, q cosets.  The work does not depend on
     the ciphertext, so strict rejections cost no more than honest
     decryptions.  F o C mod q is computed pointwise on the evaluation
-    grid, rho(F) * rho(C), with no convolution; F_p^-1 o V mod p takes the
-    Strassen route (7 convolutions), because n does not divide p-1, so Z_p
-    has no grid of n-th roots of unity.
+    grid, rho(F) * rho(C), with no convolution.  F_p^-1 o V mod p takes the
+    Strassen route (7 convolutions), although ring.product_domain could
+    run it pointwise on an auxiliary prime's grid: Strassen is the paper's
+    reference path for this product, and perfbench's product-count check
+    reads it here.
     """
     params = sk.params
     p, q = params.p, params.q
@@ -351,18 +353,46 @@ def decode_message(M: Quaternion, params: Params) -> bytes:
 
 _MAGIC = "BQTRU v1"
 
+# the labelled fields a file of each kind holds
+_FIELDS = {
+    "public": ("h0", "h1", "h2", "h3"),
+    "private": ("f0", "f1", "f2", "f3", "g0", "g1", "g2", "g3",
+                "T", "weights", "W", "rhogamma"),
+    "ct": ("c0", "c1", "c2", "c3"),
+}
+
 
 def _param_line(params: Params) -> str:
     return (f"n={params.n} p={params.p} q={params.q} "
             f"df={params.d_f} dg={params.d_g} dphi={params.d_phi}")
 
 
+def _read_header(line: str, keys) -> dict:
+    """{key: int} from a 'key=value' line that gives each of keys exactly
+    once and nothing else; anything else is MalformedData."""
+    kv = {}
+    for tok in line.split():
+        key, sep, value = tok.partition("=")
+        if not sep or key not in keys:
+            raise MalformedData(f"unknown header entry {tok!r}")
+        if key in kv:
+            raise MalformedData(f"header key {key} repeated")
+        try:
+            kv[key] = int(value)
+        except ValueError as exc:
+            raise MalformedData(f"header key {key} is not an integer") from exc
+    missing = [k for k in keys if k not in kv]
+    if missing:
+        raise MalformedData(f"header key {missing[0]} missing")
+    return kv
+
+
 def _parse_params(line: str) -> Params:
+    kv = _read_header(line, ("n", "p", "q", "df", "dg", "dphi"))
     try:
-        kv = dict(tok.split("=") for tok in line.split())
-        return Params(n=int(kv["n"]), p=int(kv["p"]), q=int(kv["q"]),
-                      d_f=int(kv["df"]), d_g=int(kv["dg"]), d_phi=int(kv["dphi"]))
-    except (KeyError, ValueError) as exc:
+        return Params(n=kv["n"], p=kv["p"], q=kv["q"],
+                      d_f=kv["df"], d_g=kv["dg"], d_phi=kv["dphi"])
+    except ValueError as exc:
         raise MalformedData(f"bad parameter line: {line!r}") from exc
 
 
@@ -376,26 +406,31 @@ def _dump(kind: str, header_line: str, fields: dict) -> str:
 
 def _load(text: str, kind: str):
     """(header line, {label: values text}) of a file of this kind; a wrong
-    magic line or kind, an unlabelled line or a repeated label is MalformedData."""
+    magic line or kind, an unlabelled line, and a label that is repeated,
+    missing or not one of the kind's fields are MalformedData."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or lines[0] != f"{_MAGIC} {kind}":
         raise MalformedData(f"not a {_MAGIC} {kind} file")
+    labels = _FIELDS[kind]
     fields = {}
     for ln in lines[2:]:
         if ":" not in ln:
             raise MalformedData(f"expected 'label: values', got {ln!r}")
         label, _, rest = ln.partition(":")
         label = label.strip()
+        if label not in labels:
+            raise MalformedData(f"a {kind} file has no field {label}")
         if label in fields:
             raise MalformedData(f"field {label} repeated")
         fields[label] = rest.strip()
+    missing = [label for label in labels if label not in fields]
+    if missing:
+        raise MalformedData(f"missing field {missing[0]}")
     return lines[1], fields
 
 
 def _read_coeffs(fields: dict, label: str, count, lo: int, hi: int) -> np.ndarray:
     """The field's int64 values, each in [lo, hi): count of them, or any number if None."""
-    if label not in fields:
-        raise MalformedData(f"missing field {label}")
     try:
         vals = np.array(fields[label].split(), dtype=np.int64)
     except (ValueError, OverflowError) as exc:
@@ -474,9 +509,5 @@ def deserialize_private(text: str) -> PrivateKey:
 
 def deserialize_ct(text: str) -> Ciphertext:
     header, fields = _load(text, "ct")
-    try:
-        kv = dict(tok.split("=") for tok in header.split())
-        q, n = int(kv["q"]), int(kv["n"])
-    except (KeyError, ValueError) as exc:
-        raise MalformedData("bad ciphertext parameter line") from exc
-    return Ciphertext(_read_quat(fields, "c", n, 0, q, q))
+    kv = _read_header(header, ("q", "n"))
+    return Ciphertext(_read_quat(fields, "c", kv["n"], 0, kv["q"], kv["q"]))

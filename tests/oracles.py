@@ -7,18 +7,36 @@ exact coset scan instead (bqtru.lattice.coset_decode) and never builds
 D', so these constructions, together with sigma (the weighted sum of
 Lagrange interpolants on T) and a brute-force closest-vector search,
 live here as oracles.
+
+The paper's other claims are checked through the rest of this module:
+point evaluation, Lagrange interpolants and interpolation on the grid;
+the conjugate, scalar quaternion products and inverses, and the inverse
+of F modulo the secret ideal; the key-membership identity and the
+(4 floor(log2 q) + 12) n^2-dimensional expanded key-recovery lattice with
+its fold back to the 12 n^2 one; the LLL conditions; and the sampled
+noise variance of honest keys.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
-from bqtru.errors import BqtruError
-from bqtru.ideal import LatticeBasis
+from bqtru.errors import BqtruError, NotInvertible
+from bqtru.ideal import LatticeBasis, _quat_block_matrix, build_bqtru_lattice, rho_flat
 from bqtru.lattice import ReducedBasis
-from bqtru.ring import EvalDomain, RingElem, interpolate
+from bqtru.quat import (
+    Quaternion,
+    quat_mul_schoolbook,
+    rho,
+    rho_interpolate,
+    rho_inverse,
+    scalar_norm,
+)
+from bqtru.ring import EvalDomain, RingElem, conv_mul
+from bqtru.scheme import keygen, random_message, sample_ternary
 
 
 class InvalidWeight(BqtruError):
@@ -27,6 +45,106 @@ class InvalidWeight(BqtruError):
 
 class NoPointInRadius(BqtruError):
     """Sphere decoder found no lattice point within the given radius."""
+
+
+class NotAGridPoint(BqtruError):
+    """Requested point is not on the root-of-unity evaluation grid."""
+
+
+class NonIntegralU(BqtruError):
+    """Key membership check produced a non-integral quotient."""
+
+
+# ---------------------------------------------------------------------------
+# evaluation and interpolation on the grid
+# ---------------------------------------------------------------------------
+
+def ring_eval(f: RingElem, a: int, b: int) -> int:
+    """Evaluate f at (a, b) in Z_q; a ring homomorphism for modulus q."""
+    q = f.modulus
+    if q is None:
+        raise ValueError("evaluation requires a modular context")
+    n = f.n
+    pa = np.ones(n, dtype=np.int64)
+    pb = np.ones(n, dtype=np.int64)
+    for i in range(1, n):
+        pa[i] = pa[i - 1] * a % q
+        pb[i] = pb[i - 1] * b % q
+    grid = f.coeffs.reshape(n, n)
+    return int((pa @ (grid @ pb % q)) % q)
+
+
+def lagrange_interpolant(dom: EvalDomain, a: int, b: int) -> RingElem:
+    """The unique element that is 1 at (a, b) and 0 at every other grid point."""
+    try:
+        k = dom.points.index((a % dom.q, b % dom.q))
+    except ValueError:
+        raise NotAGridPoint(f"({a}, {b}) is not on the grid")
+    return RingElem(dom.lagrange_matrix()[k], dom.n, dom.q)
+
+
+def absorb_check(alpha: RingElem, dom: EvalDomain, a: int, b: int) -> bool:
+    """Check alpha * lam_{a,b} == alpha(a,b) * lam_{a,b} coefficientwise."""
+    lam = lagrange_interpolant(dom, a, b)
+    return conv_mul(alpha, lam) == lam.scale(ring_eval(alpha, a, b))
+
+
+def interpolate(dom: EvalDomain, values) -> RingElem:
+    """Inverse of grid evaluation: the element taking the given grid values."""
+    vals = np.asarray(values, dtype=np.int64)
+    if vals.shape != (dom.size,):
+        raise ValueError(f"expected {dom.size} values")
+    return RingElem(dom.inverse_transform(vals[None])[0], dom.n, dom.q)
+
+
+# ---------------------------------------------------------------------------
+# quaternions: conjugate, scalar quaternions, inverse modulo the secret ideal
+# ---------------------------------------------------------------------------
+
+def conjugate(F: Quaternion) -> Quaternion:
+    return Quaternion(F.c0, -F.c1, -F.c2, -F.c3)
+
+
+def from_scalar(s, n: int, modulus=None) -> Quaternion:
+    """Embed a length-4 scalar quaternion as constant polynomials."""
+    comps = []
+    for v in s:
+        c = np.zeros(n * n, dtype=np.int64)
+        c[0] = int(v)
+        comps.append(RingElem(c, n, modulus))
+    return Quaternion(*comps)
+
+
+def scalar_mul(a, b, q: int):
+    """Product of two scalar quaternions (4-tuples) mod q."""
+    a0, a1, a2, a3 = (int(v) % q for v in a)
+    b0, b1, b2, b3 = (int(v) % q for v in b)
+    return (
+        (a0 * b0 + a1 * b1 + a2 * b2 - a3 * b3) % q,
+        (a0 * b1 + a1 * b0 - a2 * b3 + a3 * b2) % q,
+        (a0 * b2 + a1 * b3 + a2 * b0 - a3 * b1) % q,
+        (a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0) % q,
+    )
+
+
+def scalar_inverse(a, q: int):
+    """Inverse of a scalar quaternion mod prime q; fails on zero norm."""
+    nrm = scalar_norm(a, q)
+    if nrm == 0:
+        raise NotInvertible("scalar quaternion has zero norm")
+    ninv = pow(nrm, q - 2, q)
+    a0, a1, a2, a3 = (int(v) % q for v in a)
+    return (a0 * ninv % q, -a1 * ninv % q, -a2 * ninv % q, -a3 * ninv % q)
+
+
+def quat_inverse_mod_J(F: Quaternion, t_indices, dom: EvalDomain) -> Quaternion:
+    """Inverse of F modulo the secret ideal: pointwise inversion off T.
+
+    Every grid zero of N(F) must lie inside T; the result evaluates to the
+    scalar inverse of F at each point of E \\ T and to zero on T, so that
+    F o F^-1 == 1 at every point off T.
+    """
+    return rho_interpolate(rho_inverse(rho(F, dom), dom.q, t_indices), dom)
 
 
 def build_sigma(T, weights, dom: EvalDomain) -> RingElem:
@@ -236,3 +354,128 @@ def exhaustive_cvp(rows, t, center, box):
     d = np.sum((np.asarray(t, dtype=np.float64) - points) ** 2, axis=1)
     j = int(d.argmin())
     return points[j], float(d[j])
+
+
+# ---------------------------------------------------------------------------
+# LLL conditions
+# ---------------------------------------------------------------------------
+
+def is_size_reduced(rb: ReducedBasis, tol: float = 1e-9) -> bool:
+    return all(abs(rb.mu[i, j]) <= 0.5 + tol for i in range(rb.dim) for j in range(i))
+
+
+def satisfies_lovasz(rb: ReducedBasis, tol: float = 1e-9) -> bool:
+    for i in range(1, rb.dim):
+        lhs = (rb.delta - rb.mu[i, i - 1] ** 2) * rb.norms_sq[i - 1]
+        if rb.norms_sq[i] < lhs - tol * rb.norms_sq[i - 1]:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# key recovery: the membership identity and the expanded lattice
+# ---------------------------------------------------------------------------
+
+def gamma_vector(rho_gamma: np.ndarray, dom: EvalDomain) -> np.ndarray:
+    """Integer coefficient vector (length 4n^2) interpolating rho_gamma.
+
+    Uses the same interpolant rows, in [0, q), as the lattice
+    constructions, so the result is the exact integer product
+    rho_flat @ blockdiag(D).
+    """
+    D = dom.lagrange_matrix().astype(object)
+    vals = np.asarray(rho_gamma, dtype=object)
+    return np.concatenate([vals[:, c] @ D for c in range(4)])
+
+
+def verify_key_membership(sk, pk, dom: EvalDomain, strict: bool = False) -> bool:
+    """Check the defining identity (-U, F, -rho(gamma)) @ M == (G, F, -rho(gamma)).
+
+    U is the exact integer quotient (F o H - G - gamma) / q; a non-integral
+    quotient means the key material is inconsistent (returns False, or
+    raises NonIntegralU in strict mode).
+    """
+    q = dom.q
+    four = 4 * dom.size
+    F = sk.F.lift_centered() if sk.F.modulus is not None else sk.F
+    G = sk.G.lift_centered() if sk.G.modulus is not None else sk.G
+    M = build_bqtru_lattice(pk.H, dom)
+    HH = M.rows[four:2 * four, :four]
+    FH_vec = F.vector().astype(object) @ HH
+    gamma = gamma_vector(sk.rho_gamma, dom)
+    diff = FH_vec - G.vector().astype(object) - gamma
+    if any(int(v) % q != 0 for v in diff):
+        if strict:
+            raise NonIntegralU("F o H - G - gamma is not divisible by q")
+        return False
+    U = np.array([int(v) // q for v in diff], dtype=object)
+    r = rho_flat(np.asarray(sk.rho_gamma, dtype=object))
+    x = np.concatenate([-U, F.vector().astype(object), -r])
+    target = np.concatenate([G.vector().astype(object), F.vector().astype(object), -r])
+    return bool(np.array_equal(x @ M.rows, target))
+
+
+def build_expanded_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
+    """The key-recovery lattice with interpolant rows scaled by 1, 2, ..., 2^l.
+
+    [[qI, 0, 0], [HH, I, 0], [DD, 0, I]] as in bqtru.ideal.build_bqtru_lattice,
+    but DD holds, per quaternion slot, the interpolant rows scaled by each
+    power of two in turn.  Dimension (4l + 12) n^2 with l = floor(log2 q);
+    the scaled copies let a reducer reach interpolant combinations with
+    coefficients up to q using only small integer multiples.
+    """
+    ell = int(math.floor(math.log2(dom.q)))
+    nsq = dom.size
+    four = 4 * nsq
+    per = (ell + 1) * nsq
+    dim = 2 * four + 4 * per
+    scaled = np.concatenate([(1 << t) * dom.lagrange_matrix() for t in range(ell + 1)])
+    rows = np.zeros((dim, dim), dtype=np.int64)
+    rows[:four, :four] = dom.q * np.eye(four, dtype=np.int64)
+    rows[four:2 * four, :four] = _quat_block_matrix(H) % dom.q
+    for b in range(4):
+        rows[2 * four + b * per:2 * four + (b + 1) * per, b * nsq:(b + 1) * nsq] = scaled
+    rows[four:, four:] = np.eye(dim - four, dtype=np.int64)
+    return LatticeBasis(rows.astype(object), dim, "expanded")
+
+
+def expansion_psi(member, dom: EvalDomain) -> np.ndarray:
+    """Recombine an expanded-lattice vector's scaled-row coordinates.
+
+    Folds the 4(l+1)n^2 tail block back to 4n^2 by summing 2^t-weighted
+    slices; the image of any expanded-lattice member lies in the 12 n^2
+    lattice built from the same public key.
+    """
+    nsq = dom.size
+    four = 4 * nsq
+    ell = int(math.floor(math.log2(dom.q)))
+    per = (ell + 1) * nsq
+    member = np.asarray(member, dtype=object)
+    head = member[:2 * four]
+    folded = []
+    for b in range(4):
+        block = member[2 * four + b * per:2 * four + (b + 1) * per]
+        acc = np.zeros(nsq, dtype=object)
+        for t in range(ell + 1):
+            acc = acc + (1 << t) * block[t * nsq:(t + 1) * nsq]
+        folded.append(acc)
+    return np.concatenate([head] + folded)
+
+
+# ---------------------------------------------------------------------------
+# noise model
+# ---------------------------------------------------------------------------
+
+def empirical_noise_variance(params, samples: int, rng) -> float:
+    """Sample variance of the mask coefficients under one honest key."""
+    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
+    _, sk = keygen(params, rng)
+    n, p = params.n, params.p
+    acc = []
+    for _ in range(samples):
+        phi = Quaternion(*(sample_ternary(n, params.d_phi, rng) for _ in range(4)))
+        M = random_message(params, rng)
+        mask = quat_mul_schoolbook(sk.G, phi).scale(p) + quat_mul_schoolbook(sk.F, M)
+        acc.append(mask.vector())
+    flat = np.concatenate(acc).astype(np.float64)
+    return float(flat.var())

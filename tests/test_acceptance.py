@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from bqtru.analysis import (
-    empirical_noise_variance,
     expansion_ratio,
     failure_probability_estimate,
     key_security_bits,
@@ -23,7 +22,6 @@ from bqtru.analysis import (
     public_key_size_bits,
     wilson_interval,
 )
-from bqtru.ideal import build_expanded_lattice, verify_key_membership
 from bqtru.lattice import gaussian_heuristic, lll_reduce
 from bqtru.ntru import (
     NtruParams,
@@ -36,8 +34,6 @@ from bqtru.ntru import (
 from bqtru.params import HIGHEST, MODERATE, TOY, Params
 from bqtru.quat import (
     Quaternion,
-    conjugate,
-    quat_inverse_mod_J,
     quat_mul_schoolbook,
     quat_mul_strassen,
     quat_norm,
@@ -45,10 +41,21 @@ from bqtru.quat import (
     rho,
     rho_mul,
 )
-from bqtru.ring import CONV_COUNTER, EvalDomain, RingElem, lagrange_interpolant
+from bqtru.ring import CONV_COUNTER, EvalDomain, RingElem
 from bqtru.scheme import decrypt, encrypt, keygen, random_message
 
-from oracles import exhaustive_cvp, sphere_decode
+from oracles import (
+    build_expanded_lattice,
+    conjugate,
+    empirical_noise_variance,
+    exhaustive_cvp,
+    is_size_reduced,
+    lagrange_interpolant,
+    quat_inverse_mod_J,
+    satisfies_lovasz,
+    sphere_decode,
+    verify_key_membership,
+)
 
 RNG_BASE = 20_000
 
@@ -210,7 +217,7 @@ class TestCriterion6LatticeCorrectness:
                 if abs(np.linalg.det(rows.astype(float))) > 0.5:
                     break
             rb = lll_reduce(rows, delta=0.99)
-            assert rb.is_size_reduced() and rb.satisfies_lovasz()
+            assert is_size_reduced(rb) and satisfies_lovasz(rb)
             x_true = np.array([rng.uniform(-1.5, 1.5) for _ in range(dim)])
             t = x_true @ rb.rows + np.array([rng.uniform(-0.3, 0.3)
                                              for _ in range(dim)])

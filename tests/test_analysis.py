@@ -10,7 +10,6 @@ from bqtru.analysis import (
     ExpansionAccount,
     MonteCarloResult,
     analysis_report,
-    empirical_noise_variance,
     expansion_ratio,
     failure_probability_estimate,
     fold_to_univariate,
@@ -26,6 +25,8 @@ from bqtru.analysis import (
 )
 from bqtru.params import HIGHEST, MODERATE, TOY, Params
 from bqtru.ring import RingElem
+
+from oracles import empirical_noise_variance
 
 OVERSIZED = Params(7, 3, 547, 7, 7, 7)  # q far beyond the wrap-around guard
 

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import bqtru.cli as cli
+import bqtru.ideal as ideal
 from bqtru.cli import main
 from bqtru.scheme import deserialize_ct, serialize_ct
 
@@ -224,6 +225,32 @@ class TestAttack:
         assert "key_recovery_lattice_dim = 588" in out
         assert "expanded_lattice_dim = 1764" in out
         assert "reduction skipped" in out
+
+    def test_highest_builds_no_lattice_and_draws_no_key(self, monkeypatch):
+        # the dimension lines are closed formulas: the 1452- and
+        # 4840-dimensional lattices are neither built nor reduced
+        def refuse(*_):
+            raise AssertionError("attack built a lattice or drew a key it does not use")
+
+        monkeypatch.setattr(ideal, "build_bqtru_lattice", refuse)
+        monkeypatch.setattr(cli, "build_bqtru_lattice", refuse)
+        monkeypatch.setattr(cli, "keygen", refuse)
+        code, out = run("attack", "--params", "highest", "--seed", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "key_recovery_lattice_dim = 1452",
+            "expanded_lattice_dim = 4840",
+            "gaussian_heuristic = 53.8308",
+            "reduction skipped: dimension too large for desk-scale LLL",
+        ]
+
+    def test_mismatched_target_exit_1(self, tmp_path, capsys):
+        prefix = str(tmp_path / "t")
+        run("keygen", "--params", "toy", "--seed", "12", "--out", prefix)
+        code, out = run("attack", "--params", "highest", "--target", prefix + ".pub")
+        assert code == 1
+        assert out == ""
+        assert "target key does not match" in capsys.readouterr().err
 
     def test_budget_exceeded_exit_5(self):
         code, _ = run("attack", "--params", "toy", "--seed", "11", "--budget", "5")

@@ -5,42 +5,28 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bqtru.errors import NonIntegralU
-from bqtru.ideal import (
-    build_bqtru_lattice,
-    build_expanded_lattice,
-    derive_T,
-    expansion_psi,
-    gamma_vector,
-    hybrid_norm,
-    rho_flat,
-    verify_key_membership,
-)
-from bqtru.quat import (
-    Quaternion,
-    quat_inverse_mod_J,
-    quat_mul_schoolbook,
-    quat_norm,
-    rho,
-    scalar_norm,
-)
-from bqtru.ring import (
-    EvalDomain,
-    RingElem,
-    conv_mul,
-    interpolate,
-    lagrange_interpolant,
-    ring_eval,
-    ring_inverse,
-)
+from bqtru.analysis import expansion_ratio
+from bqtru.ideal import build_bqtru_lattice, derive_T, hybrid_norm, rho_flat
+from bqtru.params import MODERATE, TOY
+from bqtru.quat import Quaternion, quat_mul_schoolbook, quat_norm, rho, scalar_norm
+from bqtru.ring import EvalDomain, RingElem, conv_mul, ring_inverse
 
 from oracles import (
     InvalidWeight,
+    NonIntegralU,
     basis_contains,
     build_D_prime,
+    build_expanded_lattice,
     build_private_lattice,
     build_sigma,
     determinant,
+    expansion_psi,
+    gamma_vector,
+    interpolate,
+    lagrange_interpolant,
+    quat_inverse_mod_J,
+    ring_eval,
+    verify_key_membership,
 )
 
 
@@ -134,7 +120,7 @@ class TestDeriveT:
 
     def test_balanced_components_vanish_at_unity(self, dom3):
         rng = random.Random(31)
-        k11 = dom3.index_of(1, 1)
+        k11 = dom3.points.index((1, 1))
         for _ in range(20):
             G = Quaternion(*(sample_balanced(rng, 3, 2, 7) for _ in range(4)))
             assert k11 in derive_T(rho(G, dom3))
@@ -356,6 +342,17 @@ class TestExpandedLattice:
         dom = EvalDomain(7, 113)
         H = Quaternion.one(7, 113)
         assert build_expanded_lattice(H, dom).dim == 1764
+
+    @pytest.mark.parametrize("params", [TOY, MODERATE], ids=["toy", "moderate"])
+    def test_attack_formulas_match_built_lattices(self, params):
+        # bqtru attack prints both dimensions from these formulas
+        rng = random.Random(45)
+        n, q = params.n, params.q
+        dom = EvalDomain(n, q)
+        H = Quaternion(*(RingElem(np.array([rng.randrange(q) for _ in range(n * n)]), n, q)
+                         for _ in range(4)))
+        assert expansion_ratio(params).built_dim == build_expanded_lattice(H, dom).dim
+        assert build_bqtru_lattice(H, dom).dim == 12 * n * n
 
     def test_psi_maps_into_base_lattice(self, dom3):
         rng = random.Random(43)

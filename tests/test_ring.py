@@ -6,23 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqtru.errors import ContextMismatch, NotAGridPoint, NotInvertible
+from bqtru.errors import ContextMismatch, NotInvertible
+from bqtru.ntru import solve_mod_prime
 from bqtru.params import Params, _is_prime
 from bqtru.ring import (
     CONV_COUNTER,
     EvalDomain,
     RingElem,
-    absorb_check,
     conv_mul,
     eval_domain,
     frobenius,
-    interpolate,
-    lagrange_interpolant,
     mult_matrix,
     product_domain,
-    ring_eval,
     ring_inverse,
-    solve_mod_prime,
+)
+
+from oracles import (
+    NotAGridPoint,
+    absorb_check,
+    interpolate,
+    lagrange_interpolant,
+    ring_eval,
 )
 
 

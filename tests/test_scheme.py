@@ -26,7 +26,7 @@ from bqtru.errors import (
     RetriesExhausted,
     WeightTooLarge,
 )
-from bqtru.ideal import derive_T, verify_key_membership
+from bqtru.ideal import derive_T
 from bqtru.lattice import coset_decode, lll_reduce
 from bqtru.params import HIGHEST, MODERATE, PARAM_SETS, TOY, Params
 from bqtru.quat import Quaternion, quat_inverse_mod_p, quat_mul_schoolbook, rho, rho_norms
@@ -49,7 +49,7 @@ from bqtru.scheme import (
     serialize_public,
 )
 
-from oracles import build_D_prime, sphere_decode
+from oracles import build_D_prime, sphere_decode, verify_key_membership
 
 # oversized q beyond the 24*d*p guard: decryption noise can never wrap mod q
 HIGH_Q = Params(7, 3, 547, 7, 7, 7)
@@ -217,7 +217,6 @@ class TestKeygen:
         monkeypatch.setattr(scheme, "quat_norm", quat_norm)
         for name in ("quat_mul_schoolbook", "quat_mul_strassen"):
             monkeypatch.setattr(scheme, name, refuse)
-        monkeypatch.setattr(quat, "quat_inverse_mod_J", refuse)
         pk, sk = keygen(MODERATE, random.Random(63))
         assert sum(norms) >= 1
         assert sum(mod_q_convs) == 0
@@ -688,11 +687,18 @@ class TestSerialization:
         ("private", "T", "24 24"),
         ("ct", "c0", "z"),
         ("private", "rhogamma", "1" + "0" * 30),
+        ("private", "bogus", "1 2 3"),
+        ("ct", "bogus", "0"),
+        ("private", "header", "n=7 p=3 q=113 df=7 dg=6 dphi=6 extra=5"),
+        ("private", "header", "n=7 p=3 q=113 df=7 dg=6 dphi=6 n=7"),
+        ("ct", "header", "q=113 n=7 q=113"),
     ])
     def test_malformed_field_raises_malformed_data(self, moderate_key, kind, label, values):
         # non-integer values, a repeated secret point (T: 24 24 with
         # weights: 5 6 would build sigma from one point at weight 6) and an
-        # integer past int64 are typed errors, not ValueError/OverflowError
+        # integer past int64 are typed errors, not ValueError/OverflowError;
+        # so are a label the kind does not define (appended) and a header
+        # line (label "header") with an unknown or repeated key
         pk, sk = moderate_key
         if kind == "private":
             text, load = serialize_private(sk), deserialize_private
@@ -700,12 +706,16 @@ class TestSerialization:
             ct = encrypt(pk, random_message(MODERATE, 0), 1)
             text, load = serialize_ct(ct), deserialize_ct
         lines = []
-        for line in text.splitlines():
+        for i, line in enumerate(text.splitlines()):
             if line.split(":")[0] == label:
                 line = f"{label}: {values}"
             elif label == "T" and line.startswith("weights:"):
                 line = "weights: " + " ".join(str(5 + i) for i in range(len(values.split())))
+            elif label == "header" and i == 1:
+                line = values
             lines.append(line)
+        if label == "bogus":
+            lines.append(f"{label}: {values}")
         with pytest.raises(MalformedData):
             load("\n".join(lines) + "\n")
 
@@ -717,7 +727,8 @@ class TestSerialization:
 
 class TestCodecRobustness:
     """Every field rejects what is not a list of in-range int64 values,
-    and a label given twice."""
+    and a label given twice; every kind rejects a label it does not define,
+    and a header line that does not give each of its keys exactly once."""
 
     def _cases(self, pk, sk, ct):
         p = MODERATE
@@ -747,7 +758,30 @@ class TestCodecRobustness:
                 with pytest.raises(MalformedData):
                     load(text + f"{label}: {' '.join(vals)}\n")
                 checked += 1
+            # a label this kind does not define
+            with pytest.raises(MalformedData):
+                load(text + "bogus: 1 2 3\n")
         assert checked == 4 + 12 + 4
+
+    def test_every_header_key(self, moderate_key):
+        pk, sk = moderate_key
+        ct = encrypt(pk, random_message(MODERATE, 0), 1)
+        for text, load, _ in self._cases(pk, sk, ct):
+            magic, header, *rest = text.splitlines()
+
+            def with_header(line):
+                return "\n".join([magic, line] + rest) + "\n"
+
+            load(with_header(header))
+            keys = header.split()
+            bad = [header + " extra=5", header + " 5", header.replace("=", "==", 1)]
+            # a repeated key, even with the same value (the last used to win)
+            bad += [f"{header} {tok}" for tok in keys]
+            # a missing key
+            bad += [" ".join(keys[:i] + keys[i + 1:]) for i in range(len(keys))]
+            for line in bad:
+                with pytest.raises(MalformedData):
+                    load(with_header(line))
 
 
 class TestKeyValidation:
