@@ -3,7 +3,8 @@ reports, operation-count benchmarks, and a desk-scale lattice-attack demo.
 
 Exit codes: 0 success, 1 I/O or malformed input, 2 key generation
 exhausted its retries, 3 decryption failure (strict mode), 4 payload too
-large, 5 basis reduction exceeded its step budget.
+large, 5 basis reduction exceeded its step budget.  main reads them from
+EXIT_CODES, the one table that maps each error to its code.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def _resolve_seed(args) -> int | None:
 
 
 def _rng_from(args) -> random.Random:
-    seed = _resolve_seed(args)
-    return random.Random(seed) if seed is not None else random.Random()
+    # Random(None) seeds itself from system entropy
+    return random.Random(_resolve_seed(args))
 
 
 def _resolve_params(args) -> tuple[Params, str]:
@@ -355,26 +356,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# (error type, exit code); the first match wins, so subclasses of
+# BqtruError come before it
+EXIT_CODES = (
+    (RetriesExhausted, 2),
+    (DecryptionFailure, 3),
+    (PayloadTooLarge, 4),
+    (ReductionBudgetExceeded, 5),
+    (BqtruError, 1),
+    (OSError, 1),
+    (ValueError, 1),
+)
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = _parser().parse_args(argv)
     try:
         return args.fn(args, out)
-    except RetriesExhausted as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DecryptionFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PayloadTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ReductionBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (BqtruError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

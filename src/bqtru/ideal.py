@@ -60,7 +60,7 @@ def build_bqtru_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
     rows = np.zeros((3 * four, 3 * four), dtype=np.int64)
     rows[:four, :four] = dom.q * np.eye(four, dtype=np.int64)
     rows[four:2 * four, :four] = _quat_block_matrix(H) % dom.q
-    D = dom.lagrange_matrix()
+    D = dom.lagrange_matrix
     for b in range(4):
         rows[2 * four + b * nsq:2 * four + (b + 1) * nsq, b * nsq:(b + 1) * nsq] = D
     rows[four:, four:] = np.eye(2 * four, dtype=np.int64)

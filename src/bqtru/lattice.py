@@ -28,10 +28,6 @@ class ReducedBasis:
         self.norms_sq = norms_sq
         self.delta = delta
 
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[0]
-
 
 def _gso_rows(rows: np.ndarray, mu, bstar, norms, start: int):
     """Recompute Gram-Schmidt data for rows start..k-1 (earlier rows valid)."""

@@ -5,13 +5,14 @@ writes an NTRU key, so there is no key file format.
 
 Deliberately schoolbook: one encryption costs a single cyclic convolution
 of n^2 scalar multiplications, which is the figure the operation-count
-comparisons are made against.
+comparisons are made against.  Ternary sampling, centered residues and
+seed coercion are the bivariate scheme's (ring.signed_ternary,
+ring.centered, ring.as_rng).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,9 +24,13 @@ from .errors import (
     RetriesExhausted,
     WeightTooLarge,
 )
-from .ring import OpCounter
+from .ring import OpCounter, as_rng, centered, signed_ternary
 
 MULT_COUNTER = OpCounter()
+
+#: (n, plus, minus, rng) -> length-n vector with plus +1s and minus -1s;
+#: the bivariate scheme draws its ternary polynomials with the same sampler
+sample_ntru_ternary = signed_ternary
 
 
 @dataclass(frozen=True)
@@ -122,23 +127,13 @@ def poly_inverse(f: np.ndarray, modulus: int) -> np.ndarray:
     return solve_mod_prime(circulant(f).T, e0, modulus)
 
 
-def sample_ntru_ternary(n: int, plus: int, minus: int, rng: random.Random) -> np.ndarray:
-    if plus + minus > n:
-        raise WeightTooLarge("too many nonzero coefficients")
-    out = np.zeros(n, dtype=np.int64)
-    picks = rng.sample(range(n), plus + minus)
-    out[picks[:plus]] = 1
-    out[picks[plus:]] = -1
-    return out
-
-
 def ntru_keygen(params: NtruParams, rng, max_attempts: int = 1000):
     """Public h = f^{-1} * g mod q; private (f, g).
 
     f takes d+1 ones and d minus-ones -- a balanced f has f(1) = 0 and is
     never invertible.  g is balanced.
     """
-    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
+    rng = as_rng(rng)
     n, p, q, d = params.n, params.p, params.q, params.d
     for _ in range(max_attempts):
         f = sample_ntru_ternary(n, d + 1, d, rng)
@@ -156,7 +151,7 @@ def ntru_keygen(params: NtruParams, rng, max_attempts: int = 1000):
 def ntru_encrypt(h: np.ndarray, m: np.ndarray, params: NtruParams, rng,
                  r: np.ndarray | None = None) -> np.ndarray:
     if r is None:
-        rng = rng if isinstance(rng, random.Random) else random.Random(rng)
+        rng = as_rng(rng)
         r = sample_ntru_ternary(params.n, params.d, params.d, rng)
     return (params.p * conv(h, r, params.q) + m) % params.q
 
@@ -164,10 +159,8 @@ def ntru_encrypt(h: np.ndarray, m: np.ndarray, params: NtruParams, rng,
 def ntru_decrypt(sk, c: np.ndarray, params: NtruParams, strict: bool = False) -> np.ndarray:
     f, g, f_p = sk
     p, q = params.p, params.q
-    a = conv(f, c, q)
-    a = (a + (q - 1) // 2) % q - (q - 1) // 2  # center
-    m = conv(f_p, a % p, p)
-    m = (m + (p - 1) // 2) % p - (p - 1) // 2
+    a = centered(conv(f, c, q), q)
+    m = centered(conv(f_p, a % p, p), p)
     if strict:
         resid = (a - conv(f, m)) // p
         if np.abs(resid).max() > 2 * params.d or resid.sum() != 0:

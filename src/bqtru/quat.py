@@ -14,9 +14,13 @@ scalar quaternion F(points[k]) over Z_q.  rho is an isomorphism of
 algebras, so a mod-q product is rho_mul of two arrays (n**2 scalar
 products, no convolution) and rho_interpolate maps back.  rho_inverse
 inverts pointwise off the secret set T, which is how keygen inverts F
-modulo the secret ideal, and scalar_norm vets the scalar weight W it
-draws.  Conjugation in the coefficient domain, scalar products and the
-inverse mod the secret ideal are reference paths in tests/oracles.py.
+modulo the secret ideal.  rho_norms is the one scalar-quaternion norm: it
+gives the grid values of N(F), and keygen vets the scalar weight W it
+draws with it.  norm_zeros_off_T is the one test that a norm vanishes
+only inside T, for keygen, private-key load and rho_inverse.  Centered
+lifts use ring.centered.  Conjugation in the coefficient domain, scalar
+products and the inverse mod the secret ideal are reference paths in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContextMismatch, EvenModulus, NormVanishesOutsideT
-from .ring import EvalDomain, RingElem, conv_mul, product_domain, ring_inverse
+from .ring import EvalDomain, RingElem, centered, conv_mul, product_domain, ring_inverse
 
 
 class Quaternion:
@@ -50,21 +54,6 @@ class Quaternion:
     def modulus(self):
         return self.c0.modulus
 
-    @classmethod
-    def zero(cls, n: int, modulus=None) -> "Quaternion":
-        return cls(*(RingElem.zero(n, modulus) for _ in range(4)))
-
-    @classmethod
-    def one(cls, n: int, modulus=None) -> "Quaternion":
-        z = RingElem.zero(n, modulus)
-        return cls(RingElem.one(n, modulus), z, z, z)
-
-    @classmethod
-    def unit(cls, which: str, n: int, modulus=None) -> "Quaternion":
-        comps = [RingElem.zero(n, modulus) for _ in range(4)]
-        comps["1ijk".index(which)] = RingElem.one(n, modulus)
-        return cls(*comps)
-
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(*(a + b for a, b in zip(self.components, other.components)))
 
@@ -84,9 +73,6 @@ class Quaternion:
 
     def __hash__(self):
         return hash(self.components)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
 
     def with_modulus(self, modulus) -> "Quaternion":
         return Quaternion(*(c.with_modulus(modulus) for c in self.components))
@@ -159,19 +145,14 @@ def quat_mul_strassen(F: Quaternion, G: Quaternion) -> Quaternion:
     return matrix_to_quat(C)
 
 
-def _centered(a: np.ndarray, m: int) -> np.ndarray:
-    a = a % m
-    return np.where(a > m // 2, a - m, a)
-
-
 def _grid_values(comps, dom: EvalDomain) -> np.ndarray:
     """Rows of grid values in dom of the centered lifts of ring elements."""
-    return dom.transform(_centered(np.stack([c.coeffs for c in comps]), comps[0].modulus))
+    return dom.transform(centered(np.stack([c.coeffs for c in comps]), comps[0].modulus))
 
 
 def _from_grid_values(vals: np.ndarray, n: int, m: int, dom: EvalDomain):
     """Ring elements mod m from rows of grid values in dom of exact integer results."""
-    return [RingElem(c, n, m) for c in _centered(dom.inverse_transform(vals), dom.q)]
+    return [RingElem(c, n, m) for c in centered(dom.inverse_transform(vals), dom.q)]
 
 
 def quat_norm(F: Quaternion) -> RingElem:
@@ -208,12 +189,6 @@ def quat_inverse_mod_p(F: Quaternion) -> Quaternion:
 # scalar quaternions over Z_q (entries are integers, not polynomials)
 # ---------------------------------------------------------------------------
 
-def scalar_norm(a, q: int) -> int:
-    """Norm a0^2 - a1^2 - a2^2 + a3^2 mod q of a scalar quaternion (4-tuple)."""
-    a0, a1, a2, a3 = (int(v) % q for v in a)
-    return (a0 * a0 - a1 * a1 - a2 * a2 + a3 * a3) % q
-
-
 def rho(F: Quaternion, dom: EvalDomain) -> np.ndarray:
     """Grid evaluation map: row k is the scalar quaternion F(points[k]).
 
@@ -247,9 +222,19 @@ def rho_mul(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
 
 
 def rho_norms(u: np.ndarray, q: int) -> np.ndarray:
-    """Scalar norms mod q of the rows of an evaluation array: the grid values of N(F)."""
+    """Scalar norms mod q of the rows of an evaluation array: the grid values of N(F).
+
+    A single scalar quaternion (a 4-vector) gives its norm a0^2 - a1^2 - a2^2 + a3^2.
+    """
     a0, a1, a2, a3 = (np.asarray(u, dtype=np.int64) % q).T
     return (a0 * a0 - a1 * a1 - a2 * a2 + a3 * a3) % q
+
+
+def norm_zeros_off_T(norms: np.ndarray, t_indices) -> np.ndarray:
+    """Grid indices outside T at which the norm values vanish."""
+    zero = norms == 0
+    zero[list(t_indices)] = False
+    return np.flatnonzero(zero)
 
 
 def rho_inverse(u: np.ndarray, q: int, t_indices=()) -> np.ndarray:
@@ -259,9 +244,7 @@ def rho_inverse(u: np.ndarray, q: int, t_indices=()) -> np.ndarray:
     """
     a = np.asarray(u, dtype=np.int64) % q
     norms = rho_norms(a, q)
-    off_T = np.ones(len(a), dtype=bool)
-    off_T[list(t_indices)] = False
-    bad = np.flatnonzero(off_T & (norms == 0))
+    bad = norm_zeros_off_T(norms, t_indices)
     if bad.size:
         raise NormVanishesOutsideT(f"norm vanishes at grid index {int(bad[0])} outside T")
     # N^(q-2) = N^-1 by Fermat, by square-and-multiply on the whole array
@@ -271,6 +254,6 @@ def rho_inverse(u: np.ndarray, q: int, t_indices=()) -> np.ndarray:
             ninv = ninv * base % q
         base = base * base % q
         e >>= 1
-    ninv[~off_T] = 0
+    ninv[list(t_indices)] = 0
     return a * np.array([1, -1, -1, -1]) * ninv[:, None] % q
 

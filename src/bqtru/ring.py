@@ -17,25 +17,31 @@ Mod q the ring is Z_q^(n**2), because n | q-1: EvalDomain maps
 coefficients to the values on the n**2-point grid of n-th roots of unity
 and back, each way a product with the n x n Vandermonde matrix on both
 sides, so a product mod q costs two transforms, n**2 scalar products and
-one inverse transform instead of a convolution.  Its lagrange_matrix
-holds the interpolant rows the secret and key-recovery lattices are made
-of.  Mod a prime m with n not dividing m-1 (p in every shipped set),
-product_domain supplies an auxiliary prime P = 1 (mod n) large enough
-that products of centered lifts are exact over Z, and the result is
-reduced mod m.
+one inverse transform instead of a convolution.  Its lagrange_matrix,
+the inverse transform of the identity, holds the interpolant rows the
+secret and key-recovery lattices are made of.  Mod a prime m with n not
+dividing m-1 (p in every shipped set), product_domain supplies an
+auxiliary prime P = 1 (mod n) large enough that products of centered
+lifts are exact over Z, and the result is reduced mod m.
 
 A module-level counter tracks convolution products so that callers can
 verify operation counts (16 vs 7 ring products per quaternion multiply);
 the evaluation domain runs none.
+
+The rules the other modules share are written here once: the centered
+residue (centered), signed ternary sampling (signed_ternary, for the
+scheme and the NTRU baseline alike) and the coercion of a seed to a
+random.Random (as_rng).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import random
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ContextMismatch, NotInvertible
+from .errors import ContextMismatch, NotInvertible, WeightTooLarge
 from .params import _is_prime
 
 
@@ -81,19 +87,9 @@ class RingElem:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, n: int, modulus=None) -> "RingElem":
-        return cls(np.zeros(n * n, dtype=np.int64), n, modulus)
-
-    @classmethod
     def one(cls, n: int, modulus=None) -> "RingElem":
         c = np.zeros(n * n, dtype=np.int64)
         c[0] = 1
-        return cls(c, n, modulus)
-
-    @classmethod
-    def monomial(cls, n: int, a: int, b: int, coeff: int = 1, modulus=None) -> "RingElem":
-        c = np.zeros(n * n, dtype=np.int64)
-        c[(a % n) * n + (b % n)] = coeff
         return cls(c, n, modulus)
 
     # -- context ------------------------------------------------------
@@ -138,9 +134,6 @@ class RingElem:
     def __hash__(self):
         return hash((self.n, self.modulus, self.coeffs.tobytes()))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
     def __repr__(self):
         return f"RingElem(n={self.n}, mod={self.modulus}, {self.coeffs.tolist()})"
 
@@ -152,16 +145,37 @@ class RingElem:
             return RingElem(self.coeffs, self.n, None)
         if m % 2 == 0:
             raise ValueError("centered lift requires an odd modulus")
-        half = (m - 1) // 2
-        c = self.coeffs % m
-        c = np.where(c > half, c - m, c)
-        return RingElem(c, self.n, None)
+        return RingElem(centered(self.coeffs, m), self.n, None)
 
     def lift_positive(self) -> "RingElem":
         """Representative in [0, m) viewed over Z."""
         if self.modulus is None:
             return RingElem(self.coeffs, self.n, None)
         return RingElem(self.coeffs % self.modulus, self.n, None)
+
+
+def centered(a, m: int) -> np.ndarray:
+    """Residues of a mod m in (-m/2, m/2]: [-(m-1)/2, (m-1)/2] for odd m,
+    [-m/2 + 1, m/2] for even m."""
+    a = np.asarray(a) % m
+    return np.where(a > m // 2, a - m, a)
+
+
+def signed_ternary(size: int, plus: int, minus: int, rng: random.Random) -> np.ndarray:
+    """plus coefficients +1 and minus coefficients -1 at uniformly drawn
+    distinct slots of a length-size int64 vector, the rest 0."""
+    if plus + minus > size:
+        raise WeightTooLarge(f"{plus}+{minus} nonzeros do not fit in {size} slots")
+    out = np.zeros(size, dtype=np.int64)
+    picks = rng.sample(range(size), plus + minus)
+    out[picks[:plus]] = 1
+    out[picks[plus:]] = -1
+    return out
+
+
+def as_rng(rng) -> random.Random:
+    """rng itself if it is a random.Random, else a random.Random seeded with it."""
+    return rng if isinstance(rng, random.Random) else random.Random(rng)
 
 
 def conv_mul(f: RingElem, g: RingElem) -> RingElem:
@@ -206,7 +220,6 @@ class EvalDomain:
         self._vandermonde = self._w_pows[ai % n]
         self._vandermonde_inv = self._w_pows[-ai % n]
         self._ninv2 = pow(n * n, q - 2, q)
-        self._lagrange_rows = None
 
     @staticmethod
     def _find_omega(n: int, q: int) -> int:
@@ -238,17 +251,13 @@ class EvalDomain:
         """Coefficient rows, in [0, q), of the elements taking each row of grid values."""
         return self._sandwich(self._vandermonde_inv, values) * self._ninv2 % self.q
 
+    @cached_property
     def lagrange_matrix(self) -> np.ndarray:
-        """Row k = coefficient vector of the interpolant for points[k], in [0, q)."""
-        if self._lagrange_rows is None:
-            n, q = self.n, self.q
-            # row k = (a, b) and column (i, j) share the digit split of the index
-            idx = np.arange(n * n)
-            a, b = idx // n, idx % n
-            rows = self._w_pows[-(np.outer(a, a) + np.outer(b, b)) % n] * self._ninv2 % q
-            rows.flags.writeable = False
-            self._lagrange_rows = rows
-        return self._lagrange_rows
+        """Row k = coefficient vector of the interpolant for points[k], in [0, q):
+        the inverse transform of the identity, computed once and read-only."""
+        rows = self.inverse_transform(np.eye(self.size, dtype=np.int64))
+        rows.flags.writeable = False
+        return rows
 
     def eval_all(self, f: RingElem) -> np.ndarray:
         """Values of f on all grid points, ordered like self.points."""
@@ -350,7 +359,7 @@ def _power(f: RingElem, d: int) -> RingElem:
     return u
 
 
-def ring_inverse(f: RingElem, m: int | None = None) -> RingElem:
+def ring_inverse(f: RingElem) -> RingElem:
     """Inverse of f in Z_m[x,y]/(x^n-1, y^n-1), m an odd prime.
 
     Every unit satisfies u**e == 1 (see _unit_exponent), so the inverse is
@@ -361,24 +370,21 @@ def ring_inverse(f: RingElem, m: int | None = None) -> RingElem:
     convolutions at n = 11 and 7 at n = 7 (m = 3, counting the check).
     Raises NotInvertible when f * f**(e-1) is not 1.
     """
-    if m is None:
-        m = f.modulus
+    m, n = f.modulus, f.n
     if m is None:
         raise ValueError("modulus required")
-    n = f.n
     if n * n * (m - 1) ** 2 >= 2 ** 63:
         raise ValueError(f"modulus {m} is too large for int64 convolution")
-    fm = f if f.modulus == m else f.with_modulus(m)
     digits, r = [], _unit_exponent(n, m) - 1
     while r:
         r, d = divmod(r, m)
         digits.append(d)
-    powers = {d: _power(fm, d) for d in set(digits) if d}
+    powers = {d: _power(f, d) for d in set(digits) if d}
     u = powers[digits[-1]]
     for d in reversed(digits[:-1]):
         u = frobenius(u)
         if d:
             u = conv_mul(u, powers[d])
-    if conv_mul(fm, u) != RingElem.one(n, m):
+    if conv_mul(f, u) != RingElem.one(n, m):
         raise NotInvertible("element is not a unit")
     return u

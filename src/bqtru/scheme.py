@@ -3,13 +3,18 @@
 Keys live over the bivariate convolution ring; a private key holds its key
 file's fields (F, G, the secret grid subset T with its nonzero weights mod
 q, W) and F^-1 mod p, and derives the rest.  Keys and ciphertexts share
-one text format, written by _dump and read by _load.  All randomness
-comes from an explicit random.Random instance supplied by the caller.
+one text format, written by _dump and read by _load, in which each
+integer has one spelling (_INTEGERS).  All randomness comes from an
+explicit random.Random instance, or a seed for one, supplied by the
+caller; ternary polynomials come from ring.signed_ternary, centered
+residues from ring.centered, and scalar and grid norms from
+quat.rho_norms.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,13 +27,13 @@ from .errors import (
     NotInvertible,
     PayloadTooLarge,
     RetriesExhausted,
-    WeightTooLarge,
 )
 from .ideal import derive_T
 from .lattice import coset_decode
 from .params import Params
 from .quat import (
     Quaternion,
+    norm_zeros_off_T,
     quat_inverse_mod_p,
     quat_mul_schoolbook,
     quat_mul_strassen,
@@ -38,9 +43,8 @@ from .quat import (
     rho_inverse,
     rho_mul,
     rho_norms,
-    scalar_norm,
 )
-from .ring import EvalDomain, RingElem, eval_domain
+from .ring import EvalDomain, RingElem, as_rng, centered, eval_domain, signed_ternary
 
 
 @dataclass
@@ -89,7 +93,7 @@ class PrivateKey:
 
     @cached_property
     def lagrange_T(self) -> np.ndarray:
-        return eval_domain(self.params.n, self.params.q).lagrange_matrix()[list(self.T)]
+        return eval_domain(self.params.n, self.params.q).lagrange_matrix[list(self.T)]
 
     @cached_property
     def rho_F(self) -> np.ndarray:
@@ -109,21 +113,7 @@ class Ciphertext:
 
 def sample_ternary(n: int, d: int, rng: random.Random) -> RingElem:
     """Uniform polynomial with exactly d coefficients +1 and d coefficients -1."""
-    return _sample_signed(n, d, d, rng)
-
-
-def _sample_signed(n: int, plus: int, minus: int, rng: random.Random) -> RingElem:
-    if plus + minus > n * n:
-        raise WeightTooLarge(f"{plus}+{minus} nonzeros do not fit in {n * n} slots")
-    coeffs = np.zeros(n * n, dtype=np.int64)
-    picks = rng.sample(range(n * n), plus + minus)
-    coeffs[picks[:plus]] = 1
-    coeffs[picks[plus:]] = -1
-    return RingElem(coeffs, n, None)
-
-
-def _rng_of(rng) -> random.Random:
-    return rng if isinstance(rng, random.Random) else random.Random(rng)
+    return RingElem(signed_ternary(n * n, d, d, rng), n, None)
 
 
 def keygen(params: Params, rng, max_attempts: int = 10_000):
@@ -143,7 +133,7 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
         # even one secret point has q coset classes
         raise RetriesExhausted(f"no secret set T is scannable at q = {q}: decryption needs "
                                f"q^|T| <= 2^16 = {MAX_SCAN_CLASSES} coset classes")
-    rng = _rng_of(rng)
+    rng = as_rng(rng)
     dom = eval_domain(n, q)
     for _ in range(max_attempts):
         G = Quaternion(*(sample_ternary(n, params.d_g, rng) for _ in range(4)))
@@ -158,7 +148,7 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
         weights = [rng.randrange(1, q) for _ in T]
         while True:
             W = tuple(rng.randrange(1, q) for _ in range(4))
-            if scalar_norm(W, q) != 0:
+            if rho_norms(W, q) != 0:
                 break
         sk = PrivateKey(params, F, G, tuple(T), tuple(weights), W, F_p_inv)
         rho_H = (rho_mul(rho_inverse(sk.rho_F, q, T), rho_G, q)
@@ -174,22 +164,16 @@ def _rho_theta(T, weights, W, params: Params) -> np.ndarray:
     return rho_theta
 
 
-def _zeros_inside(norm_vals: np.ndarray, T) -> bool:
-    """Whether every grid zero of a norm lies in T."""
-    zero_off_T = norm_vals == 0
-    zero_off_T[list(T)] = False
-    return not zero_off_T.any()
-
-
 def _find_F(params: Params, T, dom: EvalDomain, rng: random.Random,
             attempts: int = 100):
     """(F, F^-1 mod p) for an F whose norm vanishes only inside T and is
     invertible mod p, or None when every attempt fails."""
     for _ in range(attempts):
-        comps = [_sample_signed(params.n, params.d_f + 1, params.d_f, rng)]
+        comps = [RingElem(signed_ternary(params.nsq, params.d_f + 1, params.d_f, rng),
+                          params.n, None)]
         comps += [sample_ternary(params.n, params.d_f, rng) for _ in range(3)]
         F = Quaternion(*comps)
-        if not _zeros_inside(dom.eval_all(quat_norm(F.with_modulus(dom.q))), T):
+        if norm_zeros_off_T(dom.eval_all(quat_norm(F.with_modulus(dom.q))), T).size:
             continue
         try:
             return F, quat_inverse_mod_p(F.with_modulus(params.p))
@@ -200,7 +184,7 @@ def _find_F(params: Params, T, dom: EvalDomain, rng: random.Random,
 
 def random_message(params: Params, rng) -> Quaternion:
     """Uniform quaternion with coefficients centered mod p (test utility)."""
-    rng = _rng_of(rng)
+    rng = as_rng(rng)
     half = (params.p - 1) // 2
     nsq = params.nsq
     comps = [
@@ -219,7 +203,7 @@ def encrypt(pk: PublicKey, M: Quaternion, rng, phi: Quaternion | None = None) ->
         if c.modulus is not None or np.abs(c.coeffs).max(initial=0) > half:
             raise MessageOutOfRange("message coefficients must be centered mod p")
     if phi is None:
-        rng = _rng_of(rng)
+        rng = as_rng(rng)
         phi = Quaternion(*(sample_ternary(params.n, params.d_phi, rng) for _ in range(4)))
     q = params.q
     dom = eval_domain(params.n, q)
@@ -316,9 +300,7 @@ def encode_message(payload: bytes, params: Params) -> Quaternion:
     # centered residue: digit 0 stays 0 so padding and leading zeros do not
     # bias the coefficient sums (a large per-component sum lines up with a
     # short lattice direction and breaks decryption)
-    half = (p - 1) // 2
-    flat[flat > half] -= p
-    return Quaternion.from_vector(flat, params.n, None)
+    return Quaternion.from_vector(centered(flat, p), params.n, None)
 
 
 def decode_message(M: Quaternion, params: Params) -> bytes:
@@ -353,6 +335,10 @@ def decode_message(M: Quaternion, params: Params) -> bytes:
 
 _MAGIC = "BQTRU v1"
 
+# the one spelling of each integer a file may hold: ASCII digits, no sign on
+# 0, no '+', no leading zeros, no '_'; matched once per header value or field line
+_INTEGERS = re.compile(r"(?:0|-?[1-9][0-9]*)(?:\s+(?:0|-?[1-9][0-9]*))*")
+
 # the labelled fields a file of each kind holds
 _FIELDS = {
     "public": ("h0", "h1", "h2", "h3"),
@@ -377,10 +363,9 @@ def _read_header(line: str, keys) -> dict:
             raise MalformedData(f"unknown header entry {tok!r}")
         if key in kv:
             raise MalformedData(f"header key {key} repeated")
-        try:
-            kv[key] = int(value)
-        except ValueError as exc:
-            raise MalformedData(f"header key {key} is not an integer") from exc
+        if not _INTEGERS.fullmatch(value):
+            raise MalformedData(f"header key {key} is not an integer")
+        kv[key] = int(value)
     missing = [k for k in keys if k not in kv]
     if missing:
         raise MalformedData(f"header key {missing[0]} missing")
@@ -431,10 +416,13 @@ def _load(text: str, kind: str):
 
 def _read_coeffs(fields: dict, label: str, count, lo: int, hi: int) -> np.ndarray:
     """The field's int64 values, each in [lo, hi): count of them, or any number if None."""
+    text = fields[label]
+    if text and not _INTEGERS.fullmatch(text):
+        raise MalformedData(f"field {label} is not a list of integers")
     try:
-        vals = np.array(fields[label].split(), dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise MalformedData(f"field {label} is not a list of int64 integers") from exc
+        vals = np.array(text.split(), dtype=np.int64)
+    except OverflowError as exc:
+        raise MalformedData(f"field {label} is past the int64 range") from exc
     if count not in (None, len(vals)) or ((vals < lo) | (vals >= hi)).any():
         raise MalformedData(f"field {label} malformed")
     return vals
@@ -496,7 +484,7 @@ def deserialize_private(text: str) -> PrivateKey:
     sk = PrivateKey(params, F, G, tuple(T), tuple(weights.tolist()), tuple(W.tolist()), None)
     if rho(G.with_modulus(params.q), eval_domain(params.n, params.q))[T].any():
         raise MalformedData("G does not vanish on T")
-    if not _zeros_inside(rho_norms(sk.rho_F, params.q), T):
+    if norm_zeros_off_T(rho_norms(sk.rho_F, params.q), T).size:
         raise MalformedData("N(F) vanishes at a grid point outside T")
     if not np.array_equal(rho_gamma, sk.rho_gamma.reshape(-1)):
         raise MalformedData("rhogamma is not rho(F) * rho(theta)")

@@ -33,7 +33,6 @@ from bqtru.quat import (
     rho,
     rho_interpolate,
     rho_inverse,
-    scalar_norm,
 )
 from bqtru.ring import EvalDomain, RingElem, conv_mul
 from bqtru.scheme import keygen, random_message, sample_ternary
@@ -53,6 +52,41 @@ class NotAGridPoint(BqtruError):
 
 class NonIntegralU(BqtruError):
     """Key membership check produced a non-integral quotient."""
+
+
+# ---------------------------------------------------------------------------
+# constants and predicates that only the tests need
+# ---------------------------------------------------------------------------
+
+def ring_zero(n: int, modulus=None) -> RingElem:
+    return RingElem(np.zeros(n * n, dtype=np.int64), n, modulus)
+
+
+def monomial(n: int, a: int, b: int, coeff: int = 1, modulus=None) -> RingElem:
+    """coeff * x^a y^b."""
+    c = np.zeros(n * n, dtype=np.int64)
+    c[(a % n) * n + (b % n)] = coeff
+    return RingElem(c, n, modulus)
+
+
+def quat_unit(which: str, n: int, modulus=None) -> Quaternion:
+    """The basis quaternion named by which, one of "1", "i", "j", "k"."""
+    comps = [ring_zero(n, modulus) for _ in range(4)]
+    comps["1ijk".index(which)] = RingElem.one(n, modulus)
+    return Quaternion(*comps)
+
+
+def quat_zero(n: int, modulus=None) -> Quaternion:
+    return Quaternion(*(ring_zero(n, modulus) for _ in range(4)))
+
+
+def quat_one(n: int, modulus=None) -> Quaternion:
+    return quat_unit("1", n, modulus)
+
+
+def is_zero(x) -> bool:
+    """Whether a RingElem or a Quaternion is zero."""
+    return not (x.vector() if isinstance(x, Quaternion) else x.coeffs).any()
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +114,7 @@ def lagrange_interpolant(dom: EvalDomain, a: int, b: int) -> RingElem:
         k = dom.points.index((a % dom.q, b % dom.q))
     except ValueError:
         raise NotAGridPoint(f"({a}, {b}) is not on the grid")
-    return RingElem(dom.lagrange_matrix()[k], dom.n, dom.q)
+    return RingElem(dom.lagrange_matrix[k], dom.n, dom.q)
 
 
 def absorb_check(alpha: RingElem, dom: EvalDomain, a: int, b: int) -> bool:
@@ -113,6 +147,12 @@ def from_scalar(s, n: int, modulus=None) -> Quaternion:
         c[0] = int(v)
         comps.append(RingElem(c, n, modulus))
     return Quaternion(*comps)
+
+
+def scalar_norm(a, q: int) -> int:
+    """Norm a0^2 - a1^2 - a2^2 + a3^2 mod q of a scalar quaternion (4-tuple)."""
+    a0, a1, a2, a3 = (int(v) % q for v in a)
+    return (a0 * a0 - a1 * a1 - a2 * a2 + a3 * a3) % q
 
 
 def scalar_mul(a, b, q: int):
@@ -235,7 +275,7 @@ def build_D_prime(T, dom: EvalDomain) -> LatticeBasis:
     nsq = dom.size
     stack = np.zeros((nsq + len(T), nsq), dtype=np.int64)
     stack[:nsq] = dom.q * np.eye(nsq, dtype=np.int64)
-    stack[nsq:] = dom.lagrange_matrix()[list(T)]
+    stack[nsq:] = dom.lagrange_matrix[list(T)]
     H = _row_hnf(stack)
     return LatticeBasis(np.array(H, dtype=object), nsq, "D_prime")
 
@@ -260,7 +300,7 @@ def babai_nearest_plane(rb: ReducedBasis, t) -> np.ndarray:
         raise ValueError("target has the wrong dimension")
     w = t.copy()
     out = np.zeros(rb.rows.shape[1], dtype=np.int64)
-    for i in range(rb.dim - 1, -1, -1):
+    for i in range(len(rb.rows) - 1, -1, -1):
         c = round(w @ rb.bstar[i] / rb.norms_sq[i])
         if c:
             out += c * rb.rows[i]
@@ -282,7 +322,7 @@ def sphere_decode(rb: ReducedBasis, t, radius: float | None = None,
     worthless anyway).
     """
     t = np.asarray(t, dtype=np.float64)
-    k = rb.dim
+    k = len(rb.rows)
     # coordinates of t in the basis (least squares handles non-square spans)
     x, *_ = np.linalg.lstsq(rb.rows.T.astype(np.float64), t, rcond=None)
 
@@ -361,11 +401,11 @@ def exhaustive_cvp(rows, t, center, box):
 # ---------------------------------------------------------------------------
 
 def is_size_reduced(rb: ReducedBasis, tol: float = 1e-9) -> bool:
-    return all(abs(rb.mu[i, j]) <= 0.5 + tol for i in range(rb.dim) for j in range(i))
+    return all(abs(rb.mu[i, j]) <= 0.5 + tol for i in range(len(rb.rows)) for j in range(i))
 
 
 def satisfies_lovasz(rb: ReducedBasis, tol: float = 1e-9) -> bool:
-    for i in range(1, rb.dim):
+    for i in range(1, len(rb.rows)):
         lhs = (rb.delta - rb.mu[i, i - 1] ** 2) * rb.norms_sq[i - 1]
         if rb.norms_sq[i] < lhs - tol * rb.norms_sq[i - 1]:
             return False
@@ -383,7 +423,7 @@ def gamma_vector(rho_gamma: np.ndarray, dom: EvalDomain) -> np.ndarray:
     constructions, so the result is the exact integer product
     rho_flat @ blockdiag(D).
     """
-    D = dom.lagrange_matrix().astype(object)
+    D = dom.lagrange_matrix.astype(object)
     vals = np.asarray(rho_gamma, dtype=object)
     return np.concatenate([vals[:, c] @ D for c in range(4)])
 
@@ -429,7 +469,7 @@ def build_expanded_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
     four = 4 * nsq
     per = (ell + 1) * nsq
     dim = 2 * four + 4 * per
-    scaled = np.concatenate([(1 << t) * dom.lagrange_matrix() for t in range(ell + 1)])
+    scaled = np.concatenate([(1 << t) * dom.lagrange_matrix for t in range(ell + 1)])
     rows = np.zeros((dim, dim), dtype=np.int64)
     rows[:four, :four] = dom.q * np.eye(four, dtype=np.int64)
     rows[four:2 * four, :four] = _quat_block_matrix(H) % dom.q

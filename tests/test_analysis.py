@@ -26,7 +26,10 @@ from bqtru.analysis import (
 from bqtru.params import HIGHEST, MODERATE, TOY, Params
 from bqtru.ring import RingElem
 
-from oracles import empirical_noise_variance
+from oracles import (
+    empirical_noise_variance,
+    monomial,
+)
 
 OVERSIZED = Params(7, 3, 547, 7, 7, 7)  # q far beyond the wrap-around guard
 
@@ -177,7 +180,7 @@ class TestFold:
         assert fold_to_univariate(one, 2, 3).tolist() == [1, 0, 0, 0, 0]
 
     def test_monomial_image(self):
-        xy = RingElem.monomial(5, 1, 1)
+        xy = monomial(5, 1, 1)
         out = fold_to_univariate(xy, 1, 1)
         assert out.tolist() == [0, 0, 1, 0, 0]
 

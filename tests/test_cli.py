@@ -1,3 +1,4 @@
+import hashlib
 import io
 import time
 
@@ -159,6 +160,17 @@ class TestAnalyze:
     def test_byte_stable(self):
         assert run("analyze", "--params", "moderate") == run("analyze", "--params", "moderate")
 
+    @pytest.mark.parametrize("name, digest", [
+        ("toy", "99c026d8b3d052815376da9b2f1471e410cda8a27372c3bee54728f7933d789d"),
+        ("moderate", "9f42b250067d34f95b8741f56fde9228b4f4bff04e7dc2d07cee785361dd7dda"),
+        ("highest", "97ce67b1a9ab02f35fda5f494bac399cc56c4e5e8404d4546bf4ac39e9e4e924"),
+    ])
+    def test_full_report_unchanged(self, name, digest):
+        # sha256 of the whole report, every line and its formatting
+        code, out = run("analyze", "--params", name)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestBench:
     def test_counters(self):
@@ -263,3 +275,13 @@ class TestAttack:
                         "--target", prefix + ".pub")
         assert code == 0
         assert "private_key_recovered" not in out  # no private key available
+
+
+class TestExitCodes:
+    def test_every_entry_reachable(self):
+        # main takes the first matching entry, so a type listed after one
+        # of its base classes would never get its own code
+        kinds = [kind for kind, _ in cli.EXIT_CODES]
+        for i, kind in enumerate(kinds):
+            assert not any(issubclass(kind, earlier) for earlier in kinds[:i])
+        assert sorted({code for _, code in cli.EXIT_CODES}) == [1, 2, 3, 4, 5]

@@ -8,7 +8,7 @@ import pytest
 from bqtru.analysis import expansion_ratio
 from bqtru.ideal import build_bqtru_lattice, derive_T, hybrid_norm, rho_flat
 from bqtru.params import MODERATE, TOY
-from bqtru.quat import Quaternion, quat_mul_schoolbook, quat_norm, rho, scalar_norm
+from bqtru.quat import Quaternion, quat_mul_schoolbook, quat_norm, rho, rho_norms
 from bqtru.ring import EvalDomain, RingElem, conv_mul, ring_inverse
 
 from oracles import (
@@ -25,7 +25,9 @@ from oracles import (
     interpolate,
     lagrange_interpolant,
     quat_inverse_mod_J,
+    quat_one,
     ring_eval,
+    ring_zero,
     verify_key_membership,
 )
 
@@ -73,7 +75,7 @@ def toy_keygen(rng, dom, p=3, d=1):
         weights = [rng.randrange(1, q) for _ in T]
         while True:
             W = tuple(rng.randrange(1, q) for _ in range(4))
-            if scalar_norm(W, q) != 0:
+            if rho_norms(W, q) != 0:
                 break
         sigma = build_sigma(T, weights, dom)
         theta = Quaternion(*(sigma.scale(w) for w in W))
@@ -97,7 +99,7 @@ def dom5():
 
 class TestDeriveT:
     def test_constant_never_vanishes(self, dom3):
-        assert derive_T(rho(Quaternion.one(3, 7), dom3)) == []
+        assert derive_T(rho(quat_one(3, 7), dom3)) == []
 
     def test_planted_zero_set(self, dom3):
         chosen = [2, 5]
@@ -247,15 +249,15 @@ class TestPrivateLattice:
                 RingElem(np.array([rng.randrange(7) for _ in range(9)]), 3, 7)
                 for _ in range(4)
             ))
-            sig_q = Quaternion(sigma, RingElem.zero(3, 7),
-                               RingElem.zero(3, 7), RingElem.zero(3, 7))
+            sig_q = Quaternion(sigma, ring_zero(3, 7),
+                               ring_zero(3, 7), ring_zero(3, 7))
             prod = quat_mul_schoolbook(Wp, sig_q)
             assert basis_contains(priv, prod.lift_positive().vector())
 
 
 class TestBqtruLattice:
     def test_dimension(self, dom3):
-        H = Quaternion.one(3, 7)
+        H = quat_one(3, 7)
         assert build_bqtru_lattice(H, dom3).dim == 108
 
     def test_F_row_identity(self, dom3):
@@ -330,7 +332,7 @@ class TestKeyMembership:
 
 class TestExpandedLattice:
     def test_dimension_n3(self, dom3):
-        H = Quaternion.one(3, 7)
+        H = quat_one(3, 7)
         assert build_expanded_lattice(H, dom3).dim == 180  # (4*2+12)*9
 
     @pytest.mark.parametrize("n,q,expect", [(7, 113, 1764), (11, 199, 4840)])
@@ -340,7 +342,7 @@ class TestExpandedLattice:
 
     def test_built_dimension_n7(self):
         dom = EvalDomain(7, 113)
-        H = Quaternion.one(7, 113)
+        H = quat_one(7, 113)
         assert build_expanded_lattice(H, dom).dim == 1764
 
     @pytest.mark.parametrize("params", [TOY, MODERATE], ids=["toy", "moderate"])

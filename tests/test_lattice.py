@@ -209,7 +209,7 @@ def coset_lattice(n, q, T):
     """Domain, Lagrange generator rows and LLL-reduced D' for one case."""
     dom = EvalDomain(n, q)
     rb = lll_reduce(build_D_prime(T, dom).rows.astype(np.int64))
-    return dom, dom.lagrange_matrix()[list(T)], rb
+    return dom, dom.lagrange_matrix[list(T)], rb
 
 
 def in_lattice(dom, T, v) -> bool:
@@ -241,8 +241,9 @@ def exhaustive_closest(gens, q, t):
 
 
 def near_target(rb, rng, q, noise):
-    planted = rng.integers(-3, 4, rb.dim) @ rb.rows + q * rng.integers(-2, 3, rb.dim)
-    return planted + rng.integers(-noise, noise + 1, rb.dim)
+    dim = len(rb.rows)
+    planted = rng.integers(-3, 4, dim) @ rb.rows + q * rng.integers(-2, 3, dim)
+    return planted + rng.integers(-noise, noise + 1, dim)
 
 
 class TestCosetDecode:

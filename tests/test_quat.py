@@ -19,7 +19,7 @@ from bqtru.quat import (
     rho_interpolate,
     rho_inverse,
     rho_mul,
-    scalar_norm,
+    rho_norms,
 )
 from bqtru.ring import (
     CONV_COUNTER,
@@ -33,10 +33,15 @@ from bqtru.ring import (
 from oracles import (
     conjugate,
     from_scalar,
+    is_zero,
     lagrange_interpolant,
     quat_inverse_mod_J,
+    quat_one,
+    quat_unit,
+    ring_zero,
     scalar_inverse,
     scalar_mul,
+    scalar_norm,
 )
 
 # (n, q) with n | q-1: the shipped sets plus the wide-q test set
@@ -82,21 +87,21 @@ def dom3():
 
 class TestSchoolbook:
     def test_i_times_j_is_k(self):
-        i = Quaternion.unit("i", 3, 7)
-        j = Quaternion.unit("j", 3, 7)
-        k = Quaternion.unit("k", 3, 7)
+        i = quat_unit("i", 3, 7)
+        j = quat_unit("j", 3, 7)
+        k = quat_unit("k", 3, 7)
         assert quat_mul_schoolbook(i, j) == k
         assert quat_mul_schoolbook(j, i) == -k
 
     def test_one_is_identity(self):
         rng = random.Random(10)
         F = rand_quat(rng, 3, 7)
-        assert quat_mul_schoolbook(F, Quaternion.one(3, 7)) == F
+        assert quat_mul_schoolbook(F, quat_one(3, 7)) == F
 
     def test_split_zero_divisor(self):
-        one = Quaternion.one(3, 7)
-        i = Quaternion.unit("i", 3, 7)
-        assert quat_mul_schoolbook(one + i, one - i).is_zero()
+        one = quat_one(3, 7)
+        i = quat_unit("i", 3, 7)
+        assert is_zero(quat_mul_schoolbook(one + i, one - i))
 
     def test_mult_count_is_16(self):
         rng = random.Random(11)
@@ -108,20 +113,20 @@ class TestSchoolbook:
 
 class TestMatrixImage:
     def test_one_maps_to_identity(self):
-        M = quat_to_matrix(Quaternion.one(3, 7))
+        M = quat_to_matrix(quat_one(3, 7))
         assert M[0][0] == RingElem.one(3, 7) and M[1][1] == RingElem.one(3, 7)
-        assert M[0][1].is_zero() and M[1][0].is_zero()
+        assert is_zero(M[0][1]) and is_zero(M[1][0])
 
     def test_i_maps_to_diag(self):
-        M = quat_to_matrix(Quaternion.unit("i", 3, 7))
+        M = quat_to_matrix(quat_unit("i", 3, 7))
         assert M[0][0] == RingElem.one(3, 7)
         assert M[1][1] == -RingElem.one(3, 7)
-        assert M[0][1].is_zero() and M[1][0].is_zero()
+        assert is_zero(M[0][1]) and is_zero(M[1][0])
 
     def test_k_image_matches_ij_product(self):
-        i = Quaternion.unit("i", 3, 7)
-        j = Quaternion.unit("j", 3, 7)
-        k = Quaternion.unit("k", 3, 7)
+        i = quat_unit("i", 3, 7)
+        j = quat_unit("j", 3, 7)
+        k = quat_unit("k", 3, 7)
         prod = mat_mul_2x2(quat_to_matrix(i), quat_to_matrix(j))
         Mk = quat_to_matrix(k)
         for r in range(2):
@@ -155,8 +160,8 @@ class TestStrassen:
 
     def test_i_times_j_is_k(self):
         assert quat_mul_strassen(
-            Quaternion.unit("i", 3, 7), Quaternion.unit("j", 3, 7)
-        ) == Quaternion.unit("k", 3, 7)
+            quat_unit("i", 3, 7), quat_unit("j", 3, 7)
+        ) == quat_unit("k", 3, 7)
 
     def test_mult_count_is_7(self):
         rng = random.Random(15)
@@ -166,19 +171,19 @@ class TestStrassen:
         assert CONV_COUNTER.count - before == 7
 
     def test_even_modulus_rejected(self):
-        F = Quaternion.one(3, None)
+        F = quat_one(3, None)
         with pytest.raises(EvenModulus):
             quat_mul_strassen(F, F)
 
 
 class TestNormConjugate:
     def test_norm_of_one(self):
-        assert quat_norm(Quaternion.one(3, 7)) == RingElem.one(3, 7)
+        assert quat_norm(quat_one(3, 7)) == RingElem.one(3, 7)
 
     def test_norm_of_one_plus_i(self):
-        one = Quaternion.one(3, 7)
-        i = Quaternion.unit("i", 3, 7)
-        assert quat_norm(one + i).is_zero()
+        one = quat_one(3, 7)
+        i = quat_unit("i", 3, 7)
+        assert is_zero(quat_norm(one + i))
 
     def test_f_times_conjugate_equals_norm(self):
         rng = random.Random(16)
@@ -187,7 +192,7 @@ class TestNormConjugate:
             prod = quat_mul_schoolbook(F, conjugate(F))
             nrm = quat_norm(F)
             assert prod.c0 == nrm
-            assert prod.c1.is_zero() and prod.c2.is_zero() and prod.c3.is_zero()
+            assert is_zero(prod.c1) and is_zero(prod.c2) and is_zero(prod.c3)
 
     def test_norm_multiplicative(self):
         rng = random.Random(17)
@@ -200,8 +205,8 @@ class TestNormConjugate:
 
 class TestInverseModP:
     def test_one_and_i(self):
-        one = Quaternion.one(3, 3)
-        i = Quaternion.unit("i", 3, 3)
+        one = quat_one(3, 3)
+        i = quat_unit("i", 3, 3)
         assert quat_inverse_mod_p(one) == one
         assert quat_inverse_mod_p(i) == i
 
@@ -214,8 +219,8 @@ class TestInverseModP:
                 Finv = quat_inverse_mod_p(F)
             except Exception:
                 continue
-            assert quat_mul_schoolbook(F, Finv) == Quaternion.one(3, 3)
-            assert quat_mul_schoolbook(Finv, F) == Quaternion.one(3, 3)
+            assert quat_mul_schoolbook(F, Finv) == quat_one(3, 3)
+            assert quat_mul_schoolbook(Finv, F) == quat_one(3, 3)
             found += 1
 
 
@@ -266,12 +271,12 @@ class TestEvaluationRoutes:
 
     def test_unreduced_norm_rejected(self):
         with pytest.raises(ValueError):
-            quat_norm(Quaternion.one(3, None))
+            quat_norm(quat_one(3, None))
 
 
 class TestRho:
     def test_constant_one(self, dom3):
-        vals = rho(Quaternion.one(3, 7), dom3)
+        vals = rho(quat_one(3, 7), dom3)
         assert np.array_equal(vals, np.tile([1, 0, 0, 0], (9, 1)))
 
     def test_product_homomorphism(self, dom3):
@@ -295,7 +300,7 @@ class TestRho:
 
     def test_context_mismatch(self, dom3):
         with pytest.raises(ContextMismatch):
-            rho(Quaternion.one(3, 3), dom3)
+            rho(quat_one(3, 3), dom3)
 
     def test_sum_homomorphism(self, dom3):
         rng = random.Random(20)
@@ -305,7 +310,7 @@ class TestRho:
     def test_lagrange_indicator(self, dom3):
         a, b = dom3.points[5]
         lam = lagrange_interpolant(dom3, a, b)
-        z = RingElem.zero(3, 7)
+        z = ring_zero(3, 7)
         vals = rho(Quaternion(lam, z, z, z), dom3)
         expect = np.zeros((9, 4), dtype=np.int64)
         expect[5, 0] = 1
@@ -332,6 +337,18 @@ class TestScalarQuat:
         u, v = rand_rho(rng, n, q), rand_rho(rng, n, q)
         expect = np.array([scalar_mul(a, b, q) for a, b in zip(u, v)], dtype=np.int64)
         assert np.array_equal(rho_mul(u, v, q), expect)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nq=st.sampled_from(GRIDS), seed=st.integers(0, 2 ** 32))
+    def test_norms_match_per_point(self, nq, seed):
+        # rows of an evaluation array, and one scalar quaternion such as
+        # keygen's weight W
+        n, q = nq
+        rng = random.Random(seed)
+        u = rand_rho(rng, n, q)
+        assert rho_norms(u, q).tolist() == [scalar_norm(a, q) for a in u]
+        W = tuple(rng.randrange(1, q) for _ in range(4))
+        assert rho_norms(W, q) == scalar_norm(W, q)
 
     @settings(max_examples=25, deadline=None)
     @given(nq=st.sampled_from(GRIDS), seed=st.integers(0, 2 ** 32))
@@ -385,7 +402,7 @@ class TestInverseModJ:
                 assert tuple(prod_vals[k]) == (1, 0, 0, 0)
 
     def test_one_with_any_T(self, dom3):
-        one = Quaternion.one(3, 7)
+        one = quat_one(3, 7)
         inv = quat_inverse_mod_J(one, [0], dom3)
         vals = rho(quat_mul_schoolbook(one, inv), dom3)
         for k in range(1, 9):

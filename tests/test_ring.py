@@ -13,6 +13,7 @@ from bqtru.ring import (
     CONV_COUNTER,
     EvalDomain,
     RingElem,
+    centered,
     conv_mul,
     eval_domain,
     frobenius,
@@ -25,8 +26,11 @@ from oracles import (
     NotAGridPoint,
     absorb_check,
     interpolate,
+    is_zero,
     lagrange_interpolant,
+    monomial,
     ring_eval,
+    ring_zero,
 )
 
 
@@ -66,8 +70,8 @@ class TestConvMul:
         assert conv_mul(f, RingElem.one(3, 7)) == f
 
     def test_xn_relation(self):
-        x2 = RingElem.monomial(3, 2, 0, modulus=7)
-        x = RingElem.monomial(3, 1, 0, modulus=7)
+        x2 = monomial(3, 2, 0, modulus=7)
+        x = monomial(3, 1, 0, modulus=7)
         assert conv_mul(x2, x) == RingElem.one(3, 7)
 
     def test_matches_naive_oracle(self):
@@ -100,7 +104,7 @@ class TestEval:
         assert ring_eval(RingElem.one(3, 7), 2, 4) == 1
 
     def test_coordinate(self):
-        x = RingElem.monomial(3, 1, 0, modulus=7)
+        x = monomial(3, 1, 0, modulus=7)
         assert ring_eval(x, 2, 4) == 2
 
     def test_direct_summation(self):
@@ -130,7 +134,7 @@ class TestLagrange:
                     assert ring_eval(lam, a2, b2) == expect
 
     def test_sum_is_one(self, dom3):
-        total = RingElem.zero(3, 7)
+        total = ring_zero(3, 7)
         for (a, b) in dom3.points:
             total = total + lagrange_interpolant(dom3, a, b)
         assert total == RingElem.one(3, 7)
@@ -160,13 +164,16 @@ class TestLagrange:
         (a2, b2) = dom3.points[7]
         other = lagrange_interpolant(dom3, a2, b2)
         assert absorb_check(other, dom3, a, b)
-        assert conv_mul(other, lam).is_zero()
+        assert is_zero(conv_mul(other, lam))
 
 
 class TestGridTables:
     """The forward transform and the Lagrange table against the per-point pow definition."""
 
-    @pytest.mark.parametrize("n,q", [(3, 7), (5, 11), (7, 113), (7, 547), (11, 199)])
+    # the shipped sets' grids, their product domains mod p (151, 827,
+    # 2003) and the wide-q test set
+    @pytest.mark.parametrize("n,q", [(3, 7), (5, 11), (7, 113), (7, 547), (11, 199),
+                                     (3, 151), (7, 827), (11, 2003)])
     def test_match_per_point_powers(self, n, q):
         dom = EvalDomain(n, q)
         ninv2 = pow(n * n, q - 2, q)
@@ -181,14 +188,14 @@ class TestGridTables:
         # row r of the transform of the identity is the grid values of monomial r
         forward = dom.transform(np.eye(n * n, dtype=np.int64))
         assert forward.dtype == np.int64
-        assert dom.lagrange_matrix().dtype == np.int64
+        assert dom.lagrange_matrix.dtype == np.int64
         assert np.array_equal(forward, E.T)
-        assert np.array_equal(dom.lagrange_matrix(), L)
+        assert np.array_equal(dom.lagrange_matrix, L)
 
 
 class TestInterpolate:
     def test_zero_and_one(self, dom3):
-        assert interpolate(dom3, np.zeros(9)).is_zero()
+        assert is_zero(interpolate(dom3, np.zeros(9)))
         assert interpolate(dom3, np.ones(9)) == RingElem.one(3, 7)
 
     def test_round_trip(self, dom3):
@@ -216,13 +223,13 @@ class TestInterpolate:
         assert np.array_equal(dom.inverse_transform(Y), X % q)
         assert np.array_equal(dom.transform(dom.inverse_transform(X)), X % q)
         # row by row it is the Lagrange interpolation of the old table
-        assert np.array_equal(dom.inverse_transform(X), (X % q) @ dom.lagrange_matrix() % q)
+        assert np.array_equal(dom.inverse_transform(X), (X % q) @ dom.lagrange_matrix % q)
 
     def test_one_shared_domain_per_n_q(self):
         assert eval_domain(7, 113) is eval_domain(7, 113)
         assert eval_domain(7, 113) is not eval_domain(7, 547)
         with pytest.raises(ValueError):
-            eval_domain(7, 113).lagrange_matrix()[0, 0] = 1
+            eval_domain(7, 113).lagrange_matrix[0, 0] = 1
 
 
 class TestRingInverse:
@@ -230,8 +237,8 @@ class TestRingInverse:
         assert ring_inverse(RingElem.one(3, 7)) == RingElem.one(3, 7)
 
     def test_x(self):
-        x = RingElem.monomial(3, 1, 0, modulus=7)
-        assert ring_inverse(x) == RingElem.monomial(3, 2, 0, modulus=7)
+        x = monomial(3, 1, 0, modulus=7)
+        assert ring_inverse(x) == monomial(3, 2, 0, modulus=7)
 
     def _exhaustive_inverses(self, f, m):
         """All u with f*u = 1, by brute force over every candidate vector."""
@@ -406,6 +413,12 @@ class TestInt64Bound:
 
 
 class TestLiftCentered:
+    @pytest.mark.parametrize("m", [2, 3, 7, 113, 128, 199])
+    def test_centered_matches_offset_formula(self, m):
+        # (a + (m-1)//2) % m - (m-1)//2: [-63, 64] at the NTRU q = 128
+        a = np.arange(-3 * m, 3 * m)
+        assert np.array_equal(centered(a, m), (a + (m - 1) // 2) % m - (m - 1) // 2)
+
     def test_basic(self):
         f = RingElem(np.array([0, 5, 1, 0, 0, 0, 0, 0, 0]), 3, 7)
         lifted = f.lift_centered()

@@ -30,7 +30,7 @@ from bqtru.ideal import derive_T
 from bqtru.lattice import coset_decode, lll_reduce
 from bqtru.params import HIGHEST, MODERATE, PARAM_SETS, TOY, Params
 from bqtru.quat import Quaternion, quat_inverse_mod_p, quat_mul_schoolbook, rho, rho_norms
-from bqtru.ring import CONV_COUNTER, EvalDomain, RingElem, eval_domain
+from bqtru.ring import CONV_COUNTER, EvalDomain, RingElem, eval_domain, signed_ternary
 from bqtru.scheme import (
     Ciphertext,
     decode_message,
@@ -49,7 +49,14 @@ from bqtru.scheme import (
     serialize_public,
 )
 
-from oracles import build_D_prime, sphere_decode, verify_key_membership
+from oracles import (
+    build_D_prime,
+    is_zero,
+    quat_one,
+    quat_zero,
+    sphere_decode,
+    verify_key_membership,
+)
 
 # oversized q beyond the 24*d*p guard: decryption noise can never wrap mod q
 HIGH_Q = Params(7, 3, 547, 7, 7, 7)
@@ -67,7 +74,7 @@ def moderate_key():
 
 class TestSampleTernary:
     def test_zero_weight(self):
-        assert sample_ternary(3, 0, random.Random(0)).is_zero()
+        assert is_zero(sample_ternary(3, 0, random.Random(0)))
 
     def test_counts(self):
         f = sample_ternary(7, 7, random.Random(1))
@@ -130,7 +137,7 @@ class TestKeygen:
     def test_f_inverse_mod_p(self, moderate_key):
         _, sk = moderate_key
         prod = quat_mul_schoolbook(sk.F.with_modulus(3), sk.F_p_inv)
-        assert prod == Quaternion.one(7, 3)
+        assert prod == quat_one(7, 3)
 
     def test_F_weight_convention(self, moderate_key):
         _, sk = moderate_key
@@ -171,9 +178,9 @@ class TestKeygen:
         real_inverse, real_derive_T, real_norm = (
             quat.ring_inverse, scheme.derive_T, scheme.quat_norm)
 
-        def ring_inverse(f, m=None):
-            inverses.append(f.modulus if m is None else m)
-            return real_inverse(f, m)
+        def ring_inverse(f):
+            inverses.append(f.modulus)
+            return real_inverse(f)
 
         def derive_T(rho_G):
             current_T[:] = real_derive_T(rho_G)
@@ -236,17 +243,17 @@ class TestEncrypt:
     def test_zero_phi_hook(self, moderate_key):
         pk, _ = moderate_key
         M = random_message(MODERATE, random.Random(63))
-        ct = encrypt(pk, M, None, phi=Quaternion.zero(7))
+        ct = encrypt(pk, M, None, phi=quat_zero(7))
         assert ct.C == M.with_modulus(113)
 
     def test_all_zero(self, moderate_key):
         pk, _ = moderate_key
-        ct = encrypt(pk, Quaternion.zero(7), None, phi=Quaternion.zero(7))
-        assert ct.C.is_zero()
+        ct = encrypt(pk, quat_zero(7), None, phi=quat_zero(7))
+        assert is_zero(ct.C)
 
     def test_message_out_of_range(self, moderate_key):
         pk, _ = moderate_key
-        bad = Quaternion.one(7).scale(2)
+        bad = quat_one(7).scale(2)
         with pytest.raises(MessageOutOfRange):
             encrypt(pk, bad, random.Random(0))
 
@@ -279,8 +286,8 @@ class TestEncrypt:
 class TestDecrypt:
     def test_zero_round_trip_toy(self, toy_key):
         pk, sk = toy_key
-        ct = encrypt(pk, Quaternion.zero(3), None, phi=Quaternion.zero(3))
-        assert decrypt(sk, ct).is_zero()
+        ct = encrypt(pk, quat_zero(3), None, phi=quat_zero(3))
+        assert is_zero(decrypt(sk, ct))
 
     def test_round_trips_moderate(self, moderate_key):
         pk, sk = moderate_key
@@ -362,6 +369,24 @@ def replace_field(text, label, values):
 def field_values(text, label):
     return next(line.split(":", 1)[1].split() for line in text.splitlines()
                 if line.split(":")[0] == label)
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                            "\u0665\u0666\u0667\u0668\u0669")
+
+
+def respellings(v):
+    """Other spellings that Python's int() reads as the integer v: a
+    leading zero, an underscore, non-ASCII digits, a '+' sign, and -0."""
+    sign, digits = ("-", v[1:]) if v.startswith("-") else ("", v)
+    under = digits[0] + "_" + digits[1:] if len(digits) > 1 else "0_" + digits
+    out = [sign + "0" + digits, sign + under, sign + digits.translate(_ARABIC_INDIC)]
+    if not sign:
+        out.append("+" + digits)
+    if digits == "0":
+        out.append("-0")
+    assert all(int(s) == int(v) for s in out)
+    return out
 
 
 def secret_points_text(sk, T):
@@ -555,7 +580,7 @@ class TestMessageCodec:
     def test_empty_payload(self):
         M = encode_message(b"", MODERATE)
         # zero length, zero padding: the whole quaternion is zero
-        assert M.is_zero()
+        assert is_zero(M)
         assert decode_message(M, MODERATE) == b""
 
     def test_single_byte_0xff(self):
@@ -692,6 +717,9 @@ class TestSerialization:
         ("private", "header", "n=7 p=3 q=113 df=7 dg=6 dphi=6 extra=5"),
         ("private", "header", "n=7 p=3 q=113 df=7 dg=6 dphi=6 n=7"),
         ("ct", "header", "q=113 n=7 q=113"),
+        ("private", "header", "n=\u0667 p=3 q=113 df=7 dg=6 dphi=6"),
+        ("ct", "header", "q=1_13 n=7"),
+        ("ct", "header", "q=113 n=+7"),
     ])
     def test_malformed_field_raises_malformed_data(self, moderate_key, kind, label, values):
         # non-integer values, a repeated secret point (T: 24 24 with
@@ -727,8 +755,9 @@ class TestSerialization:
 
 class TestCodecRobustness:
     """Every field rejects what is not a list of in-range int64 values,
-    and a label given twice; every kind rejects a label it does not define,
-    and a header line that does not give each of its keys exactly once."""
+    an integer spelt other than in plain ASCII digits, and a label given
+    twice; every kind rejects a label it does not define, and a header line
+    that does not give each of its keys exactly once, in that spelling."""
 
     def _cases(self, pk, sk, ct):
         p = MODERATE
@@ -754,6 +783,10 @@ class TestCodecRobustness:
                 for count in (vals[:-1], vals + vals[-1:]):
                     with pytest.raises(MalformedData):
                         load(replace_field(text, label, " ".join(count)))
+                # each integer has one spelling
+                for spelling in respellings(vals[0]):
+                    with pytest.raises(MalformedData):
+                        load(replace_field(text, label, " ".join([spelling] + vals[1:])))
                 # a repeated label, even with the same values
                 with pytest.raises(MalformedData):
                     load(text + f"{label}: {' '.join(vals)}\n")
@@ -779,6 +812,11 @@ class TestCodecRobustness:
             bad += [f"{header} {tok}" for tok in keys]
             # a missing key
             bad += [" ".join(keys[:i] + keys[i + 1:]) for i in range(len(keys))]
+            # another spelling of a value
+            for i, tok in enumerate(keys):
+                key, value = tok.split("=")
+                bad += [" ".join(keys[:i] + [f"{key}={s}"] + keys[i + 1:])
+                        for s in respellings(value)]
             for line in bad:
                 with pytest.raises(MalformedData):
                     load(with_header(line))
@@ -834,7 +872,7 @@ class TestKeyValidation:
         params, dom = sk.params, eval_domain(7, 113)
         rng = random.Random(85)
         for _ in range(2000):
-            comps = [scheme._sample_signed(7, params.d_f + 1, params.d_f, rng)]
+            comps = [RingElem(signed_ternary(49, params.d_f + 1, params.d_f, rng), 7)]
             comps += [sample_ternary(7, params.d_f, rng) for _ in range(3)]
             F = Quaternion(*comps)
             norms = rho_norms(rho(F.with_modulus(113), dom), 113)
