@@ -158,6 +158,8 @@ def cmd_analyze(args, out) -> int:
 
 def cmd_bench(args, out) -> int:
     params, label = _resolve_params(args)
+    if args.trials < 1:
+        raise MalformedData(f"--trials must be at least 1, got {args.trials}")
     n, q = params.n, params.q
     rng = _rng_from(args)
 
@@ -254,10 +256,7 @@ def cmd_attack(args, out) -> int:
 
     if sk is not None:
         four = 4 * params.nsq
-        r = rho_flat(np.asarray(sk.rho_gamma, dtype=np.int64))
-        key_vec = np.concatenate([
-            sk.G.vector(), sk.F.vector(), -r,
-        ]).astype(np.int64)
+        key_vec = np.concatenate([sk.G.vector(), sk.F.vector(), -rho_flat(sk.rho_gamma)])
         hyb = hybrid_norm(key_vec[:four], key_vec[four:2 * four], key_vec[2 * four:])
         print(f"private_key_euclidean_norm = {math.sqrt(float(key_vec @ key_vec)):.4f}",
               file=out)

@@ -4,7 +4,8 @@ The two-sided ideal is generated by q and Lagrange interpolants supported
 on the secret point set T; decryption scans its coefficient lattice
 directly (lattice.coset_decode).  This module derives T from G and builds
 the 12 n^2-dimensional public key-recovery lattice that `bqtru attack`
-reduces at toy scale.  Its power-of-two expansion (whose dimension
+reduces at toy scale, an int64 row basis that lattice.lll_reduce takes
+as it is.  Its power-of-two expansion (whose dimension
 analysis.expansion_ratio computes) and the key-membership identity every
 honest key satisfies are reference paths in tests/oracles.py.
 """
@@ -12,24 +13,11 @@ honest key satisfies are reference paths in tests/oracles.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .quat import Quaternion
 from .ring import EvalDomain, mult_matrix
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    rows: np.ndarray
-    dim: int
-    label: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", np.asarray(self.rows))
-        if self.rows.shape != (self.dim, self.dim):
-            raise ValueError("basis must be square with dim rows")
 
 
 def derive_T(rho_G: np.ndarray) -> list:
@@ -49,8 +37,9 @@ def _quat_block_matrix(H: Quaternion) -> np.ndarray:
     ])
 
 
-def build_bqtru_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
-    """Key-recovery lattice [[qI, 0, 0], [HH, I, 0], [DD, 0, I]] of dimension 12 n^2.
+def build_bqtru_lattice(H: Quaternion, dom: EvalDomain) -> np.ndarray:
+    """Key-recovery lattice [[qI, 0, 0], [HH, I, 0], [DD, 0, I]] of dimension 12 n^2,
+    as an int64 row basis.
 
     HH maps vector(F) to vector(F o H) mod q, and DD holds the interpolant
     rows once per quaternion slot.
@@ -64,7 +53,7 @@ def build_bqtru_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
     for b in range(4):
         rows[2 * four + b * nsq:2 * four + (b + 1) * nsq, b * nsq:(b + 1) * nsq] = D
     rows[four:, four:] = np.eye(2 * four, dtype=np.int64)
-    return LatticeBasis(rows.astype(object), 3 * four, "bqtru")
+    return rows
 
 
 def hybrid_norm(g_part, f_part, rho_part) -> float:

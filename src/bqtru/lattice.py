@@ -56,14 +56,14 @@ def _gso(rows: np.ndarray):
 
 def lll_reduce(basis, delta: float = 0.99,
                max_swaps: int | None = None) -> ReducedBasis:
-    """Standard LLL with floating-point Gram-Schmidt.
+    """Standard LLL with floating-point Gram-Schmidt on the rows of an
+    integer matrix; the input is copied.
 
-    Accepts a LatticeBasis or a plain integer matrix; the input is copied.
     max_swaps caps the number of Lovasz swaps before giving up.
     """
     if not 0.25 < delta < 1:
         raise ValueError("delta must lie in (0.25, 1)")
-    rows = np.array(getattr(basis, "rows", basis), dtype=np.int64)
+    rows = np.array(basis, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[0] > rows.shape[1]:
         raise RankDeficient("need at most as many rows as columns")
     k = rows.shape[0]

@@ -18,6 +18,11 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+def fits_int64(n: int, m: int) -> bool:
+    """Whether ring products mod m, sums of n**2 terms below (m-1)**2, fit int64."""
+    return n * n * (m - 1) ** 2 < 2 ** 63
+
+
 @dataclass(frozen=True)
 class Params:
     """Public parameters (n, p, q) plus the ternary weight counts.
@@ -39,7 +44,7 @@ class Params:
 
     def __post_init__(self):
         n, p, q = self.n, self.p, self.q
-        if n * n * (q - 1) ** 2 >= 2 ** 63:
+        if not fits_int64(n, q):
             raise ValueError(f"q={q} is too large for int64 arithmetic at n={n}")
         if not _is_prime(n):
             raise ValueError(f"n={n} must be prime")

@@ -5,14 +5,16 @@ schoolbook expansion (16 ring products) and the Strassen route through
 the 2x2 matrix image (7 ring products).  Both count their convolutions in
 ring.CONV_COUNTER; they are the paper's reference paths.
 
-The norm N(F) and the inverse mod p, N(F)^-1 o conj(F), run pointwise in
-ring.product_domain (q's own grid, or an auxiliary prime's for p), so
-quat_inverse_mod_p convolves only inside ring_inverse.
-
 Mod q a quaternion is also its evaluation array rho(F): row k is the
 scalar quaternion F(points[k]) over Z_q.  rho is an isomorphism of
 algebras, so a mod-q product is rho_mul of two arrays (n**2 scalar
-products, no convolution) and rho_interpolate maps back.  rho_inverse
+products, no convolution) and rho_interpolate maps back.  These two are
+the one pair of grid maps, for F's own domain and for
+ring.product_domain alike: rho transforms the centered lifts of the
+coefficients, and rho_interpolate reduces the centered result mod the
+target modulus.  So the norm N(F) and the inverse mod p,
+N(F)^-1 o conj(F), run pointwise on an auxiliary prime's grid, and
+quat_inverse_mod_p convolves only inside ring_inverse.  rho_inverse
 inverts pointwise off the secret set T, which is how keygen inverts F
 modulo the secret ideal.  rho_norms is the one scalar-quaternion norm: it
 gives the grid values of N(F), and keygen vets the scalar weight W it
@@ -29,6 +31,11 @@ import numpy as np
 
 from .errors import ContextMismatch, EvenModulus, NormVanishesOutsideT
 from .ring import EvalDomain, RingElem, centered, conv_mul, product_domain, ring_inverse
+
+# componentwise signs of conj(F) = c0 - c1*i - c2*j - c3*k
+_CONJ = np.array([1, -1, -1, -1])
+# embeds grid values as the real part of scalar quaternions
+_REAL = np.array([1, 0, 0, 0])
 
 
 class Quaternion:
@@ -71,17 +78,11 @@ class Quaternion:
             return NotImplemented
         return all(a == b for a, b in zip(self.components, other.components))
 
-    def __hash__(self):
-        return hash(self.components)
-
     def with_modulus(self, modulus) -> "Quaternion":
         return Quaternion(*(c.with_modulus(modulus) for c in self.components))
 
     def lift_centered(self) -> "Quaternion":
         return Quaternion(*(c.lift_centered() for c in self.components))
-
-    def lift_positive(self) -> "Quaternion":
-        return Quaternion(*(c.lift_positive() for c in self.components))
 
     def vector(self) -> np.ndarray:
         """Concatenated coefficient vector (length 4*n**2)."""
@@ -145,16 +146,6 @@ def quat_mul_strassen(F: Quaternion, G: Quaternion) -> Quaternion:
     return matrix_to_quat(C)
 
 
-def _grid_values(comps, dom: EvalDomain) -> np.ndarray:
-    """Rows of grid values in dom of the centered lifts of ring elements."""
-    return dom.transform(centered(np.stack([c.coeffs for c in comps]), comps[0].modulus))
-
-
-def _from_grid_values(vals: np.ndarray, n: int, m: int, dom: EvalDomain):
-    """Ring elements mod m from rows of grid values in dom of exact integer results."""
-    return [RingElem(c, n, m) for c in centered(dom.inverse_transform(vals), dom.q)]
-
-
 def quat_norm(F: Quaternion) -> RingElem:
     """N(F) = c0^2 - c1^2 - c2^2 + c3^2; satisfies F o conj(F) = N(F).
 
@@ -165,24 +156,19 @@ def quat_norm(F: Quaternion) -> RingElem:
     if m is None:
         raise ValueError("the quaternion norm needs a prime modulus")
     dom = product_domain(F.n, m)
-    N = rho_norms(_grid_values(F.components, dom).T, dom.q)
-    return _from_grid_values(N[None], F.n, m, dom)[0]
+    return rho_interpolate(np.outer(rho_norms(rho(F, dom), dom.q), _REAL), dom, m).c0
 
 
 def quat_inverse_mod_p(F: Quaternion) -> Quaternion:
     """Inverse in the quaternion algebra over Z_p: N(F)^-1 o conj(F).
 
-    F is transformed once into ring.product_domain; the norm and the four
-    products are pointwise there, so ring_inverse's digit products are
-    the only convolutions.
+    The norm and the product are pointwise in ring.product_domain, so
+    ring_inverse's digit products are the only convolutions.
     """
-    m, n = F.modulus, F.n
-    dom = product_domain(n, m)
-    vals = _grid_values(F.components, dom)
-    N = _from_grid_values(rho_norms(vals.T, dom.q)[None], n, m, dom)[0]
-    ninv = _grid_values((ring_inverse(N),), dom)
-    conj = vals * np.array([[1], [-1], [-1], [-1]])
-    return Quaternion(*_from_grid_values(ninv * conj % dom.q, n, m, dom))
+    dom = product_domain(F.n, F.modulus)
+    ninv = ring_inverse(quat_norm(F))
+    ninv_vals = rho(Quaternion(ninv, *[ninv.scale(0)] * 3), dom)[:, :1]
+    return rho_interpolate(ninv_vals * _CONJ * rho(F, dom) % dom.q, dom, F.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +179,22 @@ def rho(F: Quaternion, dom: EvalDomain) -> np.ndarray:
     """Grid evaluation map: row k is the scalar quaternion F(points[k]).
 
     Shape (n**2, 4); a homomorphism for both + and the quaternion product.
+    dom is F's own domain or product_domain(F.n, F.modulus); either way
+    the centered lifts of F's coefficients are transformed.
     """
-    if F.modulus != dom.q or F.n != dom.n:
+    m = F.modulus
+    # a product domain's prime exceeds m: a smaller dom.q is foreign, unbuilt
+    if F.n != dom.n or m is None or dom.q < m or (
+            dom.q > m and product_domain(F.n, m).q != dom.q):
         raise ContextMismatch("quaternion does not match the domain")
-    return dom.transform(np.stack([c.coeffs for c in F.components])).T
+    return dom.transform(centered(np.stack([c.coeffs for c in F.components]), m)).T
 
 
-def rho_interpolate(vals, dom: EvalDomain) -> Quaternion:
-    """The quaternion mod q whose evaluation array is vals (inverse of rho)."""
-    coeffs = dom.inverse_transform(np.asarray(vals, dtype=np.int64).T)
-    return Quaternion(*(RingElem(c, dom.n, dom.q) for c in coeffs))
+def rho_interpolate(vals, dom: EvalDomain, m: int | None = None) -> Quaternion:
+    """The quaternion mod m (dom.q by default) whose evaluation array is vals:
+    the inverse of rho, taking the centered result mod m."""
+    coeffs = centered(dom.inverse_transform(np.asarray(vals, dtype=np.int64).T), dom.q)
+    return Quaternion(*(RingElem(c, dom.n, dom.q if m is None else m) for c in coeffs))
 
 
 def rho_mul(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
@@ -255,5 +247,5 @@ def rho_inverse(u: np.ndarray, q: int, t_indices=()) -> np.ndarray:
         base = base * base % q
         e >>= 1
     ninv[list(t_indices)] = 0
-    return a * np.array([1, -1, -1, -1]) * ninv[:, None] % q
+    return a * _CONJ * ninv[:, None] % q
 

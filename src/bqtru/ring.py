@@ -3,8 +3,8 @@
 Elements are length-n**2 coefficient vectors; the coefficient of x^a y^b
 lives at index a*n + b (x-major lexicographic order).  The modulus is an
 odd prime, or None for unreduced integer arithmetic.  Coefficients are
-int64, so a product is exact while n**2 * (m-1)**2 < 2**63; Params
-rejects larger moduli.
+int64, so a product is exact while n**2 * (m-1)**2 < 2**63
+(params.fits_int64); Params rejects larger moduli.
 
 Inverses are powers: every unit u satisfies u**e == 1 for
 e = (m**k - 1) * m**s, where n = m**s * n' with m not dividing n' and
@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ContextMismatch, NotInvertible, WeightTooLarge
-from .params import _is_prime
+from .params import _is_prime, fits_int64
 
 
 class OpCounter:
@@ -131,9 +131,6 @@ class RingElem:
             and bool(np.array_equal(self.coeffs, other.coeffs))
         )
 
-    def __hash__(self):
-        return hash((self.n, self.modulus, self.coeffs.tobytes()))
-
     def __repr__(self):
         return f"RingElem(n={self.n}, mod={self.modulus}, {self.coeffs.tolist()})"
 
@@ -146,12 +143,6 @@ class RingElem:
         if m % 2 == 0:
             raise ValueError("centered lift requires an odd modulus")
         return RingElem(centered(self.coeffs, m), self.n, None)
-
-    def lift_positive(self) -> "RingElem":
-        """Representative in [0, m) viewed over Z."""
-        if self.modulus is None:
-            return RingElem(self.coeffs, self.n, None)
-        return RingElem(self.coeffs % self.modulus, self.n, None)
 
 
 def centered(a, m: int) -> np.ndarray:
@@ -212,21 +203,15 @@ class EvalDomain:
             raise ValueError(f"n={n} must divide q-1={q - 1}")
         self.n = n
         self.q = q
-        self.omega = self._find_omega(n, q)
-        w_pows = [pow(self.omega, a, q) for a in range(n)]
-        self._w_pows = np.array(w_pows, dtype=np.int64)
+        omega = pow(_primitive_root(q), (q - 1) // n, q)
+        assert pow(omega, n, q) == 1
+        w_pows = [pow(omega, a, q) for a in range(n)]
         self.points = [(w_pows[a], w_pows[b]) for a in range(n) for b in range(n)]
         ai = np.outer(np.arange(n), np.arange(n))
-        self._vandermonde = self._w_pows[ai % n]
-        self._vandermonde_inv = self._w_pows[-ai % n]
+        w = np.array(w_pows, dtype=np.int64)
+        self._vandermonde = w[ai % n]
+        self._vandermonde_inv = w[-ai % n]
         self._ninv2 = pow(n * n, q - 2, q)
-
-    @staticmethod
-    def _find_omega(n: int, q: int) -> int:
-        g = _primitive_root(q)
-        omega = pow(g, (q - 1) // n, q)
-        assert pow(omega, n, q) == 1
-        return omega
 
     @property
     def size(self) -> int:
@@ -373,7 +358,7 @@ def ring_inverse(f: RingElem) -> RingElem:
     m, n = f.modulus, f.n
     if m is None:
         raise ValueError("modulus required")
-    if n * n * (m - 1) ** 2 >= 2 ** 63:
+    if not fits_int64(n, m):
         raise ValueError(f"modulus {m} is too large for int64 convolution")
     digits, r = [], _unit_exponent(n, m) - 1
     while r:

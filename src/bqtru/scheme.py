@@ -8,7 +8,10 @@ integer has one spelling (_INTEGERS).  All randomness comes from an
 explicit random.Random instance, or a seed for one, supplied by the
 caller; ternary polynomials come from ring.signed_ternary, centered
 residues from ring.centered, and scalar and grid norms from
-quat.rho_norms.
+quat.rho_norms.  A message is base-p digits, least significant first: a
+_LEN_DIGITS-digit length prefix, zero past its first _digits_for(capacity,
+p) digits, then _digits_for(255, p) digits per byte; _to_digits and
+_from_digits are the one array rule each way.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
 )
 from .ideal import derive_T
 from .lattice import coset_decode
-from .params import Params
+from .params import Params, fits_int64
 from .quat import (
     Quaternion,
     norm_zeros_off_T,
@@ -264,39 +267,38 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> Quaternion:
 _LEN_DIGITS = 16
 
 
-def _digits_per_byte(p: int) -> int:
-    k, v = 0, 1
-    while v < 256:
-        v *= p
+def _digits_for(v: int, p: int) -> int:
+    """How many base-p digits the integers 0..v need: the least k with p**k > v."""
+    k = 0
+    while p ** k <= v:
         k += 1
     return k
 
 
+def _to_digits(values, p: int, k: int) -> np.ndarray:
+    """Row i holds the k base-p digits of values[i], least significant first."""
+    return np.asarray(values, dtype=np.int64)[:, None] // p ** np.arange(k) % p
+
+
+def _from_digits(digits: np.ndarray, p: int) -> np.ndarray:
+    """The values whose base-p digits, least significant first, are the rows of digits."""
+    return digits @ p ** np.arange(digits.shape[-1])
+
+
 def message_capacity(params: Params) -> int:
     """Largest payload (bytes) that fits after the length prefix."""
-    return (4 * params.nsq - _LEN_DIGITS) // _digits_per_byte(params.p)
+    return (4 * params.nsq - _LEN_DIGITS) // _digits_for(255, params.p)
 
 
 def encode_message(payload: bytes, params: Params) -> Quaternion:
-    p = params.p
-    per = _digits_per_byte(p)
-    if len(payload) > message_capacity(params):
-        raise PayloadTooLarge(
-            f"{len(payload)} bytes exceed the {message_capacity(params)}-byte capacity"
-        )
-    digits = []
-    v = len(payload)
-    for _ in range(_LEN_DIGITS):
-        digits.append(v % p)
-        v //= p
-    for byte in payload:
-        b = byte
-        for _ in range(per):
-            digits.append(b % p)
-            b //= p
-    nsq = params.nsq
-    flat = np.zeros(4 * nsq, dtype=np.int64)
-    flat[:len(digits)] = digits
+    p, cap = params.p, message_capacity(params)
+    if len(payload) > cap:
+        raise PayloadTooLarge(f"{len(payload)} bytes exceed the {cap}-byte capacity")
+    low = _digits_for(cap, p)
+    body = _to_digits(np.frombuffer(payload, dtype=np.uint8), p, _digits_for(255, p))
+    flat = np.zeros(4 * params.nsq, dtype=np.int64)
+    flat[:low] = _to_digits([len(payload)], p, low)[0]
+    flat[_LEN_DIGITS:_LEN_DIGITS + body.size] = body.reshape(-1)
     # centered residue: digit 0 stays 0 so padding and leading zeros do not
     # bias the coefficient sums (a large per-component sum lines up with a
     # short lattice direction and breaks decryption)
@@ -304,29 +306,21 @@ def encode_message(payload: bytes, params: Params) -> Quaternion:
 
 
 def decode_message(M: Quaternion, params: Params) -> bytes:
-    p = params.p
-    per = _digits_per_byte(p)
-    half = (p - 1) // 2
+    p, cap = params.p, message_capacity(params)
+    per, half = _digits_for(255, p), (p - 1) // 2
     flat = M.vector().astype(np.int64)
     if flat.min() < -half or flat.max() > half:
         raise MalformedData("coefficients are not centered base-p digits")
     flat = flat % p  # undo the centered residue: -1 -> p-1
-    length = 0
-    for i in range(_LEN_DIGITS - 1, -1, -1):
-        length = length * p + int(flat[i])
-    if length > message_capacity(params):
+    # any admitted length fits in low digits; reading no more keeps p**k in int64
+    low = _digits_for(cap, p)
+    length = int(_from_digits(flat[:low], p))
+    if flat[low:_LEN_DIGITS].any() or length > cap:
         raise MalformedData("length prefix exceeds capacity")
-    out = bytearray()
-    pos = _LEN_DIGITS
-    for _ in range(length):
-        b = 0
-        for i in range(per - 1, -1, -1):
-            b = b * p + int(flat[pos + i])
-        if b > 255:
-            raise MalformedData("byte group out of range")
-        out.append(b)
-        pos += per
-    return bytes(out)
+    values = _from_digits(flat[_LEN_DIGITS:_LEN_DIGITS + length * per].reshape(length, per), p)
+    if (values > 255).any():
+        raise MalformedData("byte group out of range")
+    return values.astype(np.uint8).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +434,7 @@ def _read_quat(fields: dict, label: str, n: int, lo: int, hi: int, modulus) -> Q
 
 
 def serialize_public(pk: PublicKey) -> str:
-    return _dump("public", _param_line(pk.params), _quat_fields("h", pk.H.lift_positive()))
+    return _dump("public", _param_line(pk.params), _quat_fields("h", pk.H))
 
 
 def serialize_private(sk: PrivateKey) -> str:
@@ -450,7 +444,7 @@ def serialize_private(sk: PrivateKey) -> str:
 
 
 def serialize_ct(ct: Ciphertext) -> str:
-    return _dump("ct", f"q={ct.C.modulus} n={ct.C.n}", _quat_fields("c", ct.C.lift_positive()))
+    return _dump("ct", f"q={ct.C.modulus} n={ct.C.n}", _quat_fields("c", ct.C))
 
 
 def deserialize_public(text: str) -> PublicKey:
@@ -498,4 +492,6 @@ def deserialize_private(text: str) -> PrivateKey:
 def deserialize_ct(text: str) -> Ciphertext:
     header, fields = _load(text, "ct")
     kv = _read_header(header, ("q", "n"))
+    if not fits_int64(kv["n"], kv["q"]):
+        raise MalformedData(f"q={kv['q']} is too large for int64 arithmetic at n={kv['n']}")
     return Ciphertext(_read_quat(fields, "c", kv["n"], 0, kv["q"], kv["q"]))

@@ -13,19 +13,21 @@ point evaluation, Lagrange interpolants and interpolation on the grid;
 the conjugate, scalar quaternion products and inverses, and the inverse
 of F modulo the secret ideal; the key-membership identity and the
 (4 floor(log2 q) + 12) n^2-dimensional expanded key-recovery lattice with
-its fold back to the 12 n^2 one; the LLL conditions; and the sampled
-noise variance of honest keys.
+its fold back to the 12 n^2 one; the LLL conditions; the message codec
+written one digit at a time; and the sampled noise variance of honest
+keys.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
-from bqtru.errors import BqtruError, NotInvertible
-from bqtru.ideal import LatticeBasis, _quat_block_matrix, build_bqtru_lattice, rho_flat
+from bqtru.errors import BqtruError, MalformedData, NotInvertible, PayloadTooLarge
+from bqtru.ideal import _quat_block_matrix, build_bqtru_lattice, rho_flat
 from bqtru.lattice import ReducedBasis
 from bqtru.quat import (
     Quaternion,
@@ -34,8 +36,8 @@ from bqtru.quat import (
     rho_interpolate,
     rho_inverse,
 )
-from bqtru.ring import EvalDomain, RingElem, conv_mul
-from bqtru.scheme import keygen, random_message, sample_ternary
+from bqtru.ring import EvalDomain, RingElem, centered, conv_mul
+from bqtru.scheme import keygen, message_capacity, random_message, sample_ternary
 
 
 class InvalidWeight(BqtruError):
@@ -52,6 +54,19 @@ class NotAGridPoint(BqtruError):
 
 class NonIntegralU(BqtruError):
     """Key membership check produced a non-integral quotient."""
+
+
+@dataclass(frozen=True)
+class LatticeBasis:
+    """A square row basis of dimension dim (exact integer or object entries)."""
+
+    rows: np.ndarray
+    dim: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", np.asarray(self.rows))
+        if self.rows.shape != (self.dim, self.dim):
+            raise ValueError("basis must be square with dim rows")
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +292,7 @@ def build_D_prime(T, dom: EvalDomain) -> LatticeBasis:
     stack[:nsq] = dom.q * np.eye(nsq, dtype=np.int64)
     stack[nsq:] = dom.lagrange_matrix[list(T)]
     H = _row_hnf(stack)
-    return LatticeBasis(np.array(H, dtype=object), nsq, "D_prime")
+    return LatticeBasis(np.array(H, dtype=object), nsq)
 
 
 def build_private_lattice(D_prime: LatticeBasis) -> LatticeBasis:
@@ -286,7 +301,7 @@ def build_private_lattice(D_prime: LatticeBasis) -> LatticeBasis:
     rows = np.zeros((4 * nsq, 4 * nsq), dtype=object)
     for b in range(4):
         rows[b * nsq:(b + 1) * nsq, b * nsq:(b + 1) * nsq] = D_prime.rows
-    return LatticeBasis(rows, 4 * nsq, "private")
+    return LatticeBasis(rows, 4 * nsq)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +455,7 @@ def verify_key_membership(sk, pk, dom: EvalDomain, strict: bool = False) -> bool
     F = sk.F.lift_centered() if sk.F.modulus is not None else sk.F
     G = sk.G.lift_centered() if sk.G.modulus is not None else sk.G
     M = build_bqtru_lattice(pk.H, dom)
-    HH = M.rows[four:2 * four, :four]
+    HH = M[four:2 * four, :four]
     FH_vec = F.vector().astype(object) @ HH
     gamma = gamma_vector(sk.rho_gamma, dom)
     diff = FH_vec - G.vector().astype(object) - gamma
@@ -452,7 +467,7 @@ def verify_key_membership(sk, pk, dom: EvalDomain, strict: bool = False) -> bool
     r = rho_flat(np.asarray(sk.rho_gamma, dtype=object))
     x = np.concatenate([-U, F.vector().astype(object), -r])
     target = np.concatenate([G.vector().astype(object), F.vector().astype(object), -r])
-    return bool(np.array_equal(x @ M.rows, target))
+    return bool(np.array_equal(x @ M, target))
 
 
 def build_expanded_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
@@ -476,7 +491,7 @@ def build_expanded_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
     for b in range(4):
         rows[2 * four + b * per:2 * four + (b + 1) * per, b * nsq:(b + 1) * nsq] = scaled
     rows[four:, four:] = np.eye(dim - four, dtype=np.int64)
-    return LatticeBasis(rows.astype(object), dim, "expanded")
+    return LatticeBasis(rows.astype(object), dim)
 
 
 def expansion_psi(member, dom: EvalDomain) -> np.ndarray:
@@ -500,6 +515,69 @@ def expansion_psi(member, dom: EvalDomain) -> np.ndarray:
             acc = acc + (1 << t) * block[t * nsq:(t + 1) * nsq]
         folded.append(acc)
     return np.concatenate([head] + folded)
+
+
+# ---------------------------------------------------------------------------
+# message codec, one digit at a time
+# ---------------------------------------------------------------------------
+
+def _digits_per_byte(p: int) -> int:
+    k, v = 0, 1
+    while v < 256:
+        v *= p
+        k += 1
+    return k
+
+
+def loop_encode_message(payload: bytes, params) -> Quaternion:
+    """bqtru.scheme.encode_message with Python-int digit loops: a 16-digit
+    length prefix, then the digits of each byte, least significant first."""
+    p = params.p
+    per = _digits_per_byte(p)
+    if len(payload) > message_capacity(params):
+        raise PayloadTooLarge(
+            f"{len(payload)} bytes exceed the {message_capacity(params)}-byte capacity"
+        )
+    digits = []
+    v = len(payload)
+    for _ in range(16):
+        digits.append(v % p)
+        v //= p
+    for byte in payload:
+        b = byte
+        for _ in range(per):
+            digits.append(b % p)
+            b //= p
+    flat = np.zeros(4 * params.nsq, dtype=np.int64)
+    flat[:len(digits)] = digits
+    return Quaternion.from_vector(centered(flat, p), params.n, None)
+
+
+def loop_decode_message(M: Quaternion, params) -> bytes:
+    """bqtru.scheme.decode_message with Python-int digit loops."""
+    p = params.p
+    per = _digits_per_byte(p)
+    half = (p - 1) // 2
+    flat = M.vector().astype(np.int64)
+    if flat.min() < -half or flat.max() > half:
+        raise MalformedData("coefficients are not centered base-p digits")
+    flat = flat % p
+    length = 0
+    for i in range(15, -1, -1):
+        length = length * p + int(flat[i])
+    if length > message_capacity(params):
+        raise MalformedData("length prefix exceeds capacity")
+    out = bytearray()
+    pos = 16
+    for _ in range(length):
+        b = 0
+        for i in range(per - 1, -1, -1):
+            b = b * p + int(flat[pos + i])
+        if b > 255:
+            raise MalformedData("byte group out of range")
+        out.append(b)
+        pos += per
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------

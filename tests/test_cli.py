@@ -188,6 +188,11 @@ class TestBench:
         assert int(lines["mod_p_inverse_convolutions"]) <= 3
         assert float(lines["median_mod_p_inverse_s"]) > 0
 
+    def test_zero_trials_is_an_input_error(self, capsys):
+        code, _ = run("bench", "--params", "toy", "--trials", "0")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --trials must be at least 1")
+
 
 class TestParser:
     def test_built_once_and_stateless(self, tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from bqtru.ring import EvalDomain, RingElem, conv_mul, ring_inverse
 
 from oracles import (
     InvalidWeight,
+    LatticeBasis,
     NonIntegralU,
     basis_contains,
     build_D_prime,
@@ -252,13 +253,13 @@ class TestPrivateLattice:
             sig_q = Quaternion(sigma, ring_zero(3, 7),
                                ring_zero(3, 7), ring_zero(3, 7))
             prod = quat_mul_schoolbook(Wp, sig_q)
-            assert basis_contains(priv, prod.lift_positive().vector())
+            assert basis_contains(priv, prod.vector())
 
 
 class TestBqtruLattice:
     def test_dimension(self, dom3):
         H = quat_one(3, 7)
-        assert build_bqtru_lattice(H, dom3).dim == 108
+        assert build_bqtru_lattice(H, dom3).shape == (108, 108)
 
     def test_F_row_identity(self, dom3):
         rng = random.Random(38)
@@ -270,10 +271,10 @@ class TestBqtruLattice:
             ))
             F = Quaternion(*(sample_balanced(rng, 3, 2) for _ in range(4)))
             M = build_bqtru_lattice(H, dom3)
-            HH = M.rows[four:2 * four, :four]
+            HH = M[four:2 * four, :four]
             got = (F.vector().astype(object) @ HH) % 7
             FH = quat_mul_schoolbook(F.with_modulus(7), H)
-            assert np.array_equal(got.astype(np.int64), FH.lift_positive().vector())
+            assert np.array_equal(got.astype(np.int64), FH.vector())
 
     def test_gamma_row_identity(self, dom3):
         # interpolating the evaluation vector through the stacked rows
@@ -286,7 +287,7 @@ class TestBqtruLattice:
             ))
             vec = gamma_vector(rho(Gam, dom3), dom3)
             assert np.array_equal(
-                np.array([int(v) % 7 for v in vec]), Gam.lift_positive().vector()
+                np.array([int(v) % 7 for v in vec]), Gam.vector()
             )
 
     def test_rho_flat_ordering(self, dom3):
@@ -354,7 +355,7 @@ class TestExpandedLattice:
         H = Quaternion(*(RingElem(np.array([rng.randrange(q) for _ in range(n * n)]), n, q)
                          for _ in range(4)))
         assert expansion_ratio(params).built_dim == build_expanded_lattice(H, dom).dim
-        assert build_bqtru_lattice(H, dom).dim == 12 * n * n
+        assert build_bqtru_lattice(H, dom).shape == (12 * n * n,) * 2
 
     def test_psi_maps_into_base_lattice(self, dom3):
         rng = random.Random(43)
@@ -363,7 +364,7 @@ class TestExpandedLattice:
             for _ in range(4)
         ))
         exp = build_expanded_lattice(H, dom3)
-        base = build_bqtru_lattice(H, dom3)
+        base = LatticeBasis(build_bqtru_lattice(H, dom3), 108)
         for _ in range(5):
             z = np.array([rng.randrange(-2, 3) for _ in range(exp.dim)], dtype=object)
             member = z @ exp.rows

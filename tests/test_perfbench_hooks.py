@@ -1,0 +1,45 @@
+"""The benchmark's trace targets resolve where perfbench/run.py looks them up.
+
+perfbench wraps each name where its caller looks it up and skips a name
+that is absent, so a change to src/ that moves or renames one would
+silently zero its span.  These tests pin the set that resolves.
+"""
+
+import importlib.util
+import pathlib
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+# targets that name no function of the library, so their spans read 0 by
+# construction; perfbench still lists them
+READ_ZERO = {
+    ("bqtru.scheme", "ring_inverse"),
+    ("bqtru.scheme", "quat_inverse_mod_J"),
+    ("bqtru.scheme", "make_ideal"),
+    ("bqtru.scheme", "build_D_prime"),
+    ("bqtru.scheme", "lll_reduce"),
+    ("bqtru.scheme", "sphere_decode"),
+    ("bqtru.lattice", "babai_nearest_plane"),
+}
+
+
+def _load(name: str):
+    """perfbench/<name>.py as a module, loaded by its file path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_targets_resolve():
+    run, tracing = _load("run"), _load("tracing")
+    targets = [(owner, attr) for owner, attr, _ in run.trace_targets(199)]
+    resolved = {(owner, attr) for owner, attr in targets
+                if callable(getattr(tracing._resolve(owner), attr, None))}
+    assert len(targets) == len(set(targets)) == 39
+    assert set(targets) - resolved == READ_ZERO
+    assert len(resolved) == 32
+
+
+def test_convolution_counter_is_read():
+    assert _load("run").conv_counter() is not None

@@ -27,6 +27,7 @@ from bqtru.ring import (
     RingElem,
     conv_mul,
     eval_domain,
+    product_domain,
     ring_inverse,
 )
 
@@ -301,6 +302,24 @@ class TestRho:
     def test_context_mismatch(self, dom3):
         with pytest.raises(ContextMismatch):
             rho(quat_one(3, 3), dom3)
+
+    def test_foreign_domain_found_before_a_product_domain_is_built(self, dom3):
+        # product_domain(3, m) would search for a prime near 36 m**2, far
+        # past int64; dom3's q is below m, so it cannot be m's product domain
+        with pytest.raises(ContextMismatch):
+            rho(quat_one(3, 2 ** 61 - 1), dom3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(sorted(PARAM_SETS)), seed=st.integers(0, 2 ** 32))
+    def test_maps_on_the_product_domain(self, name, seed):
+        # mod p the same two maps run on product_domain's auxiliary grid
+        n, p = PARAM_SETS[name].n, PARAM_SETS[name].p
+        dom = product_domain(n, p)
+        rng = random.Random(seed)
+        F, G = rand_quat(rng, n, p), rand_quat(rng, n, p)
+        assert rho_interpolate(rho(F, dom), dom, p) == F
+        prod = rho_interpolate(rho_mul(rho(F, dom), rho(G, dom), dom.q), dom, p)
+        assert prod == quat_mul_schoolbook(F, G)
 
     def test_sum_homomorphism(self, dom3):
         rng = random.Random(20)

@@ -18,6 +18,7 @@ import bqtru.quat as quat
 import bqtru.scheme as scheme
 from bqtru.cli import main as cli_main
 from bqtru.errors import (
+    BqtruError,
     DecryptionFailure,
     MalformedData,
     MessageOutOfRange,
@@ -30,7 +31,14 @@ from bqtru.ideal import derive_T
 from bqtru.lattice import coset_decode, lll_reduce
 from bqtru.params import HIGHEST, MODERATE, PARAM_SETS, TOY, Params
 from bqtru.quat import Quaternion, quat_inverse_mod_p, quat_mul_schoolbook, rho, rho_norms
-from bqtru.ring import CONV_COUNTER, EvalDomain, RingElem, eval_domain, signed_ternary
+from bqtru.ring import (
+    CONV_COUNTER,
+    EvalDomain,
+    RingElem,
+    centered,
+    eval_domain,
+    signed_ternary,
+)
 from bqtru.scheme import (
     Ciphertext,
     decode_message,
@@ -52,6 +60,8 @@ from bqtru.scheme import (
 from oracles import (
     build_D_prime,
     is_zero,
+    loop_decode_message,
+    loop_encode_message,
     quat_one,
     quat_zero,
     sphere_decode,
@@ -458,7 +468,7 @@ class TestDecryptPaths:
             ct = encrypt(pk, M, rng)
             assert decrypt(sk2, ct, strict=True) == M
             # the sphere decoder over the same D' finds the same points
-            A = quat_mul_schoolbook(sk.F.with_modulus(MODERATE.q), ct.C).lift_positive()
+            A = quat_mul_schoolbook(sk.F.with_modulus(MODERATE.q), ct.C)
             for comp in A.components:
                 a = comp.coeffs.astype(np.float64)
                 ref = sphere_decode(ref_basis, a, max_nodes=50_000)
@@ -505,7 +515,7 @@ class TestDecryptPaths:
         ref_basis = reduced_D_prime(sk)
         for _ in range(20):
             ct = encrypt(pk, random_message(TOY, rng), rng)
-            A = quat_mul_schoolbook(sk.F.with_modulus(TOY.q), ct.C).lift_positive()
+            A = quat_mul_schoolbook(sk.F.with_modulus(TOY.q), ct.C)
             targets = np.stack([comp.coeffs for comp in A.components])
             with monkeypatch.context() as m:
                 forbid_basis_of_D_prime(m)
@@ -640,6 +650,72 @@ class TestMessageCodec:
         assert decode_message(decrypt(sk, ct), MODERATE) == payload
 
 
+# the shipped sets and custom sets with p = 5, 17 and 29 (4, 2 and 2
+# digits per byte; at p = 29, 29**16 is past the int64 range)
+CODEC_PARAMS = [TOY, MODERATE, HIGHEST, Params(3, 5, 7, 1, 1, 1),
+                Params(3, 17, 19, 1, 1, 1), Params(5, 29, 31, 2, 2, 2)]
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except BqtruError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def digit_vectors(draw, params):
+    """Centered digit vectors of a message quaternion: mostly with a length
+    prefix within the capacity, so the byte groups are read too, and now
+    and then with a coefficient outside the centered range."""
+    p, half = params.p, (params.p - 1) // 2
+    flat = np.array(draw(st.lists(st.integers(-half, half), min_size=4 * params.nsq,
+                                  max_size=4 * params.nsq)), dtype=np.int64)
+    if draw(st.booleans()):
+        cap = message_capacity(params)
+        length = draw(st.integers(0, cap + 1))
+        flat[:16] = centered([length // p ** i % p for i in range(16)], p)
+        if length <= cap and draw(st.booleans()):
+            # the digits of real bytes, so no group exceeds 255
+            payload = draw(st.binary(min_size=length, max_size=length))
+            flat[16:] = loop_encode_message(payload, params).vector()[16:]
+    if draw(st.integers(0, 9)) == 0:
+        flat[draw(st.integers(0, flat.size - 1))] = draw(st.sampled_from([-half - 1, half + 1]))
+    return Quaternion.from_vector(flat, params.n, None)
+
+
+class TestCodecAgainstLoops:
+    """The array codec gives the digit-loop codec's coefficients, bytes and
+    errors, messages included."""
+
+    @pytest.mark.parametrize("params", CODEC_PARAMS, ids=lambda P: f"n{P.n}-p{P.p}")
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_encode(self, params, data):
+        payload = data.draw(st.binary(max_size=message_capacity(params) + 2))
+        got = outcome(encode_message, payload, params)
+        assert got == outcome(loop_encode_message, payload, params)
+        if isinstance(got, Quaternion):
+            assert decode_message(got, params) == payload
+
+    @pytest.mark.parametrize("params", CODEC_PARAMS, ids=lambda P: f"n{P.n}-p{P.p}")
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_decode(self, params, data):
+        M = data.draw(digit_vectors(params))
+        assert outcome(decode_message, M, params) == outcome(loop_decode_message, M, params)
+
+    def test_every_payload_length(self):
+        rng = random.Random(14)
+        for params in CODEC_PARAMS:
+            for size in range(message_capacity(params) + 1):
+                payload = bytes(rng.randrange(256) for _ in range(size))
+                M = encode_message(payload, params)
+                assert M == loop_encode_message(payload, params)
+                assert decode_message(M, params) == payload
+
+
 class TestSerialization:
     def test_public_round_trip(self, moderate_key):
         pk, _ = moderate_key
@@ -720,13 +796,15 @@ class TestSerialization:
         ("private", "header", "n=\u0667 p=3 q=113 df=7 dg=6 dphi=6"),
         ("ct", "header", "q=1_13 n=7"),
         ("ct", "header", "q=113 n=+7"),
+        ("ct", "header", "q=100000000000000000000000 n=7"),
     ])
     def test_malformed_field_raises_malformed_data(self, moderate_key, kind, label, values):
         # non-integer values, a repeated secret point (T: 24 24 with
-        # weights: 5 6 would build sigma from one point at weight 6) and an
-        # integer past int64 are typed errors, not ValueError/OverflowError;
-        # so are a label the kind does not define (appended) and a header
-        # line (label "header") with an unknown or repeated key
+        # weights: 5 6 would build sigma from one point at weight 6), an
+        # integer past int64 and a ciphertext modulus too large for int64
+        # products are typed errors, not ValueError/OverflowError; so are a
+        # label the kind does not define (appended) and a header line
+        # (label "header") with an unknown or repeated key
         pk, sk = moderate_key
         if kind == "private":
             text, load = serialize_private(sk), deserialize_private
