@@ -89,17 +89,20 @@ def _resolve_params(args) -> tuple[Params, str]:
 
 def _write_atomic(path: str, data) -> None:
     """Write via a temp file in the same directory so failures leave no
-    partial output behind."""
+    partial output behind; an OSError names path, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bqtru-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bqtru-")
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -34,8 +34,6 @@ from .ring import EvalDomain, RingElem, centered, conv_mul, product_domain, ring
 
 # componentwise signs of conj(F) = c0 - c1*i - c2*j - c3*k
 _CONJ = np.array([1, -1, -1, -1])
-# embeds grid values as the real part of scalar quaternions
-_REAL = np.array([1, 0, 0, 0])
 
 
 class Quaternion:
@@ -60,18 +58,6 @@ class Quaternion:
     @property
     def modulus(self):
         return self.c0.modulus
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(*(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(*(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(*(-a for a in self.components))
-
-    def scale(self, c: int) -> "Quaternion":
-        return Quaternion(*(a.scale(c) for a in self.components))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quaternion):
@@ -156,19 +142,28 @@ def quat_norm(F: Quaternion) -> RingElem:
     if m is None:
         raise ValueError("the quaternion norm needs a prime modulus")
     dom = product_domain(F.n, m)
-    return rho_interpolate(np.outer(rho_norms(rho(F, dom), dom.q), _REAL), dom, m).c0
+    return _norm_from_rho(rho(F, dom), dom, m)
+
+
+def _norm_from_rho(rho_F: np.ndarray, dom: EvalDomain, m: int) -> RingElem:
+    """N(F) mod m from F's evaluation array on product_domain(F.n, m)."""
+    coeffs = centered(dom.inverse_transform(rho_norms(rho_F, dom.q)[None])[0], dom.q)
+    return RingElem(coeffs, dom.n, m)
 
 
 def quat_inverse_mod_p(F: Quaternion) -> Quaternion:
     """Inverse in the quaternion algebra over Z_p: N(F)^-1 o conj(F).
 
-    The norm and the product are pointwise in ring.product_domain, so
-    ring_inverse's digit products are the only convolutions.
+    rho(F) on ring.product_domain is computed once; the norm is one row
+    mapped back and N(F)^-1 one row mapped there, so ring_inverse's digit
+    products are the only convolutions.
     """
-    dom = product_domain(F.n, F.modulus)
-    ninv = ring_inverse(quat_norm(F))
-    ninv_vals = rho(Quaternion(ninv, *[ninv.scale(0)] * 3), dom)[:, :1]
-    return rho_interpolate(ninv_vals * _CONJ * rho(F, dom) % dom.q, dom, F.modulus)
+    m = F.modulus
+    dom = product_domain(F.n, m)
+    rho_F = rho(F, dom)
+    ninv = ring_inverse(_norm_from_rho(rho_F, dom, m))
+    ninv_vals = dom.transform(centered(ninv.coeffs, m)[None])[0]
+    return rho_interpolate(ninv_vals[:, None] * _CONJ * rho_F % dom.q, dom, m)
 
 
 # ---------------------------------------------------------------------------

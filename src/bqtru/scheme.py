@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ContextMismatch,
     DecryptionFailure,
     MalformedData,
     MessageOutOfRange,
@@ -199,19 +200,31 @@ def random_message(params: Params, rng) -> Quaternion:
 
 
 def encrypt(pk: PublicKey, M: Quaternion, rng, phi: Quaternion | None = None) -> Ciphertext:
-    """C = p * H o Phi + M mod q, with a fresh ternary blinding Phi."""
+    """C = p * H o Phi + M mod q, with a fresh ternary blinding Phi.
+
+    One pass over (4, n^2) int64 rows, one per component: Phi's rows are
+    drawn (or a given Phi's stacked), transformed once, multiplied by the
+    cached rho(H), and transformed back once into [0, q); then
+    (p * H o Phi + M) mod q gives the ciphertext's coefficients.
+    """
     params = pk.params
-    half = (params.p - 1) // 2
-    for c in M.components:
-        if c.modulus is not None or np.abs(c.coeffs).max(initial=0) > half:
-            raise MessageOutOfRange("message coefficients must be centered mod p")
+    n, p, q = params.n, params.p, params.q
+    half = (p - 1) // 2
+    m_rows = np.stack([c.coeffs for c in M.components])
+    if M.modulus is not None or np.abs(m_rows).max(initial=0) > half:
+        raise MessageOutOfRange("message coefficients must be centered mod p")
+    if M.n != n or (phi is not None and phi.n != n):
+        raise ContextMismatch(f"message and blinding must have n={n}, like the key")
     if phi is None:
         rng = as_rng(rng)
-        phi = Quaternion(*(sample_ternary(params.n, params.d_phi, rng) for _ in range(4)))
-    q = params.q
-    dom = eval_domain(params.n, q)
-    prod = rho_interpolate(rho_mul(pk.rho_H, rho(phi.with_modulus(q), dom), q), dom)
-    return Ciphertext(prod.scale(params.p) + M.with_modulus(q))
+        phi_rows = np.stack([signed_ternary(params.nsq, params.d_phi, params.d_phi, rng)
+                             for _ in range(4)])
+    else:
+        phi_rows = np.stack([c.coeffs for c in phi.components])
+    dom = eval_domain(n, q)
+    h_phi = dom.inverse_transform(rho_mul(pk.rho_H, dom.transform(phi_rows).T, q).T)
+    C = (p * h_phi + m_rows) % q
+    return Ciphertext(Quaternion.from_vector(C.reshape(-1), n, q))
 
 
 def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> Quaternion:
@@ -378,8 +391,9 @@ def _parse_params(line: str) -> Params:
 def _dump(kind: str, header_line: str, fields: dict) -> str:
     """The magic line with the kind, the header line, one 'label: values' line per field."""
     out = [f"{_MAGIC} {kind}", header_line]
-    out += [label + ": " + " ".join(map(str, np.asarray(values).tolist()))
-            for label, values in fields.items()]
+    for label, values in fields.items():
+        v = np.asarray(values).tolist()
+        out.append(label + ": " + " ".join(["%d"] * len(v)) % tuple(v))
     return "\n".join(out) + "\n"
 
 

@@ -10,8 +10,9 @@ live here as oracles.
 
 The paper's other claims are checked through the rest of this module:
 point evaluation, Lagrange interpolants and interpolation on the grid;
-the conjugate, scalar quaternion products and inverses, and the inverse
-of F modulo the secret ideal; the key-membership identity and the
+quaternion sums, differences, negatives and scalar multiples; the
+conjugate, scalar quaternion products and inverses, and the inverse of F
+modulo the secret ideal; the key-membership identity and the
 (4 floor(log2 q) + 12) n^2-dimensional expanded key-recovery lattice with
 its fold back to the 12 n^2 one; the LLL conditions; the message codec
 written one digit at a time; and the sampled noise variance of honest
@@ -97,6 +98,22 @@ def quat_zero(n: int, modulus=None) -> Quaternion:
 
 def quat_one(n: int, modulus=None) -> Quaternion:
     return quat_unit("1", n, modulus)
+
+
+def quat_add(F: Quaternion, G: Quaternion) -> Quaternion:
+    return Quaternion(*(a + b for a, b in zip(F.components, G.components)))
+
+
+def quat_sub(F: Quaternion, G: Quaternion) -> Quaternion:
+    return Quaternion(*(a - b for a, b in zip(F.components, G.components)))
+
+
+def quat_neg(F: Quaternion) -> Quaternion:
+    return Quaternion(*(-a for a in F.components))
+
+
+def quat_scale(F: Quaternion, c: int) -> Quaternion:
+    return Quaternion(*(a.scale(c) for a in F.components))
 
 
 def is_zero(x) -> bool:
@@ -593,7 +610,8 @@ def empirical_noise_variance(params, samples: int, rng) -> float:
     for _ in range(samples):
         phi = Quaternion(*(sample_ternary(n, params.d_phi, rng) for _ in range(4)))
         M = random_message(params, rng)
-        mask = quat_mul_schoolbook(sk.G, phi).scale(p) + quat_mul_schoolbook(sk.F, M)
+        mask = quat_add(quat_scale(quat_mul_schoolbook(sk.G, phi), p),
+                        quat_mul_schoolbook(sk.F, M))
         acc.append(mask.vector())
     flat = np.concatenate(acc).astype(np.float64)
     return float(flat.var())

@@ -126,6 +126,23 @@ class TestEncryptDecrypt:
                       "--out", str(tmp_path / "ct"))
         assert code == 1
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory in the way"])
+    def test_failed_write_names_out_path(self, keyfiles, tmp_path, capsys, where):
+        pub, _ = keyfiles
+        msg = tmp_path / "msg"
+        msg.write_bytes(b"hello")
+        if where == "missing directory":
+            target = tmp_path / "nonexistent" / "x"
+        else:
+            target = tmp_path / "x"
+            target.mkdir()
+        code, _ = run("encrypt", "--key", pub, "--in", str(msg), "--out", str(target),
+                      "--seed", "6")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert repr(str(target)) in err and ".bqtru-" not in err
+        assert not list(tmp_path.rglob(".bqtru-*"))  # the temp file is gone
+
     def test_malformed_key_file(self, tmp_path):
         bad = tmp_path / "bad.pub"
         bad.write_text("not a key\n")

@@ -25,6 +25,7 @@ from oracles import (
     gamma_vector,
     interpolate,
     lagrange_interpolant,
+    quat_add,
     quat_inverse_mod_J,
     quat_one,
     ring_eval,
@@ -81,7 +82,7 @@ def toy_keygen(rng, dom, p=3, d=1):
         sigma = build_sigma(T, weights, dom)
         theta = Quaternion(*(sigma.scale(w) for w in W))
         Finv = quat_inverse_mod_J(F, T, dom)
-        H = quat_mul_schoolbook(Finv, G) + theta
+        H = quat_add(quat_mul_schoolbook(Finv, G), theta)
         rho_gamma = rho(quat_mul_schoolbook(F, theta), dom)
         sk = SimpleNamespace(F=F, G=G, rho_gamma=rho_gamma, T=T, W=W, theta=theta)
         pk = SimpleNamespace(H=H)

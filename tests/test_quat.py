@@ -36,8 +36,11 @@ from oracles import (
     from_scalar,
     is_zero,
     lagrange_interpolant,
+    quat_add,
     quat_inverse_mod_J,
+    quat_neg,
     quat_one,
+    quat_sub,
     quat_unit,
     ring_zero,
     scalar_inverse,
@@ -92,7 +95,7 @@ class TestSchoolbook:
         j = quat_unit("j", 3, 7)
         k = quat_unit("k", 3, 7)
         assert quat_mul_schoolbook(i, j) == k
-        assert quat_mul_schoolbook(j, i) == -k
+        assert quat_mul_schoolbook(j, i) == quat_neg(k)
 
     def test_one_is_identity(self):
         rng = random.Random(10)
@@ -102,7 +105,7 @@ class TestSchoolbook:
     def test_split_zero_divisor(self):
         one = quat_one(3, 7)
         i = quat_unit("i", 3, 7)
-        assert is_zero(quat_mul_schoolbook(one + i, one - i))
+        assert is_zero(quat_mul_schoolbook(quat_add(one, i), quat_sub(one, i)))
 
     def test_mult_count_is_16(self):
         rng = random.Random(11)
@@ -184,7 +187,7 @@ class TestNormConjugate:
     def test_norm_of_one_plus_i(self):
         one = quat_one(3, 7)
         i = quat_unit("i", 3, 7)
-        assert is_zero(quat_norm(one + i))
+        assert is_zero(quat_norm(quat_add(one, i)))
 
     def test_f_times_conjugate_equals_norm(self):
         rng = random.Random(16)
@@ -324,7 +327,7 @@ class TestRho:
     def test_sum_homomorphism(self, dom3):
         rng = random.Random(20)
         F, G = rand_quat(rng, 3, 7), rand_quat(rng, 3, 7)
-        assert np.array_equal(rho(F + G, dom3), (rho(F, dom3) + rho(G, dom3)) % 7)
+        assert np.array_equal(rho(quat_add(F, G), dom3), (rho(F, dom3) + rho(G, dom3)) % 7)
 
     def test_lagrange_indicator(self, dom3):
         a, b = dom3.points[5]

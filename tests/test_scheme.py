@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import io
 import os
@@ -19,6 +20,7 @@ import bqtru.scheme as scheme
 from bqtru.cli import main as cli_main
 from bqtru.errors import (
     BqtruError,
+    ContextMismatch,
     DecryptionFailure,
     MalformedData,
     MessageOutOfRange,
@@ -62,7 +64,10 @@ from oracles import (
     is_zero,
     loop_decode_message,
     loop_encode_message,
+    quat_add,
     quat_one,
+    quat_scale,
+    quat_sub,
     quat_zero,
     sphere_decode,
     verify_key_membership,
@@ -112,7 +117,7 @@ class TestKeygen:
     def test_public_residual_vanishes_off_T(self, toy_key):
         pk, sk = toy_key
         dom = EvalDomain(3, 7)
-        resid = quat_mul_schoolbook(sk.F.with_modulus(7), pk.H) - sk.G.with_modulus(7)
+        resid = quat_sub(quat_mul_schoolbook(sk.F.with_modulus(7), pk.H), sk.G.with_modulus(7))
         vals = rho(resid, dom)
         for k in range(9):
             if k not in sk.T:
@@ -168,7 +173,7 @@ class TestKeygen:
             assert sk.T == (0,)  # grid index 0 is the point (1, 1)
             theta_hat = Quaternion(*(ones.scale(int(c.coeffs.sum()) * pow(n * n, -1, q))
                                      for c in pk.H.components))
-            H0 = pk.H - theta_hat
+            H0 = quat_sub(pk.H, theta_hat)
             assert quat_mul_schoolbook(sk.F.with_modulus(q), H0) == sk.G.with_modulus(q)
 
     def test_T_window(self, moderate_key):
@@ -263,7 +268,7 @@ class TestEncrypt:
 
     def test_message_out_of_range(self, moderate_key):
         pk, _ = moderate_key
-        bad = quat_one(7).scale(2)
+        bad = quat_scale(quat_one(7), 2)
         with pytest.raises(MessageOutOfRange):
             encrypt(pk, bad, random.Random(0))
 
@@ -289,8 +294,77 @@ class TestEncrypt:
         M = random_message(MODERATE, rng)
         phi = Quaternion(*(sample_ternary(7, 6, rng) for _ in range(4)))
         ct = encrypt(pk, M, None, phi=phi)
-        direct = quat_mul_schoolbook(pk.H, phi.with_modulus(113)).scale(3) + M.with_modulus(113)
+        direct = quat_add(quat_scale(quat_mul_schoolbook(pk.H, phi.with_modulus(113)), 3),
+                          M.with_modulus(113))
         assert ct.C == direct
+
+
+@functools.lru_cache(maxsize=None)
+def set_key(params):
+    return keygen(params, random.Random(66))
+
+
+@st.composite
+def ring_quats(draw, n, lo, hi, moduli=(None,)):
+    """A quaternion with n^2 coefficients in [lo, hi] per component and a drawn modulus."""
+    modulus = draw(st.sampled_from(moduli))
+    comps = [np.array(draw(st.lists(st.integers(lo, hi), min_size=n * n, max_size=n * n)))
+             for _ in range(4)]
+    return Quaternion(*(RingElem(c, n, modulus) for c in comps))
+
+
+class TestEncryptAgainstSchoolbook:
+    """The one-pass encrypt gives p * H o (Phi mod q) + M mod q by the
+    schoolbook product, and checks its inputs itself."""
+
+    @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=lambda P: f"n{P.n}")
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_given_phi(self, params, data):
+        pk, _ = set_key(params)
+        n, p, q, half = params.n, params.p, params.q, (params.p - 1) // 2
+        M = data.draw(ring_quats(n, -half, half))
+        phi = data.draw(ring_quats(n, -2 * q, 2 * q, (None, p, q)))
+        ct = encrypt(pk, M, None, phi=phi)
+        direct = quat_add(quat_scale(quat_mul_schoolbook(pk.H, phi.with_modulus(q)), p),
+                          M.with_modulus(q))
+        assert ct.C == direct and ct.C.modulus == q
+
+    @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=lambda P: f"n{P.n}")
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), data=st.data())
+    def test_drawn_phi(self, params, seed, data):
+        # a drawn Phi is four sample_ternary components from the caller's rng, in order
+        pk, _ = set_key(params)
+        half = (params.p - 1) // 2
+        M = data.draw(ring_quats(params.n, -half, half))
+        rng = random.Random(seed)
+        phi = Quaternion(*(sample_ternary(params.n, params.d_phi, rng) for _ in range(4)))
+        ct = encrypt(pk, M, random.Random(seed))
+        assert ct.C == encrypt(pk, M, None, phi=phi).C
+
+    @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=lambda P: f"n{P.n}")
+    def test_other_n_raises_context_mismatch(self, params):
+        pk, _ = set_key(params)
+        n = params.n
+        M, other_M = quat_zero(n), quat_one(n + 1)
+        other_phi = Quaternion(*(sample_ternary(n + 1, 1, random.Random(2)) for _ in range(4)))
+        with pytest.raises(ContextMismatch):
+            encrypt(pk, other_M, random.Random(3))
+        with pytest.raises(ContextMismatch):
+            encrypt(pk, other_M, None, phi=quat_zero(n))
+        with pytest.raises(ContextMismatch):
+            encrypt(pk, M, None, phi=other_phi)
+
+    @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=lambda P: f"n{P.n}")
+    @pytest.mark.parametrize("modulus", ["p", "q"])
+    def test_message_with_modulus_out_of_range(self, params, modulus):
+        pk, _ = set_key(params)
+        M = quat_zero(params.n, params.p if modulus == "p" else params.q)
+        with pytest.raises(MessageOutOfRange):
+            encrypt(pk, M, random.Random(4))
+        with pytest.raises(MessageOutOfRange):
+            encrypt(pk, M, None, phi=quat_zero(params.n))
 
 
 class TestDecrypt:
@@ -717,6 +791,19 @@ class TestCodecAgainstLoops:
 
 
 class TestSerialization:
+    @settings(max_examples=100, deadline=None)
+    @given(fields=st.dictionaries(
+        st.sampled_from(["h0", "T", "weights", "rhogamma"]),
+        st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.sampled_from([0, -1, 1]), max_size=130)))
+    def test_dump_matches_str_writer(self, fields):
+        # negative, zero and empty value lists, as tuples and as int64 arrays
+        expect = ["BQTRU v1 ct", "q=7 n=3"]
+        expect += [label + ": " + " ".join(map(str, v)) for label, v in fields.items()]
+        expect = "\n".join(expect) + "\n"
+        assert scheme._dump("ct", "q=7 n=3", {k: tuple(v) for k, v in fields.items()}) == expect
+        arrays = {k: np.array(v, dtype=np.int64) for k, v in fields.items()}
+        assert scheme._dump("ct", "q=7 n=3", arrays) == expect
+
     def test_public_round_trip(self, moderate_key):
         pk, _ = moderate_key
         text = serialize_public(pk)
