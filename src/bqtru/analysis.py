@@ -97,7 +97,7 @@ def monte_carlo_failure_rate(params: Params, trials: int, rng,
         pk, sk = keygen(params, rng)
         for _ in range(count):
             M = random_message(params, rng)
-            successes += decrypt(sk, encrypt(pk, M, rng)) == M
+            successes += np.array_equal(decrypt(sk, encrypt(pk, M, rng)), M)
     lo, hi = wilson_interval(successes, trials)
     return MonteCarloResult(successes, trials, successes / trials, lo, hi)
 

@@ -10,6 +10,7 @@ EXIT_CODES, the one table that maps each error to its code.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import random
@@ -87,20 +88,28 @@ def _resolve_params(args) -> tuple[Params, str]:
     return get_params(name), name
 
 
-def _write_atomic(path: str, data) -> None:
-    """Write via a temp file in the same directory so failures leave no
-    partial output behind; an OSError names path, not the temp file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    mode = "wb" if isinstance(data, bytes) else "w"
-    tmp = None
+def _write_atomic(*outputs) -> None:
+    """Write each (path, data) pair via a temp file in its directory.  No path
+    may be a directory, and all temps are written before any is moved into
+    place, in order: a failure leaves no partial output and no path without
+    those before it.  An OSError names the path, not its temp file."""
+    temps, path = [], None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bqtru-")
-        with os.fdopen(fd, mode) as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, _ in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for path, data in outputs:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".bqtru-")
+            temps.append(tmp)
+            with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+                fh.write(data)
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
@@ -120,8 +129,9 @@ def cmd_keygen(args, out) -> int:
     _warn_if_toy(label, out)
     rng = _rng_from(args)
     pk, sk = keygen(params, rng)
-    _write_atomic(args.out + ".pub", serialize_public(pk))
-    _write_atomic(args.out + ".priv", serialize_private(sk))
+    # the private key first, so no new public key is left without it
+    _write_atomic((args.out + ".priv", serialize_private(sk)),
+                  (args.out + ".pub", serialize_public(pk)))
     print(f"wrote {args.out}.pub and {args.out}.priv", file=out)
     print(f"parameter_set = {label}", file=out)
     print(f"packed_public_key_bits = {public_key_size_bits(params)}", file=out)
@@ -134,7 +144,7 @@ def cmd_encrypt(args, out) -> int:
         payload = fh.read()
     M = encode_message(payload, pk.params)
     ct = encrypt(pk, M, _rng_from(args))
-    _write_atomic(args.out, serialize_ct(ct))
+    _write_atomic((args.out, serialize_ct(ct)))
     print(f"encrypted {len(payload)} bytes -> {args.out}", file=out)
     return 0
 
@@ -147,7 +157,7 @@ def cmd_decrypt(args, out) -> int:
         payload = decode_message(M, sk.params)
     except MalformedData as exc:
         raise DecryptionFailure(f"recovered digits do not decode: {exc}")
-    _write_atomic(args.out, payload)
+    _write_atomic((args.out, payload))
     print(f"decrypted {len(payload)} bytes -> {args.out}", file=out)
     return 0
 
@@ -259,7 +269,7 @@ def cmd_attack(args, out) -> int:
 
     if sk is not None:
         four = 4 * params.nsq
-        key_vec = np.concatenate([sk.G.vector(), sk.F.vector(), -rho_flat(sk.rho_gamma)])
+        key_vec = np.concatenate([*sk.G.rows(), *sk.F.rows(), -rho_flat(sk.rho_gamma)])
         hyb = hybrid_norm(key_vec[:four], key_vec[four:2 * four], key_vec[2 * four:])
         print(f"private_key_euclidean_norm = {math.sqrt(float(key_vec @ key_vec)):.4f}",
               file=out)

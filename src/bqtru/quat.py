@@ -8,11 +8,11 @@ ring.CONV_COUNTER; they are the paper's reference paths.
 Mod q a quaternion is also its evaluation array rho(F): row k is the
 scalar quaternion F(points[k]) over Z_q.  rho is an isomorphism of
 algebras, so a mod-q product is rho_mul of two arrays (n**2 scalar
-products, no convolution) and rho_interpolate maps back.  These two are
-the one pair of grid maps, for F's own domain and for
-ring.product_domain alike: rho transforms the centered lifts of the
-coefficients, and rho_interpolate reduces the centered result mod the
-target modulus.  So the norm N(F) and the inverse mod p,
+products as one table gather and one batched matmul, no convolution) and
+rho_interpolate maps back.  These two are the one pair of grid maps, for
+F's own domain and for ring.product_domain alike: rho transforms the
+centered lifts of the coefficients, and rho_interpolate reduces the
+centered result mod the target modulus.  So the norm N(F) and the inverse mod p,
 N(F)^-1 o conj(F), run pointwise on an auxiliary prime's grid, and
 quat_inverse_mod_p convolves only inside ring_inverse.  rho_inverse
 inverts pointwise off the secret set T, which is how keygen inverts F
@@ -67,18 +67,9 @@ class Quaternion:
     def with_modulus(self, modulus) -> "Quaternion":
         return Quaternion(*(c.with_modulus(modulus) for c in self.components))
 
-    def lift_centered(self) -> "Quaternion":
-        return Quaternion(*(c.lift_centered() for c in self.components))
-
-    def vector(self) -> np.ndarray:
-        """Concatenated coefficient vector (length 4*n**2)."""
-        return np.concatenate([c.coeffs for c in self.components])
-
-    @classmethod
-    def from_vector(cls, vec, n: int, modulus=None) -> "Quaternion":
-        vec = np.asarray(vec)
-        nsq = n * n
-        return cls(*(RingElem(vec[i * nsq:(i + 1) * nsq], n, modulus) for i in range(4)))
+    def rows(self) -> np.ndarray:
+        """The (4, n**2) array of the components' coefficients, a row each."""
+        return np.stack([c.coeffs for c in self.components])
 
     def __repr__(self):
         return f"Quaternion(n={self.n}, mod={self.modulus})"
@@ -182,7 +173,7 @@ def rho(F: Quaternion, dom: EvalDomain) -> np.ndarray:
     if F.n != dom.n or m is None or dom.q < m or (
             dom.q > m and product_domain(F.n, m).q != dom.q):
         raise ContextMismatch("quaternion does not match the domain")
-    return dom.transform(centered(np.stack([c.coeffs for c in F.components]), m)).T
+    return dom.transform(centered(F.rows(), m)).T
 
 
 def rho_interpolate(vals, dom: EvalDomain, m: int | None = None) -> Quaternion:
@@ -192,20 +183,22 @@ def rho_interpolate(vals, dom: EvalDomain, m: int | None = None) -> Quaternion:
     return Quaternion(*(RingElem(c, dom.n, dom.q if m is None else m) for c in coeffs))
 
 
+# left multiplication by a = a0 + a1*i + a2*j + a3*k is the 4x4 matrix
+# a[_LEFT_IDX] * _LEFT_SIGN: (a * b)[r] = sum_c _LEFT_SIGN[r, c] * a[_LEFT_IDX[r, c]] * b[c]
+_LEFT_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGN = np.array([[1, 1, 1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, -1, 1, 1]])
+
+
 def rho_mul(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
     """Pointwise scalar-quaternion product of two evaluation arrays mod q.
 
-    Each entry sums four products below (q-1)**2, exact in int64 under
-    Params' bound.
+    One gather builds each row's left-multiplication matrix and one
+    batched integer matmul applies it.  Each entry sums four products
+    below (q-1)**2, exact in int64 under Params' bound.
     """
-    a0, a1, a2, a3 = (np.asarray(u, dtype=np.int64) % q).T
-    b0, b1, b2, b3 = (np.asarray(v, dtype=np.int64) % q).T
-    return np.stack([
-        a0 * b0 + a1 * b1 + a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 - a2 * b3 + a3 * b2,
-        a0 * b2 + a1 * b3 + a2 * b0 - a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    ], axis=1) % q
+    a = np.asarray(u, dtype=np.int64) % q
+    b = np.asarray(v, dtype=np.int64) % q
+    return ((a[..., _LEFT_IDX] * _LEFT_SIGN) @ b[..., None])[..., 0] % q
 
 
 def rho_norms(u: np.ndarray, q: int) -> np.ndarray:

@@ -134,16 +134,6 @@ class RingElem:
     def __repr__(self):
         return f"RingElem(n={self.n}, mod={self.modulus}, {self.coeffs.tolist()})"
 
-    # -- lifts --------------------------------------------------------
-    def lift_centered(self) -> "RingElem":
-        """Map each coefficient to its representative in [-(m-1)/2, (m-1)/2]."""
-        m = self.modulus
-        if m is None:
-            return RingElem(self.coeffs, self.n, None)
-        if m % 2 == 0:
-            raise ValueError("centered lift requires an odd modulus")
-        return RingElem(centered(self.coeffs, m), self.n, None)
-
 
 def centered(a, m: int) -> np.ndarray:
     """Residues of a mod m in (-m/2, m/2]: [-(m-1)/2, (m-1)/2] for odd m,

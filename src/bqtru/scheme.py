@@ -2,20 +2,23 @@
 
 Keys live over the bivariate convolution ring; a private key holds its key
 file's fields (F, G, the secret grid subset T with its nonzero weights mod
-q, W) and F^-1 mod p, and derives the rest.  Keys and ciphertexts share
-one text format, written by _dump and read by _load, in which each
-integer has one spelling (_INTEGERS).  All randomness comes from an
-explicit random.Random instance, or a seed for one, supplied by the
-caller; ternary polynomials come from ring.signed_ternary, centered
-residues from ring.centered, and scalar and grid norms from
-quat.rho_norms.  A message is base-p digits, least significant first: a
-_LEN_DIGITS-digit length prefix, zero past its first _digits_for(capacity,
-p) digits, then _digits_for(255, p) digits per byte; _to_digits and
-_from_digits are the one array rule each way.
+q, W) and F^-1 mod p, and derives the rest.  Messages (centered mod p)
+and ciphertexts (in [0, q)) are int64 (4, n^2) arrays, a row per
+component; decrypt wraps rows in a Quaternion only for its reference
+products.  Keys and ciphertexts share one text format, written by _dump
+and read by _load, in which each integer has one spelling (_INTEGERS).
+All randomness comes from an explicit random.Random instance, or a seed
+for one, supplied by the caller; ternary polynomials come from
+ring.signed_ternary, centered residues from ring.centered, and scalar and
+grid norms from quat.rho_norms.  A message is base-p digits, least
+significant first: a _LEN_DIGITS-digit length prefix, zero past its first
+_digits_for(capacity, p) digits, then _digits_for(255, p) digits per
+byte; _to_digits and _from_digits are the one array rule each way.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -112,7 +115,14 @@ class PrivateKey:
 
 @dataclass
 class Ciphertext:
-    C: Quaternion
+    """C: the components' coefficients as (4, n^2) int64 rows in [0, q); n is its shape's."""
+
+    C: np.ndarray
+    q: int
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Ciphertext) and self.q == other.q
+                and np.array_equal(self.C, other.C))
 
 
 def sample_ternary(n: int, d: int, rng: random.Random) -> RingElem:
@@ -186,53 +196,46 @@ def _find_F(params: Params, T, dom: EvalDomain, rng: random.Random,
     return None
 
 
-def random_message(params: Params, rng) -> Quaternion:
-    """Uniform quaternion with coefficients centered mod p (test utility)."""
+def random_message(params: Params, rng) -> np.ndarray:
+    """Uniform (4, n^2) message array with coefficients centered mod p (test utility)."""
     rng = as_rng(rng)
     half = (params.p - 1) // 2
-    nsq = params.nsq
-    comps = [
-        RingElem(np.array([rng.randrange(-half, half + 1) for _ in range(nsq)]),
-                 params.n, None)
-        for _ in range(4)
-    ]
-    return Quaternion(*comps)
+    return np.array([rng.randrange(-half, half + 1) for _ in range(4 * params.nsq)],
+                    dtype=np.int64).reshape(4, params.nsq)
 
 
-def encrypt(pk: PublicKey, M: Quaternion, rng, phi: Quaternion | None = None) -> Ciphertext:
+def encrypt(pk: PublicKey, M, rng, phi=None) -> Ciphertext:
     """C = p * H o Phi + M mod q, with a fresh ternary blinding Phi.
 
-    One pass over (4, n^2) int64 rows, one per component: Phi's rows are
-    drawn (or a given Phi's stacked), transformed once, multiplied by the
+    M is a (4, n^2) signed integer array of coefficients centered mod p,
+    a row per component; a given Phi is any (4, n^2) such array, else Phi's
+    rows are drawn from rng.  Phi is transformed once, multiplied by the
     cached rho(H), and transformed back once into [0, q); then
-    (p * H o Phi + M) mod q gives the ciphertext's coefficients.
+    (p * H o Phi + M) mod q gives the ciphertext's rows.
     """
     params = pk.params
-    n, p, q = params.n, params.p, params.q
+    p, q, nsq = params.p, params.q, params.nsq
     half = (p - 1) // 2
-    m_rows = np.stack([c.coeffs for c in M.components])
-    if M.modulus is not None or np.abs(m_rows).max(initial=0) > half:
-        raise MessageOutOfRange("message coefficients must be centered mod p")
-    if M.n != n or (phi is not None and phi.n != n):
-        raise ContextMismatch(f"message and blinding must have n={n}, like the key")
+    M, phi = np.asarray(M), None if phi is None else np.asarray(phi)
+    if M.shape != (4, nsq) or phi is not None and (phi.shape, phi.dtype.kind) != ((4, nsq), "i"):
+        raise ContextMismatch(f"M and a given Phi must be (4, {nsq}) arrays, Phi signed integers")
+    if M.dtype.kind != "i" or M.min() < -half or M.max() > half:
+        raise MessageOutOfRange("message coefficients must be signed integers centered mod p")
     if phi is None:
         rng = as_rng(rng)
-        phi_rows = np.stack([signed_ternary(params.nsq, params.d_phi, params.d_phi, rng)
-                             for _ in range(4)])
-    else:
-        phi_rows = np.stack([c.coeffs for c in phi.components])
-    dom = eval_domain(n, q)
-    h_phi = dom.inverse_transform(rho_mul(pk.rho_H, dom.transform(phi_rows).T, q).T)
-    C = (p * h_phi + m_rows) % q
-    return Ciphertext(Quaternion.from_vector(C.reshape(-1), n, q))
+        phi = np.array([signed_ternary(nsq, params.d_phi, params.d_phi, rng) for _ in range(4)])
+    dom = eval_domain(params.n, q)
+    h_phi = dom.inverse_transform(rho_mul(pk.rho_H, dom.transform(phi).T, q).T)
+    return Ciphertext((p * h_phi + M) % q, q)
 
 
-def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> Quaternion:
+def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> np.ndarray:
     """Recover M by solving one closest-vector problem per component.
 
     F o C equals a point of D' = qZ^{n^2} + sum_{t in T} Z*lambda_t plus
     the small vector p*G o Phi + F o M; subtracting the closest lattice
-    point and reducing centered mod p undoes the blinding.
+    point and reducing centered mod p undoes the blinding; M's rows return
+    centered, as an int64 (4, n^2) array.
 
     The closest point is found exactly by scanning the q^|T| cosets of
     qZ^{n^2} in D' for each of the four components; no admitted key scans
@@ -247,14 +250,16 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> Quaternion:
     reads it here.
     """
     params = sk.params
-    p, q = params.p, params.q
-    dom = eval_domain(params.n, q)
+    n, p, q = params.n, params.p, params.q
+    if ct.q != q or np.shape(ct.C) != (4, params.nsq):
+        raise ContextMismatch(f"the ciphertext must be (4, {params.nsq}) residues mod {q}")
+    dom = eval_domain(n, q)
     # the inverse transform returns the [0, q) representatives the scan expects
-    targets = dom.inverse_transform(rho_mul(sk.rho_F, rho(ct.C, dom), q).T)
-    # coset_decode returns target - centered residue, so v_comps are centered
-    v_comps = targets - coset_decode(sk.lagrange_T, q, targets)
-    V = Quaternion(*(RingElem(v % p, params.n, p) for v in v_comps))
-    M_hat = quat_mul_strassen(sk.F_p_inv, V).lift_centered()
+    targets = dom.inverse_transform(rho_mul(sk.rho_F, dom.transform(ct.C).T, q).T)
+    # coset_decode returns target - centered residue, so V's rows are centered
+    V = targets - coset_decode(sk.lagrange_T, q, targets)
+    M_hat = quat_mul_strassen(sk.F_p_inv, Quaternion(*(RingElem(v, n, p) for v in V)))
+    M_hat = centered(M_hat.rows(), p)
     if strict:
         # On success V - F o M_hat equals p * G o Phi exactly over Z.  Two
         # checkable consequences: each quaternion component of G o Phi sums
@@ -264,17 +269,15 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> Quaternion:
         # V - F o M_hat is zero by construction of M_hat and carries no
         # information.)  The product is over Z, where 2 has no inverse, so
         # it cannot take the Strassen route.
-        FM = quat_mul_schoolbook(sk.F, M_hat)
-        limit = 8 * min(params.d_g, params.d_phi)
-        for v, c in zip(v_comps, FM.components):
-            resid = (v - c.coeffs) // p
-            if np.abs(resid).max() > limit or resid.sum() != 0:
-                raise DecryptionFailure("blinding residual is not a valid mask")
+        FM = quat_mul_schoolbook(sk.F, Quaternion(*(RingElem(m, n, None) for m in M_hat)))
+        resid = (V - FM.rows()) // p
+        if np.abs(resid).max() > 8 * min(params.d_g, params.d_phi) or resid.sum(axis=1).any():
+            raise DecryptionFailure("blinding residual is not a valid mask")
     return M_hat
 
 
 # ---------------------------------------------------------------------------
-# message encoding: bytes <-> centered base-p digits packed into a quaternion
+# message encoding: bytes <-> centered base-p digits in a (4, n^2) array
 # ---------------------------------------------------------------------------
 
 _LEN_DIGITS = 16
@@ -303,7 +306,7 @@ def message_capacity(params: Params) -> int:
     return (4 * params.nsq - _LEN_DIGITS) // _digits_for(255, params.p)
 
 
-def encode_message(payload: bytes, params: Params) -> Quaternion:
+def encode_message(payload: bytes, params: Params) -> np.ndarray:
     p, cap = params.p, message_capacity(params)
     if len(payload) > cap:
         raise PayloadTooLarge(f"{len(payload)} bytes exceed the {cap}-byte capacity")
@@ -315,16 +318,16 @@ def encode_message(payload: bytes, params: Params) -> Quaternion:
     # centered residue: digit 0 stays 0 so padding and leading zeros do not
     # bias the coefficient sums (a large per-component sum lines up with a
     # short lattice direction and breaks decryption)
-    return Quaternion.from_vector(centered(flat, p), params.n, None)
+    return centered(flat, p).reshape(4, params.nsq)
 
 
-def decode_message(M: Quaternion, params: Params) -> bytes:
+def decode_message(M, params: Params) -> bytes:
     p, cap = params.p, message_capacity(params)
     per, half = _digits_for(255, p), (p - 1) // 2
-    flat = M.vector().astype(np.int64)
-    if flat.min() < -half or flat.max() > half:
-        raise MalformedData("coefficients are not centered base-p digits")
-    flat = flat % p  # undo the centered residue: -1 -> p-1
+    M = np.asarray(M)
+    if M.shape != (4, params.nsq) or M.dtype.kind not in "iu" or M.min() < -half or M.max() > half:
+        raise MalformedData(f"a message is a (4, {params.nsq}) array of centered base-p digits")
+    flat = M.reshape(-1).astype(np.int64) % p  # undo the centered residue: -1 -> p-1
     # any admitted length fits in low digits; reading no more keeps p**k in int64
     low = _digits_for(cap, p)
     length = int(_from_digits(flat[:low], p))
@@ -436,29 +439,33 @@ def _read_coeffs(fields: dict, label: str, count, lo: int, hi: int) -> np.ndarra
     return vals
 
 
-def _quat_fields(label: str, Q: Quaternion) -> dict:
-    """The fields label0..label3 that hold the coefficients of Q."""
-    return {f"{label}{i}": c.coeffs for i, c in enumerate(Q.components)}
+def _quat_fields(label: str, rows) -> dict:
+    """The fields label0..label3 that hold a quaternion's (4, n^2) coefficient rows."""
+    return {f"{label}{i}": row for i, row in enumerate(rows)}
+
+
+def _read_rows(fields: dict, label: str, n: int, lo: int, hi: int) -> np.ndarray:
+    """The (4, n^2) rows in fields label0..label3, n^2 values in [lo, hi) each."""
+    return np.stack([_read_coeffs(fields, f"{label}{i}", n * n, lo, hi) for i in range(4)])
 
 
 def _read_quat(fields: dict, label: str, n: int, lo: int, hi: int, modulus) -> Quaternion:
     """The quaternion in fields label0..label3, n^2 values in [lo, hi) each."""
-    return Quaternion(*(RingElem(_read_coeffs(fields, f"{label}{i}", n * n, lo, hi), n, modulus)
-                        for i in range(4)))
+    return Quaternion(*(RingElem(row, n, modulus) for row in _read_rows(fields, label, n, lo, hi)))
 
 
 def serialize_public(pk: PublicKey) -> str:
-    return _dump("public", _param_line(pk.params), _quat_fields("h", pk.H))
+    return _dump("public", _param_line(pk.params), _quat_fields("h", pk.H.rows()))
 
 
 def serialize_private(sk: PrivateKey) -> str:
     return _dump("private", _param_line(sk.params), {
-        **_quat_fields("f", sk.F), **_quat_fields("g", sk.G),
+        **_quat_fields("f", sk.F.rows()), **_quat_fields("g", sk.G.rows()),
         "T": sk.T, "weights": sk.weights, "W": sk.W, "rhogamma": sk.rho_gamma.reshape(-1)})
 
 
 def serialize_ct(ct: Ciphertext) -> str:
-    return _dump("ct", f"q={ct.C.modulus} n={ct.C.n}", _quat_fields("c", ct.C))
+    return _dump("ct", f"q={ct.q} n={math.isqrt(ct.C.shape[1])}", _quat_fields("c", ct.C))
 
 
 def deserialize_public(text: str) -> PublicKey:
@@ -506,6 +513,8 @@ def deserialize_private(text: str) -> PrivateKey:
 def deserialize_ct(text: str) -> Ciphertext:
     header, fields = _load(text, "ct")
     kv = _read_header(header, ("q", "n"))
-    if not fits_int64(kv["n"], kv["q"]):
-        raise MalformedData(f"q={kv['q']} is too large for int64 arithmetic at n={kv['n']}")
-    return Ciphertext(_read_quat(fields, "c", kv["n"], 0, kv["q"], kv["q"]))
+    n, q = kv["n"], kv["q"]
+    if n < 1 or q < 3 or not fits_int64(n, q):
+        raise MalformedData(f"a ciphertext needs n >= 1 and q >= 3, with q small enough "
+                            f"for int64 arithmetic at n, not n={n} q={q}")
+    return Ciphertext(_read_rows(fields, "c", n, 0, q), q)

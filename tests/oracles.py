@@ -11,12 +11,13 @@ live here as oracles.
 The paper's other claims are checked through the rest of this module:
 point evaluation, Lagrange interpolants and interpolation on the grid;
 quaternion sums, differences, negatives and scalar multiples; the
-conjugate, scalar quaternion products and inverses, and the inverse of F
-modulo the secret ideal; the key-membership identity and the
-(4 floor(log2 q) + 12) n^2-dimensional expanded key-recovery lattice with
-its fold back to the 12 n^2 one; the LLL conditions; the message codec
-written one digit at a time; and the sampled noise variance of honest
-keys.
+conjugate, scalar quaternion products and inverses, the pointwise product
+written out row by row, and the inverse of F modulo the secret ideal; the
+quaternion with given coefficient rows and the centered lift; the
+key-membership identity and the (4 floor(log2 q) + 12)
+n^2-dimensional expanded key-recovery lattice with its fold back to the
+12 n^2 one; the LLL conditions; the message codec written one digit at a
+time; and the sampled noise variance of honest keys.
 """
 
 from __future__ import annotations
@@ -116,9 +117,30 @@ def quat_scale(F: Quaternion, c: int) -> Quaternion:
     return Quaternion(*(a.scale(c) for a in F.components))
 
 
+def quat_from_vector(vec, n: int, modulus=None) -> Quaternion:
+    """The quaternion whose concatenated coefficients, or (4, n^2) rows, are vec."""
+    rows = np.asarray(vec).reshape(4, n * n)
+    return Quaternion(*(RingElem(r, n, modulus) for r in rows))
+
+
+def lift_centered(x):
+    """A RingElem or Quaternion with each coefficient mapped to its centered
+    representative mod its modulus, and no modulus."""
+    if isinstance(x, Quaternion):
+        return Quaternion(*(lift_centered(c) for c in x.components))
+    if x.modulus is not None and x.modulus % 2 == 0:
+        raise ValueError("centered lift requires an odd modulus")
+    coeffs = x.coeffs if x.modulus is None else centered(x.coeffs, x.modulus)
+    return RingElem(coeffs, x.n, None)
+
+
 def is_zero(x) -> bool:
-    """Whether a RingElem or a Quaternion is zero."""
-    return not (x.vector() if isinstance(x, Quaternion) else x.coeffs).any()
+    """Whether a RingElem, a Quaternion or an array is zero."""
+    if isinstance(x, Quaternion):
+        x = x.rows()
+    elif isinstance(x, RingElem):
+        x = x.coeffs
+    return not np.asarray(x).any()
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +219,18 @@ def scalar_mul(a, b, q: int):
         (a0 * b2 + a1 * b3 + a2 * b0 - a3 * b1) % q,
         (a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0) % q,
     )
+
+
+def rho_mul_rows(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
+    """bqtru.quat.rho_mul written out as the four rows of the product formula."""
+    a0, a1, a2, a3 = (np.asarray(u, dtype=np.int64) % q).T
+    b0, b1, b2, b3 = (np.asarray(v, dtype=np.int64) % q).T
+    return np.stack([
+        a0 * b0 + a1 * b1 + a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 - a2 * b3 + a3 * b2,
+        a0 * b2 + a1 * b3 + a2 * b0 - a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    ], axis=1) % q
 
 
 def scalar_inverse(a, q: int):
@@ -469,21 +503,21 @@ def verify_key_membership(sk, pk, dom: EvalDomain, strict: bool = False) -> bool
     """
     q = dom.q
     four = 4 * dom.size
-    F = sk.F.lift_centered() if sk.F.modulus is not None else sk.F
-    G = sk.G.lift_centered() if sk.G.modulus is not None else sk.G
+    F, G = lift_centered(sk.F), lift_centered(sk.G)
     M = build_bqtru_lattice(pk.H, dom)
     HH = M[four:2 * four, :four]
-    FH_vec = F.vector().astype(object) @ HH
+    f_vec, g_vec = (X.rows().reshape(-1).astype(object) for X in (F, G))
+    FH_vec = f_vec @ HH
     gamma = gamma_vector(sk.rho_gamma, dom)
-    diff = FH_vec - G.vector().astype(object) - gamma
+    diff = FH_vec - g_vec - gamma
     if any(int(v) % q != 0 for v in diff):
         if strict:
             raise NonIntegralU("F o H - G - gamma is not divisible by q")
         return False
     U = np.array([int(v) // q for v in diff], dtype=object)
     r = rho_flat(np.asarray(sk.rho_gamma, dtype=object))
-    x = np.concatenate([-U, F.vector().astype(object), -r])
-    target = np.concatenate([G.vector().astype(object), F.vector().astype(object), -r])
+    x = np.concatenate([-U, f_vec, -r])
+    target = np.concatenate([g_vec, f_vec, -r])
     return bool(np.array_equal(x @ M, target))
 
 
@@ -546,7 +580,7 @@ def _digits_per_byte(p: int) -> int:
     return k
 
 
-def loop_encode_message(payload: bytes, params) -> Quaternion:
+def loop_encode_message(payload: bytes, params) -> np.ndarray:
     """bqtru.scheme.encode_message with Python-int digit loops: a 16-digit
     length prefix, then the digits of each byte, least significant first."""
     p = params.p
@@ -567,17 +601,17 @@ def loop_encode_message(payload: bytes, params) -> Quaternion:
             b //= p
     flat = np.zeros(4 * params.nsq, dtype=np.int64)
     flat[:len(digits)] = digits
-    return Quaternion.from_vector(centered(flat, p), params.n, None)
+    return centered(flat, p).reshape(4, params.nsq)
 
 
-def loop_decode_message(M: Quaternion, params) -> bytes:
+def loop_decode_message(M: np.ndarray, params) -> bytes:
     """bqtru.scheme.decode_message with Python-int digit loops."""
     p = params.p
     per = _digits_per_byte(p)
     half = (p - 1) // 2
-    flat = M.vector().astype(np.int64)
+    flat = np.asarray(M, dtype=np.int64).reshape(-1)
     if flat.min() < -half or flat.max() > half:
-        raise MalformedData("coefficients are not centered base-p digits")
+        raise MalformedData(f"a message is a (4, {params.nsq}) array of centered base-p digits")
     flat = flat % p
     length = 0
     for i in range(15, -1, -1):
@@ -609,9 +643,9 @@ def empirical_noise_variance(params, samples: int, rng) -> float:
     acc = []
     for _ in range(samples):
         phi = Quaternion(*(sample_ternary(n, params.d_phi, rng) for _ in range(4)))
-        M = random_message(params, rng)
+        M = quat_from_vector(random_message(params, rng), n)
         mask = quat_add(quat_scale(quat_mul_schoolbook(sk.G, phi), p),
                         quat_mul_schoolbook(sk.F, M))
-        acc.append(mask.vector())
+        acc.append(mask.rows().reshape(-1))
     flat = np.concatenate(acc).astype(np.float64)
     return float(flat.var())

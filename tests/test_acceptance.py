@@ -78,7 +78,7 @@ def moderate_round_trips():
         pk, sk = keygen(MODERATE, rng)
         for _ in range(per_key):
             M = random_message(MODERATE, rng)
-            successes += decrypt(sk, encrypt(pk, M, rng)) == M
+            successes += np.array_equal(decrypt(sk, encrypt(pk, M, rng)), M)
     return successes, keys * per_key
 
 
@@ -303,8 +303,8 @@ class TestCriterion9VolumeHeuristics:
                 digits = _signed_power_digits(-centered, ell)
                 assert sum(d * (1 << t) for t, d in digits.items()) == -centered
                 tail_sq += len(digits)
-            g = sk.G.vector()
-            f = sk.F.vector()
+            g = sk.G.rows().reshape(-1)
+            f = sk.F.rows().reshape(-1)
             norm = math.sqrt(float(g @ g) + float(f @ f) + tail_sq)
             assert norm < gh
 

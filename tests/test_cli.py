@@ -57,6 +57,31 @@ class TestKeygen:
                      "--out", str(tmp_path / "k"))
         assert "NOT SECURE" in out
 
+    def test_unwritable_private_key_leaves_no_public_key(self, tmp_path, capsys):
+        # a directory where the private key goes: the public key is not
+        # published without it, and no temp file is left behind
+        (tmp_path / "k.priv").mkdir()
+        code, _ = run("keygen", "--params", "moderate", "--seed", "1",
+                      "--out", str(tmp_path / "k"))
+        assert code == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "k.pub").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.priv"]
+
+    def test_unwritable_public_key_keeps_old_private_key(self, tmp_path, capsys):
+        # a directory where the public key goes: the existing private key is
+        # not replaced by one whose public key cannot be written
+        out = str(tmp_path / "k")
+        assert run("keygen", "--params", "toy", "--seed", "1", "--out", out)[0] == 0
+        old = (tmp_path / "k.priv").read_bytes()
+        (tmp_path / "k.pub").unlink()
+        (tmp_path / "k.pub").mkdir()
+        code, _ = run("keygen", "--params", "toy", "--seed", "2", "--out", out)
+        assert code == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert (tmp_path / "k.priv").read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.priv", "k.pub"]
+
     def test_bad_output_dir(self):
         code, _ = run("keygen", "--params", "toy", "--seed", "1",
                       "--out", "/nonexistent-dir-zzz/k")
@@ -112,7 +137,7 @@ class TestEncryptDecrypt:
             "--seed", "5")
         # shift a handful of coefficients far off; strict mode must notice
         ct = deserialize_ct(ct_path.read_text())
-        ct.C.c0.coeffs[:5] = (ct.C.c0.coeffs[:5] + 40) % 113
+        ct.C[0, :5] = (ct.C[0, :5] + 40) % 113
         ct_path.write_text(serialize_ct(ct))
         out = str(tmp_path / "out")
         code, _ = run("decrypt", "--key", priv, "--in", str(ct_path),

@@ -25,7 +25,9 @@ from oracles import (
     gamma_vector,
     interpolate,
     lagrange_interpolant,
+    lift_centered,
     quat_add,
+    quat_from_vector,
     quat_inverse_mod_J,
     quat_one,
     ring_eval,
@@ -66,7 +68,7 @@ def toy_keygen(rng, dom, p=3, d=1):
             norm_vals = dom.eval_all(quat_norm(F))
             if any(norm_vals[k] == 0 for k in range(dom.size) if k not in T):
                 continue
-            Fp = F.lift_centered().with_modulus(p)
+            Fp = lift_centered(F).with_modulus(p)
             try:
                 ring_inverse(quat_norm(Fp))
             except Exception:
@@ -254,7 +256,7 @@ class TestPrivateLattice:
             sig_q = Quaternion(sigma, ring_zero(3, 7),
                                ring_zero(3, 7), ring_zero(3, 7))
             prod = quat_mul_schoolbook(Wp, sig_q)
-            assert basis_contains(priv, prod.vector())
+            assert basis_contains(priv, prod.rows().reshape(-1))
 
 
 class TestBqtruLattice:
@@ -273,9 +275,9 @@ class TestBqtruLattice:
             F = Quaternion(*(sample_balanced(rng, 3, 2) for _ in range(4)))
             M = build_bqtru_lattice(H, dom3)
             HH = M[four:2 * four, :four]
-            got = (F.vector().astype(object) @ HH) % 7
+            got = (F.rows().reshape(-1).astype(object) @ HH) % 7
             FH = quat_mul_schoolbook(F.with_modulus(7), H)
-            assert np.array_equal(got.astype(np.int64), FH.vector())
+            assert np.array_equal(got.astype(np.int64), FH.rows().reshape(-1))
 
     def test_gamma_row_identity(self, dom3):
         # interpolating the evaluation vector through the stacked rows
@@ -288,7 +290,7 @@ class TestBqtruLattice:
             ))
             vec = gamma_vector(rho(Gam, dom3), dom3)
             assert np.array_equal(
-                np.array([int(v) % 7 for v in vec]), Gam.vector()
+                np.array([int(v) % 7 for v in vec]), Gam.rows().reshape(-1)
             )
 
     def test_rho_flat_ordering(self, dom3):
@@ -307,10 +309,10 @@ class TestKeyMembership:
     def test_corrupt_F_fails(self, dom3):
         rng = random.Random(41)
         sk, pk = toy_keygen(rng, dom3)
-        bad = sk.F.vector().copy()
+        bad = sk.F.rows().reshape(-1)
         bad[0] += 1
         sk_bad = SimpleNamespace(
-            F=Quaternion.from_vector(bad, 3, 7), G=sk.G, rho_gamma=sk.rho_gamma
+            F=quat_from_vector(bad, 3, 7), G=sk.G, rho_gamma=sk.rho_gamma
         )
         assert verify_key_membership(sk_bad, pk, dom3) is False
         with pytest.raises(NonIntegralU):
@@ -393,8 +395,8 @@ class TestHybridNorm:
     def test_private_key_hamming_term(self, dom3):
         rng = random.Random(44)
         sk, _ = toy_keygen(rng, dom3)
-        gv = sk.G.lift_centered().vector()
-        fv = sk.F.lift_centered().vector()
+        gv = lift_centered(sk.G).rows().reshape(-1)
+        fv = lift_centered(sk.F).rows().reshape(-1)
         r = rho_flat(np.asarray(sk.rho_gamma))
         h = hybrid_norm(gv, fv, r)
         eucl = math.sqrt(float(gv @ gv + fv @ fv))

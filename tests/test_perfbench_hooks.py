@@ -1,12 +1,17 @@
-"""The benchmark's trace targets resolve where perfbench/run.py looks them up.
+"""The benchmark's trace targets resolve where perfbench/run.py looks them
+up, and its workloads' ops run.
 
 perfbench wraps each name where its caller looks it up and skips a name
 that is absent, so a change to src/ that moves or renames one would
-silently zero its span.  These tests pin the set that resolves.
+silently zero its span.  These tests pin the set that resolves, and run
+one op of each workload as the benchmark does.
 """
 
 import importlib.util
 import pathlib
+import sys
+
+import pytest
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,6 +32,8 @@ def _load(name: str):
     """perfbench/<name>.py as a module, loaded by its file path."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -43,3 +50,18 @@ def test_trace_targets_resolve():
 
 def test_convolution_counter_is_read():
     assert _load("run").conv_counter() is not None
+
+
+@pytest.mark.parametrize("name", ["stream-highest", "files-highest"])
+def test_workload_op_runs(name, tmp_path):
+    # op 0 through the benchmark's own calls into the library, so a change
+    # to what those calls take or return fails here, not only in a
+    # benchmark run
+    workloads = _load("workloads")
+    workload = workloads.make_workloads(str(tmp_path))[name]
+    session = workload.setup(1)
+    try:
+        outcome = workloads.run_op(workload, session, 0)
+    finally:
+        session.close()
+    assert not outcome.failed and not outcome.unexpected

@@ -42,6 +42,7 @@ from oracles import (
     quat_one,
     quat_sub,
     quat_unit,
+    rho_mul_rows,
     ring_zero,
     scalar_inverse,
     scalar_mul,
@@ -359,6 +360,19 @@ class TestScalarQuat:
         u, v = rand_rho(rng, n, q), rand_rho(rng, n, q)
         expect = np.array([scalar_mul(a, b, q) for a, b in zip(u, v)], dtype=np.int64)
         assert np.array_equal(rho_mul(u, v, q), expect)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.sampled_from([7, 113, 199, product_domain(11, 3).q]), data=st.data())
+    def test_table_kernel_matches_row_formula(self, q, data):
+        # entries negative and >= q, which rho_mul reduces mod q first
+        size = data.draw(st.integers(1, 25))
+        rows = st.lists(st.lists(st.integers(-3 * q, 3 * q), min_size=4, max_size=4),
+                        min_size=size, max_size=size)
+        u = np.array(data.draw(rows), dtype=np.int64)
+        v = np.array(data.draw(rows), dtype=np.int64)
+        got = rho_mul(u, v, q)
+        assert got.dtype == np.int64 and got.shape == (size, 4)
+        assert np.array_equal(got, rho_mul_rows(u, v, q))
 
     @settings(max_examples=25, deadline=None)
     @given(nq=st.sampled_from(GRIDS), seed=st.integers(0, 2 ** 32))

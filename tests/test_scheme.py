@@ -65,10 +65,10 @@ from oracles import (
     loop_decode_message,
     loop_encode_message,
     quat_add,
+    quat_from_vector,
     quat_one,
     quat_scale,
     quat_sub,
-    quat_zero,
     sphere_decode,
     verify_key_membership,
 )
@@ -254,21 +254,26 @@ class TestKeygen:
             keygen(Params(3, 3, 65539, 1, 1, 1), random.Random(0))
 
 
+def zeros(n):
+    """The zero message or blinding at n: a (4, n^2) int64 array."""
+    return np.zeros((4, n * n), dtype=np.int64)
+
+
 class TestEncrypt:
     def test_zero_phi_hook(self, moderate_key):
         pk, _ = moderate_key
         M = random_message(MODERATE, random.Random(63))
-        ct = encrypt(pk, M, None, phi=quat_zero(7))
-        assert ct.C == M.with_modulus(113)
+        ct = encrypt(pk, M, None, phi=zeros(7))
+        assert np.array_equal(ct.C, M % 113)
 
     def test_all_zero(self, moderate_key):
         pk, _ = moderate_key
-        ct = encrypt(pk, quat_zero(7), None, phi=quat_zero(7))
+        ct = encrypt(pk, zeros(7), None, phi=zeros(7))
         assert is_zero(ct.C)
 
     def test_message_out_of_range(self, moderate_key):
         pk, _ = moderate_key
-        bad = quat_scale(quat_one(7), 2)
+        bad = quat_scale(quat_one(7), 2).rows()
         with pytest.raises(MessageOutOfRange):
             encrypt(pk, bad, random.Random(0))
 
@@ -293,10 +298,10 @@ class TestEncrypt:
         rng = random.Random(64)
         M = random_message(MODERATE, rng)
         phi = Quaternion(*(sample_ternary(7, 6, rng) for _ in range(4)))
-        ct = encrypt(pk, M, None, phi=phi)
+        ct = encrypt(pk, M, None, phi=phi.rows())
         direct = quat_add(quat_scale(quat_mul_schoolbook(pk.H, phi.with_modulus(113)), 3),
-                          M.with_modulus(113))
-        assert ct.C == direct
+                          quat_from_vector(M, 7, 113))
+        assert np.array_equal(ct.C, direct.rows())
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,12 +310,10 @@ def set_key(params):
 
 
 @st.composite
-def ring_quats(draw, n, lo, hi, moduli=(None,)):
-    """A quaternion with n^2 coefficients in [lo, hi] per component and a drawn modulus."""
-    modulus = draw(st.sampled_from(moduli))
-    comps = [np.array(draw(st.lists(st.integers(lo, hi), min_size=n * n, max_size=n * n)))
-             for _ in range(4)]
-    return Quaternion(*(RingElem(c, n, modulus) for c in comps))
+def ring_rows(draw, n, lo, hi):
+    """A (4, n^2) int64 array with entries in [lo, hi], one row per component."""
+    return np.array(draw(st.lists(st.integers(lo, hi), min_size=4 * n * n,
+                                  max_size=4 * n * n)), dtype=np.int64).reshape(4, n * n)
 
 
 class TestEncryptAgainstSchoolbook:
@@ -323,12 +326,13 @@ class TestEncryptAgainstSchoolbook:
     def test_given_phi(self, params, data):
         pk, _ = set_key(params)
         n, p, q, half = params.n, params.p, params.q, (params.p - 1) // 2
-        M = data.draw(ring_quats(n, -half, half))
-        phi = data.draw(ring_quats(n, -2 * q, 2 * q, (None, p, q)))
+        M = data.draw(ring_rows(n, -half, half))
+        phi = data.draw(ring_rows(n, -2 * q, 2 * q))
         ct = encrypt(pk, M, None, phi=phi)
-        direct = quat_add(quat_scale(quat_mul_schoolbook(pk.H, phi.with_modulus(q)), p),
-                          M.with_modulus(q))
-        assert ct.C == direct and ct.C.modulus == q
+        direct = quat_add(quat_scale(quat_mul_schoolbook(pk.H, quat_from_vector(phi, n, q)), p),
+                          quat_from_vector(M, n, q))
+        assert np.array_equal(ct.C, direct.rows()) and ct.q == q
+        assert ct.C.dtype == np.int64
 
     @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=lambda P: f"n{P.n}")
     @settings(max_examples=10, deadline=None)
@@ -337,40 +341,68 @@ class TestEncryptAgainstSchoolbook:
         # a drawn Phi is four sample_ternary components from the caller's rng, in order
         pk, _ = set_key(params)
         half = (params.p - 1) // 2
-        M = data.draw(ring_quats(params.n, -half, half))
+        M = data.draw(ring_rows(params.n, -half, half))
         rng = random.Random(seed)
         phi = Quaternion(*(sample_ternary(params.n, params.d_phi, rng) for _ in range(4)))
         ct = encrypt(pk, M, random.Random(seed))
-        assert ct.C == encrypt(pk, M, None, phi=phi).C
+        assert np.array_equal(ct.C, encrypt(pk, M, None, phi=phi.rows()).C)
 
     @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=lambda P: f"n{P.n}")
     def test_other_n_raises_context_mismatch(self, params):
         pk, _ = set_key(params)
         n = params.n
-        M, other_M = quat_zero(n), quat_one(n + 1)
-        other_phi = Quaternion(*(sample_ternary(n + 1, 1, random.Random(2)) for _ in range(4)))
+        M, other_M = zeros(n), quat_one(n + 1).rows()
+        other_phi = Quaternion(*(sample_ternary(n + 1, 1, random.Random(2))
+                                 for _ in range(4))).rows()
         with pytest.raises(ContextMismatch):
             encrypt(pk, other_M, random.Random(3))
         with pytest.raises(ContextMismatch):
-            encrypt(pk, other_M, None, phi=quat_zero(n))
+            encrypt(pk, other_M, None, phi=zeros(n))
         with pytest.raises(ContextMismatch):
             encrypt(pk, M, None, phi=other_phi)
 
     @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=lambda P: f"n{P.n}")
+    def test_wrong_shape_raises_context_mismatch(self, params):
+        # the rows flattened, transposed, or one short: a typed error, not
+        # an IndexError or ValueError from the array arithmetic
+        pk, _ = set_key(params)
+        M = random_message(params, random.Random(5))
+        for bad in (M.reshape(-1), M.T, M[:3], M[None], np.int64(0),
+                    quat_from_vector(M, params.n)):
+            with pytest.raises(ContextMismatch):
+                encrypt(pk, bad, random.Random(6))
+            with pytest.raises(ContextMismatch):
+                encrypt(pk, M, None, phi=bad)
+
+    @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=lambda P: f"n{P.n}")
     @pytest.mark.parametrize("modulus", ["p", "q"])
     def test_message_with_modulus_out_of_range(self, params, modulus):
+        # -1 given as its residue mod p or mod q, not as its centered value
         pk, _ = set_key(params)
-        M = quat_zero(params.n, params.p if modulus == "p" else params.q)
+        M = zeros(params.n)
+        M[0, 0] = (params.p if modulus == "p" else params.q) - 1
         with pytest.raises(MessageOutOfRange):
             encrypt(pk, M, random.Random(4))
         with pytest.raises(MessageOutOfRange):
-            encrypt(pk, M, None, phi=quat_zero(params.n))
+            encrypt(pk, M, None, phi=zeros(params.n))
+
+    @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=lambda P: f"n{P.n}")
+    def test_non_signed_integer_inputs_raise(self, params):
+        # a message: MessageOutOfRange; a given blinding: ContextMismatch.
+        # Unsigned input is refused too: uint64 with int64 promotes to float64
+        pk, _ = set_key(params)
+        z = zeros(params.n)
+        for bad in (z + 0.5, z.astype(object), z > 0, z.astype(np.uint64), z.astype(np.uint8)):
+            with pytest.raises(MessageOutOfRange):
+                encrypt(pk, bad, random.Random(7))
+            with pytest.raises(ContextMismatch):
+                encrypt(pk, zeros(params.n), None, phi=bad)
 
 
 class TestDecrypt:
     def test_zero_round_trip_toy(self, toy_key):
         pk, sk = toy_key
-        ct = encrypt(pk, quat_zero(3), None, phi=quat_zero(3))
+        ct = encrypt(pk, zeros(3), None, phi=zeros(3))
         assert is_zero(decrypt(sk, ct))
 
     def test_round_trips_moderate(self, moderate_key):
@@ -379,7 +411,7 @@ class TestDecrypt:
         ok = 0
         for _ in range(100):
             M = random_message(MODERATE, rng)
-            ok += decrypt(sk, encrypt(pk, M, rng)) == M
+            ok += np.array_equal(decrypt(sk, encrypt(pk, M, rng)), M)
         assert ok >= 99
 
     def test_convolution_count(self, moderate_key):
@@ -392,7 +424,7 @@ class TestDecrypt:
         ct = encrypt(pk, M, rng)
         for strict, convs in ((False, 7), (True, 23)):
             before = CONV_COUNTER.count
-            assert decrypt(sk, ct, strict=strict) == M
+            assert np.array_equal(decrypt(sk, ct, strict=strict), M)
             assert CONV_COUNTER.count - before == convs
 
     def test_oversized_q_never_fails(self):
@@ -401,7 +433,7 @@ class TestDecrypt:
         pk, sk = keygen(HIGH_Q, rng)
         for _ in range(100):
             M = random_message(HIGH_Q, rng)
-            assert decrypt(sk, encrypt(pk, M, rng)) == M
+            assert np.array_equal(decrypt(sk, encrypt(pk, M, rng)), M)
 
     def test_strict_mode_flags_noise_overflow(self, toy_key):
         # toy parameters overflow q/2 almost surely; the zero-sum property
@@ -422,13 +454,9 @@ class TestDecrypt:
         _, sk = moderate_key
         rng = random.Random(75)
         for _ in range(3):
-            from bqtru.ring import RingElem
-            C = Quaternion(*(
-                RingElem(np.array([rng.randrange(113) for _ in range(49)]), 7, 113)
-                for _ in range(4)
-            ))
+            C = np.array([[rng.randrange(113) for _ in range(49)] for _ in range(4)])
             with pytest.raises(DecryptionFailure):
-                decrypt(sk, Ciphertext(C), strict=True)
+                decrypt(sk, Ciphertext(C, 113), strict=True)
 
     def test_strict_mode_no_false_positives(self, moderate_key):
         pk, sk = moderate_key
@@ -437,10 +465,36 @@ class TestDecrypt:
         for _ in range(50):
             M = random_message(MODERATE, rng)
             try:
-                good += decrypt(sk, encrypt(pk, M, rng), strict=True) == M
+                good += np.array_equal(decrypt(sk, encrypt(pk, M, rng), strict=True), M)
             except DecryptionFailure:
                 pass
         assert good >= 49
+
+    @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=lambda P: f"n{P.n}")
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_returns_centered_int64_rows(self, params, strict):
+        pk, sk = set_key(params)
+        rng = random.Random(74)
+        half = (params.p - 1) // 2
+        for _ in range(5):
+            ct = encrypt(pk, random_message(params, rng), rng)
+            try:
+                M_hat = decrypt(sk, ct, strict=strict)
+            except DecryptionFailure:
+                continue
+            assert M_hat.dtype == np.int64 and M_hat.shape == (4, params.nsq)
+            assert M_hat.min() >= -half and M_hat.max() <= half
+
+    def test_wrong_shape_or_modulus_raises_context_mismatch(self, moderate_key):
+        # a typed error, not an IndexError or ValueError from the arithmetic
+        pk, sk = moderate_key
+        C = encrypt(pk, random_message(MODERATE, 0), 1).C
+        for bad in (Ciphertext(C.reshape(-1), 113), Ciphertext(C.T, 113),
+                    Ciphertext(C[:3], 113), Ciphertext(np.zeros((4, 121), np.int64), 113),
+                    Ciphertext(C, 199), Ciphertext(np.int64(0), 113)):
+            for strict in (False, True):
+                with pytest.raises(ContextMismatch):
+                    decrypt(sk, bad, strict=strict)
 
 
 def replace_field(text, label, values):
@@ -524,7 +578,7 @@ class TestDecryptPaths:
         rng = random.Random(76)
         sk2 = deserialize_private(serialize_private(sk))
         M = random_message(MODERATE, rng)
-        assert decrypt(sk2, encrypt(pk, M, rng), strict=True) == M
+        assert np.array_equal(decrypt(sk2, encrypt(pk, M, rng), strict=True), M)
 
     def test_two_point_key_decrypts_through_coset_scan(self, moderate_key, monkeypatch):
         # a key file naming a second secret point: decrypt scans the q^2
@@ -540,17 +594,17 @@ class TestDecryptPaths:
         for _ in range(5):
             M = random_message(MODERATE, rng)
             ct = encrypt(pk, M, rng)
-            assert decrypt(sk2, ct, strict=True) == M
+            assert np.array_equal(decrypt(sk2, ct, strict=True), M)
             # the sphere decoder over the same D' finds the same points
-            A = quat_mul_schoolbook(sk.F.with_modulus(MODERATE.q), ct.C)
+            A = quat_mul_schoolbook(sk.F.with_modulus(MODERATE.q),
+                                    quat_from_vector(ct.C, MODERATE.n, MODERATE.q))
             for comp in A.components:
                 a = comp.coeffs.astype(np.float64)
                 ref = sphere_decode(ref_basis, a, max_nodes=50_000)
                 got = coset_decode(sk2.lagrange_T, MODERATE.q, comp.coeffs)
                 assert np.array_equal(got, ref)
-        garbage = Ciphertext(Quaternion(*(
-            RingElem(np.array([rng.randrange(MODERATE.q) for _ in range(MODERATE.nsq)]),
-                     MODERATE.n, MODERATE.q) for _ in range(4))))
+        garbage = Ciphertext(np.array([[rng.randrange(MODERATE.q) for _ in range(MODERATE.nsq)]
+                                       for _ in range(4)]), MODERATE.q)
         with pytest.raises(DecryptionFailure):
             decrypt(sk2, garbage, strict=True)
 
@@ -589,7 +643,7 @@ class TestDecryptPaths:
         ref_basis = reduced_D_prime(sk)
         for _ in range(20):
             ct = encrypt(pk, random_message(TOY, rng), rng)
-            A = quat_mul_schoolbook(sk.F.with_modulus(TOY.q), ct.C)
+            A = quat_mul_schoolbook(sk.F.with_modulus(TOY.q), quat_from_vector(ct.C, 3, TOY.q))
             targets = np.stack([comp.coeffs for comp in A.components])
             with monkeypatch.context() as m:
                 forbid_basis_of_D_prime(m)
@@ -624,18 +678,15 @@ class TestDecryptPaths:
             import numpy as np
             from bqtru.errors import DecryptionFailure
             from bqtru.params import HIGHEST
-            from bqtru.quat import Quaternion
-            from bqtru.ring import RingElem
             from bqtru.scheme import Ciphertext, decrypt, encrypt, keygen, random_message
             rng = random.Random(78)
             pk, sk = keygen(HIGHEST, rng)
             cts = [encrypt(pk, random_message(HIGHEST, rng), rng) for _ in range(3)]
-            cts.append(Ciphertext(Quaternion(*(
-                RingElem(np.array([rng.randrange(199) for _ in range(121)]), 11, 199)
-                for _ in range(4)))))
+            cts.append(Ciphertext(np.array([[rng.randrange(199) for _ in range(121)]
+                                            for _ in range(4)]), 199))
             for ct in cts:
                 try:
-                    print(decrypt(sk, ct, strict=True).vector().tobytes().hex())
+                    print(decrypt(sk, ct, strict=True).tobytes().hex())
                 except DecryptionFailure:
                     print("rejected")
         """)
@@ -669,7 +720,8 @@ class TestMessageCodec:
 
     def test_single_byte_0xff(self):
         M = encode_message(b"\xff", MODERATE)
-        flat = M.vector()
+        assert M.shape == (4, 49)
+        flat = M.reshape(-1)
         assert flat[0] == 1  # length prefix: 1 = [1,0,...]
         assert not flat[1:16].any()
         # 255 = [0,1,1,0,0,1] in little-endian base 3; digits are the
@@ -681,6 +733,14 @@ class TestMessageCodec:
     def test_payload_too_large(self):
         with pytest.raises(PayloadTooLarge):
             encode_message(b"x" * 31, MODERATE)
+
+    def test_decode_wrong_shape_or_type_malformed(self):
+        # typed errors, not an IndexError or ValueError from the digit arithmetic
+        M = encode_message(b"four lanes", MODERATE)
+        for bad in (M.reshape(-1), M.T, M[:3], M[:, :16], M[None], np.int64(0),
+                    M + 0.0, M.astype(object)):
+            with pytest.raises(MalformedData):
+                decode_message(bad, MODERATE)
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=30))
@@ -702,8 +762,8 @@ class TestMessageCodec:
         for _ in range(200):
             payload = bytes(rng.randrange(256) for _ in range(rng.randrange(31)))
             M = encode_message(payload, MODERATE)
-            for c in M.components:
-                worst = max(worst, abs(int(c.coeffs.sum())))
+            for row in M:
+                worst = max(worst, abs(int(row.sum())))
         assert worst < 24  # comfortably below the n^2/2 failure threshold
 
     def test_text_payload_regression(self):
@@ -731,11 +791,13 @@ CODEC_PARAMS = [TOY, MODERATE, HIGHEST, Params(3, 5, 7, 1, 1, 1),
 
 
 def outcome(fn, *args):
-    """fn's result, or the type and message of the error it raised."""
+    """fn's result, or the type and message of the error it raised; an
+    array result as its shape, dtype and bytes, so outcomes compare with =="""
     try:
-        return fn(*args)
+        got = fn(*args)
     except BqtruError as exc:
         return type(exc), str(exc)
+    return (got.shape, got.dtype, got.tobytes()) if isinstance(got, np.ndarray) else got
 
 
 @st.composite
@@ -753,10 +815,10 @@ def digit_vectors(draw, params):
         if length <= cap and draw(st.booleans()):
             # the digits of real bytes, so no group exceeds 255
             payload = draw(st.binary(min_size=length, max_size=length))
-            flat[16:] = loop_encode_message(payload, params).vector()[16:]
+            flat[16:] = loop_encode_message(payload, params).reshape(-1)[16:]
     if draw(st.integers(0, 9)) == 0:
         flat[draw(st.integers(0, flat.size - 1))] = draw(st.sampled_from([-half - 1, half + 1]))
-    return Quaternion.from_vector(flat, params.n, None)
+    return flat.reshape(4, params.nsq)
 
 
 class TestCodecAgainstLoops:
@@ -770,8 +832,8 @@ class TestCodecAgainstLoops:
         payload = data.draw(st.binary(max_size=message_capacity(params) + 2))
         got = outcome(encode_message, payload, params)
         assert got == outcome(loop_encode_message, payload, params)
-        if isinstance(got, Quaternion):
-            assert decode_message(got, params) == payload
+        if len(payload) <= message_capacity(params):
+            assert decode_message(encode_message(payload, params), params) == payload
 
     @pytest.mark.parametrize("params", CODEC_PARAMS, ids=lambda P: f"n{P.n}-p{P.p}")
     @settings(max_examples=60, deadline=None)
@@ -786,7 +848,7 @@ class TestCodecAgainstLoops:
             for size in range(message_capacity(params) + 1):
                 payload = bytes(rng.randrange(256) for _ in range(size))
                 M = encode_message(payload, params)
-                assert M == loop_encode_message(payload, params)
+                assert np.array_equal(M, loop_encode_message(payload, params))
                 assert decode_message(M, params) == payload
 
 
@@ -844,13 +906,28 @@ class TestSerialization:
         sk2 = deserialize_private(serialize_private(sk))
         rng = random.Random(70)
         M = random_message(MODERATE, rng)
-        assert decrypt(sk2, encrypt(pk, M, rng)) == M
+        assert np.array_equal(decrypt(sk2, encrypt(pk, M, rng)), M)
 
     def test_ct_round_trip(self, moderate_key):
         pk, _ = moderate_key
         ct = encrypt(pk, random_message(MODERATE, random.Random(71)), random.Random(72))
         again = deserialize_ct(serialize_ct(ct))
-        assert again.C == ct.C
+        assert again == ct and again.C.dtype == np.int64
+        assert again != Ciphertext(ct.C, ct.q + 2) and again != ct.C
+        assert again != Ciphertext(np.roll(ct.C, 1), ct.q)
+
+    @pytest.mark.parametrize("q, n", [(4, -3), (0, 0), (7, 0), (2, 1), (-7, 3)])
+    def test_impossible_ct_header_rejected(self, q, n):
+        # n^2 values per field, so only the header is wrong
+        text = f"BQTRU v1 ct\nq={q} n={n}\n" + "".join(
+            f"c{i}: " + " ".join(["0"] * (n * n)) + "\n" for i in range(4))
+        with pytest.raises(MalformedData, match="n >= 1 and q >= 3"):
+            deserialize_ct(text)
+
+    def test_smallest_ct_header_loads(self):
+        ct = deserialize_ct("BQTRU v1 ct\nq=3 n=1\n" + "".join(
+            f"c{i}: {i % 3}\n" for i in range(4)))
+        assert ct == Ciphertext(np.array([[0], [1], [2], [0]]), 3)
 
     def test_header_corruption_rejected(self, moderate_key):
         pk, _ = moderate_key
@@ -1101,7 +1178,7 @@ def golden_digest(name):
             h.update(text.encode())
             for s in (sk, sk2):
                 try:
-                    h.update(decrypt(s, deserialize_ct(text), strict=True).vector().tobytes())
+                    h.update(decrypt(s, deserialize_ct(text), strict=True).tobytes())
                 except DecryptionFailure:
                     h.update(b"rejected")
     return h.hexdigest()
