@@ -32,7 +32,7 @@ from .errors import (
     ReductionBudgetExceeded,
     RetriesExhausted,
 )
-from .ideal import build_bqtru_lattice, hybrid_norm, rho_flat
+from .ideal import build_bqtru_lattice, hybrid_norm
 from .lattice import gaussian_heuristic, lll_reduce
 from .ntru import conv as ntru_conv
 from .params import PARAM_SETS, Params, get_params
@@ -45,7 +45,7 @@ from .quat import (
     rho_interpolate,
     rho_mul,
 )
-from .ring import CONV_COUNTER, RingElem, eval_domain
+from .ring import CONV_COUNTER, eval_domain
 from .scheme import (
     decode_message,
     decrypt,
@@ -176,12 +176,10 @@ def cmd_bench(args, out) -> int:
     n, q = params.n, params.q
     rng = _rng_from(args)
 
-    def rand_quat():
-        return Quaternion(*(
-            _rand_elem(n, q, rng) for _ in range(4)
-        ))
+    def rand_quat(m):
+        return Quaternion([[rng.randrange(m) for _ in range(n * n)] for _ in range(4)], m)
 
-    pairs = [(rand_quat(), rand_quat()) for _ in range(args.trials)]
+    pairs = [(rand_quat(q), rand_quat(q)) for _ in range(args.trials)]
 
     CONV_COUNTER.reset()
     quat_mul_schoolbook(*pairs[0])
@@ -210,7 +208,7 @@ def cmd_bench(args, out) -> int:
     # the quaternion inverse mod p that keygen and private-key load compute
     units = []
     while len(units) < args.trials:
-        F = Quaternion(*(_rand_elem(n, params.p, rng) for _ in range(4)))
+        F = rand_quat(params.p)
         try:
             quat_inverse_mod_p(F)
         except NotInvertible:
@@ -269,7 +267,7 @@ def cmd_attack(args, out) -> int:
 
     if sk is not None:
         four = 4 * params.nsq
-        key_vec = np.concatenate([*sk.G.rows(), *sk.F.rows(), -rho_flat(sk.rho_gamma)])
+        key_vec = np.concatenate([sk.G.rows, sk.F.rows, -sk.rho_gamma]).reshape(-1)
         hyb = hybrid_norm(key_vec[:four], key_vec[four:2 * four], key_vec[2 * four:])
         print(f"private_key_euclidean_norm = {math.sqrt(float(key_vec @ key_vec)):.4f}",
               file=out)
@@ -289,10 +287,6 @@ def cmd_attack(args, out) -> int:
 def _read_text(path: str) -> str:
     with open(path, "r") as fh:
         return fh.read()
-
-
-def _rand_elem(n, q, rng):
-    return RingElem(np.array([rng.randrange(q) for _ in range(n * n)]), n, q)
 
 
 def _median_time(fn, pairs) -> float:

@@ -23,7 +23,7 @@ from .ring import EvalDomain, mult_matrix
 def derive_T(rho_G: np.ndarray) -> list:
     """Grid indices where all four components of G vanish (may be empty),
     read from its evaluation array rho(G)."""
-    return np.flatnonzero(~rho_G.any(axis=1)).tolist()
+    return np.flatnonzero(~rho_G.any(axis=0)).tolist()
 
 
 def _quat_block_matrix(H: Quaternion) -> np.ndarray:
@@ -62,9 +62,3 @@ def hybrid_norm(g_part, f_part, rho_part) -> float:
     f = np.asarray(f_part, dtype=np.float64)
     ham = int(np.count_nonzero(np.asarray(rho_part)))
     return math.sqrt(float(np.dot(g, g) + np.dot(f, f))) + ham
-
-
-def rho_flat(rho_vals: np.ndarray) -> np.ndarray:
-    """Flatten an (n^2, 4) evaluation array component-major to length 4n^2."""
-    return np.asarray(rho_vals).T.reshape(-1)
-

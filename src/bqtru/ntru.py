@@ -28,10 +28,6 @@ from .ring import OpCounter, as_rng, centered, signed_ternary
 
 MULT_COUNTER = OpCounter()
 
-#: (n, plus, minus, rng) -> length-n vector with plus +1s and minus -1s;
-#: the bivariate scheme draws its ternary polynomials with the same sampler
-sample_ntru_ternary = signed_ternary
-
 
 @dataclass(frozen=True)
 class NtruParams:
@@ -69,12 +65,6 @@ def conv(f: np.ndarray, g: np.ndarray, modulus: int | None = None) -> np.ndarray
     return out % modulus if modulus is not None else out
 
 
-def circulant(h: np.ndarray) -> np.ndarray:
-    """Matrix with row r = x^r * h; vector(f) @ circulant(h) = vector(f*h)."""
-    n = len(h)
-    return np.stack([np.roll(h, r) for r in range(n)])
-
-
 def solve_mod_prime(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Solve A x = b over Z_m (m prime) by Gauss-Jordan elimination in int64.
 
@@ -106,16 +96,18 @@ def solve_mod_prime(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 def poly_inverse(f: np.ndarray, modulus: int) -> np.ndarray:
     """Inverse mod a prime or a power of two (Hensel lifting from GF(2)).
 
-    Over a prime field the inverse u solves u @ circulant(f) = e0.
+    Over a prime field the inverse u solves conv(u, f) = e0, the system
+    A @ u = e0 with A = f[_cyclic_index(n)].
     """
     f = np.asarray(f, dtype=np.int64) % modulus
+    A = f[_cyclic_index(len(f))]
     e0 = np.zeros(len(f), dtype=np.int64)
     e0[0] = 1
     if modulus % 2 == 0:
         k = modulus.bit_length() - 1
         if modulus != 1 << k:
             raise ValueError("even modulus must be a power of two")
-        inv = solve_mod_prime(circulant(f).T, e0, 2)
+        inv = solve_mod_prime(A, e0, 2)
         two = 2 * e0
         m = 2
         while m < modulus:
@@ -124,7 +116,7 @@ def poly_inverse(f: np.ndarray, modulus: int) -> np.ndarray:
             prod = conv(f % m, inv, m)
             inv = conv(inv, (two - prod) % m, m)
         return inv % modulus
-    return solve_mod_prime(circulant(f).T, e0, modulus)
+    return solve_mod_prime(A, e0, modulus)
 
 
 def ntru_keygen(params: NtruParams, rng, max_attempts: int = 1000):
@@ -136,13 +128,13 @@ def ntru_keygen(params: NtruParams, rng, max_attempts: int = 1000):
     rng = as_rng(rng)
     n, p, q, d = params.n, params.p, params.q, params.d
     for _ in range(max_attempts):
-        f = sample_ntru_ternary(n, d + 1, d, rng)
+        f = signed_ternary(n, d + 1, d, rng)
         try:
             f_q = poly_inverse(f, q)
             f_p = poly_inverse(f, p)
         except NotInvertible:
             continue
-        g = sample_ntru_ternary(n, d, d, rng)
+        g = signed_ternary(n, d, d, rng)
         h = conv(f_q, g, q)
         return h, (f, g, f_p)
     raise RetriesExhausted(f"no invertible f in {max_attempts} attempts")
@@ -152,7 +144,7 @@ def ntru_encrypt(h: np.ndarray, m: np.ndarray, params: NtruParams, rng,
                  r: np.ndarray | None = None) -> np.ndarray:
     if r is None:
         rng = as_rng(rng)
-        r = sample_ntru_ternary(params.n, params.d, params.d, rng)
+        r = signed_ternary(params.n, params.d, params.d, rng)
     return (params.p * conv(h, r, params.q) + m) % params.q
 
 

@@ -5,71 +5,71 @@ schoolbook expansion (16 ring products) and the Strassen route through
 the 2x2 matrix image (7 ring products).  Both count their convolutions in
 ring.CONV_COUNTER; they are the paper's reference paths.
 
-Mod q a quaternion is also its evaluation array rho(F): row k is the
-scalar quaternion F(points[k]) over Z_q.  rho is an isomorphism of
-algebras, so a mod-q product is rho_mul of two arrays (n**2 scalar
-products as one table gather and one batched matmul, no convolution) and
-rho_interpolate maps back.  These two are the one pair of grid maps, for
-F's own domain and for ring.product_domain alike: rho transforms the
-centered lifts of the coefficients, and rho_interpolate reduces the
-centered result mod the target modulus.  So the norm N(F) and the inverse mod p,
-N(F)^-1 o conj(F), run pointwise on an auxiliary prime's grid, and
-quat_inverse_mod_p convolves only inside ring_inverse.  rho_inverse
-inverts pointwise off the secret set T, which is how keygen inverts F
-modulo the secret ideal.  rho_norms is the one scalar-quaternion norm: it
-gives the grid values of N(F), and keygen vets the scalar weight W it
-draws with it.  norm_zeros_off_T is the one test that a norm vanishes
-only inside T, for keygen, private-key load and rho_inverse.  Centered
-lifts use ring.centered.  Conjugation in the coefficient domain, scalar
-products and the inverse mod the secret ideal are reference paths in
-tests/oracles.py.
+A quaternion is one int64 (4, n**2) array, a row of coefficients per
+component; components gives the RingElem views the convolution paths
+take.  Mod q it is also its evaluation array rho(F), of the same layout:
+column k is the scalar quaternion F(points[k]) over Z_q.  rho is an
+isomorphism of algebras, so a mod-q product is rho_mul of two arrays
+(n**2 scalar products as one table gather and one einsum, no
+convolution) and rho_interpolate maps back.  These two are the one pair
+of grid maps, for F's own domain and for ring.product_domain alike: rho
+transforms the centered lifts of the coefficients, and rho_interpolate
+reduces the centered result mod the target modulus.  So the norm N(F)
+and the inverse mod p, N(F)^-1 o conj(F), run pointwise on an auxiliary
+prime's grid, and quat_inverse_mod_p convolves only inside ring_inverse.
+rho_inverse inverts pointwise off the secret set T, which is how keygen
+inverts F modulo the secret ideal.  rho_norms is the one
+scalar-quaternion norm: it gives the grid values of N(F), and keygen
+vets the scalar weight W it draws with it.  norm_zeros_off_T is the one
+test that a norm vanishes only inside T, for keygen, private-key load
+and rho_inverse.  Centered lifts use ring.centered.  Conjugation in the
+coefficient domain, scalar products and the inverse mod the secret ideal
+are reference paths in tests/oracles.py.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import ContextMismatch, EvenModulus, NormVanishesOutsideT
 from .ring import EvalDomain, RingElem, centered, conv_mul, product_domain, ring_inverse
 
-# componentwise signs of conj(F) = c0 - c1*i - c2*j - c3*k
-_CONJ = np.array([1, -1, -1, -1])
+# componentwise signs of conj(F) = c0 - c1*i - c2*j - c3*k, one per row
+_CONJ = np.array([[1], [-1], [-1], [-1]])
 
 
 class Quaternion:
-    """c0 + c1*i + c2*j + c3*k with RingElem components sharing one context."""
+    """c0 + c1*i + c2*j + c3*k as one int64 (4, n**2) array, row r holding
+    c_r's coefficients, reduced mod modulus (None means over Z)."""
 
-    __slots__ = ("c0", "c1", "c2", "c3")
+    __slots__ = ("rows", "modulus")
 
-    def __init__(self, c0: RingElem, c1: RingElem, c2: RingElem, c3: RingElem):
-        for c in (c1, c2, c3):
-            if c.n != c0.n or c.modulus != c0.modulus:
-                raise ContextMismatch("quaternion components must share one ring context")
-        self.c0, self.c1, self.c2, self.c3 = c0, c1, c2, c3
-
-    @property
-    def components(self):
-        return (self.c0, self.c1, self.c2, self.c3)
+    def __init__(self, rows, modulus=None):
+        arr = np.array(rows, dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[0] != 4 or math.isqrt(arr.shape[1]) ** 2 != arr.shape[1]:
+            raise ContextMismatch(f"a quaternion is a (4, n**2) array, not {arr.shape}")
+        if modulus is not None:
+            arr %= modulus
+        self.rows, self.modulus = arr, modulus
 
     @property
     def n(self) -> int:
-        return self.c0.n
+        return math.isqrt(self.rows.shape[1])
 
     @property
-    def modulus(self):
-        return self.c0.modulus
+    def components(self):
+        """The four components as RingElems, for the convolution reference paths."""
+        return tuple(RingElem(r, self.n, self.modulus) for r in self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return all(a == b for a, b in zip(self.components, other.components))
+        return self.modulus == other.modulus and bool(np.array_equal(self.rows, other.rows))
 
     def with_modulus(self, modulus) -> "Quaternion":
-        return Quaternion(*(c.with_modulus(modulus) for c in self.components))
-
-    def rows(self) -> np.ndarray:
-        """The (4, n**2) array of the components' coefficients, a row each."""
-        return np.stack([c.coeffs for c in self.components])
+        return Quaternion(self.rows, modulus)
 
     def __repr__(self):
         return f"Quaternion(n={self.n}, mod={self.modulus})"
@@ -83,7 +83,7 @@ def quat_mul_schoolbook(F: Quaternion, G: Quaternion) -> Quaternion:
     c1 = conv_mul(f0, g1) + conv_mul(f1, g0) - conv_mul(f2, g3) + conv_mul(f3, g2)
     c2 = conv_mul(f0, g2) + conv_mul(f1, g3) + conv_mul(f2, g0) - conv_mul(f3, g1)
     c3 = conv_mul(f0, g3) + conv_mul(f1, g2) - conv_mul(f2, g1) + conv_mul(f3, g0)
-    return Quaternion(c0, c1, c2, c3)
+    return Quaternion([c.coeffs for c in (c0, c1, c2, c3)], F.modulus)
 
 
 def quat_to_matrix(F: Quaternion):
@@ -102,7 +102,7 @@ def matrix_to_quat(M) -> Quaternion:
     c1 = (M[0][0] - M[1][1]).scale(inv2)
     c2 = (M[0][1] + M[1][0]).scale(inv2)
     c3 = (M[0][1] - M[1][0]).scale(inv2)
-    return Quaternion(c0, c1, c2, c3)
+    return Quaternion([c.coeffs for c in (c0, c1, c2, c3)], m)
 
 
 def quat_mul_strassen(F: Quaternion, G: Quaternion) -> Quaternion:
@@ -154,7 +154,7 @@ def quat_inverse_mod_p(F: Quaternion) -> Quaternion:
     rho_F = rho(F, dom)
     ninv = ring_inverse(_norm_from_rho(rho_F, dom, m))
     ninv_vals = dom.transform(centered(ninv.coeffs, m)[None])[0]
-    return rho_interpolate(ninv_vals[:, None] * _CONJ * rho_F % dom.q, dom, m)
+    return rho_interpolate(ninv_vals * _CONJ * rho_F % dom.q, dom, m)
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +162,25 @@ def quat_inverse_mod_p(F: Quaternion) -> Quaternion:
 # ---------------------------------------------------------------------------
 
 def rho(F: Quaternion, dom: EvalDomain) -> np.ndarray:
-    """Grid evaluation map: row k is the scalar quaternion F(points[k]).
+    """Grid evaluation map: column k is the scalar quaternion F(points[k]).
 
-    Shape (n**2, 4); a homomorphism for both + and the quaternion product.
-    dom is F's own domain or product_domain(F.n, F.modulus); either way
-    the centered lifts of F's coefficients are transformed.
+    Shape (4, n**2), like F.rows; a homomorphism for both + and the
+    quaternion product.  dom is F's own domain or product_domain(F.n,
+    F.modulus); either way the centered lifts of F's coefficients are
+    transformed.
     """
     m = F.modulus
     # a product domain's prime exceeds m: a smaller dom.q is foreign, unbuilt
     if F.n != dom.n or m is None or dom.q < m or (
             dom.q > m and product_domain(F.n, m).q != dom.q):
         raise ContextMismatch("quaternion does not match the domain")
-    return dom.transform(centered(F.rows(), m)).T
+    return dom.transform(centered(F.rows, m))
 
 
 def rho_interpolate(vals, dom: EvalDomain, m: int | None = None) -> Quaternion:
     """The quaternion mod m (dom.q by default) whose evaluation array is vals:
     the inverse of rho, taking the centered result mod m."""
-    coeffs = centered(dom.inverse_transform(np.asarray(vals, dtype=np.int64).T), dom.q)
-    return Quaternion(*(RingElem(c, dom.n, dom.q if m is None else m) for c in coeffs))
+    return Quaternion(centered(dom.inverse_transform(vals), dom.q), dom.q if m is None else m)
 
 
 # left multiplication by a = a0 + a1*i + a2*j + a3*k is the 4x4 matrix
@@ -192,21 +192,21 @@ _LEFT_SIGN = np.array([[1, 1, 1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, -1, 1, 1
 def rho_mul(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
     """Pointwise scalar-quaternion product of two evaluation arrays mod q.
 
-    One gather builds each row's left-multiplication matrix and one
-    batched integer matmul applies it.  Each entry sums four products
-    below (q-1)**2, exact in int64 under Params' bound.
+    One gather builds each column's left-multiplication matrix, a
+    (4, 4, n**2) array, and one einsum applies it.  Each entry sums four
+    products below (q-1)**2, exact in int64 under Params' bound.
     """
     a = np.asarray(u, dtype=np.int64) % q
     b = np.asarray(v, dtype=np.int64) % q
-    return ((a[..., _LEFT_IDX] * _LEFT_SIGN) @ b[..., None])[..., 0] % q
+    return np.einsum("rck,ck->rk", a[_LEFT_IDX] * _LEFT_SIGN[..., None], b) % q
 
 
 def rho_norms(u: np.ndarray, q: int) -> np.ndarray:
-    """Scalar norms mod q of the rows of an evaluation array: the grid values of N(F).
+    """Scalar norms mod q of the columns of an evaluation array: the grid values of N(F).
 
     A single scalar quaternion (a 4-vector) gives its norm a0^2 - a1^2 - a2^2 + a3^2.
     """
-    a0, a1, a2, a3 = (np.asarray(u, dtype=np.int64) % q).T
+    a0, a1, a2, a3 = np.asarray(u, dtype=np.int64) % q
     return (a0 * a0 - a1 * a1 - a2 * a2 + a3 * a3) % q
 
 
@@ -235,5 +235,5 @@ def rho_inverse(u: np.ndarray, q: int, t_indices=()) -> np.ndarray:
         base = base * base % q
         e >>= 1
     ninv[list(t_indices)] = 0
-    return a * _CONJ * ninv[:, None] % q
+    return a * _CONJ * ninv % q
 

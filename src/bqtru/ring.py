@@ -99,10 +99,6 @@ class RingElem:
                 f"(n={self.n}, m={self.modulus}) vs (n={other.n}, m={other.modulus})"
             )
 
-    def with_modulus(self, modulus) -> "RingElem":
-        """Reinterpret the coefficients under a (possibly different) modulus."""
-        return RingElem(self.coeffs, self.n, modulus)
-
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "RingElem") -> "RingElem":
         self._check_ctx(other)
@@ -233,12 +229,6 @@ class EvalDomain:
         rows = self.inverse_transform(np.eye(self.size, dtype=np.int64))
         rows.flags.writeable = False
         return rows
-
-    def eval_all(self, f: RingElem) -> np.ndarray:
-        """Values of f on all grid points, ordered like self.points."""
-        if f.modulus != self.q or f.n != self.n:
-            raise ContextMismatch("element does not match the domain")
-        return self.transform(f.coeffs[None])[0]
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,12 @@ Keys live over the bivariate convolution ring; a private key holds its key
 file's fields (F, G, the secret grid subset T with its nonzero weights mod
 q, W) and F^-1 mod p, and derives the rest.  Messages (centered mod p)
 and ciphertexts (in [0, q)) are int64 (4, n^2) arrays, a row per
-component; decrypt wraps rows in a Quaternion only for its reference
-products.  Keys and ciphertexts share one text format, written by _dump
-and read by _load, in which each integer has one spelling (_INTEGERS).
+component, like a Quaternion's rows and the evaluation arrays rho(F);
+decrypt wraps V and M_hat, each one array, in a Quaternion only for its
+reference products.  Keys and ciphertexts share one text format, written
+by _dump and read by _load, in which each integer has one spelling
+(_INTEGERS); the private key's rhogamma field lists rho(gamma) point by
+point, the one place a (4, n^2) array is transposed.
 All randomness comes from an explicit random.Random instance, or a seed
 for one, supplied by the caller; ternary polynomials come from
 ring.signed_ternary, centered residues from ring.centered, and scalar and
@@ -51,7 +54,7 @@ from .quat import (
     rho_mul,
     rho_norms,
 )
-from .ring import EvalDomain, RingElem, as_rng, centered, eval_domain, signed_ternary
+from .ring import EvalDomain, as_rng, centered, eval_domain, signed_ternary
 
 
 @dataclass
@@ -125,11 +128,6 @@ class Ciphertext:
                 and np.array_equal(self.C, other.C))
 
 
-def sample_ternary(n: int, d: int, rng: random.Random) -> RingElem:
-    """Uniform polynomial with exactly d coefficients +1 and d coefficients -1."""
-    return RingElem(signed_ternary(n * n, d, d, rng), n, None)
-
-
 def keygen(params: Params, rng, max_attempts: int = 10_000):
     """Generate a keypair, retrying G until its zero set and F cooperate.
 
@@ -150,7 +148,8 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
     rng = as_rng(rng)
     dom = eval_domain(n, q)
     for _ in range(max_attempts):
-        G = Quaternion(*(sample_ternary(n, params.d_g, rng) for _ in range(4)))
+        G = Quaternion([signed_ternary(params.nsq, params.d_g, params.d_g, rng)
+                        for _ in range(4)])
         rho_G = rho(G.with_modulus(q), dom)
         T = derive_T(rho_G)
         if not _scannable(T, q):
@@ -173,8 +172,8 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
 
 def _rho_theta(T, weights, W, params: Params) -> np.ndarray:
     """rho(theta): weight_t * W at each t in T, zero elsewhere."""
-    rho_theta = np.zeros((params.nsq, 4), dtype=np.int64)
-    rho_theta[list(T)] = np.outer(weights, W) % params.q
+    rho_theta = np.zeros((4, params.nsq), dtype=np.int64)
+    rho_theta[:, list(T)] = np.outer(W, weights) % params.q
     return rho_theta
 
 
@@ -182,12 +181,12 @@ def _find_F(params: Params, T, dom: EvalDomain, rng: random.Random,
             attempts: int = 100):
     """(F, F^-1 mod p) for an F whose norm vanishes only inside T and is
     invertible mod p, or None when every attempt fails."""
+    nsq, d_f = params.nsq, params.d_f
     for _ in range(attempts):
-        comps = [RingElem(signed_ternary(params.nsq, params.d_f + 1, params.d_f, rng),
-                          params.n, None)]
-        comps += [sample_ternary(params.n, params.d_f, rng) for _ in range(3)]
-        F = Quaternion(*comps)
-        if norm_zeros_off_T(dom.eval_all(quat_norm(F.with_modulus(dom.q))), T).size:
+        F = Quaternion([signed_ternary(nsq, d_f + 1, d_f, rng)]
+                       + [signed_ternary(nsq, d_f, d_f, rng) for _ in range(3)])
+        norm = quat_norm(F.with_modulus(dom.q))
+        if norm_zeros_off_T(dom.transform(norm.coeffs[None])[0], T).size:
             continue
         try:
             return F, quat_inverse_mod_p(F.with_modulus(params.p))
@@ -225,7 +224,7 @@ def encrypt(pk: PublicKey, M, rng, phi=None) -> Ciphertext:
         rng = as_rng(rng)
         phi = np.array([signed_ternary(nsq, params.d_phi, params.d_phi, rng) for _ in range(4)])
     dom = eval_domain(params.n, q)
-    h_phi = dom.inverse_transform(rho_mul(pk.rho_H, dom.transform(phi).T, q).T)
+    h_phi = dom.inverse_transform(rho_mul(pk.rho_H, dom.transform(phi), q))
     return Ciphertext((p * h_phi + M) % q, q)
 
 
@@ -255,11 +254,10 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> np.ndarray:
         raise ContextMismatch(f"the ciphertext must be (4, {params.nsq}) residues mod {q}")
     dom = eval_domain(n, q)
     # the inverse transform returns the [0, q) representatives the scan expects
-    targets = dom.inverse_transform(rho_mul(sk.rho_F, dom.transform(ct.C).T, q).T)
+    targets = dom.inverse_transform(rho_mul(sk.rho_F, dom.transform(ct.C), q))
     # coset_decode returns target - centered residue, so V's rows are centered
     V = targets - coset_decode(sk.lagrange_T, q, targets)
-    M_hat = quat_mul_strassen(sk.F_p_inv, Quaternion(*(RingElem(v, n, p) for v in V)))
-    M_hat = centered(M_hat.rows(), p)
+    M_hat = centered(quat_mul_strassen(sk.F_p_inv, Quaternion(V, p)).rows, p)
     if strict:
         # On success V - F o M_hat equals p * G o Phi exactly over Z.  Two
         # checkable consequences: each quaternion component of G o Phi sums
@@ -269,8 +267,7 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> np.ndarray:
         # V - F o M_hat is zero by construction of M_hat and carries no
         # information.)  The product is over Z, where 2 has no inverse, so
         # it cannot take the Strassen route.
-        FM = quat_mul_schoolbook(sk.F, Quaternion(*(RingElem(m, n, None) for m in M_hat)))
-        resid = (V - FM.rows()) // p
+        resid = (V - quat_mul_schoolbook(sk.F, Quaternion(M_hat)).rows) // p
         if np.abs(resid).max() > 8 * min(params.d_g, params.d_phi) or resid.sum(axis=1).any():
             raise DecryptionFailure("blinding residual is not a valid mask")
     return M_hat
@@ -449,19 +446,14 @@ def _read_rows(fields: dict, label: str, n: int, lo: int, hi: int) -> np.ndarray
     return np.stack([_read_coeffs(fields, f"{label}{i}", n * n, lo, hi) for i in range(4)])
 
 
-def _read_quat(fields: dict, label: str, n: int, lo: int, hi: int, modulus) -> Quaternion:
-    """The quaternion in fields label0..label3, n^2 values in [lo, hi) each."""
-    return Quaternion(*(RingElem(row, n, modulus) for row in _read_rows(fields, label, n, lo, hi)))
-
-
 def serialize_public(pk: PublicKey) -> str:
-    return _dump("public", _param_line(pk.params), _quat_fields("h", pk.H.rows()))
+    return _dump("public", _param_line(pk.params), _quat_fields("h", pk.H.rows))
 
 
 def serialize_private(sk: PrivateKey) -> str:
     return _dump("private", _param_line(sk.params), {
-        **_quat_fields("f", sk.F.rows()), **_quat_fields("g", sk.G.rows()),
-        "T": sk.T, "weights": sk.weights, "W": sk.W, "rhogamma": sk.rho_gamma.reshape(-1)})
+        **_quat_fields("f", sk.F.rows), **_quat_fields("g", sk.G.rows),
+        "T": sk.T, "weights": sk.weights, "W": sk.W, "rhogamma": sk.rho_gamma.T.reshape(-1)})
 
 
 def serialize_ct(ct: Ciphertext) -> str:
@@ -471,7 +463,7 @@ def serialize_ct(ct: Ciphertext) -> str:
 def deserialize_public(text: str) -> PublicKey:
     header, fields = _load(text, "public")
     params = _parse_params(header)
-    return PublicKey(params, _read_quat(fields, "h", params.n, 0, params.q, params.q))
+    return PublicKey(params, Quaternion(_read_rows(fields, "h", params.n, 0, params.q), params.q))
 
 
 def deserialize_private(text: str) -> PrivateKey:
@@ -485,8 +477,8 @@ def deserialize_private(text: str) -> PrivateKey:
     """
     header, fields = _load(text, "private")
     params = _parse_params(header)
-    F = _read_quat(fields, "f", params.n, -1, 2, None)
-    G = _read_quat(fields, "g", params.n, -1, 2, None)
+    F = Quaternion(_read_rows(fields, "f", params.n, -1, 2))
+    G = Quaternion(_read_rows(fields, "g", params.n, -1, 2))
     T = _read_coeffs(fields, "T", None, 0, params.nsq).tolist()
     if len(set(T)) != len(T):
         raise MalformedData("bad T field")
@@ -497,11 +489,11 @@ def deserialize_private(text: str) -> PrivateKey:
     W = _read_coeffs(fields, "W", 4, 1, params.q)
     rho_gamma = _read_coeffs(fields, "rhogamma", 4 * params.nsq, 0, params.q)
     sk = PrivateKey(params, F, G, tuple(T), tuple(weights.tolist()), tuple(W.tolist()), None)
-    if rho(G.with_modulus(params.q), eval_domain(params.n, params.q))[T].any():
+    if rho(G.with_modulus(params.q), eval_domain(params.n, params.q))[:, T].any():
         raise MalformedData("G does not vanish on T")
     if norm_zeros_off_T(rho_norms(sk.rho_F, params.q), T).size:
         raise MalformedData("N(F) vanishes at a grid point outside T")
-    if not np.array_equal(rho_gamma, sk.rho_gamma.reshape(-1)):
+    if not np.array_equal(rho_gamma, sk.rho_gamma.T.reshape(-1)):
         raise MalformedData("rhogamma is not rho(F) * rho(theta)")
     try:
         sk.F_p_inv = quat_inverse_mod_p(F.with_modulus(params.p))

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bqtru.errors import BqtruError, MalformedData, NotInvertible, PayloadTooLarge
-from bqtru.ideal import _quat_block_matrix, build_bqtru_lattice, rho_flat
+from bqtru.errors import BqtruError, ContextMismatch, MalformedData, NotInvertible, PayloadTooLarge
+from bqtru.ideal import _quat_block_matrix, build_bqtru_lattice
 from bqtru.lattice import ReducedBasis
 from bqtru.quat import (
     Quaternion,
@@ -38,8 +38,8 @@ from bqtru.quat import (
     rho_interpolate,
     rho_inverse,
 )
-from bqtru.ring import EvalDomain, RingElem, centered, conv_mul
-from bqtru.scheme import keygen, message_capacity, random_message, sample_ternary
+from bqtru.ring import EvalDomain, RingElem, centered, conv_mul, signed_ternary
+from bqtru.scheme import keygen, message_capacity, random_message
 
 
 class InvalidWeight(BqtruError):
@@ -88,48 +88,54 @@ def monomial(n: int, a: int, b: int, coeff: int = 1, modulus=None) -> RingElem:
 
 def quat_unit(which: str, n: int, modulus=None) -> Quaternion:
     """The basis quaternion named by which, one of "1", "i", "j", "k"."""
-    comps = [ring_zero(n, modulus) for _ in range(4)]
-    comps["1ijk".index(which)] = RingElem.one(n, modulus)
-    return Quaternion(*comps)
+    rows = np.zeros((4, n * n), dtype=np.int64)
+    rows["1ijk".index(which), 0] = 1
+    return Quaternion(rows, modulus)
 
 
 def quat_zero(n: int, modulus=None) -> Quaternion:
-    return Quaternion(*(ring_zero(n, modulus) for _ in range(4)))
+    return Quaternion(np.zeros((4, n * n), dtype=np.int64), modulus)
 
 
 def quat_one(n: int, modulus=None) -> Quaternion:
     return quat_unit("1", n, modulus)
 
 
+def _check_ctx(F: Quaternion, G: Quaternion):
+    if F.n != G.n or F.modulus != G.modulus:
+        raise ContextMismatch(f"(n={F.n}, m={F.modulus}) vs (n={G.n}, m={G.modulus})")
+
+
 def quat_add(F: Quaternion, G: Quaternion) -> Quaternion:
-    return Quaternion(*(a + b for a, b in zip(F.components, G.components)))
+    _check_ctx(F, G)
+    return Quaternion(F.rows + G.rows, F.modulus)
 
 
 def quat_sub(F: Quaternion, G: Quaternion) -> Quaternion:
-    return Quaternion(*(a - b for a, b in zip(F.components, G.components)))
+    _check_ctx(F, G)
+    return Quaternion(F.rows - G.rows, F.modulus)
 
 
 def quat_neg(F: Quaternion) -> Quaternion:
-    return Quaternion(*(-a for a in F.components))
+    return Quaternion(-F.rows, F.modulus)
 
 
 def quat_scale(F: Quaternion, c: int) -> Quaternion:
-    return Quaternion(*(a.scale(c) for a in F.components))
+    return Quaternion(F.rows * c, F.modulus)
 
 
 def quat_from_vector(vec, n: int, modulus=None) -> Quaternion:
     """The quaternion whose concatenated coefficients, or (4, n^2) rows, are vec."""
-    rows = np.asarray(vec).reshape(4, n * n)
-    return Quaternion(*(RingElem(r, n, modulus) for r in rows))
+    return Quaternion(np.asarray(vec).reshape(4, n * n), modulus)
 
 
 def lift_centered(x):
     """A RingElem or Quaternion with each coefficient mapped to its centered
     representative mod its modulus, and no modulus."""
-    if isinstance(x, Quaternion):
-        return Quaternion(*(lift_centered(c) for c in x.components))
     if x.modulus is not None and x.modulus % 2 == 0:
         raise ValueError("centered lift requires an odd modulus")
+    if isinstance(x, Quaternion):
+        return Quaternion(x.rows if x.modulus is None else centered(x.rows, x.modulus))
     coeffs = x.coeffs if x.modulus is None else centered(x.coeffs, x.modulus)
     return RingElem(coeffs, x.n, None)
 
@@ -137,7 +143,7 @@ def lift_centered(x):
 def is_zero(x) -> bool:
     """Whether a RingElem, a Quaternion or an array is zero."""
     if isinstance(x, Quaternion):
-        x = x.rows()
+        x = x.rows
     elif isinstance(x, RingElem):
         x = x.coeffs
     return not np.asarray(x).any()
@@ -190,17 +196,14 @@ def interpolate(dom: EvalDomain, values) -> RingElem:
 # ---------------------------------------------------------------------------
 
 def conjugate(F: Quaternion) -> Quaternion:
-    return Quaternion(F.c0, -F.c1, -F.c2, -F.c3)
+    return Quaternion(F.rows * np.array([[1], [-1], [-1], [-1]]), F.modulus)
 
 
 def from_scalar(s, n: int, modulus=None) -> Quaternion:
     """Embed a length-4 scalar quaternion as constant polynomials."""
-    comps = []
-    for v in s:
-        c = np.zeros(n * n, dtype=np.int64)
-        c[0] = int(v)
-        comps.append(RingElem(c, n, modulus))
-    return Quaternion(*comps)
+    rows = np.zeros((4, n * n), dtype=np.int64)
+    rows[:, 0] = [int(v) for v in s]
+    return Quaternion(rows, modulus)
 
 
 def scalar_norm(a, q: int) -> int:
@@ -223,14 +226,14 @@ def scalar_mul(a, b, q: int):
 
 def rho_mul_rows(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
     """bqtru.quat.rho_mul written out as the four rows of the product formula."""
-    a0, a1, a2, a3 = (np.asarray(u, dtype=np.int64) % q).T
-    b0, b1, b2, b3 = (np.asarray(v, dtype=np.int64) % q).T
+    a0, a1, a2, a3 = np.asarray(u, dtype=np.int64) % q
+    b0, b1, b2, b3 = np.asarray(v, dtype=np.int64) % q
     return np.stack([
         a0 * b0 + a1 * b1 + a2 * b2 - a3 * b3,
         a0 * b1 + a1 * b0 - a2 * b3 + a3 * b2,
         a0 * b2 + a1 * b3 + a2 * b0 - a3 * b1,
         a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    ], axis=1) % q
+    ]) % q
 
 
 def scalar_inverse(a, q: int):
@@ -487,11 +490,10 @@ def gamma_vector(rho_gamma: np.ndarray, dom: EvalDomain) -> np.ndarray:
 
     Uses the same interpolant rows, in [0, q), as the lattice
     constructions, so the result is the exact integer product
-    rho_flat @ blockdiag(D).
+    rho_gamma.reshape(-1) @ blockdiag(D).
     """
     D = dom.lagrange_matrix.astype(object)
-    vals = np.asarray(rho_gamma, dtype=object)
-    return np.concatenate([vals[:, c] @ D for c in range(4)])
+    return np.concatenate([row @ D for row in np.asarray(rho_gamma, dtype=object)])
 
 
 def verify_key_membership(sk, pk, dom: EvalDomain, strict: bool = False) -> bool:
@@ -506,7 +508,7 @@ def verify_key_membership(sk, pk, dom: EvalDomain, strict: bool = False) -> bool
     F, G = lift_centered(sk.F), lift_centered(sk.G)
     M = build_bqtru_lattice(pk.H, dom)
     HH = M[four:2 * four, :four]
-    f_vec, g_vec = (X.rows().reshape(-1).astype(object) for X in (F, G))
+    f_vec, g_vec = (X.rows.reshape(-1).astype(object) for X in (F, G))
     FH_vec = f_vec @ HH
     gamma = gamma_vector(sk.rho_gamma, dom)
     diff = FH_vec - g_vec - gamma
@@ -515,7 +517,7 @@ def verify_key_membership(sk, pk, dom: EvalDomain, strict: bool = False) -> bool
             raise NonIntegralU("F o H - G - gamma is not divisible by q")
         return False
     U = np.array([int(v) // q for v in diff], dtype=object)
-    r = rho_flat(np.asarray(sk.rho_gamma, dtype=object))
+    r = np.asarray(sk.rho_gamma, dtype=object).reshape(-1)
     x = np.concatenate([-U, f_vec, -r])
     target = np.concatenate([g_vec, f_vec, -r])
     return bool(np.array_equal(x @ M, target))
@@ -642,10 +644,11 @@ def empirical_noise_variance(params, samples: int, rng) -> float:
     n, p = params.n, params.p
     acc = []
     for _ in range(samples):
-        phi = Quaternion(*(sample_ternary(n, params.d_phi, rng) for _ in range(4)))
+        phi = Quaternion([signed_ternary(n * n, params.d_phi, params.d_phi, rng)
+                          for _ in range(4)])
         M = quat_from_vector(random_message(params, rng), n)
         mask = quat_add(quat_scale(quat_mul_schoolbook(sk.G, phi), p),
                         quat_mul_schoolbook(sk.F, M))
-        acc.append(mask.rows().reshape(-1))
+        acc.append(mask.rows.reshape(-1))
     flat = np.concatenate(acc).astype(np.float64)
     return float(flat.var())

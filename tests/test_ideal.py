@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bqtru.analysis import expansion_ratio
-from bqtru.ideal import build_bqtru_lattice, derive_T, hybrid_norm, rho_flat
+from bqtru.ideal import build_bqtru_lattice, derive_T, hybrid_norm
 from bqtru.params import MODERATE, TOY
 from bqtru.quat import Quaternion, quat_mul_schoolbook, quat_norm, rho, rho_norms
 from bqtru.ring import EvalDomain, RingElem, conv_mul, ring_inverse
@@ -31,41 +31,44 @@ from oracles import (
     quat_inverse_mod_J,
     quat_one,
     ring_eval,
-    ring_zero,
     verify_key_membership,
 )
 
 
-def sample_balanced(rng, n, d, modulus=None):
+def sample_balanced(rng, n, d):
+    """Coefficients of a polynomial with d ones and d minus-ones."""
     coeffs = np.zeros(n * n, dtype=np.int64)
     picks = rng.sample(range(n * n), 2 * d)
     coeffs[picks[:d]] = 1
     coeffs[picks[d:]] = -1
-    return RingElem(coeffs % modulus if modulus else coeffs, n, modulus)
+    return coeffs
 
 
-def sample_unbalanced(rng, n, d, modulus=None):
+def sample_unbalanced(rng, n, d):
     """d+1 ones and d minus-ones (keeps the value at (1,1) nonzero)."""
     coeffs = np.zeros(n * n, dtype=np.int64)
     picks = rng.sample(range(n * n), 2 * d + 1)
     coeffs[picks[:d + 1]] = 1
     coeffs[picks[d + 1:]] = -1
-    return RingElem(coeffs % modulus if modulus else coeffs, n, modulus)
+    return coeffs
+
+
+def rand_quat(rng, n, q):
+    return Quaternion([[rng.randrange(q) for _ in range(n * n)] for _ in range(4)], q)
 
 
 def toy_keygen(rng, dom, p=3, d=1):
     """Minimal honest key generation at small parameters, for oracle tests."""
     q = dom.q
     while True:
-        G = Quaternion(*(sample_balanced(rng, dom.n, d, q) for _ in range(4)))
+        G = Quaternion([sample_balanced(rng, dom.n, d) for _ in range(4)], q)
         T = derive_T(rho(G, dom))
         if not (1 <= len(T) <= dom.n):
             continue
         for _ in range(200):
-            comps = [sample_unbalanced(rng, dom.n, d, q)]
-            comps += [sample_balanced(rng, dom.n, d, q) for _ in range(3)]
-            F = Quaternion(*comps)
-            norm_vals = dom.eval_all(quat_norm(F))
+            F = Quaternion([sample_unbalanced(rng, dom.n, d)]
+                           + [sample_balanced(rng, dom.n, d) for _ in range(3)], q)
+            norm_vals = dom.transform(quat_norm(F).coeffs[None])[0]
             if any(norm_vals[k] == 0 for k in range(dom.size) if k not in T):
                 continue
             Fp = lift_centered(F).with_modulus(p)
@@ -82,7 +85,7 @@ def toy_keygen(rng, dom, p=3, d=1):
             if rho_norms(W, q) != 0:
                 break
         sigma = build_sigma(T, weights, dom)
-        theta = Quaternion(*(sigma.scale(w) for w in W))
+        theta = Quaternion([sigma.coeffs * w for w in W], q)
         Finv = quat_inverse_mod_J(F, T, dom)
         H = quat_add(quat_mul_schoolbook(Finv, G), theta)
         rho_gamma = rho(quat_mul_schoolbook(F, theta), dom)
@@ -110,14 +113,14 @@ class TestDeriveT:
         vals = np.ones(9, dtype=np.int64)
         vals[chosen] = 0
         c = interpolate(dom3, vals)
-        G = Quaternion(c, c, c, c)
+        G = Quaternion([c.coeffs] * 4, 7)
         assert derive_T(rho(G, dom3)) == chosen
 
     def test_matches_scan_oracle(self):
         dom = EvalDomain(7, 113)
         rng = random.Random(30)
         for _ in range(20):
-            G = Quaternion(*(sample_balanced(rng, 7, 6, 113) for _ in range(4)))
+            G = Quaternion([sample_balanced(rng, 7, 6) for _ in range(4)], 113)
             scan = [
                 k for k, (a, b) in enumerate(dom.points)
                 if all(ring_eval(c, a, b) == 0 for c in G.components)
@@ -128,7 +131,7 @@ class TestDeriveT:
         rng = random.Random(31)
         k11 = dom3.points.index((1, 1))
         for _ in range(20):
-            G = Quaternion(*(sample_balanced(rng, 3, 2, 7) for _ in range(4)))
+            G = Quaternion([sample_balanced(rng, 3, 2) for _ in range(4)], 7)
             assert k11 in derive_T(rho(G, dom3))
 
 
@@ -149,7 +152,7 @@ class TestBuildSigma:
             T = rng.sample(range(25), rng.randrange(1, 5))
             weights = [rng.randrange(1, 11) for _ in T]
             sigma = build_sigma(T, weights, dom5)
-            vals = dom5.eval_all(sigma)
+            vals = [ring_eval(sigma, a, b) for a, b in dom5.points]
             for k in range(25):
                 if k in T:
                     assert vals[k] == weights[T.index(k)]
@@ -215,7 +218,7 @@ class TestDPrime:
             else:
                 v = np.array([rng.randrange(-10, 11) for _ in range(9)])
             elem = RingElem(v % 7, 3, 7)
-            vals = dom3.eval_all(elem)
+            vals = [ring_eval(elem, a, b) for a, b in dom3.points]
             expect = all(vals[k] == 0 for k in range(9) if k not in T)
             got = basis_contains(basis, v)
             assert got == expect
@@ -249,14 +252,10 @@ class TestPrivateLattice:
         sigma = build_sigma(T, [2, 6], dom3)
         priv = build_private_lattice(build_D_prime(T, dom3))
         for _ in range(10):
-            Wp = Quaternion(*(
-                RingElem(np.array([rng.randrange(7) for _ in range(9)]), 3, 7)
-                for _ in range(4)
-            ))
-            sig_q = Quaternion(sigma, ring_zero(3, 7),
-                               ring_zero(3, 7), ring_zero(3, 7))
+            Wp = rand_quat(rng, 3, 7)
+            sig_q = Quaternion([sigma.coeffs, *np.zeros((3, 9))], 7)
             prod = quat_mul_schoolbook(Wp, sig_q)
-            assert basis_contains(priv, prod.rows().reshape(-1))
+            assert basis_contains(priv, prod.rows.reshape(-1))
 
 
 class TestBqtruLattice:
@@ -268,35 +267,36 @@ class TestBqtruLattice:
         rng = random.Random(38)
         four = 36
         for _ in range(10):
-            H = Quaternion(*(
-                RingElem(np.array([rng.randrange(7) for _ in range(9)]), 3, 7)
-                for _ in range(4)
-            ))
-            F = Quaternion(*(sample_balanced(rng, 3, 2) for _ in range(4)))
+            H = rand_quat(rng, 3, 7)
+            F = Quaternion([sample_balanced(rng, 3, 2) for _ in range(4)])
             M = build_bqtru_lattice(H, dom3)
             HH = M[four:2 * four, :four]
-            got = (F.rows().reshape(-1).astype(object) @ HH) % 7
+            got = (F.rows.reshape(-1).astype(object) @ HH) % 7
             FH = quat_mul_schoolbook(F.with_modulus(7), H)
-            assert np.array_equal(got.astype(np.int64), FH.rows().reshape(-1))
+            assert np.array_equal(got.astype(np.int64), FH.rows.reshape(-1))
 
     def test_gamma_row_identity(self, dom3):
         # interpolating the evaluation vector through the stacked rows
         # reproduces the element itself, modulo q
         rng = random.Random(39)
         for _ in range(10):
-            Gam = Quaternion(*(
-                RingElem(np.array([rng.randrange(7) for _ in range(9)]), 3, 7)
-                for _ in range(4)
-            ))
+            Gam = rand_quat(rng, 3, 7)
             vec = gamma_vector(rho(Gam, dom3), dom3)
             assert np.array_equal(
-                np.array([int(v) % 7 for v in vec]), Gam.rows().reshape(-1)
+                np.array([int(v) % 7 for v in vec]), Gam.rows.reshape(-1)
             )
 
     def test_rho_flat_ordering(self, dom3):
-        vals = np.arange(36).reshape(9, 4)
-        flat = rho_flat(vals)
-        assert flat[0] == 0 and flat[9] == 1 and flat[35] == 35
+        # an evaluation array flattens component-major, the order of the
+        # lattice's interpolant blocks: entry c*n^2 + k is component c at
+        # point k, and its row of the lattice is lambda_k in slot c
+        DD = build_bqtru_lattice(quat_one(3, 7), dom3)[72:, :36]
+        for c, k in [(0, 0), (1, 4), (3, 8)]:
+            vals = np.zeros((4, 9), dtype=np.int64)
+            vals[c, k] = 1
+            img = (vals.reshape(-1) @ DD).reshape(4, 9)
+            assert np.array_equal(img[c], dom3.lagrange_matrix[k])
+            assert not np.delete(img, c, axis=0).any()
 
 
 class TestKeyMembership:
@@ -309,7 +309,7 @@ class TestKeyMembership:
     def test_corrupt_F_fails(self, dom3):
         rng = random.Random(41)
         sk, pk = toy_keygen(rng, dom3)
-        bad = sk.F.rows().reshape(-1)
+        bad = sk.F.rows.flatten()
         bad[0] += 1
         sk_bad = SimpleNamespace(
             F=quat_from_vector(bad, 3, 7), G=sk.G, rho_gamma=sk.rho_gamma
@@ -325,13 +325,13 @@ class TestKeyMembership:
         rt = rho(sk.theta, dom3)
         for k in range(9):
             if k in sk.T:
-                assert all(rt[k][c] != 0 for c in range(4))
+                assert all(rt[c, k] != 0 for c in range(4))
             else:
-                assert not rt[k].any()
+                assert not rt[:, k].any()
         # gamma = F o theta inherits the off-T vanishing
         for k in range(9):
             if k not in sk.T:
-                assert not np.asarray(sk.rho_gamma)[k].any()
+                assert not np.asarray(sk.rho_gamma)[:, k].any()
 
 
 class TestExpandedLattice:
@@ -355,17 +355,13 @@ class TestExpandedLattice:
         rng = random.Random(45)
         n, q = params.n, params.q
         dom = EvalDomain(n, q)
-        H = Quaternion(*(RingElem(np.array([rng.randrange(q) for _ in range(n * n)]), n, q)
-                         for _ in range(4)))
+        H = rand_quat(rng, n, q)
         assert expansion_ratio(params).built_dim == build_expanded_lattice(H, dom).dim
         assert build_bqtru_lattice(H, dom).shape == (12 * n * n,) * 2
 
     def test_psi_maps_into_base_lattice(self, dom3):
         rng = random.Random(43)
-        H = Quaternion(*(
-            RingElem(np.array([rng.randrange(7) for _ in range(9)]), 3, 7)
-            for _ in range(4)
-        ))
+        H = rand_quat(rng, 3, 7)
         exp = build_expanded_lattice(H, dom3)
         base = LatticeBasis(build_bqtru_lattice(H, dom3), 108)
         for _ in range(5):
@@ -395,9 +391,9 @@ class TestHybridNorm:
     def test_private_key_hamming_term(self, dom3):
         rng = random.Random(44)
         sk, _ = toy_keygen(rng, dom3)
-        gv = lift_centered(sk.G).rows().reshape(-1)
-        fv = lift_centered(sk.F).rows().reshape(-1)
-        r = rho_flat(np.asarray(sk.rho_gamma))
+        gv = lift_centered(sk.G).rows.reshape(-1)
+        fv = lift_centered(sk.F).rows.reshape(-1)
+        r = np.asarray(sk.rho_gamma).reshape(-1)
         h = hybrid_norm(gv, fv, r)
         eucl = math.sqrt(float(gv @ gv + fv @ fv))
         nz = int(np.count_nonzero(r))

@@ -7,7 +7,7 @@ import pytest
 
 from bqtru.errors import RankDeficient
 from bqtru.lattice import coset_decode, gaussian_heuristic, lll_reduce, poltyrev_sigma_max
-from bqtru.ring import EvalDomain, RingElem
+from bqtru.ring import EvalDomain
 
 from oracles import (
     NoPointInRadius,
@@ -214,7 +214,7 @@ def coset_lattice(n, q, T):
 
 def in_lattice(dom, T, v) -> bool:
     """Membership oracle: v is in D' iff its grid values vanish mod q off T."""
-    vals = dom.eval_all(RingElem(np.asarray(v) % dom.q, dom.n, dom.q))
+    vals = dom.transform(np.asarray(v)[None])[0]
     return all(vals[k] == 0 for k in range(dom.size) if k not in T)
 
 

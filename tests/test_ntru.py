@@ -11,15 +11,15 @@ from bqtru.errors import (
 from bqtru.ntru import (
     MULT_COUNTER,
     NtruParams,
-    circulant,
+    _cyclic_index,
     conv,
     ntru_decrypt,
     ntru_encrypt,
     ntru_keygen,
     ntru_public_key_bits,
     poly_inverse,
-    sample_ntru_ternary,
 )
+from bqtru.ring import signed_ternary
 
 SMALL = NtruParams(17, 3, 103, 2)
 GUARDED = NtruParams(107, 3, 659, 34)  # q > (6d+1)p = 627
@@ -71,10 +71,15 @@ class TestConv:
         assert MULT_COUNTER.count == 169
 
     def test_circulant_row_identity(self):
+        # the transposed gather h[_cyclic_index(n)].T has row r = x^r * h,
+        # so vector(f) @ it = vector(f*h)
         rng = random.Random(81)
-        f = np.array([rng.randrange(-2, 3) for _ in range(9)])
-        h = np.array([rng.randrange(-2, 3) for _ in range(9)])
-        assert np.array_equal(f @ circulant(h), conv(f, h))
+        for n in (2, 5, 7, 9, 107):
+            f = np.array([rng.randrange(-2, 3) for _ in range(n)])
+            h = np.array([rng.randrange(-2, 3) for _ in range(n)])
+            C = h[_cyclic_index(n)].T
+            assert all(np.array_equal(C[r], np.roll(h, r)) for r in range(n))
+            assert np.array_equal(f @ C, conv(f, h))
 
 
 class TestInverse:
@@ -96,7 +101,7 @@ class TestInverse:
         rng = random.Random(83)
         found = 0
         while found < 10:
-            f = sample_ntru_ternary(17, 3, 2, rng)
+            f = signed_ternary(17, 3, 2, rng)
             try:
                 inv = poly_inverse(f, 128)
             except NotInvertible:
@@ -139,15 +144,15 @@ class TestScheme:
         rng = random.Random(87)
         h, sk = ntru_keygen(GUARDED, rng)
         for _ in range(1000):
-            m = sample_ntru_ternary(107, 20, 20, rng)
+            m = signed_ternary(107, 20, 20, rng)
             c = ntru_encrypt(h, m, GUARDED, rng)
             assert np.array_equal(ntru_decrypt(sk, c, GUARDED, strict=True), m)
 
     def test_encryption_mult_count(self):
         rng = random.Random(88)
         h, _ = ntru_keygen(SMALL, rng)
-        m = sample_ntru_ternary(17, 2, 2, rng)
-        r = sample_ntru_ternary(17, 2, 2, rng)
+        m = signed_ternary(17, 2, 2, rng)
+        r = signed_ternary(17, 2, 2, rng)
         MULT_COUNTER.reset()
         ntru_encrypt(h, m, SMALL, None, r=r)
         assert MULT_COUNTER.count == 17 * 17

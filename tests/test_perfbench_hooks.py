@@ -9,9 +9,14 @@ one op of each workload as the benchmark does.
 
 import importlib.util
 import pathlib
+import random
 import sys
 
+import numpy as np
 import pytest
+
+import bqtru.scheme as scheme
+from bqtru.params import HIGHEST
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,6 +51,27 @@ def test_trace_targets_resolve():
     assert len(targets) == len(set(targets)) == 39
     assert set(targets) - resolved == READ_ZERO
     assert len(resolved) == 32
+
+
+def test_pinned_call_sites_are_traced():
+    # the per-layer rows read keygen's F draws (quat_norm from scheme at
+    # modulus q) and decrypt's two reference products, each with its
+    # convolutions as direct children
+    run, tracing = _load("run"), _load("tracing")
+    tracer = tracing.Tracer()
+    rng = random.Random(1)
+    with tracer.installed(run.trace_targets(HIGHEST.q)):
+        pk, sk = scheme.keygen(HIGHEST, rng)
+        M = scheme.random_message(HIGHEST, rng)
+        assert np.array_equal(scheme.decrypt(sk, scheme.encrypt(pk, M, rng), strict=True), M)
+    names = [span[0] for span in tracer.spans]
+    for product, convs in (("quat.quat_mul_strassen", 7), ("quat.quat_mul_schoolbook", 16)):
+        calls = [i for i, name in enumerate(names) if name == product]
+        assert calls, product
+        for i in calls:
+            children = [s[0] for s in tracer.spans if s[3] == i]
+            assert children.count("ring.conv_mul") == convs, product
+    assert "scheme.keygen.F_draw" in names
 
 
 def test_convolution_counter_is_read():

@@ -25,6 +25,7 @@ from bqtru.ring import (
     CONV_COUNTER,
     EvalDomain,
     RingElem,
+    centered,
     conv_mul,
     eval_domain,
     product_domain,
@@ -43,7 +44,6 @@ from oracles import (
     quat_sub,
     quat_unit,
     rho_mul_rows,
-    ring_zero,
     scalar_inverse,
     scalar_mul,
     scalar_norm,
@@ -54,20 +54,17 @@ GRIDS = [(3, 7), (5, 11), (7, 113), (11, 199), (7, 547)]
 
 
 def rand_quat(rng, n, modulus):
-    comps = [
-        RingElem(np.array([rng.randrange(modulus) for _ in range(n * n)]), n, modulus)
-        for _ in range(4)
-    ]
-    return Quaternion(*comps)
+    return Quaternion([[rng.randrange(modulus) for _ in range(n * n)] for _ in range(4)],
+                      modulus)
 
 
 def rand_rho(rng, n, q):
-    """Random evaluation array with some zero-norm rows, (a, a, b, b) among them."""
-    vals = np.array([[rng.randrange(q) for _ in range(4)] for _ in range(n * n)],
+    """Random (4, n^2) evaluation array with some zero-norm columns, (a, a, b, b) among them."""
+    vals = np.array([[rng.randrange(q) for _ in range(n * n)] for _ in range(4)],
                     dtype=np.int64)
     for k in rng.sample(range(n * n), n):
         a, b = rng.randrange(q), rng.randrange(q)
-        vals[k] = (a, a, b, b)
+        vals[:, k] = (a, a, b, b)
     return vals
 
 
@@ -88,6 +85,25 @@ def mat_mul_2x2(A, B):
 @pytest.fixture(scope="module")
 def dom3():
     return EvalDomain(3, 7)
+
+
+class TestQuaternion:
+    @pytest.mark.parametrize("shape", [(4,), (3, 9), (5, 9), (4, 8), (4, 9, 1), (1, 4, 9)])
+    def test_rejects_an_array_not_4_by_a_square(self, shape):
+        with pytest.raises(ContextMismatch):
+            Quaternion(np.zeros(shape, dtype=np.int64), 7)
+
+    @pytest.mark.parametrize("modulus", [7, None])
+    def test_rows_are_a_reduced_copy(self, modulus):
+        rows = np.arange(-18, 18, dtype=np.int64).reshape(4, 9)
+        F = Quaternion(rows, modulus)
+        assert F.n == 3 and F.rows.dtype == np.int64
+        assert np.array_equal(F.rows, rows if modulus is None else rows % modulus)
+        rows[0, 0] = 5
+        assert F.rows[0, 0] == (-18 if modulus is None else -18 % 7)
+        # the components are the rows as ring elements
+        assert [c.coeffs.tolist() for c in F.components] == F.rows.tolist()
+        assert {(c.n, c.modulus) for c in F.components} == {(3, modulus)}
 
 
 class TestSchoolbook:
@@ -195,9 +211,9 @@ class TestNormConjugate:
         for _ in range(100):
             F = rand_quat(rng, 3, 7)
             prod = quat_mul_schoolbook(F, conjugate(F))
-            nrm = quat_norm(F)
-            assert prod.c0 == nrm
-            assert is_zero(prod.c1) and is_zero(prod.c2) and is_zero(prod.c3)
+            c0, c1, c2, c3 = prod.components
+            assert c0 == quat_norm(F)
+            assert is_zero(c1) and is_zero(c2) and is_zero(c3)
 
     def test_norm_multiplicative(self):
         rng = random.Random(17)
@@ -238,7 +254,7 @@ def conv_norm(F):
 def conv_inverse_mod_p(F):
     """N(F)^-1 o conj(F) with the four products as convolutions (reference)."""
     ninv = ring_inverse(conv_norm(F))
-    return Quaternion(*(conv_mul(ninv, c) for c in conjugate(F).components))
+    return Quaternion([conv_mul(ninv, c).coeffs for c in conjugate(F).components], F.modulus)
 
 
 class TestEvaluationRoutes:
@@ -253,8 +269,7 @@ class TestEvaluationRoutes:
         rng = random.Random(seed)
         if ternary:
             # the shape keygen draws: small coefficients, first one unbalanced
-            F = Quaternion(*(RingElem(np.array([rng.randrange(-1, 2) for _ in range(n * n)]),
-                                      n, m) for _ in range(4)))
+            F = Quaternion([[rng.randrange(-1, 2) for _ in range(n * n)] for _ in range(4)], m)
         else:
             F = rand_quat(rng, n, m)
         CONV_COUNTER.reset()
@@ -282,7 +297,7 @@ class TestEvaluationRoutes:
 class TestRho:
     def test_constant_one(self, dom3):
         vals = rho(quat_one(3, 7), dom3)
-        assert np.array_equal(vals, np.tile([1, 0, 0, 0], (9, 1)))
+        assert np.array_equal(vals, np.tile([[1], [0], [0], [0]], (1, 9)))
 
     def test_product_homomorphism(self, dom3):
         rng = random.Random(19)
@@ -299,6 +314,8 @@ class TestRho:
         dom = eval_domain(n, q)
         rng = random.Random(seed)
         F, G = rand_quat(rng, n, q), rand_quat(rng, n, q)
+        # (4, n^2) like F.rows: row r holds the grid values of component r
+        assert np.array_equal(rho(F, dom), dom.transform(F.rows))
         assert rho_interpolate(rho(F, dom), dom) == F
         prod = rho_interpolate(rho_mul(rho(F, dom), rho(G, dom), q), dom)
         assert prod == quat_mul_schoolbook(F, G)
@@ -321,6 +338,8 @@ class TestRho:
         dom = product_domain(n, p)
         rng = random.Random(seed)
         F, G = rand_quat(rng, n, p), rand_quat(rng, n, p)
+        # the centered lifts' grid values, laid out like F.rows
+        assert np.array_equal(rho(F, dom), dom.transform(centered(F.rows, p)))
         assert rho_interpolate(rho(F, dom), dom, p) == F
         prod = rho_interpolate(rho_mul(rho(F, dom), rho(G, dom), dom.q), dom, p)
         assert prod == quat_mul_schoolbook(F, G)
@@ -333,10 +352,9 @@ class TestRho:
     def test_lagrange_indicator(self, dom3):
         a, b = dom3.points[5]
         lam = lagrange_interpolant(dom3, a, b)
-        z = ring_zero(3, 7)
-        vals = rho(Quaternion(lam, z, z, z), dom3)
-        expect = np.zeros((9, 4), dtype=np.int64)
-        expect[5, 0] = 1
+        vals = rho(Quaternion([lam.coeffs, *np.zeros((3, 9))], 7), dom3)
+        expect = np.zeros((4, 9), dtype=np.int64)
+        expect[0, 5] = 1
         assert np.array_equal(vals, expect)
 
 
@@ -358,7 +376,7 @@ class TestScalarQuat:
         n, q = nq
         rng = random.Random(seed)
         u, v = rand_rho(rng, n, q), rand_rho(rng, n, q)
-        expect = np.array([scalar_mul(a, b, q) for a, b in zip(u, v)], dtype=np.int64)
+        expect = np.array([scalar_mul(a, b, q) for a, b in zip(u.T, v.T)], dtype=np.int64).T
         assert np.array_equal(rho_mul(u, v, q), expect)
 
     @settings(max_examples=60, deadline=None)
@@ -366,23 +384,23 @@ class TestScalarQuat:
     def test_table_kernel_matches_row_formula(self, q, data):
         # entries negative and >= q, which rho_mul reduces mod q first
         size = data.draw(st.integers(1, 25))
-        rows = st.lists(st.lists(st.integers(-3 * q, 3 * q), min_size=4, max_size=4),
-                        min_size=size, max_size=size)
+        rows = st.lists(st.lists(st.integers(-3 * q, 3 * q), min_size=size, max_size=size),
+                        min_size=4, max_size=4)
         u = np.array(data.draw(rows), dtype=np.int64)
         v = np.array(data.draw(rows), dtype=np.int64)
         got = rho_mul(u, v, q)
-        assert got.dtype == np.int64 and got.shape == (size, 4)
+        assert got.dtype == np.int64 and got.shape == (4, size)
         assert np.array_equal(got, rho_mul_rows(u, v, q))
 
     @settings(max_examples=25, deadline=None)
     @given(nq=st.sampled_from(GRIDS), seed=st.integers(0, 2 ** 32))
     def test_norms_match_per_point(self, nq, seed):
-        # rows of an evaluation array, and one scalar quaternion such as
+        # columns of an evaluation array, and one scalar quaternion such as
         # keygen's weight W
         n, q = nq
         rng = random.Random(seed)
         u = rand_rho(rng, n, q)
-        assert rho_norms(u, q).tolist() == [scalar_norm(a, q) for a in u]
+        assert rho_norms(u, q).tolist() == [scalar_norm(a, q) for a in u.T]
         W = tuple(rng.randrange(1, q) for _ in range(4))
         assert rho_norms(W, q) == scalar_norm(W, q)
 
@@ -392,13 +410,13 @@ class TestScalarQuat:
         n, q = nq
         rng = random.Random(seed)
         u = rand_rho(rng, n, q)
-        zeros = [k for k in range(n * n) if scalar_norm(u[k], q) == 0]
+        zeros = [k for k in range(n * n) if scalar_norm(u[:, k], q) == 0]
         # T holds every zero-norm point and a few others
         T = sorted(set(zeros) | set(rng.sample(range(n * n), 2)))
         inv = rho_inverse(u, q, T)
         for k in range(n * n):
-            expect = (0, 0, 0, 0) if k in T else scalar_inverse(u[k], q)
-            assert tuple(inv[k]) == expect
+            expect = (0, 0, 0, 0) if k in T else scalar_inverse(u[:, k], q)
+            assert tuple(inv[:, k]) == expect
         # a zero-norm point left outside T is refused
         with pytest.raises(NormVanishesOutsideT):
             rho_inverse(u, q, [t for t in T if t != zeros[0]])
@@ -421,7 +439,7 @@ class TestInverseModJ:
         """Random F whose norm's grid zeros form a small nonempty T."""
         while True:
             F = rand_quat(rng, dom.n, dom.q)
-            norm_vals = dom.eval_all(quat_norm(F))
+            norm_vals = dom.transform(quat_norm(F).coeffs[None])[0]
             zeros = [k for k in range(dom.size) if norm_vals[k] == 0]
             if 1 <= len(zeros) <= 3:
                 return F, zeros
@@ -435,14 +453,14 @@ class TestInverseModJ:
             for k in range(dom3.size):
                 if k in T:
                     continue
-                assert tuple(prod_vals[k]) == (1, 0, 0, 0)
+                assert tuple(prod_vals[:, k]) == (1, 0, 0, 0)
 
     def test_one_with_any_T(self, dom3):
         one = quat_one(3, 7)
         inv = quat_inverse_mod_J(one, [0], dom3)
         vals = rho(quat_mul_schoolbook(one, inv), dom3)
         for k in range(1, 9):
-            assert tuple(vals[k]) == (1, 0, 0, 0)
+            assert tuple(vals[:, k]) == (1, 0, 0, 0)
 
     def test_norm_zero_outside_T_rejected(self, dom3):
         rng = random.Random(24)
@@ -457,11 +475,11 @@ class TestInverseModJ:
         dom = eval_domain(n, q)
         rng = random.Random(seed)
         vals = rand_rho(rng, n, q)
-        zeros = [k for k in range(n * n) if scalar_norm(vals[k], q) == 0]
+        zeros = [k for k in range(n * n) if scalar_norm(vals[:, k], q) == 0]
         F = rho_interpolate(vals, dom)
         Finv = quat_inverse_mod_J(F, zeros, dom)
         prod_vals = rho(quat_mul_schoolbook(F, Finv), dom)
         for k in range(n * n):
-            assert tuple(prod_vals[k]) == ((0, 0, 0, 0) if k in zeros else (1, 0, 0, 0))
+            assert tuple(prod_vals[:, k]) == ((0, 0, 0, 0) if k in zeros else (1, 0, 0, 0))
         with pytest.raises(NormVanishesOutsideT):
             quat_inverse_mod_J(F, zeros[1:], dom)

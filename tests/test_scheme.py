@@ -36,7 +36,6 @@ from bqtru.quat import Quaternion, quat_inverse_mod_p, quat_mul_schoolbook, rho,
 from bqtru.ring import (
     CONV_COUNTER,
     EvalDomain,
-    RingElem,
     centered,
     eval_domain,
     signed_ternary,
@@ -53,7 +52,6 @@ from bqtru.scheme import (
     keygen,
     message_capacity,
     random_message,
-    sample_ternary,
     serialize_ct,
     serialize_private,
     serialize_public,
@@ -88,26 +86,28 @@ def moderate_key():
 
 
 class TestSampleTernary:
+    """The scheme's ternary draws: d ones and d minus-ones in n^2 slots."""
+
     def test_zero_weight(self):
-        assert is_zero(sample_ternary(3, 0, random.Random(0)))
+        assert is_zero(signed_ternary(9, 0, 0, random.Random(0)))
 
     def test_counts(self):
-        f = sample_ternary(7, 7, random.Random(1))
-        vals, counts = np.unique(f.coeffs, return_counts=True)
+        f = signed_ternary(49, 7, 7, random.Random(1))
+        vals, counts = np.unique(f, return_counts=True)
         assert dict(zip(vals.tolist(), counts.tolist())) == {-1: 7, 0: 35, 1: 7}
 
     def test_weight_too_large(self):
         with pytest.raises(WeightTooLarge):
-            sample_ternary(3, 5, random.Random(2))
+            signed_ternary(9, 5, 5, random.Random(2))
 
     def test_mean_and_spread(self):
         rng = random.Random(3)
         total = np.zeros(49, dtype=np.int64)
         hit = np.zeros(49, dtype=np.int64)
         for _ in range(10_000):
-            f = sample_ternary(7, 7, rng)
-            total += f.coeffs
-            hit += f.coeffs != 0
+            f = signed_ternary(49, 7, 7, rng)
+            total += f
+            hit += f != 0
         assert abs(total.sum()) / 10_000 < 0.05
         # each slot is nonzero with probability 14/49
         assert np.allclose(hit / 10_000, 14 / 49, atol=0.02)
@@ -121,7 +121,7 @@ class TestKeygen:
         vals = rho(resid, dom)
         for k in range(9):
             if k not in sk.T:
-                assert not vals[k].any()
+                assert not vals[:, k].any()
 
     def test_rho_gamma_identity(self, moderate_key):
         # rho(F o H) = rho(G) + rho(gamma) pointwise
@@ -136,7 +136,7 @@ class TestKeygen:
         # gamma is supported on T: weights times W, carried through F
         for k in range(49):
             if k not in sk.T:
-                assert not np.asarray(sk.rho_gamma)[k].any()
+                assert not np.asarray(sk.rho_gamma)[:, k].any()
 
     def test_membership_identity(self, moderate_key):
         pk, sk = moderate_key
@@ -156,10 +156,10 @@ class TestKeygen:
 
     def test_F_weight_convention(self, moderate_key):
         _, sk = moderate_key
-        c0 = sk.F.c0.coeffs
+        c0 = sk.F.rows[0]
         assert (c0 == 1).sum() == 8 and (c0 == -1).sum() == 7
-        for c in sk.F.components[1:]:
-            assert (c.coeffs == 1).sum() == 7 and (c.coeffs == -1).sum() == 7
+        for c in sk.F.rows[1:]:
+            assert (c == 1).sum() == 7 and (c == -1).sum() == 7
 
     @pytest.mark.parametrize("params", [MODERATE, HIGHEST], ids=["moderate", "highest"])
     def test_public_key_gives_theta_away(self, params):
@@ -167,12 +167,12 @@ class TestKeygen:
         # H_i(1,1) * (n^2)^-1 times the all-ones polynomial in each
         # component: H - theta_hat is the plain NTRU key F^-1 o G mod q
         n, q = params.n, params.q
-        ones = RingElem(np.ones(params.nsq, dtype=np.int64), n, q)
+        ones = np.ones(params.nsq, dtype=np.int64)
         for seed in range(5):
             pk, sk = keygen(params, random.Random(seed))
             assert sk.T == (0,)  # grid index 0 is the point (1, 1)
-            theta_hat = Quaternion(*(ones.scale(int(c.coeffs.sum()) * pow(n * n, -1, q))
-                                     for c in pk.H.components))
+            theta_hat = Quaternion([ones * (int(c.sum()) * pow(n * n, -1, q)) for c in pk.H.rows],
+                                   q)
             H0 = quat_sub(pk.H, theta_hat)
             assert quat_mul_schoolbook(sk.F.with_modulus(q), H0) == sk.G.with_modulus(q)
 
@@ -204,7 +204,7 @@ class TestKeygen:
         def quat_norm(F):
             N = real_norm(F)
             if F.modulus == 113:
-                vals = dom.eval_all(N)
+                vals = dom.transform(N.coeffs[None])[0]
                 usable.append(all(vals[k] for k in range(49) if k not in current_T))
             return N
 
@@ -273,7 +273,7 @@ class TestEncrypt:
 
     def test_message_out_of_range(self, moderate_key):
         pk, _ = moderate_key
-        bad = quat_scale(quat_one(7), 2).rows()
+        bad = quat_scale(quat_one(7), 2).rows
         with pytest.raises(MessageOutOfRange):
             encrypt(pk, bad, random.Random(0))
 
@@ -297,11 +297,11 @@ class TestEncrypt:
         pk, _ = moderate_key
         rng = random.Random(64)
         M = random_message(MODERATE, rng)
-        phi = Quaternion(*(sample_ternary(7, 6, rng) for _ in range(4)))
-        ct = encrypt(pk, M, None, phi=phi.rows())
+        phi = Quaternion([signed_ternary(49, 6, 6, rng) for _ in range(4)])
+        ct = encrypt(pk, M, None, phi=phi.rows)
         direct = quat_add(quat_scale(quat_mul_schoolbook(pk.H, phi.with_modulus(113)), 3),
                           quat_from_vector(M, 7, 113))
-        assert np.array_equal(ct.C, direct.rows())
+        assert np.array_equal(ct.C, direct.rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,29 +331,29 @@ class TestEncryptAgainstSchoolbook:
         ct = encrypt(pk, M, None, phi=phi)
         direct = quat_add(quat_scale(quat_mul_schoolbook(pk.H, quat_from_vector(phi, n, q)), p),
                           quat_from_vector(M, n, q))
-        assert np.array_equal(ct.C, direct.rows()) and ct.q == q
+        assert np.array_equal(ct.C, direct.rows) and ct.q == q
         assert ct.C.dtype == np.int64
 
     @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=lambda P: f"n{P.n}")
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2 ** 32), data=st.data())
     def test_drawn_phi(self, params, seed, data):
-        # a drawn Phi is four sample_ternary components from the caller's rng, in order
+        # a drawn Phi is four signed_ternary rows from the caller's rng, in order
         pk, _ = set_key(params)
-        half = (params.p - 1) // 2
+        half, d = (params.p - 1) // 2, params.d_phi
         M = data.draw(ring_rows(params.n, -half, half))
         rng = random.Random(seed)
-        phi = Quaternion(*(sample_ternary(params.n, params.d_phi, rng) for _ in range(4)))
+        phi = np.array([signed_ternary(params.nsq, d, d, rng) for _ in range(4)])
         ct = encrypt(pk, M, random.Random(seed))
-        assert np.array_equal(ct.C, encrypt(pk, M, None, phi=phi.rows()).C)
+        assert np.array_equal(ct.C, encrypt(pk, M, None, phi=phi).C)
 
     @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=lambda P: f"n{P.n}")
     def test_other_n_raises_context_mismatch(self, params):
         pk, _ = set_key(params)
         n = params.n
-        M, other_M = zeros(n), quat_one(n + 1).rows()
-        other_phi = Quaternion(*(sample_ternary(n + 1, 1, random.Random(2))
-                                 for _ in range(4))).rows()
+        M, other_M = zeros(n), quat_one(n + 1).rows
+        other_phi = np.array([signed_ternary((n + 1) ** 2, 1, 1, random.Random(2))
+                              for _ in range(4)])
         with pytest.raises(ContextMismatch):
             encrypt(pk, other_M, random.Random(3))
         with pytest.raises(ContextMismatch):
@@ -540,7 +540,8 @@ def secret_points_text(sk, T):
     g[:, 0], g[:, 1] = 1, -1
     g_line = " ".join(map(str, g.reshape(-1)))
     rho_theta = scheme._rho_theta(T, [1] * len(T), sk.W, params)
-    rho_gamma = quat.rho_mul(sk.rho_F, rho_theta, params.q).reshape(-1)
+    # the file lists rho(gamma) point by point
+    rho_gamma = quat.rho_mul(sk.rho_F, rho_theta, params.q).T.reshape(-1)
     replace = {"T": " ".join(map(str, T)), "weights": " ".join("1" for _ in T),
                "rhogamma": " ".join(map(str, rho_gamma)),
                **{f"g{i}": g_line for i in range(4)}}
@@ -1088,7 +1089,7 @@ class TestKeyValidation:
         elif label == "T":
             # a grid point where G does not vanish
             rho_G = rho(sk.G.with_modulus(q), eval_domain(sk.params.n, q))
-            vals = [int(np.flatnonzero(rho_G.any(axis=1))[0])]
+            vals = [int(np.flatnonzero(rho_G.any(axis=0))[0])]
         else:
             vals[0] = vals[0] % (q - 1) + 1
         return replace_field(text, label, " ".join(map(str, vals)))
@@ -1114,9 +1115,8 @@ class TestKeyValidation:
         params, dom = sk.params, eval_domain(7, 113)
         rng = random.Random(85)
         for _ in range(2000):
-            comps = [RingElem(signed_ternary(49, params.d_f + 1, params.d_f, rng), 7)]
-            comps += [sample_ternary(7, params.d_f, rng) for _ in range(3)]
-            F = Quaternion(*comps)
+            F = Quaternion([signed_ternary(49, params.d_f + 1, params.d_f, rng)]
+                           + [signed_ternary(49, params.d_f, params.d_f, rng) for _ in range(3)])
             norms = rho_norms(rho(F.with_modulus(113), dom), 113)
             if not set(np.flatnonzero(norms == 0).tolist()) <= set(sk.T):
                 continue
@@ -1126,9 +1126,9 @@ class TestKeyValidation:
                 rho_theta = scheme._rho_theta(sk.T, sk.weights, sk.W, params)
                 rho_gamma = quat.rho_mul(rho(F.with_modulus(113), dom), rho_theta, 113)
                 text = replace_field(serialize_private(sk), "rhogamma",
-                                     " ".join(map(str, rho_gamma.reshape(-1))))
-                for i, c in enumerate(F.components):
-                    text = replace_field(text, f"f{i}", " ".join(map(str, c.coeffs)))
+                                     " ".join(map(str, rho_gamma.T.reshape(-1))))
+                for i, c in enumerate(F.rows):
+                    text = replace_field(text, f"f{i}", " ".join(map(str, c)))
                 return text
         pytest.fail("no F with N(F) vanishing only inside T is singular mod p")
 
