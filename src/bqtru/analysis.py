@@ -16,7 +16,7 @@ import numpy as np
 
 from .lattice import poltyrev_sigma_max
 from .params import Params
-from .ring import RingElem, as_rng
+from .ring import as_rng
 from .scheme import decrypt, encrypt, keygen, random_message
 
 
@@ -177,20 +177,20 @@ def poltyrev_sigma_sq_max(params: Params, t_size: int) -> float:
 # fold to a univariate convolution ring
 # ---------------------------------------------------------------------------
 
-def fold_to_univariate(f: RingElem, r: int, s: int) -> np.ndarray:
-    """Image of f under x -> t^r, y -> t^s into Z[t]/(t^n - 1).
+def fold_to_univariate(f, r: int, s: int) -> np.ndarray:
+    """Image over Z of the coefficient row f under x -> t^r, y -> t^s, into
+    Z[t]/(t^n - 1); the caller reduces it.
 
     A ring homomorphism for every choice of exponents: cyclic convolution
     in two variables maps to cyclic convolution in one.
     """
-    n = f.n
+    n = math.isqrt(len(f))
     if not (0 <= r < n and 0 <= s < n):
         raise ValueError("fold exponents must lie in [0, n)")
     idx = np.arange(n * n)
-    target = (r * (idx // n) + s * (idx % n)) % n
     out = np.zeros(n, dtype=np.int64)
-    np.add.at(out, target, f.coeffs)
-    return out % f.modulus if f.modulus is not None else out
+    np.add.at(out, (r * (idx // n) + s * (idx % n)) % n, f)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ def derive_T(rho_G: np.ndarray) -> list:
 
 def _quat_block_matrix(H: Quaternion) -> np.ndarray:
     """4x4 block matrix M with vector(F) @ M == vector(F o H) for every F."""
-    H0, H1, H2, H3 = (mult_matrix(c) for c in H.components)
+    H0, H1, H2, H3 = (mult_matrix(c) for c in H.rows)
     return np.block([
         [H0, H1, H2, H3],
         [H1, H0, H3, H2],

@@ -2,14 +2,14 @@
 
 Products are available in two equivalent coefficient-domain forms: the
 schoolbook expansion (16 ring products) and the Strassen route through
-the 2x2 matrix image (7 ring products).  Both count their convolutions in
-ring.CONV_COUNTER; they are the paper's reference paths.
+the 2x2 matrix image (7 ring products).  Both convolve the operands' rows
+with ring.conv_mul, which counts them in ring.CONV_COUNTER; they are the
+paper's reference paths.
 
 A quaternion is one int64 (4, n**2) array, a row of coefficients per
-component; components gives the RingElem views the convolution paths
-take.  Mod q it is also its evaluation array rho(F), of the same layout:
-column k is the scalar quaternion F(points[k]) over Z_q.  rho is an
-isomorphism of algebras, so a mod-q product is rho_mul of two arrays
+component.  Mod q it is also its evaluation array rho(F), of the same
+layout: column k is the scalar quaternion F(points[k]) over Z_q.  rho is
+an isomorphism of algebras, so a mod-q product is rho_mul of two arrays
 (n**2 scalar products as one table gather and one einsum, no
 convolution) and rho_interpolate maps back.  These two are the one pair
 of grid maps, for F's own domain and for ring.product_domain alike: rho
@@ -30,11 +30,12 @@ are reference paths in tests/oracles.py.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .errors import ContextMismatch, EvenModulus, NormVanishesOutsideT
-from .ring import EvalDomain, RingElem, centered, conv_mul, product_domain, ring_inverse
+from .ring import EvalDomain, centered, conv_mul, product_domain, ring_inverse
 
 # componentwise signs of conj(F) = c0 - c1*i - c2*j - c3*k, one per row
 _CONJ = np.array([[1], [-1], [-1], [-1]])
@@ -58,11 +59,6 @@ class Quaternion:
     def n(self) -> int:
         return math.isqrt(self.rows.shape[1])
 
-    @property
-    def components(self):
-        """The four components as RingElems, for the convolution reference paths."""
-        return tuple(RingElem(r, self.n, self.modulus) for r in self.rows)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quaternion):
             return NotImplemented
@@ -75,60 +71,62 @@ class Quaternion:
         return f"Quaternion(n={self.n}, mod={self.modulus})"
 
 
+def _common_modulus(F: Quaternion, G: Quaternion):
+    if F.modulus != G.modulus:
+        raise ContextMismatch(f"moduli {F.modulus} and {G.modulus}")
+    return F.modulus
+
+
 def quat_mul_schoolbook(F: Quaternion, G: Quaternion) -> Quaternion:
     """Direct product expansion; exactly 16 convolution products."""
-    f0, f1, f2, f3 = F.components
-    g0, g1, g2, g3 = G.components
-    c0 = conv_mul(f0, g0) + conv_mul(f1, g1) + conv_mul(f2, g2) - conv_mul(f3, g3)
-    c1 = conv_mul(f0, g1) + conv_mul(f1, g0) - conv_mul(f2, g3) + conv_mul(f3, g2)
-    c2 = conv_mul(f0, g2) + conv_mul(f1, g3) + conv_mul(f2, g0) - conv_mul(f3, g1)
-    c3 = conv_mul(f0, g3) + conv_mul(f1, g2) - conv_mul(f2, g1) + conv_mul(f3, g0)
-    return Quaternion([c.coeffs for c in (c0, c1, c2, c3)], F.modulus)
+    m = _common_modulus(F, G)
+    f0, f1, f2, f3 = F.rows
+    g0, g1, g2, g3 = G.rows
+    mul = partial(conv_mul, m=m)
+    return Quaternion([
+        mul(f0, g0) + mul(f1, g1) + mul(f2, g2) - mul(f3, g3),
+        mul(f0, g1) + mul(f1, g0) - mul(f2, g3) + mul(f3, g2),
+        mul(f0, g2) + mul(f1, g3) + mul(f2, g0) - mul(f3, g1),
+        mul(f0, g3) + mul(f1, g2) - mul(f2, g1) + mul(f3, g0),
+    ], m)
 
 
-def quat_to_matrix(F: Quaternion):
-    """2x2 matrix image [[c0+c1, c2+c3], [c2-c3, c0-c1]] of the algebra isomorphism."""
-    c0, c1, c2, c3 = F.components
-    return [[c0 + c1, c2 + c3], [c2 - c3, c0 - c1]]
+def quat_to_matrix(F: Quaternion) -> np.ndarray:
+    """2x2 matrix image [[c0+c1, c2+c3], [c2-c3, c0-c1]] of the algebra
+    isomorphism, a (2, 2, n**2) array of unreduced rows."""
+    c0, c1, c2, c3 = F.rows
+    return np.array([[c0 + c1, c2 + c3], [c2 - c3, c0 - c1]])
 
 
-def matrix_to_quat(M) -> Quaternion:
-    """Inverse of quat_to_matrix; requires an odd modulus (divides by 2)."""
-    m = M[0][0].modulus
+def matrix_to_quat(M, m: int) -> Quaternion:
+    """Inverse of quat_to_matrix mod m; requires an odd modulus (divides by 2)."""
     if m is None or m % 2 == 0:
         raise EvenModulus("matrix image inversion needs an odd modulus")
-    inv2 = (m + 1) // 2
-    c0 = (M[0][0] + M[1][1]).scale(inv2)
-    c1 = (M[0][0] - M[1][1]).scale(inv2)
-    c2 = (M[0][1] + M[1][0]).scale(inv2)
-    c3 = (M[0][1] - M[1][0]).scale(inv2)
-    return Quaternion([c.coeffs for c in (c0, c1, c2, c3)], m)
+    (a, b), (c, d) = M
+    return Quaternion(np.array([a + d, a - d, b + c, b - c]) % m * ((m + 1) // 2), m)
 
 
 def quat_mul_strassen(F: Quaternion, G: Quaternion) -> Quaternion:
-    """Product via Strassen's seven multiplications on the 2x2 images."""
-    m = F.modulus
-    if m is None or m % 2 == 0:
-        raise EvenModulus("Strassen recombination needs the inverse of 2")
-    A = quat_to_matrix(F)
-    B = quat_to_matrix(G)
-    m1 = conv_mul(A[0][0] + A[1][1], B[0][0] + B[1][1])
-    m2 = conv_mul(A[1][0] + A[1][1], B[0][0])
-    m3 = conv_mul(A[0][0], B[0][1] - B[1][1])
-    m4 = conv_mul(A[1][1], B[1][0] - B[0][0])
-    m5 = conv_mul(A[0][0] + A[0][1], B[1][1])
-    m6 = conv_mul(A[1][0] - A[0][0], B[0][0] + B[0][1])
-    m7 = conv_mul(A[0][1] - A[1][1], B[1][0] + B[1][1])
-    C = [[m1 + m4 - m5 + m7, m3 + m5], [m2 + m4, m1 - m2 + m3 + m6]]
-    return matrix_to_quat(C)
-
-
-def quat_norm(F: Quaternion) -> RingElem:
-    """N(F) = c0^2 - c1^2 - c2^2 + c3^2; satisfies F o conj(F) = N(F).
-
-    Computed pointwise in ring.product_domain, with no convolution; the
-    modulus must be an odd prime.
+    """Product via Strassen's seven multiplications on the 2x2 images; the
+    recombination needs an odd modulus.  conv_mul reduces the unreduced
+    sums it gets mod m, so every product is exact under params.fits_int64.
     """
+    m = _common_modulus(F, G)
+    (a00, a01), (a10, a11) = quat_to_matrix(F)
+    (b00, b01), (b10, b11) = quat_to_matrix(G)
+    m1 = conv_mul(a00 + a11, b00 + b11, m)
+    m2 = conv_mul(a10 + a11, b00, m)
+    m3 = conv_mul(a00, b01 - b11, m)
+    m4 = conv_mul(a11, b10 - b00, m)
+    m5 = conv_mul(a00 + a01, b11, m)
+    m6 = conv_mul(a10 - a00, b00 + b01, m)
+    m7 = conv_mul(a01 - a11, b10 + b11, m)
+    return matrix_to_quat([[m1 + m4 - m5 + m7, m3 + m5], [m2 + m4, m1 - m2 + m3 + m6]], m)
+
+
+def quat_norm(F: Quaternion) -> np.ndarray:
+    """N(F) = c0^2 - c1^2 - c2^2 + c3^2, a row mod F.modulus (an odd prime),
+    with F o conj(F) = N(F); pointwise in ring.product_domain, no convolution."""
     m = F.modulus
     if m is None:
         raise ValueError("the quaternion norm needs a prime modulus")
@@ -136,10 +134,9 @@ def quat_norm(F: Quaternion) -> RingElem:
     return _norm_from_rho(rho(F, dom), dom, m)
 
 
-def _norm_from_rho(rho_F: np.ndarray, dom: EvalDomain, m: int) -> RingElem:
-    """N(F) mod m from F's evaluation array on product_domain(F.n, m)."""
-    coeffs = centered(dom.inverse_transform(rho_norms(rho_F, dom.q)[None])[0], dom.q)
-    return RingElem(coeffs, dom.n, m)
+def _norm_from_rho(rho_F: np.ndarray, dom: EvalDomain, m: int) -> np.ndarray:
+    """N(F) mod m, a row in [0, m), from F's evaluation array on product_domain(F.n, m)."""
+    return centered(dom.inverse_transform(rho_norms(rho_F, dom.q)[None])[0], dom.q) % m
 
 
 def quat_inverse_mod_p(F: Quaternion) -> Quaternion:
@@ -152,8 +149,8 @@ def quat_inverse_mod_p(F: Quaternion) -> Quaternion:
     m = F.modulus
     dom = product_domain(F.n, m)
     rho_F = rho(F, dom)
-    ninv = ring_inverse(_norm_from_rho(rho_F, dom, m))
-    ninv_vals = dom.transform(centered(ninv.coeffs, m)[None])[0]
+    ninv = ring_inverse(_norm_from_rho(rho_F, dom, m), m)
+    ninv_vals = dom.transform(centered(ninv, m)[None])[0]
     return rho_interpolate(ninv_vals * _CONJ * rho_F % dom.q, dom, m)
 
 

@@ -1,10 +1,11 @@
 """Exact arithmetic in Z_m[x,y]/(x^n - 1, y^n - 1).
 
-Elements are length-n**2 coefficient vectors; the coefficient of x^a y^b
-lives at index a*n + b (x-major lexicographic order).  The modulus is an
-odd prime, or None for unreduced integer arithmetic.  Coefficients are
-int64, so a product is exact while n**2 * (m-1)**2 < 2**63
-(params.fits_int64); Params rejects larger moduli.
+An element is an int64 length-n**2 coefficient row, as each row of a
+quaternion is; the coefficient of x^a y^b lives at index a*n + b
+(x-major lexicographic order).  The modulus is an argument of each
+operation: an odd prime, or None for unreduced integer arithmetic.
+conv_mul reduces both rows mod m first, so a product is exact while
+n**2 * (m-1)**2 < 2**63 (params.fits_int64); Params rejects larger moduli.
 
 Inverses are powers: every unit u satisfies u**e == 1 for
 e = (m**k - 1) * m**s, where n = m**s * n' with m not dividing n' and
@@ -36,6 +37,7 @@ random.Random (as_rng).
 
 from __future__ import annotations
 
+import math
 import random
 from functools import cached_property, lru_cache
 
@@ -70,67 +72,6 @@ def _sub_index(n: int) -> np.ndarray:
     return (((a[None, :] - c) % n) * n + (b[None, :] - d) % n).T
 
 
-class RingElem:
-    """Element of Z_m[x,y]/(x^n-1, y^n-1) as a coefficient vector."""
-
-    __slots__ = ("coeffs", "modulus", "n")
-
-    def __init__(self, coeffs, n: int, modulus=None):
-        arr = np.asarray(coeffs, dtype=np.int64).copy()
-        if arr.shape != (n * n,):
-            raise ValueError(f"expected {n * n} coefficients, got {arr.shape}")
-        if modulus is not None:
-            arr %= modulus
-        self.coeffs = arr
-        self.n = n
-        self.modulus = modulus
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def one(cls, n: int, modulus=None) -> "RingElem":
-        c = np.zeros(n * n, dtype=np.int64)
-        c[0] = 1
-        return cls(c, n, modulus)
-
-    # -- context ------------------------------------------------------
-    def _check_ctx(self, other: "RingElem"):
-        if self.n != other.n or self.modulus != other.modulus:
-            raise ContextMismatch(
-                f"(n={self.n}, m={self.modulus}) vs (n={other.n}, m={other.modulus})"
-            )
-
-    # -- arithmetic ---------------------------------------------------
-    def __add__(self, other: "RingElem") -> "RingElem":
-        self._check_ctx(other)
-        return RingElem(self.coeffs + other.coeffs, self.n, self.modulus)
-
-    def __sub__(self, other: "RingElem") -> "RingElem":
-        self._check_ctx(other)
-        return RingElem(self.coeffs - other.coeffs, self.n, self.modulus)
-
-    def __neg__(self) -> "RingElem":
-        return RingElem(-self.coeffs, self.n, self.modulus)
-
-    def __mul__(self, other: "RingElem") -> "RingElem":
-        return conv_mul(self, other)
-
-    def scale(self, c: int) -> "RingElem":
-        """Scalar multiple; not counted as a convolution."""
-        return RingElem(self.coeffs * c, self.n, self.modulus)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RingElem):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.modulus == other.modulus
-            and bool(np.array_equal(self.coeffs, other.coeffs))
-        )
-
-    def __repr__(self):
-        return f"RingElem(n={self.n}, mod={self.modulus}, {self.coeffs.tolist()})"
-
-
 def centered(a, m: int) -> np.ndarray:
     """Residues of a mod m in (-m/2, m/2]: [-(m-1)/2, (m-1)/2] for odd m,
     [-m/2 + 1, m/2] for even m."""
@@ -155,20 +96,31 @@ def as_rng(rng) -> random.Random:
     return rng if isinstance(rng, random.Random) else random.Random(rng)
 
 
-def conv_mul(f: RingElem, g: RingElem) -> RingElem:
-    """2-D cyclic convolution product."""
-    f._check_ctx(g)
-    CONV_COUNTER.count += 1
-    res = g.coeffs[_sub_index(f.n)] @ f.coeffs
-    return RingElem(res, f.n, f.modulus)
+def conv_mul(f, g, m=None) -> np.ndarray:
+    """2-D cyclic convolution product of two length-n**2 rows.
 
-
-def mult_matrix(f: RingElem) -> np.ndarray:
-    """Matrix M with row r equal to the coefficient vector of (monomial_r * f).
-
-    Satisfies vec(g) @ M = vec(g * f) for every g in the same ring.
+    With a modulus m both rows are reduced mod m first, so the product is
+    exact under params.fits_int64 whatever sums the caller passes, and the
+    result lies in [0, m).  Rows of different lengths raise ContextMismatch.
     """
-    return f.coeffs[_sub_index(f.n)].T.copy()
+    f, g = np.asarray(f, dtype=np.int64), np.asarray(g, dtype=np.int64)
+    n = math.isqrt(f.size)
+    if f.shape != (n * n,) or g.shape != f.shape:
+        raise ContextMismatch(f"rows of shapes {f.shape} and {g.shape}, not one length n**2")
+    if m is not None:
+        f, g = f % m, g % m
+    CONV_COUNTER.count += 1
+    res = g[_sub_index(n)] @ f
+    return res if m is None else res % m
+
+
+def mult_matrix(f) -> np.ndarray:
+    """Matrix M with row r equal to the coefficient row of (monomial_r * f).
+
+    Satisfies g @ M = conv_mul(g, f) for every row g of the same length.
+    """
+    f = np.asarray(f, dtype=np.int64)
+    return f[_sub_index(math.isqrt(f.size))].T.copy()
 
 
 class EvalDomain:
@@ -299,33 +251,30 @@ def _frobenius_index(n: int, m: int) -> np.ndarray:
     return (idx // n * m % n) * n + idx % n * m % n
 
 
-def frobenius(f: RingElem) -> RingElem:
-    """f**m for f over Z_m, m prime: f(x^m, y^m), no convolution.
+def frobenius(f, m: int) -> np.ndarray:
+    """f**m mod m, m prime: f(x^m, y^m), no convolution.
 
     The m-th power is additive in characteristic m and fixes Z_m, so it
     moves each coefficient to its monomial raised to the m-th power;
     coefficients that land on one monomial (when m divides n) add up.
     """
-    m = f.modulus
-    if m is None:
-        raise ValueError("the Frobenius map needs a prime modulus")
-    out = np.zeros_like(f.coeffs)
-    np.add.at(out, _frobenius_index(f.n, m), f.coeffs)
-    return RingElem(out, f.n, m)
+    out = np.zeros(len(f), dtype=np.int64)
+    np.add.at(out, _frobenius_index(math.isqrt(len(f)), m), f)
+    return out % m
 
 
-def _power(f: RingElem, d: int) -> RingElem:
-    """f**d, d >= 1, by left-to-right square-and-multiply."""
+def _power(f: np.ndarray, d: int, m: int) -> np.ndarray:
+    """f**d mod m, d >= 1, by left-to-right square-and-multiply."""
     u = f
     for bit in bin(d)[3:]:
-        u = conv_mul(u, u)
+        u = conv_mul(u, u, m)
         if bit == "1":
-            u = conv_mul(u, f)
+            u = conv_mul(u, f, m)
     return u
 
 
-def ring_inverse(f: RingElem) -> RingElem:
-    """Inverse of f in Z_m[x,y]/(x^n-1, y^n-1), m an odd prime.
+def ring_inverse(f, m: int) -> np.ndarray:
+    """Inverse mod m of the row f in Z_m[x,y]/(x^n-1, y^n-1), m an odd prime.
 
     Every unit satisfies u**e == 1 (see _unit_exponent), so the inverse is
     f**(e-1).  With the base-m digits d_j of e-1, Horner's rule
@@ -335,21 +284,20 @@ def ring_inverse(f: RingElem) -> RingElem:
     convolutions at n = 11 and 7 at n = 7 (m = 3, counting the check).
     Raises NotInvertible when f * f**(e-1) is not 1.
     """
-    m, n = f.modulus, f.n
-    if m is None:
-        raise ValueError("modulus required")
+    f = np.asarray(f, dtype=np.int64) % m
+    n = math.isqrt(f.size)
     if not fits_int64(n, m):
         raise ValueError(f"modulus {m} is too large for int64 convolution")
     digits, r = [], _unit_exponent(n, m) - 1
     while r:
         r, d = divmod(r, m)
         digits.append(d)
-    powers = {d: _power(f, d) for d in set(digits) if d}
+    powers = {d: _power(f, d, m) for d in set(digits) if d}
     u = powers[digits[-1]]
     for d in reversed(digits[:-1]):
-        u = frobenius(u)
+        u = frobenius(u, m)
         if d:
-            u = conv_mul(u, powers[d])
-    if conv_mul(f, u) != RingElem.one(n, m):
+            u = conv_mul(u, powers[d], m)
+    if conv_mul(f, u, m).tolist() != [1] + [0] * (n * n - 1):
         raise NotInvertible("element is not a unit")
     return u

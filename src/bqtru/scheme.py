@@ -72,6 +72,9 @@ class PublicKey:
 # and key load admit only secret sets T whose scan stays within this bound
 MAX_SCAN_CLASSES = 2 ** 16
 
+# keygen draws at most this many F for each usable G before drawing a new G
+F_DRAWS_PER_G = 100
+
 
 def _scannable(T, q: int) -> bool:
     """Whether decryption can scan the cosets of a secret set T exactly."""
@@ -177,16 +180,15 @@ def _rho_theta(T, weights, W, params: Params) -> np.ndarray:
     return rho_theta
 
 
-def _find_F(params: Params, T, dom: EvalDomain, rng: random.Random,
-            attempts: int = 100):
+def _find_F(params: Params, T, dom: EvalDomain, rng: random.Random):
     """(F, F^-1 mod p) for an F whose norm vanishes only inside T and is
-    invertible mod p, or None when every attempt fails."""
+    invertible mod p, or None when all F_DRAWS_PER_G draws fail."""
     nsq, d_f = params.nsq, params.d_f
-    for _ in range(attempts):
+    for _ in range(F_DRAWS_PER_G):
         F = Quaternion([signed_ternary(nsq, d_f + 1, d_f, rng)]
                        + [signed_ternary(nsq, d_f, d_f, rng) for _ in range(3)])
         norm = quat_norm(F.with_modulus(dom.q))
-        if norm_zeros_off_T(dom.transform(norm.coeffs[None])[0], T).size:
+        if norm_zeros_off_T(dom.transform(norm[None])[0], T).size:
             continue
         try:
             return F, quat_inverse_mod_p(F.with_modulus(params.p))

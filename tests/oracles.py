@@ -38,7 +38,7 @@ from bqtru.quat import (
     rho_interpolate,
     rho_inverse,
 )
-from bqtru.ring import EvalDomain, RingElem, centered, conv_mul, signed_ternary
+from bqtru.ring import EvalDomain, centered, conv_mul, signed_ternary
 from bqtru.scheme import keygen, message_capacity, random_message
 
 
@@ -75,15 +75,15 @@ class LatticeBasis:
 # constants and predicates that only the tests need
 # ---------------------------------------------------------------------------
 
-def ring_zero(n: int, modulus=None) -> RingElem:
-    return RingElem(np.zeros(n * n, dtype=np.int64), n, modulus)
+def ring_zero(n: int) -> np.ndarray:
+    return np.zeros(n * n, dtype=np.int64)
 
 
-def monomial(n: int, a: int, b: int, coeff: int = 1, modulus=None) -> RingElem:
-    """coeff * x^a y^b."""
-    c = np.zeros(n * n, dtype=np.int64)
+def monomial(n: int, a: int, b: int, coeff: int = 1) -> np.ndarray:
+    """coeff * x^a y^b as a coefficient row."""
+    c = ring_zero(n)
     c[(a % n) * n + (b % n)] = coeff
-    return RingElem(c, n, modulus)
+    return c
 
 
 def quat_unit(which: str, n: int, modulus=None) -> Quaternion:
@@ -129,23 +129,18 @@ def quat_from_vector(vec, n: int, modulus=None) -> Quaternion:
     return Quaternion(np.asarray(vec).reshape(4, n * n), modulus)
 
 
-def lift_centered(x):
-    """A RingElem or Quaternion with each coefficient mapped to its centered
-    representative mod its modulus, and no modulus."""
-    if x.modulus is not None and x.modulus % 2 == 0:
+def lift_centered(F: Quaternion) -> Quaternion:
+    """F with each coefficient mapped to its centered representative mod
+    its modulus, and no modulus."""
+    if F.modulus is not None and F.modulus % 2 == 0:
         raise ValueError("centered lift requires an odd modulus")
-    if isinstance(x, Quaternion):
-        return Quaternion(x.rows if x.modulus is None else centered(x.rows, x.modulus))
-    coeffs = x.coeffs if x.modulus is None else centered(x.coeffs, x.modulus)
-    return RingElem(coeffs, x.n, None)
+    return Quaternion(F.rows if F.modulus is None else centered(F.rows, F.modulus))
 
 
 def is_zero(x) -> bool:
-    """Whether a RingElem, a Quaternion or an array is zero."""
+    """Whether a Quaternion or an array is zero."""
     if isinstance(x, Quaternion):
         x = x.rows
-    elif isinstance(x, RingElem):
-        x = x.coeffs
     return not np.asarray(x).any()
 
 
@@ -153,42 +148,41 @@ def is_zero(x) -> bool:
 # evaluation and interpolation on the grid
 # ---------------------------------------------------------------------------
 
-def ring_eval(f: RingElem, a: int, b: int) -> int:
-    """Evaluate f at (a, b) in Z_q; a ring homomorphism for modulus q."""
-    q = f.modulus
-    if q is None:
-        raise ValueError("evaluation requires a modular context")
-    n = f.n
+def ring_eval(f, a: int, b: int, q: int) -> int:
+    """Evaluate the coefficient row f at (a, b) in Z_q; a ring homomorphism mod q."""
+    f = np.asarray(f, dtype=np.int64) % q
+    n = math.isqrt(f.size)
     pa = np.ones(n, dtype=np.int64)
     pb = np.ones(n, dtype=np.int64)
     for i in range(1, n):
         pa[i] = pa[i - 1] * a % q
         pb[i] = pb[i - 1] * b % q
-    grid = f.coeffs.reshape(n, n)
+    grid = f.reshape(n, n)
     return int((pa @ (grid @ pb % q)) % q)
 
 
-def lagrange_interpolant(dom: EvalDomain, a: int, b: int) -> RingElem:
+def lagrange_interpolant(dom: EvalDomain, a: int, b: int) -> np.ndarray:
     """The unique element that is 1 at (a, b) and 0 at every other grid point."""
     try:
         k = dom.points.index((a % dom.q, b % dom.q))
     except ValueError:
         raise NotAGridPoint(f"({a}, {b}) is not on the grid")
-    return RingElem(dom.lagrange_matrix[k], dom.n, dom.q)
+    return dom.lagrange_matrix[k].copy()
 
 
-def absorb_check(alpha: RingElem, dom: EvalDomain, a: int, b: int) -> bool:
-    """Check alpha * lam_{a,b} == alpha(a,b) * lam_{a,b} coefficientwise."""
+def absorb_check(alpha, dom: EvalDomain, a: int, b: int) -> bool:
+    """Check alpha * lam_{a,b} == alpha(a,b) * lam_{a,b} coefficientwise mod dom.q."""
     lam = lagrange_interpolant(dom, a, b)
-    return conv_mul(alpha, lam) == lam.scale(ring_eval(alpha, a, b))
+    return np.array_equal(conv_mul(alpha, lam, dom.q),
+                          lam * ring_eval(alpha, a, b, dom.q) % dom.q)
 
 
-def interpolate(dom: EvalDomain, values) -> RingElem:
+def interpolate(dom: EvalDomain, values) -> np.ndarray:
     """Inverse of grid evaluation: the element taking the given grid values."""
     vals = np.asarray(values, dtype=np.int64)
     if vals.shape != (dom.size,):
         raise ValueError(f"expected {dom.size} values")
-    return RingElem(dom.inverse_transform(vals[None])[0], dom.n, dom.q)
+    return dom.inverse_transform(vals[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +250,7 @@ def quat_inverse_mod_J(F: Quaternion, t_indices, dom: EvalDomain) -> Quaternion:
     return rho_interpolate(rho_inverse(rho(F, dom), dom.q, t_indices), dom)
 
 
-def build_sigma(T, weights, dom: EvalDomain) -> RingElem:
+def build_sigma(T, weights, dom: EvalDomain) -> np.ndarray:
     """sigma = sum_i weights[i] * lambda_{T[i]}; evaluates to weights on T, 0 off T."""
     if len(T) != len(weights):
         raise ValueError("need one weight per T index")

@@ -6,6 +6,9 @@ name counts as called when src/bqtru loads it, as a name or as an
 attribute, outside its own definition; an import does not count.  A class
 method counts as called only through its class (Class.name), because its
 name alone may be another class's method of the same name.
+
+Every module in src/bqtru and tests loads each name it imports; a name
+listed in the module's __all__ counts as loaded.
 """
 
 import ast
@@ -15,6 +18,7 @@ import pathlib
 import bqtru
 
 SRC = pathlib.Path(bqtru.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 # kept without a caller, each for the open ROADMAP item that will call it
 AWAITING_CALLER = {
@@ -112,3 +116,44 @@ def test_guard_sees_methods():
 def test_exemptions_name_definitions():
     defined = {d.name for tree in _trees().values() for d in _definitions(tree)}
     assert AWAITING_CALLER <= defined
+
+
+def _unused_imports(tree):
+    """Names the module imports but never loads, in import order."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+    used = {sub.id for sub in ast.walk(tree)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_every_import_is_used():
+    unused = {}
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        names = _unused_imports(ast.parse(path.read_text(), str(path)))
+        if names:
+            unused[f"{path.parent.name}/{path.name}"] = names
+    assert unused == {}
+
+
+def test_import_guard_sees_unused_names():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import comb, gcd, isqrt\n"
+        "from .ring import RingElem\n"
+        "__all__ = ['gcd']\n"
+        "def f(x: np.ndarray):\n"
+        "    comb = 1\n"
+        "    return x.isqrt(os.sep)\n")
+    # a store or an attribute of the same name is not a load of the import
+    assert _unused_imports(tree) == ["comb", "isqrt", "RingElem"]
