@@ -9,17 +9,22 @@ paper's reference paths.
 A quaternion is one int64 (4, n**2) array, a row of coefficients per
 component.  Mod q it is also its evaluation array rho(F), of the same
 layout: column k is the scalar quaternion F(points[k]) over Z_q.  rho is
-an isomorphism of algebras, so a mod-q product is rho_mul of two arrays
-(n**2 scalar products as one table gather and one einsum, no
-convolution) and rho_interpolate maps back.  These two are the one pair
-of grid maps, for F's own domain and for ring.product_domain alike: rho
-transforms the centered lifts of the coefficients, and rho_interpolate
-reduces the centered result mod the target modulus.  So the norm N(F)
-and the inverse mod p, N(F)^-1 o conj(F), run pointwise on an auxiliary
-prime's grid, and quat_inverse_mod_p convolves only inside ring_inverse.
-rho_inverse inverts pointwise off the secret set T, which is how keygen
-inverts F modulo the secret ideal.  rho_norms is the one
-scalar-quaternion norm: it gives the grid values of N(F), and keygen
+an isomorphism of algebras, so a mod-q product is n**2 scalar products,
+no convolution, and rho_interpolate maps back.  rho and rho_interpolate
+are the one pair of grid maps, for F's own domain and for
+ring.product_domain alike: rho transforms the centered lifts of the
+coefficients, and rho_interpolate reduces the centered result mod the
+target modulus.  So the norm N(F) and the inverse mod p,
+N(F)^-1 o conj(F), run pointwise on an auxiliary prime's grid, and
+quat_inverse_mod_p convolves only inside ring_inverse.
+
+A pointwise product u * v is two steps: rho_left_tensor gathers u's
+(4, 4, n**2) left-multiplication tensor, and rho_apply applies it to v
+with one einsum.  A key builds the tensor of its cached evaluation array
+once and applies it per message; rho_mul composes the two steps for
+one-off products.  rho_inverse inverts pointwise off the secret set T,
+which is how keygen inverts F modulo the secret ideal.  rho_norms is the
+one scalar-quaternion norm: it gives the grid values of N(F), and keygen
 vets the scalar weight W it draws with it.  norm_zeros_off_T is the one
 test that a norm vanishes only inside T, for keygen, private-key load
 and rho_inverse.  Centered lifts use ring.centered.  Conjugation in the
@@ -186,16 +191,29 @@ _LEFT_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 _LEFT_SIGN = np.array([[1, 1, 1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, -1, 1, 1]])
 
 
-def rho_mul(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
-    """Pointwise scalar-quaternion product of two evaluation arrays mod q.
+def rho_left_tensor(u: np.ndarray, q: int) -> np.ndarray:
+    """The (4, 4, n**2) left-multiplication tensor of an evaluation array mod q:
+    slice [:, :, k] is the 4x4 matrix of b -> u[:, k] * b, entries in (-q, q).
 
-    One gather builds each column's left-multiplication matrix, a
-    (4, 4, n**2) array, and one einsum applies it.  Each entry sums four
-    products below (q-1)**2, exact in int64 under Params' bound.
+    One gather builds it; a key builds the tensor of its cached array once.
     """
     a = np.asarray(u, dtype=np.int64) % q
-    b = np.asarray(v, dtype=np.int64) % q
-    return np.einsum("rck,ck->rk", a[_LEFT_IDX] * _LEFT_SIGN[..., None], b) % q
+    return a[_LEFT_IDX] * _LEFT_SIGN[..., None]
+
+
+def rho_apply(left: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
+    """u * v mod q, pointwise, from u's rho_left_tensor and v in [0, q).
+
+    One einsum; each entry sums four products below q**2, exact in int64
+    under Params' bound, so v is taken as it is, with no reducing copy.
+    """
+    return np.einsum("rck,ck->rk", left, v) % q
+
+
+def rho_mul(u: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
+    """Pointwise scalar-quaternion product of two evaluation arrays mod q,
+    for one-off products: rho_apply of u's tensor to v reduced mod q."""
+    return rho_apply(rho_left_tensor(u, q), np.asarray(v, dtype=np.int64) % q, q)
 
 
 def rho_norms(u: np.ndarray, q: int) -> np.ndarray:

@@ -16,9 +16,10 @@ n = 11, m = 3, counting the check).
 
 Mod q the ring is Z_q^(n**2), because n | q-1: EvalDomain maps
 coefficients to the values on the n**2-point grid of n-th roots of unity
-and back, each way a product with the n x n Vandermonde matrix on both
-sides, so a product mod q costs two transforms, n**2 scalar products and
-one inverse transform instead of a convolution.  Its lagrange_matrix,
+and back, each way a product with an n x n Vandermonde matrix on both
+sides (back, its inverse, with the factor n^-1 folded in once per
+domain), so a product mod q costs two transforms, n**2 scalar products
+and one inverse transform instead of a convolution.  Its lagrange_matrix,
 the inverse transform of the identity, holds the interpolant rows the
 secret and key-recovery lattices are made of.  Mod a prime m with n not
 dividing m-1 (p in every shipped set), product_domain supplies an
@@ -133,7 +134,9 @@ class EvalDomain:
     Point k = a*n + b is (omega^a, omega^b), so the values of f on the
     grid are the n x n array V @ coeffs(f) @ V with the symmetric
     Vandermonde V[a, i] = omega^(a*i); transform and inverse_transform
-    apply that map and its inverse to stacked rows in O(n**3) each.
+    apply that map and its inverse to stacked rows in O(n**3) each.  The
+    inverse is the same sandwich with V^-1 mod q, the Vandermonde at
+    omega^-1 with the factor n^-1 folded in, so no per-call scaling is left.
     """
 
     def __init__(self, n: int, q: int):
@@ -148,8 +151,9 @@ class EvalDomain:
         ai = np.outer(np.arange(n), np.arange(n))
         w = np.array(w_pows, dtype=np.int64)
         self._vandermonde = w[ai % n]
-        self._vandermonde_inv = w[-ai % n]
-        self._ninv2 = pow(n * n, q - 2, q)
+        # V's inverse: n^-1 times the Vandermonde at omega^-1, so the
+        # inverse sandwich carries the factor n^-2 itself
+        self._vandermonde_inv = w[-ai % n] * pow(n, q - 2, q) % q
 
     @property
     def size(self) -> int:
@@ -172,7 +176,7 @@ class EvalDomain:
 
     def inverse_transform(self, values) -> np.ndarray:
         """Coefficient rows, in [0, q), of the elements taking each row of grid values."""
-        return self._sandwich(self._vandermonde_inv, values) * self._ninv2 % self.q
+        return self._sandwich(self._vandermonde_inv, values)
 
     @cached_property
     def lagrange_matrix(self) -> np.ndarray:

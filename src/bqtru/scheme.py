@@ -6,9 +6,14 @@ q, W) and F^-1 mod p, and derives the rest.  Messages (centered mod p)
 and ciphertexts (in [0, q)) are int64 (4, n^2) arrays, a row per
 component, like a Quaternion's rows and the evaluation arrays rho(F);
 decrypt wraps V and M_hat, each one array, in a Quaternion only for its
-reference products.  Keys and ciphertexts share one text format, written
-by _dump and read by _load, in which each integer has one spelling
-(_INTEGERS); the private key's rhogamma field lists rho(gamma) point by
+reference products.  Each key caches the (4, 4, n^2) left-multiplication
+tensor of its evaluation array (PublicKey.left_H of rho(H),
+PrivateKey.left_F of rho(F)), so a message costs one einsum and the two
+transforms.  Keys and ciphertexts share one text format, written by _dump
+and read by _load, in which each integer has one spelling (_INTEGERS):
+_dump formats a whole file with one % into a format cached per layout
+(kind, header and the (label, count) of each field), from one flat
+array; the private key's rhogamma field lists rho(gamma) point by
 point, the one place a (4, n^2) array is transposed.
 All randomness comes from an explicit random.Random instance, or a seed
 for one, supplied by the caller; ternary polynomials come from
@@ -25,7 +30,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,8 +54,10 @@ from .quat import (
     quat_mul_strassen,
     quat_norm,
     rho,
+    rho_apply,
     rho_interpolate,
     rho_inverse,
+    rho_left_tensor,
     rho_mul,
     rho_norms,
 )
@@ -66,6 +73,11 @@ class PublicKey:
     def rho_H(self) -> np.ndarray:
         """rho(H), the evaluation array encryption multiplies by."""
         return rho(self.H, eval_domain(self.params.n, self.params.q))
+
+    @cached_property
+    def left_H(self) -> np.ndarray:
+        """rho(H)'s left-multiplication tensor, built once; encrypt applies it."""
+        return rho_left_tensor(self.rho_H, self.params.q)
 
 
 # decryption scans the q^|T| cosets of qZ^{n^2} in D' per component; keygen
@@ -92,8 +104,8 @@ class PrivateKey:
     (lagrange_T, entries in [0, q)).  Decryption scans the q^|T| cosets
     of qZ^{n^2} in D' and never builds a basis of D'; keygen and
     deserialize_private admit only a T for which _scannable(T, q) holds.
-    rho_F caches rho(F mod q), the evaluation array decryption multiplies
-    by, and rho_gamma derives rho(F) * rho(theta).
+    rho_F caches rho(F mod q), left_F its left-multiplication tensor, which
+    decryption and rho_gamma = rho(F) * rho(theta) apply.
     """
 
     params: Params
@@ -114,9 +126,13 @@ class PrivateKey:
         return rho(self.F.with_modulus(q), eval_domain(self.params.n, q))
 
     @cached_property
+    def left_F(self) -> np.ndarray:
+        return rho_left_tensor(self.rho_F, self.params.q)
+
+    @cached_property
     def rho_gamma(self) -> np.ndarray:
-        return rho_mul(self.rho_F, _rho_theta(self.T, self.weights, self.W, self.params),
-                       self.params.q)
+        return rho_apply(self.left_F, _rho_theta(self.T, self.weights, self.W, self.params),
+                         self.params.q)
 
 
 @dataclass
@@ -210,9 +226,9 @@ def encrypt(pk: PublicKey, M, rng, phi=None) -> Ciphertext:
 
     M is a (4, n^2) signed integer array of coefficients centered mod p,
     a row per component; a given Phi is any (4, n^2) such array, else Phi's
-    rows are drawn from rng.  Phi is transformed once, multiplied by the
-    cached rho(H), and transformed back once into [0, q); then
-    (p * H o Phi + M) mod q gives the ciphertext's rows.
+    rows are drawn from rng.  Phi is transformed once, multiplied by rho(H)
+    through the key's cached tensor, and transformed back once into
+    [0, q); then (p * H o Phi + M) mod q gives the ciphertext's rows.
     """
     params = pk.params
     p, q, nsq = params.p, params.q, params.nsq
@@ -226,7 +242,7 @@ def encrypt(pk: PublicKey, M, rng, phi=None) -> Ciphertext:
         rng = as_rng(rng)
         phi = np.array([signed_ternary(nsq, params.d_phi, params.d_phi, rng) for _ in range(4)])
     dom = eval_domain(params.n, q)
-    h_phi = dom.inverse_transform(rho_mul(pk.rho_H, dom.transform(phi), q))
+    h_phi = dom.inverse_transform(rho_apply(pk.left_H, dom.transform(phi), q))
     return Ciphertext((p * h_phi + M) % q, q)
 
 
@@ -244,11 +260,11 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> np.ndarray:
     and `highest` have T = {(1,1)}, q cosets.  The work does not depend on
     the ciphertext, so strict rejections cost no more than honest
     decryptions.  F o C mod q is computed pointwise on the evaluation
-    grid, rho(F) * rho(C), with no convolution.  F_p^-1 o V mod p takes the
-    Strassen route (7 convolutions), although ring.product_domain could
-    run it pointwise on an auxiliary prime's grid: Strassen is the paper's
-    reference path for this product, and perfbench's product-count check
-    reads it here.
+    grid, rho(F) * rho(C) through the key's cached tensor, with no
+    convolution.  F_p^-1 o V mod p takes the Strassen route (7
+    convolutions), although ring.product_domain could run it pointwise on
+    an auxiliary prime's grid: Strassen is the paper's reference path for
+    this product, and perfbench's product-count check reads it here.
     """
     params = sk.params
     n, p, q = params.n, params.p, params.q
@@ -256,7 +272,7 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> np.ndarray:
         raise ContextMismatch(f"the ciphertext must be (4, {params.nsq}) residues mod {q}")
     dom = eval_domain(n, q)
     # the inverse transform returns the [0, q) representatives the scan expects
-    targets = dom.inverse_transform(rho_mul(sk.rho_F, dom.transform(ct.C), q))
+    targets = dom.inverse_transform(rho_apply(sk.left_F, dom.transform(ct.C), q))
     # coset_decode returns target - centered residue, so V's rows are centered
     V = targets - coset_decode(sk.lagrange_T, q, targets)
     M_hat = centered(quat_mul_strassen(sk.F_p_inv, Quaternion(V, p)).rows, p)
@@ -290,29 +306,41 @@ def _digits_for(v: int, p: int) -> int:
     return k
 
 
-def _to_digits(values, p: int, k: int) -> np.ndarray:
-    """Row i holds the k base-p digits of values[i], least significant first."""
-    return np.asarray(values, dtype=np.int64)[:, None] // p ** np.arange(k) % p
+@lru_cache(maxsize=32)
+def _codec(params: Params) -> tuple:
+    """The codec's constants at params, computed once: the capacity, the
+    length prefix's significant digits, the digits per byte, and the place
+    values p**k of as many digits as the larger of the two."""
+    p = params.p
+    per = _digits_for(255, p)
+    cap = (4 * params.nsq - _LEN_DIGITS) // per
+    low = _digits_for(cap, p)
+    return cap, low, per, p ** np.arange(max(low, per))
 
 
-def _from_digits(digits: np.ndarray, p: int) -> np.ndarray:
+def _to_digits(values, places: np.ndarray, p: int) -> np.ndarray:
+    """Row i holds the base-p digits of values[i] at the place values places."""
+    return np.asarray(values, dtype=np.int64)[:, None] // places % p
+
+
+def _from_digits(digits: np.ndarray, places: np.ndarray) -> np.ndarray:
     """The values whose base-p digits, least significant first, are the rows of digits."""
-    return digits @ p ** np.arange(digits.shape[-1])
+    return digits @ places[:digits.shape[-1]]
 
 
 def message_capacity(params: Params) -> int:
     """Largest payload (bytes) that fits after the length prefix."""
-    return (4 * params.nsq - _LEN_DIGITS) // _digits_for(255, params.p)
+    return _codec(params)[0]
 
 
 def encode_message(payload: bytes, params: Params) -> np.ndarray:
-    p, cap = params.p, message_capacity(params)
+    p = params.p
+    cap, low, per, places = _codec(params)
     if len(payload) > cap:
         raise PayloadTooLarge(f"{len(payload)} bytes exceed the {cap}-byte capacity")
-    low = _digits_for(cap, p)
-    body = _to_digits(np.frombuffer(payload, dtype=np.uint8), p, _digits_for(255, p))
+    body = _to_digits(np.frombuffer(payload, dtype=np.uint8), places[:per], p)
     flat = np.zeros(4 * params.nsq, dtype=np.int64)
-    flat[:low] = _to_digits([len(payload)], p, low)[0]
+    flat[:low] = _to_digits([len(payload)], places[:low], p)[0]
     flat[_LEN_DIGITS:_LEN_DIGITS + body.size] = body.reshape(-1)
     # centered residue: digit 0 stays 0 so padding and leading zeros do not
     # bias the coefficient sums (a large per-component sum lines up with a
@@ -321,18 +349,18 @@ def encode_message(payload: bytes, params: Params) -> np.ndarray:
 
 
 def decode_message(M, params: Params) -> bytes:
-    p, cap = params.p, message_capacity(params)
-    per, half = _digits_for(255, p), (p - 1) // 2
+    p, half = params.p, (params.p - 1) // 2
+    cap, low, per, places = _codec(params)
     M = np.asarray(M)
     if M.shape != (4, params.nsq) or M.dtype.kind not in "iu" or M.min() < -half or M.max() > half:
         raise MalformedData(f"a message is a (4, {params.nsq}) array of centered base-p digits")
     flat = M.reshape(-1).astype(np.int64) % p  # undo the centered residue: -1 -> p-1
     # any admitted length fits in low digits; reading no more keeps p**k in int64
-    low = _digits_for(cap, p)
-    length = int(_from_digits(flat[:low], p))
+    length = int(_from_digits(flat[:low], places))
     if flat[low:_LEN_DIGITS].any() or length > cap:
         raise MalformedData("length prefix exceeds capacity")
-    values = _from_digits(flat[_LEN_DIGITS:_LEN_DIGITS + length * per].reshape(length, per), p)
+    values = _from_digits(flat[_LEN_DIGITS:_LEN_DIGITS + length * per].reshape(length, per),
+                          places)
     if (values > 255).any():
         raise MalformedData("byte group out of range")
     return values.astype(np.uint8).tobytes()
@@ -390,13 +418,19 @@ def _parse_params(line: str) -> Params:
         raise MalformedData(f"bad parameter line: {line!r}") from exc
 
 
-def _dump(kind: str, header_line: str, fields: dict) -> str:
-    """The magic line with the kind, the header line, one 'label: values' line per field."""
-    out = [f"{_MAGIC} {kind}", header_line]
-    for label, values in fields.items():
-        v = np.asarray(values).tolist()
-        out.append(label + ": " + " ".join(["%d"] * len(v)) % tuple(v))
-    return "\n".join(out) + "\n"
+@lru_cache(maxsize=32)
+def _file_format(kind: str, header_line: str, layout: tuple) -> str:
+    """The %-format of a whole file: the magic line with the kind, the
+    header line, and one 'label: %d ...' line per (label, count) of layout."""
+    lines = [f"{_MAGIC} {kind}", header_line]
+    lines += [label + ": " + " ".join(["%d"] * count) for label, count in layout]
+    return "\n".join(lines) + "\n"
+
+
+def _dump(kind: str, header_line: str, layout: tuple, values: np.ndarray) -> str:
+    """A file of this layout holding the flat int64 values in order, each
+    spelled str(int), by one % into the layout's cached format."""
+    return _file_format(kind, header_line, layout) % tuple(values.tolist())
 
 
 def _load(text: str, kind: str):
@@ -438,9 +472,10 @@ def _read_coeffs(fields: dict, label: str, count, lo: int, hi: int) -> np.ndarra
     return vals
 
 
-def _quat_fields(label: str, rows) -> dict:
+@lru_cache(maxsize=32)
+def _quat_layout(label: str, nsq: int) -> tuple:
     """The fields label0..label3 that hold a quaternion's (4, n^2) coefficient rows."""
-    return {f"{label}{i}": row for i, row in enumerate(rows)}
+    return tuple((f"{label}{i}", nsq) for i in range(4))
 
 
 def _read_rows(fields: dict, label: str, n: int, lo: int, hi: int) -> np.ndarray:
@@ -449,17 +484,22 @@ def _read_rows(fields: dict, label: str, n: int, lo: int, hi: int) -> np.ndarray
 
 
 def serialize_public(pk: PublicKey) -> str:
-    return _dump("public", _param_line(pk.params), _quat_fields("h", pk.H.rows))
+    return _dump("public", _param_line(pk.params), _quat_layout("h", pk.params.nsq),
+                 pk.H.rows.ravel())
 
 
 def serialize_private(sk: PrivateKey) -> str:
-    return _dump("private", _param_line(sk.params), {
-        **_quat_fields("f", sk.F.rows), **_quat_fields("g", sk.G.rows),
-        "T": sk.T, "weights": sk.weights, "W": sk.W, "rhogamma": sk.rho_gamma.T.reshape(-1)})
+    nsq, t = sk.params.nsq, len(sk.T)
+    layout = (_quat_layout("f", nsq) + _quat_layout("g", nsq)
+              + (("T", t), ("weights", t), ("W", 4), ("rhogamma", 4 * nsq)))
+    return _dump("private", _param_line(sk.params), layout, np.concatenate([
+        sk.F.rows.ravel(), sk.G.rows.ravel(), sk.T, sk.weights, sk.W,
+        sk.rho_gamma.T.ravel()]))
 
 
 def serialize_ct(ct: Ciphertext) -> str:
-    return _dump("ct", f"q={ct.q} n={math.isqrt(ct.C.shape[1])}", _quat_fields("c", ct.C))
+    nsq = ct.C.shape[1]
+    return _dump("ct", f"q={ct.q} n={math.isqrt(nsq)}", _quat_layout("c", nsq), ct.C.ravel())
 
 
 def deserialize_public(text: str) -> PublicKey:

@@ -5,7 +5,9 @@ only tests call is a reference path and belongs in tests/oracles.py.  A
 name counts as called when src/bqtru loads it, as a name or as an
 attribute, outside its own definition; an import does not count.  A class
 method counts as called only through its class (Class.name), because its
-name alone may be another class's method of the same name.
+name alone may be another class's method of the same name.  No two classes
+in src/bqtru define the same non-dunder method or property name, since a
+load of such a name could not tell which of the two it calls.
 
 Every module in src/bqtru and tests loads each name it imports; a name
 listed in the module's __all__ counts as loaded.
@@ -111,6 +113,43 @@ def test_guard_sees_methods():
     # A.make is called through its class, B.make's name alone does not
     # count, and a method calling itself is not a caller
     assert _uncalled({"m": tree}) == ["m.A.size", "m.B.make", "m.f"]
+
+
+def _shared_method_names(trees):
+    """{name: [Class, ...]} for each non-dunder method or property name that
+    more than one class in src defines."""
+    owners = collections.defaultdict(list)
+    for tree in trees.values():
+        for d in _definitions(tree):
+            if isinstance(d, ast.ClassDef):
+                for m in _methods(d):
+                    owners[m.name].append(d.name)
+    return {name: classes for name, classes in owners.items() if len(classes) > 1}
+
+
+def test_method_names_are_unique_across_classes():
+    # the caller count sees attribute names only, so a load of a name that
+    # two classes define would count as a call of both
+    assert _shared_method_names(_trees()) == {}
+
+
+def test_shared_name_guard_sees_pairs():
+    tree = ast.parse(
+        "class A:\n"
+        "    def with_modulus(self):\n"
+        "        return self\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "class B:\n"
+        "    @property\n"
+        "    def with_modulus(self):\n"
+        "        return self\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    def own(self):\n"
+        "        return self\n")
+    # dunders are shared by design
+    assert _shared_method_names({"m": tree}) == {"with_modulus": ["A", "B"]}
 
 
 def test_exemptions_name_definitions():

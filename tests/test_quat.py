@@ -16,8 +16,10 @@ from bqtru.quat import (
     quat_norm,
     quat_to_matrix,
     rho,
+    rho_apply,
     rho_interpolate,
     rho_inverse,
+    rho_left_tensor,
     rho_mul,
     rho_norms,
 )
@@ -389,7 +391,7 @@ class TestScalarQuat:
     @settings(max_examples=60, deadline=None)
     @given(q=st.sampled_from([7, 113, 199, product_domain(11, 3).q]), data=st.data())
     def test_table_kernel_matches_row_formula(self, q, data):
-        # entries negative and >= q, which rho_mul reduces mod q first
+        # entries negative and >= q, which rho_mul and rho_left_tensor reduce mod q first
         size = data.draw(st.integers(1, 25))
         rows = st.lists(st.lists(st.integers(-3 * q, 3 * q), min_size=size, max_size=size),
                         min_size=4, max_size=4)
@@ -398,6 +400,8 @@ class TestScalarQuat:
         got = rho_mul(u, v, q)
         assert got.dtype == np.int64 and got.shape == (4, size)
         assert np.array_equal(got, rho_mul_rows(u, v, q))
+        # the two steps: u's tensor once, applied to v in [0, q)
+        assert np.array_equal(rho_apply(rho_left_tensor(u, q), v % q, q), got)
 
     @settings(max_examples=25, deadline=None)
     @given(nq=st.sampled_from(GRIDS), seed=st.integers(0, 2 ** 32))

@@ -67,6 +67,7 @@ from oracles import (
     quat_one,
     quat_scale,
     quat_sub,
+    rho_mul_rows,
     sphere_decode,
     verify_key_membership,
 )
@@ -397,6 +398,38 @@ class TestEncryptAgainstSchoolbook:
                 encrypt(pk, bad, random.Random(7))
             with pytest.raises(ContextMismatch):
                 encrypt(pk, zeros(params.n), None, phi=bad)
+
+
+class TestKeyTensors:
+    """Each key applies its cached left-multiplication tensor of rho(H) or
+    rho(F): it equals rho_mul and the row formula, and is built once."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=st.sampled_from([TOY, MODERATE, HIGHEST]), data=st.data())
+    def test_cached_tensor_matches_rho_mul(self, params, data):
+        pk, sk = set_key(params)
+        q = params.q
+        # entries negative and >= q; rho_apply takes its operand reduced
+        v = data.draw(ring_rows(params.n, -3 * q, 3 * q))
+        for left, u in ((pk.left_H, pk.rho_H), (sk.left_F, sk.rho_F)):
+            got = quat.rho_apply(left, v % q, q)
+            assert np.array_equal(got, quat.rho_mul(u, v, q))
+            assert np.array_equal(got, rho_mul_rows(u, v, q))
+
+    def test_each_key_builds_its_tensor_once(self, monkeypatch):
+        pk, sk = keygen(MODERATE, random.Random(70))
+        built, applied = [], []
+        left_tensor, apply = scheme.rho_left_tensor, scheme.rho_apply
+        monkeypatch.setattr(scheme, "rho_left_tensor",
+                            lambda u, q: built.append(u) or left_tensor(u, q))
+        monkeypatch.setattr(scheme, "rho_apply",
+                            lambda left, v, q: applied.append(left) or apply(left, v, q))
+        rng = random.Random(71)
+        cts = [encrypt(pk, encode_message(b"twice", MODERATE), rng) for _ in range(2)]
+        assert [decode_message(decrypt(sk, ct), MODERATE) for ct in cts] == [b"twice"] * 2
+        assert len(built) == 2
+        assert applied[0] is applied[1] is pk.left_H
+        assert applied[2] is applied[3] is sk.left_F
 
 
 class TestDecrypt:
@@ -858,13 +891,23 @@ class TestSerialization:
         st.sampled_from(["h0", "T", "weights", "rhogamma"]),
         st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.sampled_from([0, -1, 1]), max_size=130)))
     def test_dump_matches_str_writer(self, fields):
-        # negative, zero and empty value lists, as tuples and as int64 arrays
+        # negative, zero and empty value lists, written from one flat int64 array
         expect = ["BQTRU v1 ct", "q=7 n=3"]
         expect += [label + ": " + " ".join(map(str, v)) for label, v in fields.items()]
         expect = "\n".join(expect) + "\n"
-        assert scheme._dump("ct", "q=7 n=3", {k: tuple(v) for k, v in fields.items()}) == expect
-        arrays = {k: np.array(v, dtype=np.int64) for k, v in fields.items()}
-        assert scheme._dump("ct", "q=7 n=3", arrays) == expect
+        layout = tuple((label, len(v)) for label, v in fields.items())
+        flat = np.array([x for v in fields.values() for x in v], dtype=np.int64)
+        assert scheme._dump("ct", "q=7 n=3", layout, flat) == expect
+
+    def test_dump_layouts_differing_in_counts(self):
+        # same labels, different counts: each layout gets its own format
+        values = np.arange(-2, 3, dtype=np.int64)
+        short = scheme._dump("ct", "q=7 n=3", (("c0", 2), ("c1", 3)), values)
+        long = scheme._dump("ct", "q=7 n=3", (("c0", 3), ("c1", 2)), values)
+        assert short == "BQTRU v1 ct\nq=7 n=3\nc0: -2 -1\nc1: 0 1 2\n"
+        assert long == "BQTRU v1 ct\nq=7 n=3\nc0: -2 -1 0\nc1: 1 2\n"
+        with pytest.raises(TypeError):
+            scheme._dump("ct", "q=7 n=3", (("c0", 2), ("c1", 2)), values)
 
     def test_public_round_trip(self, moderate_key):
         pk, _ = moderate_key
