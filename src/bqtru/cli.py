@@ -102,8 +102,8 @@ def _write_atomic(*outputs) -> None:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                        prefix=".bqtru-")
             temps.append(tmp)
-            with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-                fh.write(data)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data.encode() if isinstance(data, str) else data)
         for (path, _), tmp in zip(outputs, temps):
             os.replace(tmp, path)
     except BaseException as exc:
@@ -285,8 +285,9 @@ def cmd_attack(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_text(path: str) -> str:
-    with open(path, "r") as fh:
-        return fh.read()
+    """The file's bytes as UTF-8 text, line ends untranslated, as _write_atomic wrote them."""
+    with open(path, "rb") as fh:
+        return fh.read().decode()
 
 
 def _median_time(fn, pairs) -> float:

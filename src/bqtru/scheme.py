@@ -9,12 +9,14 @@ decrypt wraps V and M_hat, each one array, in a Quaternion only for its
 reference products.  Each key caches the (4, 4, n^2) left-multiplication
 tensor of its evaluation array (PublicKey.left_H of rho(H),
 PrivateKey.left_F of rho(F)), so a message costs one einsum and the two
-transforms.  Keys and ciphertexts share one text format, written by _dump
-and read by _load, in which each integer has one spelling (_INTEGERS):
-_dump formats a whole file with one % into a format cached per layout
-(kind, header and the (label, count) of each field), from one flat
-array; the private key's rhogamma field lists rho(gamma) point by
-point, the one place a (4, n^2) array is transposed.
+transforms.  Keys and ciphertexts share one text format, defined by its
+writer alone: _dump formats a whole file with one % into a format cached
+per layout (kind, header and the (label, count) of each field, which
+_public_form, _private_form and _ct_form give), from one flat array, and
+a loader accepts a text only if _dump writes it back byte for byte from
+the values it parsed, so each file has one spelling; the private key's
+rhogamma field lists rho(gamma) point by point, the one place a (4, n^2)
+array is transposed.
 All randomness comes from an explicit random.Random instance, or a seed
 for one, supplied by the caller; ternary polynomials come from
 ring.signed_ternary, centered residues from ring.centered, and scalar and
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -372,50 +373,10 @@ def decode_message(M, params: Params) -> bytes:
 
 _MAGIC = "BQTRU v1"
 
-# the one spelling of each integer a file may hold: ASCII digits, no sign on
-# 0, no '+', no leading zeros, no '_'; matched once per header value or field line
-_INTEGERS = re.compile(r"(?:0|-?[1-9][0-9]*)(?:\s+(?:0|-?[1-9][0-9]*))*")
-
-# the labelled fields a file of each kind holds
-_FIELDS = {
-    "public": ("h0", "h1", "h2", "h3"),
-    "private": ("f0", "f1", "f2", "f3", "g0", "g1", "g2", "g3",
-                "T", "weights", "W", "rhogamma"),
-    "ct": ("c0", "c1", "c2", "c3"),
-}
-
 
 def _param_line(params: Params) -> str:
     return (f"n={params.n} p={params.p} q={params.q} "
             f"df={params.d_f} dg={params.d_g} dphi={params.d_phi}")
-
-
-def _read_header(line: str, keys) -> dict:
-    """{key: int} from a 'key=value' line that gives each of keys exactly
-    once and nothing else; anything else is MalformedData."""
-    kv = {}
-    for tok in line.split():
-        key, sep, value = tok.partition("=")
-        if not sep or key not in keys:
-            raise MalformedData(f"unknown header entry {tok!r}")
-        if key in kv:
-            raise MalformedData(f"header key {key} repeated")
-        if not _INTEGERS.fullmatch(value):
-            raise MalformedData(f"header key {key} is not an integer")
-        kv[key] = int(value)
-    missing = [k for k in keys if k not in kv]
-    if missing:
-        raise MalformedData(f"header key {missing[0]} missing")
-    return kv
-
-
-def _parse_params(line: str) -> Params:
-    kv = _read_header(line, ("n", "p", "q", "df", "dg", "dphi"))
-    try:
-        return Params(n=kv["n"], p=kv["p"], q=kv["q"],
-                      d_f=kv["df"], d_g=kv["dg"], d_phi=kv["dphi"])
-    except ValueError as exc:
-        raise MalformedData(f"bad parameter line: {line!r}") from exc
 
 
 @lru_cache(maxsize=32)
@@ -433,79 +394,97 @@ def _dump(kind: str, header_line: str, layout: tuple, values: np.ndarray) -> str
     return _file_format(kind, header_line, layout) % tuple(values.tolist())
 
 
-def _load(text: str, kind: str):
-    """(header line, {label: values text}) of a file of this kind; a wrong
-    magic line or kind, an unlabelled line, and a label that is repeated,
-    missing or not one of the kind's fields are MalformedData."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or lines[0] != f"{_MAGIC} {kind}":
-        raise MalformedData(f"not a {_MAGIC} {kind} file")
-    labels = _FIELDS[kind]
-    fields = {}
-    for ln in lines[2:]:
-        if ":" not in ln:
-            raise MalformedData(f"expected 'label: values', got {ln!r}")
-        label, _, rest = ln.partition(":")
-        label = label.strip()
-        if label not in labels:
-            raise MalformedData(f"a {kind} file has no field {label}")
-        if label in fields:
-            raise MalformedData(f"field {label} repeated")
-        fields[label] = rest.strip()
-    missing = [label for label in labels if label not in fields]
-    if missing:
-        raise MalformedData(f"missing field {missing[0]}")
-    return lines[1], fields
-
-
-def _read_coeffs(fields: dict, label: str, count, lo: int, hi: int) -> np.ndarray:
-    """The field's int64 values, each in [lo, hi): count of them, or any number if None."""
-    text = fields[label]
-    if text and not _INTEGERS.fullmatch(text):
-        raise MalformedData(f"field {label} is not a list of integers")
-    try:
-        vals = np.array(text.split(), dtype=np.int64)
-    except OverflowError as exc:
-        raise MalformedData(f"field {label} is past the int64 range") from exc
-    if count not in (None, len(vals)) or ((vals < lo) | (vals >= hi)).any():
-        raise MalformedData(f"field {label} malformed")
-    return vals
-
-
 @lru_cache(maxsize=32)
 def _quat_layout(label: str, nsq: int) -> tuple:
     """The fields label0..label3 that hold a quaternion's (4, n^2) coefficient rows."""
     return tuple((f"{label}{i}", nsq) for i in range(4))
 
 
-def _read_rows(fields: dict, label: str, n: int, lo: int, hi: int) -> np.ndarray:
-    """The (4, n^2) rows in fields label0..label3, n^2 values in [lo, hi) each."""
-    return np.stack([_read_coeffs(fields, f"{label}{i}", n * n, lo, hi) for i in range(4)])
+# each kind's (kind, header line, layout): the one definition of its files,
+# which serialize_* writes and deserialize_* holds a text to
+
+def _public_form(params: Params) -> tuple:
+    return "public", _param_line(params), _quat_layout("h", params.nsq)
+
+
+def _private_form(params: Params, t: int) -> tuple:
+    """The form of a private key file whose secret set T has t points."""
+    nsq = params.nsq
+    return "private", _param_line(params), (
+        _quat_layout("f", nsq) + _quat_layout("g", nsq)
+        + (("T", t), ("weights", t), ("W", 4), ("rhogamma", 4 * nsq)))
+
+
+def _ct_form(q: int, n: int) -> tuple:
+    return "ct", f"q={q} n={n}", _quat_layout("c", n * n)
+
+
+def _parse(text: str) -> tuple:
+    """(header {key: int}, {label: int64 values}) of a file's text, read
+    leniently: other spellings than the writer's parse too, and _written
+    refuses them."""
+    try:
+        _, head, *lines = text.split("\n")
+        header = {key: int(value) for key, value in (tok.split("=") for tok in head.split())}
+        return header, {label: np.array(values.split(), dtype=np.int64)
+                        for label, _, values in (line.partition(":") for line in lines)}
+    except (ValueError, OverflowError) as exc:
+        raise MalformedData(f"not a {_MAGIC} file: {exc}") from exc
+
+
+def _params(header: dict) -> Params:
+    try:
+        return Params(n=header["n"], p=header["p"], q=header["q"],
+                      d_f=header["df"], d_g=header["dg"], d_phi=header["dphi"])
+    except (KeyError, ValueError) as exc:
+        raise MalformedData(f"bad parameter line: {exc}") from exc
+
+
+def _written(text: str, kind: str, header_line: str, layout: tuple, fields: dict) -> list:
+    """The (label, values) of each field of layout, in order, if _dump
+    writes text from them byte for byte; a missing field, a count other
+    than layout's and any other spelling are MalformedData.  The counts
+    are checked first, so no format is built larger than the text."""
+    try:
+        pairs = [(label, fields[label]) for label, _ in layout]
+    except KeyError as exc:
+        raise MalformedData(f"a {kind} file needs the field {exc}") from exc
+    for (label, count), (_, values) in zip(layout, pairs):
+        if len(values) != count:
+            raise MalformedData(f"field {label} malformed")
+    if _dump(kind, header_line, layout, np.concatenate([v for _, v in pairs])) != text:
+        raise MalformedData(f"not a {_MAGIC} {kind} file as written")
+    return pairs
+
+
+def _in_range(pairs: list, lo: int, hi: int) -> np.ndarray:
+    """The values of the (label, values) pairs as rows, if each is in [lo, hi)."""
+    rows = np.stack([values for _, values in pairs])
+    bad = ((rows < lo) | (rows >= hi)).any(axis=1)
+    if bad.any():
+        raise MalformedData(f"field {pairs[bad.argmax()][0]} malformed")
+    return rows
 
 
 def serialize_public(pk: PublicKey) -> str:
-    return _dump("public", _param_line(pk.params), _quat_layout("h", pk.params.nsq),
-                 pk.H.rows.ravel())
+    return _dump(*_public_form(pk.params), pk.H.rows.ravel())
 
 
 def serialize_private(sk: PrivateKey) -> str:
-    nsq, t = sk.params.nsq, len(sk.T)
-    layout = (_quat_layout("f", nsq) + _quat_layout("g", nsq)
-              + (("T", t), ("weights", t), ("W", 4), ("rhogamma", 4 * nsq)))
-    return _dump("private", _param_line(sk.params), layout, np.concatenate([
+    return _dump(*_private_form(sk.params, len(sk.T)), np.concatenate([
         sk.F.rows.ravel(), sk.G.rows.ravel(), sk.T, sk.weights, sk.W,
         sk.rho_gamma.T.ravel()]))
 
 
 def serialize_ct(ct: Ciphertext) -> str:
-    nsq = ct.C.shape[1]
-    return _dump("ct", f"q={ct.q} n={math.isqrt(nsq)}", _quat_layout("c", nsq), ct.C.ravel())
+    return _dump(*_ct_form(ct.q, math.isqrt(ct.C.shape[1])), ct.C.ravel())
 
 
 def deserialize_public(text: str) -> PublicKey:
-    header, fields = _load(text, "public")
-    params = _parse_params(header)
-    return PublicKey(params, Quaternion(_read_rows(fields, "h", params.n, 0, params.q), params.q))
+    header, fields = _parse(text)
+    params = _params(header)
+    pairs = _written(text, *_public_form(params), fields)
+    return PublicKey(params, Quaternion(_in_range(pairs, 0, params.q), params.q))
 
 
 def deserialize_private(text: str) -> PrivateKey:
@@ -517,19 +496,21 @@ def deserialize_private(text: str) -> PrivateKey:
     like a field out of range, raises MalformedData.  The key keeps rho(F)
     cached for decryption.
     """
-    header, fields = _load(text, "private")
-    params = _parse_params(header)
-    F = Quaternion(_read_rows(fields, "f", params.n, -1, 2))
-    G = Quaternion(_read_rows(fields, "g", params.n, -1, 2))
-    T = _read_coeffs(fields, "T", None, 0, params.nsq).tolist()
+    header, fields = _parse(text)
+    params = _params(header)
+    # the header gives every count but T's, the number of secret points
+    pairs = _written(text, *_private_form(params, len(fields.get("T", ()))), fields)
+    F = Quaternion(_in_range(pairs[:4], -1, 2))
+    G = Quaternion(_in_range(pairs[4:8], -1, 2))
+    T = _in_range(pairs[8:9], 0, params.nsq)[0].tolist()
     if len(set(T)) != len(T):
         raise MalformedData("bad T field")
     if not _scannable(T, params.q):
         raise MalformedData(f"T must name at least one point, and q^|T| = {params.q}^{len(T)} "
                             f"coset classes may not exceed {MAX_SCAN_CLASSES}")
-    weights = _read_coeffs(fields, "weights", len(T), 1, params.q)
-    W = _read_coeffs(fields, "W", 4, 1, params.q)
-    rho_gamma = _read_coeffs(fields, "rhogamma", 4 * params.nsq, 0, params.q)
+    weights = _in_range(pairs[9:10], 1, params.q)[0]
+    W = _in_range(pairs[10:11], 1, params.q)[0]
+    rho_gamma = _in_range(pairs[11:], 0, params.q)[0]
     sk = PrivateKey(params, F, G, tuple(T), tuple(weights.tolist()), tuple(W.tolist()), None)
     if rho(G.with_modulus(params.q), eval_domain(params.n, params.q))[:, T].any():
         raise MalformedData("G does not vanish on T")
@@ -545,10 +526,13 @@ def deserialize_private(text: str) -> PrivateKey:
 
 
 def deserialize_ct(text: str) -> Ciphertext:
-    header, fields = _load(text, "ct")
-    kv = _read_header(header, ("q", "n"))
-    n, q = kv["n"], kv["q"]
+    header, fields = _parse(text)
+    try:
+        n, q = header["n"], header["q"]
+    except KeyError as exc:
+        raise MalformedData(f"header key {exc} missing") from exc
     if n < 1 or q < 3 or not fits_int64(n, q):
         raise MalformedData(f"a ciphertext needs n >= 1 and q >= 3, with q small enough "
                             f"for int64 arithmetic at n, not n={n} q={q}")
-    return Ciphertext(_read_rows(fields, "c", n, 0, q), q)
+    pairs = _written(text, *_ct_form(q, n), fields)
+    return Ciphertext(_in_range(pairs, 0, q), q)

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import random
 import time
 
 import pytest
@@ -174,6 +175,63 @@ class TestEncryptDecrypt:
         code, _ = run("encrypt", "--key", str(bad), "--in", str(bad),
                       "--out", str(tmp_path / "ct"))
         assert code == 1
+
+
+# bytes an edit puts in a file: digits, signs, separators, line ends,
+# letters, and bytes that are not UTF-8
+EDIT_BYTES = [bytes([b]) for b in b"0123456789-+ =:_\t\r\nhqxT"] + [b"\xff", b"\x80", b"\xc3"]
+
+
+def edit_bytes(data: bytes, rng: random.Random) -> bytes:
+    """data with 1 to 3 bytes inserted, deleted or replaced."""
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(["insert", "delete", "replace"])
+        i = rng.randrange(len(data) + (op == "insert"))
+        new = b"" if op == "delete" else rng.choice(EDIT_BYTES)
+        data = data[:i] + new + data[i + (op != "insert"):]
+    return data
+
+
+class TestEditedFiles:
+    """An edited key or ciphertext file gives a documented exit code, and
+    no exception leaves main."""
+
+    @pytest.mark.parametrize("which", ["pub", "priv", "ct"])
+    @pytest.mark.parametrize("params", ["toy", "moderate"])
+    def test_exit_codes(self, tmp_path, params, which):
+        prefix, msg, ct = str(tmp_path / "k"), tmp_path / "msg", str(tmp_path / "ct")
+        msg.write_bytes(b"ed")
+        assert run("keygen", "--params", params, "--seed", "12", "--out", prefix)[0] == 0
+        assert run("encrypt", "--key", prefix + ".pub", "--in", str(msg), "--out", ct,
+                   "--seed", "13")[0] == 0
+        edited = str(tmp_path / f"edited.{which}")
+        if which == "pub":
+            honest = prefix + ".pub"
+            argv = ["encrypt", "--key", edited, "--in", str(msg), "--out", str(tmp_path / "ct2")]
+            allowed = {0, 1, 4}
+        else:
+            honest = prefix + ".priv" if which == "priv" else ct
+            key, ct_in = (edited, ct) if which == "priv" else (prefix + ".priv", edited)
+            argv = ["decrypt", "--strict", "--key", key, "--in", ct_in,
+                    "--out", str(tmp_path / "out")]
+            allowed = {0, 1, 3}
+        with open(honest, "rb") as fh:
+            data = fh.read()
+        rng = random.Random(f"{params}-{which}")
+        for _ in range(200):
+            with open(edited, "wb") as fh:
+                fh.write(edit_bytes(data, rng))
+            assert run(*argv)[0] in allowed
+
+    def test_crlf_key_file_refused(self, keyfiles, tmp_path):
+        # a key file is read as its bytes spell it, line ends untranslated
+        pub, _ = keyfiles
+        crlf, msg = tmp_path / "crlf.pub", tmp_path / "msg"
+        with open(pub, "rb") as fh:
+            crlf.write_bytes(fh.read().replace(b"\n", b"\r\n"))
+        msg.write_bytes(b"hi")
+        assert run("encrypt", "--key", str(crlf), "--in", str(msg),
+                   "--out", str(tmp_path / "ct"))[0] == 1
 
 
 class TestAnalyze:

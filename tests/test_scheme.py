@@ -560,6 +560,46 @@ def respellings(v):
     return out
 
 
+def _join(lines, end="\n"):
+    return end.join(lines) + end
+
+
+def _with_line(lines, i, line):
+    return _join(lines[:i] + [line] + lines[i + 1:])
+
+
+# other spellings of a whole file, made from its lines without their line
+# ends: the magic line, the header line, then one line per field
+WHOLE_FILE_RESPELLINGS = {
+    "blank line first": lambda ls: _join([""] + ls),
+    "blank line between fields": lambda ls: _join(ls[:3] + [""] + ls[3:]),
+    "blank line last": lambda ls: _join(ls + [""]),
+    "CRLF line ends": lambda ls: _join(ls, "\r\n"),
+    "no final newline": lambda ls: "\n".join(ls),
+    "trailing space": lambda ls: _with_line(ls, len(ls) - 1, ls[-1] + " "),
+    "two spaces between integers": lambda ls: _with_line(ls, 2, "  ".join(ls[2].rsplit(" ", 1))),
+    "tab between integers": lambda ls: _with_line(ls, 2, "\t".join(ls[2].rsplit(" ", 1))),
+    "label:values": lambda ls: _with_line(ls, 2, ls[2].replace(": ", ":", 1)),
+    "label : values": lambda ls: _with_line(ls, 2, ls[2].replace(": ", " : ", 1)),
+    "two fields swapped": lambda ls: _join(ls[:2] + [ls[3], ls[2]] + ls[4:]),
+    "two header keys swapped": lambda ls: _with_line(
+        ls, 1, " ".join(ls[1].split()[1::-1] + ls[1].split()[2:])),
+}
+
+
+@pytest.fixture(scope="module")
+def honest_files(toy_key, moderate_key):
+    """{(parameter set, kind): (text, loader, writer)} for a keypair at
+    toy and at moderate and a ciphertext under each."""
+    files = {}
+    for name, (pk, sk) in (("toy", toy_key), ("moderate", moderate_key)):
+        ct = encrypt(pk, random_message(pk.params, 0), 1)
+        files[name, "public"] = serialize_public(pk), deserialize_public, serialize_public
+        files[name, "private"] = serialize_private(sk), deserialize_private, serialize_private
+        files[name, "ct"] = serialize_ct(ct), deserialize_ct, serialize_ct
+    return files
+
+
 def secret_points_text(sk, T):
     """The key file of sk, rewritten to name the secret set T instead.
 
@@ -1105,6 +1145,51 @@ class TestCodecRobustness:
             for line in bad:
                 with pytest.raises(MalformedData):
                     load(with_header(line))
+
+    @pytest.mark.parametrize("how", list(WHOLE_FILE_RESPELLINGS))
+    @pytest.mark.parametrize("kind", ["public", "private", "ct"])
+    def test_whole_file_respellings(self, honest_files, kind, how):
+        # each file has one spelling, the writer's: a loader that read
+        # the same values from another spelling would accept a second
+        # encoding of the same key or ciphertext
+        text, load, _ = honest_files["moderate", kind]
+        load(text)
+        other = WHOLE_FILE_RESPELLINGS[how](text.split("\n")[:-1])
+        assert other != text
+        with pytest.raises(MalformedData):
+            load(other)
+
+
+EDIT_CHARS = "0123456789-+ =:_\t\r\nabcfhqxT"
+
+
+@st.composite
+def edited(draw, text):
+    """text with 1 to 3 characters inserted, deleted or replaced, each new
+    one a digit, a sign, a separator, a line end or a letter."""
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        i = draw(st.integers(0, len(text) - (op != "insert")))
+        new = "" if op == "delete" else draw(st.sampled_from(EDIT_CHARS))
+        text = text[:i] + new + text[i + (op != "insert"):]
+    return text
+
+
+class TestEditedTexts:
+    @pytest.mark.parametrize("kind", ["public", "private", "ct"])
+    @pytest.mark.parametrize("name", ["toy", "moderate"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_what_loads_round_trips(self, honest_files, name, kind, data):
+        # an edited file either is refused, or loads as what the writer
+        # writes back byte for byte: no text but the writer's loads
+        text, load, write = honest_files[name, kind]
+        other = data.draw(edited(text))
+        try:
+            got = load(other)
+        except MalformedData:
+            return
+        assert write(got) == other
 
 
 class TestKeyValidation:
