@@ -60,21 +60,9 @@ from .scheme import (
     serialize_public,
 )
 
-def _resolve_seed(args) -> int | None:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("BQTRU_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise MalformedData(f"BQTRU_SEED={env!r} is not an integer")
-    return None
-
-
 def _rng_from(args) -> random.Random:
     # Random(None) seeds itself from system entropy
-    return random.Random(_resolve_seed(args))
+    return random.Random(args.seed)
 
 
 def _resolve_params(args) -> tuple[Params, str]:
@@ -127,8 +115,7 @@ def _warn_if_toy(label: str, out) -> None:
 def cmd_keygen(args, out) -> int:
     params, label = _resolve_params(args)
     _warn_if_toy(label, out)
-    rng = _rng_from(args)
-    pk, sk = keygen(params, rng)
+    pk, sk = keygen(params, args.seed)
     # the private key first, so no new public key is left without it
     _write_atomic((args.out + ".priv", serialize_private(sk)),
                   (args.out + ".pub", serialize_public(pk)))
@@ -238,7 +225,6 @@ def cmd_bench(args, out) -> int:
 def cmd_attack(args, out) -> int:
     params, label = _resolve_params(args)
     _warn_if_toy(label, out)
-    rng = _rng_from(args)
 
     sk = None
     if args.target:
@@ -246,7 +232,7 @@ def cmd_attack(args, out) -> int:
         if pk.params.n != params.n or pk.params.q != params.q:
             raise MalformedData("target key does not match the chosen parameters")
     elif params.n <= 3:
-        pk, sk = keygen(params, rng)
+        pk, sk = keygen(params, args.seed)
 
     # the dimensions are closed formulas; the lattices are built only to be reduced
     dim = 12 * params.nsq

@@ -1,22 +1,24 @@
 """Key generation, encryption, CVP-based decryption, and their text files.
 
-Keys live over the bivariate convolution ring; a private key holds its key
-file's fields (F, G, the secret grid subset T with its nonzero weights mod
-q, W) and F^-1 mod p, and derives the rest.  Messages (centered mod p)
-and ciphertexts (in [0, q)) are int64 (4, n^2) arrays, a row per
-component, like a Quaternion's rows and the evaluation arrays rho(F);
-decrypt wraps V and M_hat, each one array, in a Quaternion only for its
-reference products.  Each key caches the (4, 4, n^2) left-multiplication
-tensor of its evaluation array (PublicKey.left_H of rho(H),
-PrivateKey.left_F of rho(F)), so a message costs one einsum and the two
-transforms.  Keys and ciphertexts share one text format, defined by its
-writer alone: _dump formats a whole file with one % into a format cached
-per layout (kind, header and the (label, count) of each field, which
-_public_form, _private_form and _ct_form give), from one flat array, and
-a loader accepts a text only if _dump writes it back byte for byte from
-the values it parsed, so each file has one spelling; the private key's
-rhogamma field lists rho(gamma) point by point, the one place a (4, n^2)
-array is transposed.
+Keys live over the bivariate convolution ring.  keygen derives a keypair
+from a 256-bit seed; the private key keeps the seed, its secret fields
+(F, G, the secret grid subset T with its nonzero weights mod q, W) and
+F^-1 mod p, and derives the rest.  Messages (centered mod p) and
+ciphertexts (in [0, q)) are int64 (4, n^2) arrays, a row per component,
+like a Quaternion's rows and the evaluation arrays rho(F); decrypt wraps
+V and M_hat, each one array, in a Quaternion only for its reference
+products.  Each key caches the (4, 4, n^2) left-multiplication tensor of
+its evaluation array (PublicKey.left_H of rho(H), PrivateKey.left_F of
+rho(F)), so a message costs one einsum and the two transforms.  Keys and
+ciphertexts share one text format, defined by its writer alone: _dump
+formats a whole file with one % into a format cached per layout (kind,
+header and the (label, count) of each field, which _public_form,
+_private_form and _ct_form give), from one flat array, and a loader
+accepts a text only if _dump writes it back byte for byte from the
+values it parsed, so each file has one spelling.  A private key file
+holds the parameters and the seed alone, and loading it derives the key
+again, so the seed pins keygen's draws: the sampler, their order and the
+retry limits.
 All randomness comes from an explicit random.Random instance, or a seed
 for one, supplied by the caller; ternary polynomials come from
 ring.signed_ternary, centered residues from ring.centered, and scalar and
@@ -82,11 +84,17 @@ class PublicKey:
 
 
 # decryption scans the q^|T| cosets of qZ^{n^2} in D' per component; keygen
-# and key load admit only secret sets T whose scan stays within this bound
+# admits only secret sets T whose scan stays within this bound
 MAX_SCAN_CLASSES = 2 ** 16
 
-# keygen draws at most this many F for each usable G before drawing a new G
+# keygen draws at most this many G, and this many F for each usable G
+# before drawing a new G; a key file holds only its seed, so both limits
+# are part of the format
+MAX_G_DRAWS = 10_000
 F_DRAWS_PER_G = 100
+
+# a private key file holds the key's seed as this many bytes
+SEED_BYTES = 32
 
 
 def _scannable(T, q: int) -> bool:
@@ -96,20 +104,22 @@ def _scannable(T, q: int) -> bool:
 
 @dataclass
 class PrivateKey:
-    """Secret key material: the key file's secret fields and F^-1 mod p.
+    """A private key: its seed, the secret half of the key it derives
+    (F, G, T, weights, W) and F^-1 mod p.
 
     T is the secret set of grid indices, with one nonzero weight mod q per
     index in weights; rho(theta) is weight_t * W at each t in T and zero
     elsewhere.  The private lattice D' is qZ^{n^2} + sum_{t in T}
     Z*lambda_t, with lambda_t the Lagrange rows for the secret points
     (lagrange_T, entries in [0, q)).  Decryption scans the q^|T| cosets
-    of qZ^{n^2} in D' and never builds a basis of D'; keygen and
-    deserialize_private admit only a T for which _scannable(T, q) holds.
-    rho_F caches rho(F mod q), left_F its left-multiplication tensor, which
-    decryption and rho_gamma = rho(F) * rho(theta) apply.
+    of qZ^{n^2} in D' and never builds a basis of D'; keygen admits only
+    a T for which _scannable(T, q) holds.  rho_F caches rho(F mod q),
+    left_F its left-multiplication tensor, which decryption and rho_gamma
+    = rho(F) * rho(theta) apply.
     """
 
     params: Params
+    seed: int
     F: Quaternion
     G: Quaternion
     T: tuple
@@ -148,30 +158,49 @@ class Ciphertext:
                 and np.array_equal(self.C, other.C))
 
 
-def keygen(params: Params, rng, max_attempts: int = 10_000):
-    """Generate a keypair, retrying G until its zero set and F cooperate.
+def keygen(params: Params, seed=None) -> tuple[PublicKey, PrivateKey]:
+    """A keypair derived from a 256-bit seed, which the private key keeps.
+
+    An int in [0, 2^256) is itself the seed, a random.Random gives one by
+    getrandbits(256), and None takes one from the operating system's
+    entropy through random.SystemRandom, as secrets does.  The private key
+    is _private_key(params, seed); the public key is then H with rho(H) =
+    rho(F)^-1 * rho(G) off T plus rho(theta), a pointwise product on the
+    evaluation grid.
+    """
+    if seed is None:
+        seed = random.SystemRandom().getrandbits(8 * SEED_BYTES)
+    elif isinstance(seed, random.Random):
+        seed = seed.getrandbits(8 * SEED_BYTES)
+    elif not 0 <= seed < 2 ** (8 * SEED_BYTES):
+        raise ValueError(f"a key seed is an int in [0, 2^{8 * SEED_BYTES}), not {seed}")
+    sk = _private_key(params, seed)
+    q, dom = params.q, eval_domain(params.n, params.q)
+    rho_H = (rho_mul(rho_inverse(sk.rho_F, q, sk.T), rho(sk.G.with_modulus(q), dom), q)
+             + _rho_theta(sk.T, sk.weights, sk.W, params)) % q
+    return PublicKey(params, rho_interpolate(rho_H, dom)), sk
+
+
+def _private_key(params: Params, seed: int) -> PrivateKey:
+    """The private key that random.Random(seed) draws, retrying G until its
+    zero set and F cooperate, at most MAX_G_DRAWS times.
 
     The first component of F carries one extra +1 (d_f+1 ones, d_f minus
     ones): a fully balanced component vanishes at the grid point (1,1),
     which would force the norm of F to vanish there and make the required
     inverses impossible.
-
-    All mod-q products are pointwise on the evaluation grid: rho(H) is
-    rho(F)^-1 * rho(G) off T plus rho(theta), which is W * weight_t at
-    each t in T and zero elsewhere, and rho_gamma = rho(F) * rho(theta).
     """
     n, q = params.n, params.q
     if q > MAX_SCAN_CLASSES:
         # even one secret point has q coset classes
         raise RetriesExhausted(f"no secret set T is scannable at q = {q}: decryption needs "
                                f"q^|T| <= 2^16 = {MAX_SCAN_CLASSES} coset classes")
-    rng = as_rng(rng)
+    rng = random.Random(seed)
     dom = eval_domain(n, q)
-    for _ in range(max_attempts):
+    for _ in range(MAX_G_DRAWS):
         G = Quaternion([signed_ternary(params.nsq, params.d_g, params.d_g, rng)
                         for _ in range(4)])
-        rho_G = rho(G.with_modulus(q), dom)
-        T = derive_T(rho_G)
+        T = derive_T(rho(G.with_modulus(q), dom))
         if not _scannable(T, q):
             continue
         found = _find_F(params, T, dom, rng)
@@ -183,11 +212,8 @@ def keygen(params: Params, rng, max_attempts: int = 10_000):
             W = tuple(rng.randrange(1, q) for _ in range(4))
             if rho_norms(W, q) != 0:
                 break
-        sk = PrivateKey(params, F, G, tuple(T), tuple(weights), W, F_p_inv)
-        rho_H = (rho_mul(rho_inverse(sk.rho_F, q, T), rho_G, q)
-                 + _rho_theta(T, weights, W, params)) % q
-        return PublicKey(params, rho_interpolate(rho_H, dom)), sk
-    raise RetriesExhausted(f"no usable G found in {max_attempts} attempts")
+        return PrivateKey(params, seed, F, G, tuple(T), tuple(weights), W, F_p_inv)
+    raise RetriesExhausted(f"no usable G found in {MAX_G_DRAWS} attempts")
 
 
 def _rho_theta(T, weights, W, params: Params) -> np.ndarray:
@@ -407,12 +433,8 @@ def _public_form(params: Params) -> tuple:
     return "public", _param_line(params), _quat_layout("h", params.nsq)
 
 
-def _private_form(params: Params, t: int) -> tuple:
-    """The form of a private key file whose secret set T has t points."""
-    nsq = params.nsq
-    return "private", _param_line(params), (
-        _quat_layout("f", nsq) + _quat_layout("g", nsq)
-        + (("T", t), ("weights", t), ("W", 4), ("rhogamma", 4 * nsq)))
+def _private_form(params: Params) -> tuple:
+    return "private-seed", _param_line(params), (("seed", SEED_BYTES),)
 
 
 def _ct_form(q: int, n: int) -> tuple:
@@ -471,9 +493,7 @@ def serialize_public(pk: PublicKey) -> str:
 
 
 def serialize_private(sk: PrivateKey) -> str:
-    return _dump(*_private_form(sk.params, len(sk.T)), np.concatenate([
-        sk.F.rows.ravel(), sk.G.rows.ravel(), sk.T, sk.weights, sk.W,
-        sk.rho_gamma.T.ravel()]))
+    return _dump(*_private_form(sk.params), np.array(list(sk.seed.to_bytes(SEED_BYTES, "big"))))
 
 
 def serialize_ct(ct: Ciphertext) -> str:
@@ -488,41 +508,18 @@ def deserialize_public(text: str) -> PublicKey:
 
 
 def deserialize_private(text: str) -> PrivateKey:
-    """Parse a private key and check it from evaluation arrays alone.
-
-    G must vanish on T, the grid zeros of N(F) (the scalar norms of rho(F))
-    must lie inside T, the file's rhogamma must equal the key's rho_gamma,
-    and F must be invertible mod p, checked in that order; any failure,
-    like a field out of range, raises MalformedData.  The key keeps rho(F)
-    cached for decryption.
-    """
+    """Parse a private key file, its parameters and seed, and derive the
+    key from them as keygen does, without its public half.  A seed that
+    derives no key at the file's parameters, like a field out of range,
+    raises MalformedData."""
     header, fields = _parse(text)
     params = _params(header)
-    # the header gives every count but T's, the number of secret points
-    pairs = _written(text, *_private_form(params, len(fields.get("T", ()))), fields)
-    F = Quaternion(_in_range(pairs[:4], -1, 2))
-    G = Quaternion(_in_range(pairs[4:8], -1, 2))
-    T = _in_range(pairs[8:9], 0, params.nsq)[0].tolist()
-    if len(set(T)) != len(T):
-        raise MalformedData("bad T field")
-    if not _scannable(T, params.q):
-        raise MalformedData(f"T must name at least one point, and q^|T| = {params.q}^{len(T)} "
-                            f"coset classes may not exceed {MAX_SCAN_CLASSES}")
-    weights = _in_range(pairs[9:10], 1, params.q)[0]
-    W = _in_range(pairs[10:11], 1, params.q)[0]
-    rho_gamma = _in_range(pairs[11:], 0, params.q)[0]
-    sk = PrivateKey(params, F, G, tuple(T), tuple(weights.tolist()), tuple(W.tolist()), None)
-    if rho(G.with_modulus(params.q), eval_domain(params.n, params.q))[:, T].any():
-        raise MalformedData("G does not vanish on T")
-    if norm_zeros_off_T(rho_norms(sk.rho_F, params.q), T).size:
-        raise MalformedData("N(F) vanishes at a grid point outside T")
-    if not np.array_equal(rho_gamma, sk.rho_gamma.T.reshape(-1)):
-        raise MalformedData("rhogamma is not rho(F) * rho(theta)")
+    pairs = _written(text, *_private_form(params), fields)
+    seed = int.from_bytes(bytes(_in_range(pairs, 0, 256)[0].tolist()), "big")
     try:
-        sk.F_p_inv = quat_inverse_mod_p(F.with_modulus(params.p))
-    except NotInvertible as exc:
-        raise MalformedData("F is not invertible mod p") from exc
-    return sk
+        return _private_key(params, seed)
+    except RetriesExhausted as exc:
+        raise MalformedData(f"the key file's seed derives no key: {exc}") from exc
 
 
 def deserialize_ct(text: str) -> Ciphertext:

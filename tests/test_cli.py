@@ -40,12 +40,12 @@ class TestKeygen:
         run("keygen", "--params", "toy", "--seed", "8", "--out", b)
         assert open(a + ".pub").read() != open(b + ".pub").read()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BQTRU_SEED", "99")
+    def test_no_seed_draws_a_fresh_key(self, tmp_path):
+        # without --seed each private key file holds a seed of its own
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        run("keygen", "--params", "toy", "--out", a)
-        run("keygen", "--params", "toy", "--out", b)
-        assert open(a + ".pub").read() == open(b + ".pub").read()
+        assert run("keygen", "--params", "toy", "--out", a)[0] == 0
+        assert run("keygen", "--params", "toy", "--out", b)[0] == 0
+        assert open(a + ".priv").read() != open(b + ".priv").read()
 
     def test_size_report(self, tmp_path):
         code, out = run("keygen", "--params", "moderate", "--seed", "1",

@@ -11,6 +11,9 @@ load of such a name could not tell which of the two it calls.
 
 Every module in src/bqtru and tests loads each name it imports; a name
 listed in the module's __all__ counts as loaded.
+
+No module in src/bqtru reads an environment variable: its inputs are
+arguments and files.
 """
 
 import ast
@@ -196,3 +199,36 @@ def test_import_guard_sees_unused_names():
         "    return x.isqrt(os.sep)\n")
     # a store or an attribute of the same name is not a load of the import
     assert _unused_imports(tree) == ["comb", "isqrt", "RingElem"]
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree):
+    """The os environment reads in a module, as os.<name>, in source order."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in ENVIRONMENT_READS):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"os.{a.name}") for a in node.names
+                      if a.name in ENVIRONMENT_READS]
+    return [name for _, name in sorted(found)]
+
+
+def test_src_reads_no_environment_variable():
+    # a variable set in the shell would change what a command writes, a
+    # key file among it, without showing on its command line
+    reads = {module: _environment_reads(tree) for module, tree in _trees().items()}
+    assert {module: names for module, names in reads.items() if names} == {}
+
+
+def test_environment_guard_sees_reads():
+    tree = ast.parse(
+        "import os\n"
+        "from os import getenv, path\n"
+        "a = os.environ.get('A')\n"
+        "b = os.getenv('B')\n"
+        "c = os.path.join('x')\n")
+    assert _environment_reads(tree) == ["os.getenv", "os.environ", "os.getenv"]
