@@ -33,7 +33,8 @@ the evaluation domain runs none.
 The rules the other modules share are written here once: the centered
 residue (centered), signed ternary sampling (signed_ternary, for the
 scheme and the NTRU baseline alike) and the coercion of a seed to a
-random.Random (as_rng).
+random.Random (as_rng).  The sampler draws what CPython 3.11's
+random.Random.sample draws, over getrandbits alone, so a seed fixes it.
 """
 
 from __future__ import annotations
@@ -80,16 +81,49 @@ def centered(a, m: int) -> np.ndarray:
     return np.where(a > m // 2, a - m, a)
 
 
-def signed_ternary(size: int, plus: int, minus: int, rng: random.Random) -> np.ndarray:
+def signed_ternary(size: int, plus, minus, rng: random.Random) -> np.ndarray:
     """plus coefficients +1 and minus coefficients -1 at uniformly drawn
-    distinct slots of a length-size int64 vector, the rest 0."""
-    if plus + minus > size:
-        raise WeightTooLarge(f"{plus}+{minus} nonzeros do not fit in {size} slots")
-    out = np.zeros(size, dtype=np.int64)
-    picks = rng.sample(range(size), plus + minus)
-    out[picks[:plus]] = 1
-    out[picks[plus:]] = -1
+    distinct slots of a length-size int64 vector, the rest 0.  Given lists
+    of counts, it draws a row per pair of counts, in order, into one array;
+    a row's slots are _sample_slots(size, plus + minus, rng), plus first."""
+    if isinstance(plus, int):
+        return signed_ternary(size, [plus], [minus], rng)[0]
+    out = np.zeros((len(plus), size), dtype=np.int64)
+    for row, up, down in zip(out, plus, minus):
+        if up + down > size:
+            raise WeightTooLarge(f"{up}+{down} nonzeros do not fit in {size} slots")
+        picks = np.array(_sample_slots(size, up + down, rng), dtype=np.intp)
+        row[picks[:up]] = 1
+        row[picks[up:]] = -1
     return out
+
+
+def _sample_slots(size: int, k: int, rng: random.Random) -> list:
+    """rng.sample(range(size), k) as CPython 3.11 draws it, pick for pick
+    and leaving rng in the same state, over rng.getrandbits alone: a
+    partial Fisher-Yates shuffle (Durstenfeld's Algorithm 235) while the
+    pool is no larger than a k-element set, else redraws that reject a
+    repeated slot.  An index below m is getrandbits(m.bit_length()), drawn
+    again while it is m or more."""
+    getrandbits, picks = rng.getrandbits, []
+    if size <= (21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))):
+        pool = list(range(size))
+        for m in range(size, size - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            picks.append(pool[j])
+            pool[j] = pool[m - 1]
+        return picks
+    seen = set()
+    for _ in range(k):
+        j = getrandbits(size.bit_length())
+        while j >= size or j in seen:
+            j = getrandbits(size.bit_length())
+        seen.add(j)
+        picks.append(j)
+    return picks
 
 
 def as_rng(rng) -> random.Random:

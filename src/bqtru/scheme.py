@@ -11,14 +11,16 @@ products.  Each key caches the (4, 4, n^2) left-multiplication tensor of
 its evaluation array (PublicKey.left_H of rho(H), PrivateKey.left_F of
 rho(F)), so a message costs one einsum and the two transforms.  Keys and
 ciphertexts share one text format, defined by its writer alone: _dump
-formats a whole file with one % into a format cached per layout (kind,
-header and the (label, count) of each field, which _public_form,
-_private_form and _ct_form give), from one flat array, and a loader
-accepts a text only if _dump writes it back byte for byte from the
-values it parsed, so each file has one spelling.  A private key file
-holds the parameters and the seed alone, and loading it derives the key
-again, so the seed pins keygen's draws: the sampler, their order and the
-retry limits.
+writes the header lines and a line per field (_public_form, _private_form
+and _ct_form give each kind's header, fields' (label, count) and bound
+hi), each value in [0, hi) spelled from a cached table of str(i); hi is
+q, or 256 for the seed's bytes.  A loader checks the fields' counts, their range,
+then their spelling, by having _dump write the text back byte for byte
+from the values it parsed, so each file has one spelling.  A header's q
+sizes the table, so a q above MAX_SCAN_CLASSES, which no key has, is
+refused first.  A private key file holds the parameters and the seed
+alone, and loading it derives the key again, so the seed pins keygen's
+draws: ring.signed_ternary's sampler, their order and the retry limits.
 All randomness comes from an explicit random.Random instance, or a seed
 for one, supplied by the caller; ternary polynomials come from
 ring.signed_ternary, centered residues from ring.centered, and scalar and
@@ -195,11 +197,13 @@ def _private_key(params: Params, seed: int) -> PrivateKey:
         # even one secret point has q coset classes
         raise RetriesExhausted(f"no secret set T is scannable at q = {q}: decryption needs "
                                f"q^|T| <= 2^16 = {MAX_SCAN_CLASSES} coset classes")
+    if params.d_g == 0 and not _scannable(range(params.nsq), q):
+        # G = 0 vanishes on the whole grid, so every draw gives this T
+        raise RetriesExhausted(f"d_g = 0 makes T the whole grid, {q}^{params.nsq} classes")
     rng = random.Random(seed)
     dom = eval_domain(n, q)
     for _ in range(MAX_G_DRAWS):
-        G = Quaternion([signed_ternary(params.nsq, params.d_g, params.d_g, rng)
-                        for _ in range(4)])
+        G = Quaternion(signed_ternary(params.nsq, [params.d_g] * 4, [params.d_g] * 4, rng))
         T = derive_T(rho(G.with_modulus(q), dom))
         if not _scannable(T, q):
             continue
@@ -228,8 +232,7 @@ def _find_F(params: Params, T, dom: EvalDomain, rng: random.Random):
     invertible mod p, or None when all F_DRAWS_PER_G draws fail."""
     nsq, d_f = params.nsq, params.d_f
     for _ in range(F_DRAWS_PER_G):
-        F = Quaternion([signed_ternary(nsq, d_f + 1, d_f, rng)]
-                       + [signed_ternary(nsq, d_f, d_f, rng) for _ in range(3)])
+        F = Quaternion(signed_ternary(nsq, [d_f + 1] + [d_f] * 3, [d_f] * 4, rng))
         norm = quat_norm(F.with_modulus(dom.q))
         if norm_zeros_off_T(dom.transform(norm[None])[0], T).size:
             continue
@@ -267,7 +270,7 @@ def encrypt(pk: PublicKey, M, rng, phi=None) -> Ciphertext:
         raise MessageOutOfRange("message coefficients must be signed integers centered mod p")
     if phi is None:
         rng = as_rng(rng)
-        phi = np.array([signed_ternary(nsq, params.d_phi, params.d_phi, rng) for _ in range(4)])
+        phi = signed_ternary(nsq, [params.d_phi] * 4, [params.d_phi] * 4, rng)
     dom = eval_domain(params.n, q)
     h_phi = dom.inverse_transform(rho_apply(pk.left_H, dom.transform(phi), q))
     return Ciphertext((p * h_phi + M) % q, q)
@@ -405,19 +408,26 @@ def _param_line(params: Params) -> str:
             f"df={params.d_f} dg={params.d_g} dphi={params.d_phi}")
 
 
-@lru_cache(maxsize=32)
-def _file_format(kind: str, header_line: str, layout: tuple) -> str:
-    """The %-format of a whole file: the magic line with the kind, the
-    header line, and one 'label: %d ...' line per (label, count) of layout."""
+@lru_cache(maxsize=4)
+def _spellings(hi: int) -> np.ndarray:
+    """str(i) for each i in [0, hi), as an object array a field's values index."""
+    return np.array([str(i) for i in range(hi)], dtype=object)
+
+
+def _dump(kind: str, header_line: str, layout: tuple, hi: int, rows: np.ndarray) -> str:
+    """A file of this layout holding rows, one per (label, count) of it,
+    each value in [0, hi) spelled str(int) from the table _spellings(hi).
+    An hi above MAX_SCAN_CLASSES, which no key's q is, and a value out of
+    range are MalformedData, raised before a table is built or read."""
+    if hi > MAX_SCAN_CLASSES:
+        raise MalformedData(f"no key has q = {hi} > 2^16: keygen refuses it")
+    if rows.min() < 0 or rows.max() >= hi:
+        bad = ((rows < 0) | (rows >= hi)).any(axis=1).argmax()
+        raise MalformedData(f"field {layout[bad][0]} malformed")
     lines = [f"{_MAGIC} {kind}", header_line]
-    lines += [label + ": " + " ".join(["%d"] * count) for label, count in layout]
+    lines += [label + ": " + " ".join(words)
+              for (label, _), words in zip(layout, _spellings(hi)[rows].tolist())]
     return "\n".join(lines) + "\n"
-
-
-def _dump(kind: str, header_line: str, layout: tuple, values: np.ndarray) -> str:
-    """A file of this layout holding the flat int64 values in order, each
-    spelled str(int), by one % into the layout's cached format."""
-    return _file_format(kind, header_line, layout) % tuple(values.tolist())
 
 
 @lru_cache(maxsize=32)
@@ -426,19 +436,20 @@ def _quat_layout(label: str, nsq: int) -> tuple:
     return tuple((f"{label}{i}", nsq) for i in range(4))
 
 
-# each kind's (kind, header line, layout): the one definition of its files,
-# which serialize_* writes and deserialize_* holds a text to
+# each kind's (kind, header line, layout, bound hi of its values): the one
+# definition of its files, which serialize_* writes and deserialize_*
+# holds a text to
 
 def _public_form(params: Params) -> tuple:
-    return "public", _param_line(params), _quat_layout("h", params.nsq)
+    return "public", _param_line(params), _quat_layout("h", params.nsq), params.q
 
 
 def _private_form(params: Params) -> tuple:
-    return "private-seed", _param_line(params), (("seed", SEED_BYTES),)
+    return "private-seed", _param_line(params), (("seed", SEED_BYTES),), 256
 
 
 def _ct_form(q: int, n: int) -> tuple:
-    return "ct", f"q={q} n={n}", _quat_layout("c", n * n)
+    return "ct", f"q={q} n={n}", _quat_layout("c", n * n), q
 
 
 def _parse(text: str) -> tuple:
@@ -462,49 +473,43 @@ def _params(header: dict) -> Params:
         raise MalformedData(f"bad parameter line: {exc}") from exc
 
 
-def _written(text: str, kind: str, header_line: str, layout: tuple, fields: dict) -> list:
-    """The (label, values) of each field of layout, in order, if _dump
-    writes text from them byte for byte; a missing field, a count other
-    than layout's and any other spelling are MalformedData.  The counts
-    are checked first, so no format is built larger than the text."""
+def _written(text: str, kind: str, header_line: str, layout: tuple, hi: int,
+             fields: dict) -> np.ndarray:
+    """The values of layout's fields as rows, in order, if each field
+    holds its count of values in [0, hi) and _dump writes text from them
+    byte for byte; a missing field, another count, a value out of range
+    (which _dump refuses) and any other spelling are MalformedData,
+    checked in that order."""
     try:
-        pairs = [(label, fields[label]) for label, _ in layout]
+        rows = [fields[label] for label, _ in layout]
     except KeyError as exc:
         raise MalformedData(f"a {kind} file needs the field {exc}") from exc
-    for (label, count), (_, values) in zip(layout, pairs):
+    for (label, count), values in zip(layout, rows):
         if len(values) != count:
             raise MalformedData(f"field {label} malformed")
-    if _dump(kind, header_line, layout, np.concatenate([v for _, v in pairs])) != text:
+    rows = np.stack(rows)
+    if _dump(kind, header_line, layout, hi, rows) != text:
         raise MalformedData(f"not a {_MAGIC} {kind} file as written")
-    return pairs
-
-
-def _in_range(pairs: list, lo: int, hi: int) -> np.ndarray:
-    """The values of the (label, values) pairs as rows, if each is in [lo, hi)."""
-    rows = np.stack([values for _, values in pairs])
-    bad = ((rows < lo) | (rows >= hi)).any(axis=1)
-    if bad.any():
-        raise MalformedData(f"field {pairs[bad.argmax()][0]} malformed")
     return rows
 
 
 def serialize_public(pk: PublicKey) -> str:
-    return _dump(*_public_form(pk.params), pk.H.rows.ravel())
+    return _dump(*_public_form(pk.params), pk.H.rows)
 
 
 def serialize_private(sk: PrivateKey) -> str:
-    return _dump(*_private_form(sk.params), np.array(list(sk.seed.to_bytes(SEED_BYTES, "big"))))
+    seed = np.array([list(sk.seed.to_bytes(SEED_BYTES, "big"))])
+    return _dump(*_private_form(sk.params), seed)
 
 
 def serialize_ct(ct: Ciphertext) -> str:
-    return _dump(*_ct_form(ct.q, math.isqrt(ct.C.shape[1])), ct.C.ravel())
+    return _dump(*_ct_form(ct.q, math.isqrt(ct.C.shape[1])), ct.C)
 
 
 def deserialize_public(text: str) -> PublicKey:
     header, fields = _parse(text)
     params = _params(header)
-    pairs = _written(text, *_public_form(params), fields)
-    return PublicKey(params, Quaternion(_in_range(pairs, 0, params.q), params.q))
+    return PublicKey(params, Quaternion(_written(text, *_public_form(params), fields), params.q))
 
 
 def deserialize_private(text: str) -> PrivateKey:
@@ -514,8 +519,7 @@ def deserialize_private(text: str) -> PrivateKey:
     raises MalformedData."""
     header, fields = _parse(text)
     params = _params(header)
-    pairs = _written(text, *_private_form(params), fields)
-    seed = int.from_bytes(bytes(_in_range(pairs, 0, 256)[0].tolist()), "big")
+    seed = int.from_bytes(bytes(_written(text, *_private_form(params), fields)[0].tolist()), "big")
     try:
         return _private_key(params, seed)
     except RetriesExhausted as exc:
@@ -531,5 +535,4 @@ def deserialize_ct(text: str) -> Ciphertext:
     if n < 1 or q < 3 or not fits_int64(n, q):
         raise MalformedData(f"a ciphertext needs n >= 1 and q >= 3, with q small enough "
                             f"for int64 arithmetic at n, not n={n} q={q}")
-    pairs = _written(text, *_ct_form(q, n), fields)
-    return Ciphertext(_in_range(pairs, 0, q), q)
+    return Ciphertext(_written(text, *_ct_form(q, n), fields), q)

@@ -17,7 +17,8 @@ quaternion with given coefficient rows and the centered lift; the
 key-membership identity and the (4 floor(log2 q) + 12)
 n^2-dimensional expanded key-recovery lattice with its fold back to the
 12 n^2 one; the LLL conditions; the message codec written one digit at a
-time; and the sampled noise variance of honest keys.
+time; the text writer as one % into a format per layout; and the sampled
+noise variance of honest keys.
 """
 
 from __future__ import annotations
@@ -625,6 +626,19 @@ def loop_decode_message(M: np.ndarray, params) -> bytes:
         out.append(b)
         pos += per
     return bytes(out)
+
+
+# ---------------------------------------------------------------------------
+# text files, written by one % into a format per layout
+# ---------------------------------------------------------------------------
+
+def percent_dump(kind: str, header_line: str, layout: tuple, values) -> str:
+    """bqtru.scheme._dump by one % over a '%d' per value: the magic line
+    with the kind, the header line, and a 'label: %d ...' line per (label,
+    count) of layout, filled from the flat values in order."""
+    lines = [f"BQTRU v1 {kind}", header_line]
+    lines += [label + ": " + " ".join(["%d"] * count) for label, count in layout]
+    return ("\n".join(lines) + "\n") % tuple(np.ravel(values).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ listed in the module's __all__ counts as loaded.
 
 No module in src/bqtru reads an environment variable: its inputs are
 arguments and files.
+
+No module in src/bqtru calls a library sampler (random's sample,
+shuffle, choice and choices, numpy's permutation): ring.signed_ternary
+draws over getrandbits itself, so a seed pins every draw a key file
+depends on, and that one sampler is tested against random.Random.sample.
 """
 
 import ast
@@ -232,3 +237,32 @@ def test_environment_guard_sees_reads():
         "b = os.getenv('B')\n"
         "c = os.path.join('x')\n")
     assert _environment_reads(tree) == ["os.getenv", "os.environ", "os.getenv"]
+
+
+LIBRARY_SAMPLERS = {"sample", "shuffle", "choice", "choices", "permutation"}
+
+
+def _sampler_calls(tree):
+    """The calls of a library sampler in a module, as .<name>, in source order."""
+    found = [(node.lineno, node.col_offset, f".{node.func.attr}") for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in LIBRARY_SAMPLERS]
+    return [name for _, _, name in sorted(found)]
+
+
+def test_src_draws_through_one_sampler():
+    # a draw outside ring's own sampler would tie what a seed derives to
+    # the library's private code
+    calls = {module: _sampler_calls(tree) for module, tree in _trees().items()}
+    assert {module: names for module, names in calls.items() if names} == {}
+
+
+def test_sampler_guard_sees_calls():
+    tree = ast.parse(
+        "import random\n"
+        "import numpy as np\n"
+        "def f(rng, xs):\n"
+        "    rng.shuffle(xs)\n"
+        "    a = np.random.default_rng(1).permutation(5)\n"
+        "    return rng.sample(range(9), 2), random.choice(xs), rng.choices(xs), rng.getrandbits\n")
+    assert _sampler_calls(tree) == [".shuffle", ".permutation", ".sample", ".choice", ".choices"]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import bqtru
 import bqtru.lattice as lattice
 import bqtru.quat as quat
+import bqtru.ring as ring
 import bqtru.scheme as scheme
 from bqtru.cli import main as cli_main
 from bqtru.errors import (
@@ -60,6 +61,7 @@ from oracles import (
     is_zero,
     loop_decode_message,
     loop_encode_message,
+    percent_dump,
     quat_add,
     quat_from_vector,
     quat_one,
@@ -110,6 +112,32 @@ class TestSampleTernary:
         assert abs(total.sum()) / 10_000 < 0.05
         # each slot is nonzero with probability 14/49
         assert np.allclose(hit / 10_000, 14 / 49, atol=0.02)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64), size=st.integers(1, 3000), data=st.data())
+    def test_slots_are_random_sample(self, seed, size, data):
+        # pick for pick as random.Random.sample, and the same state after
+        k = data.draw(st.integers(0, size))
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert ring._sample_slots(size, k, ours) == ref.sample(range(size), k)
+        assert ours.getrandbits(32) == ref.getrandbits(32)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64), size=st.integers(22, 3000), k=st.integers(0, 5))
+    def test_slots_are_random_sample_in_the_set_regime(self, seed, size, k):
+        # few picks from a larger pool: sample rejects repeats from a set
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert ring._sample_slots(size, k, ours) == ref.sample(range(size), k)
+        assert ours.getrandbits(32) == ref.getrandbits(32)
+
+    def test_rows_are_drawn_in_order(self):
+        # one call for a key's four rows draws what four one-row calls draw
+        ours, ref = random.Random(4), random.Random(4)
+        rows = signed_ternary(49, [8, 7, 7, 7], [7] * 4, ours)
+        assert np.array_equal(rows, [signed_ternary(49, up, 7, ref) for up in (8, 7, 7, 7)])
+        assert ours.getrandbits(32) == ref.getrandbits(32)
+        with pytest.raises(WeightTooLarge):
+            signed_ternary(9, [1, 5], [1, 5], ours)
 
 
 class TestKeygen:
@@ -670,10 +698,31 @@ class TestDecryptPaths:
             sk, params=dataclasses.replace(MODERATE, d_g=0)))
 
     def test_unscannable_key_file_rejected_at_load(self, unscannable_text):
-        # the load derives the key as keygen does, which refuses every
-        # draw's T; the file is then malformed, not a keygen failure
-        with pytest.raises(MalformedData, match="no usable G found in 10000 attempts"):
+        # the load derives the key as keygen does, which refuses the whole
+        # grid as T; the file is then malformed, not a keygen failure
+        with pytest.raises(MalformedData, match="d_g = 0 makes T the whole grid"):
             deserialize_private(unscannable_text)
+
+    def test_dg0_header_refused_before_any_draw(self, monkeypatch):
+        # a 146-byte file whose header makes every G zero is refused at
+        # once, not after MAX_G_DRAWS draws of G
+        text = "BQTRU v1 private-seed\nn=53 p=3 q=107 df=5 dg=0 dphi=5\nseed: " + " ".join(
+            ["7"] * 32) + "\n"
+        draws = []
+        monkeypatch.setattr(scheme, "signed_ternary",
+                            lambda *args: draws.append(args) or signed_ternary(*args))
+        with pytest.raises(MalformedData, match="d_g = 0 makes T the whole grid"):
+            deserialize_private(text)
+        assert draws == []
+
+    def test_derivable_dg0_header_still_derives(self):
+        # T is the whole grid of n^2 = 4 points, 5^4 classes: keygen admits
+        # it and derives the key it derived before the early refusal
+        pk, sk = keygen(Params(2, 3, 5, 1, 0, 1), 0)
+        assert sk.T == (0, 1, 2, 3)
+        digest = hashlib.sha256((serialize_public(pk) + serialize_private(sk)).encode())
+        assert digest.hexdigest() == (
+            "9f7b7e0c78e5593e5126c9b8b277642d000bd70f17fc6fedb11a3acab8ddef9f")
 
     def test_cli_decrypt_with_unscannable_key_exits_1(self, moderate_key, unscannable_text,
                                                       tmp_path):
@@ -910,27 +959,65 @@ class TestCodecAgainstLoops:
 
 class TestSerialization:
     @settings(max_examples=100, deadline=None)
-    @given(fields=st.dictionaries(
-        st.sampled_from(["h0", "c1", "seed", "W"]),
-        st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.sampled_from([0, -1, 1]), max_size=130)))
-    def test_dump_matches_str_writer(self, fields):
-        # negative, zero and empty value lists, written from one flat int64 array
-        expect = ["BQTRU v1 ct", "q=7 n=3"]
-        expect += [label + ": " + " ".join(map(str, v)) for label, v in fields.items()]
-        expect = "\n".join(expect) + "\n"
-        layout = tuple((label, len(v)) for label, v in fields.items())
-        flat = np.array([x for v in fields.values() for x in v], dtype=np.int64)
-        assert scheme._dump("ct", "q=7 n=3", layout, flat) == expect
+    @given(data=st.data())
+    def test_dump_matches_str_writer(self, data):
+        # each kind's layout at each shipped set, rows in [0, hi) that often
+        # hold the edge values 0 and hi - 1: the table writer spells what
+        # str and the % writer spell
+        params = data.draw(st.sampled_from(sorted(PARAM_SETS.values(), key=lambda P: P.n)))
+        kind, header, layout, hi = data.draw(st.sampled_from([
+            scheme._public_form(params), scheme._private_form(params),
+            scheme._ct_form(params.q, params.n)]))
+        value = st.integers(0, hi - 1) | st.sampled_from([0, hi - 1])
+        rows = np.array([data.draw(st.lists(value, min_size=count, max_size=count))
+                         for _, count in layout], dtype=np.int64)
+        text = scheme._dump(kind, header, layout, hi, rows)
+        expect = [f"BQTRU v1 {kind}", header]
+        expect += [label + ": " + " ".join(map(str, row))
+                   for (label, _), row in zip(layout, rows.tolist())]
+        assert text == "\n".join(expect) + "\n" == percent_dump(kind, header, layout, rows)
+
+    @pytest.mark.parametrize("name", ["toy", "moderate", "highest"])
+    def test_dump_edge_rows_match_percent_writer(self, name):
+        params = PARAM_SETS[name]
+        for kind, header, layout, hi in (scheme._public_form(params),
+                                         scheme._private_form(params),
+                                         scheme._ct_form(params.q, params.n)):
+            for fill in (0, hi - 1):
+                rows = np.full((len(layout), layout[0][1]), fill, dtype=np.int64)
+                assert (scheme._dump(kind, header, layout, hi, rows)
+                        == percent_dump(kind, header, layout, rows))
 
     def test_dump_layouts_differing_in_counts(self):
-        # same labels, different counts: each layout gets its own format
-        values = np.arange(-2, 3, dtype=np.int64)
-        short = scheme._dump("ct", "q=7 n=3", (("c0", 2), ("c1", 3)), values)
-        long = scheme._dump("ct", "q=7 n=3", (("c0", 3), ("c1", 2)), values)
-        assert short == "BQTRU v1 ct\nq=7 n=3\nc0: -2 -1\nc1: 0 1 2\n"
-        assert long == "BQTRU v1 ct\nq=7 n=3\nc0: -2 -1 0\nc1: 1 2\n"
-        with pytest.raises(TypeError):
-            scheme._dump("ct", "q=7 n=3", (("c0", 2), ("c1", 2)), values)
+        # same labels, different counts: each row is spelled on its label's line
+        short = scheme._dump("ct", "q=7 n=3", (("c0", 2), ("c1", 2)), 7, np.array([[0, 6], [5, 1]]))
+        long = scheme._dump("ct", "q=7 n=3", (("c0", 3), ("c1", 3)), 7,
+                            np.array([[0, 1, 2], [4, 5, 6]]))
+        assert short == "BQTRU v1 ct\nq=7 n=3\nc0: 0 6\nc1: 5 1\n"
+        assert long == "BQTRU v1 ct\nq=7 n=3\nc0: 0 1 2\nc1: 4 5 6\n"
+        # a value outside [0, q) has no spelling in the table, so the writer
+        # refuses it and names its field
+        for bad in ([[0, 1], [7, 2]], [[0, 1], [-1, 2]]):
+            with pytest.raises(MalformedData, match="field c1"):
+                scheme._dump("ct", "q=7 n=3", (("c0", 2), ("c1", 2)), 7, np.array(bad))
+
+    @pytest.mark.parametrize("q", [65537, 2 ** 31])
+    def test_hostile_modulus_builds_no_table(self, q):
+        # a header's q sizes the spelling table; no key has q > 2^16, so
+        # both loaders refuse one without building a table for it
+        ct = f"BQTRU v1 ct\nq={q} n=1\n" + "".join(f"c{i}: 0\n" for i in range(4))
+        pub = f"BQTRU v1 public\nn=2 p=3 q={q} df=1 dg=1 dphi=1\n" + "".join(
+            f"h{i}: 0 1 2 3\n" for i in range(4))
+        before = scheme._spellings.cache_info()
+        with pytest.raises(MalformedData, match=f"q = {q} > 2\\^16"):
+            deserialize_ct(ct)
+        with pytest.raises(MalformedData):
+            deserialize_public(pub)
+        # nor does the writer, given such a ciphertext in memory
+        with pytest.raises(MalformedData):
+            serialize_ct(Ciphertext(np.zeros((4, 1), dtype=np.int64), q))
+        after = scheme._spellings.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
     def test_public_round_trip(self, moderate_key):
         pk, _ = moderate_key
