@@ -5,9 +5,11 @@ writes an NTRU key, so there is no key file format.
 
 Deliberately schoolbook: one encryption costs a single cyclic convolution
 of n^2 scalar multiplications, which is the figure the operation-count
-comparisons are made against.  Ternary sampling, centered residues and
-seed coercion are the bivariate scheme's (ring.signed_ternary,
-ring.centered, ring.as_rng).
+comparisons are made against.  Inverses are unit-group powers by the
+bivariate ring's routine, ring.unit_inverse, over conv and the Frobenius
+map x -> x^m, with a Newton lift to a power-of-two q.  Ternary sampling,
+centered residues and seed coercion are the bivariate scheme's too
+(ring.signed_ternary, ring.centered, ring.as_rng).
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from .errors import (
     RetriesExhausted,
     WeightTooLarge,
 )
-from .ring import OpCounter, as_rng, centered, signed_ternary
-
-MULT_COUNTER = OpCounter()
+from .ring import as_rng, centered, signed_ternary, unit_inverse
 
 
 @dataclass(frozen=True)
@@ -58,65 +58,39 @@ def _cyclic_index(n: int) -> np.ndarray:
 
 
 def conv(f: np.ndarray, g: np.ndarray, modulus: int | None = None) -> np.ndarray:
-    """Cyclic convolution; counts its n^2 scalar multiplications."""
-    n = len(f)
-    MULT_COUNTER.count += n * n
-    out = np.asarray(g, dtype=np.int64)[_cyclic_index(n)] @ np.asarray(f, dtype=np.int64)
+    """Cyclic convolution: n^2 scalar multiplications."""
+    out = np.asarray(g, dtype=np.int64)[_cyclic_index(len(f))] @ np.asarray(f, dtype=np.int64)
     return out % modulus if modulus is not None else out
 
 
-def solve_mod_prime(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Solve A x = b over Z_m (m prime) by Gauss-Jordan elimination in int64.
-
-    Every intermediate stays within (m-1)**2 in absolute value, so the
-    arithmetic is exact while that is below 2**63; raises NotInvertible
-    when A is singular mod m.
-    """
-    if (m - 1) ** 2 >= 2 ** 63:
-        raise ValueError(f"modulus {m} is too large for int64 elimination")
-    k = A.shape[0]
-    M = np.concatenate([np.asarray(A, dtype=np.int64) % m,
-                        np.asarray(b, dtype=np.int64).reshape(-1, 1) % m], axis=1)
-    for col in range(k):
-        nonzero = np.flatnonzero(M[col:, col])
-        if nonzero.size == 0:
-            raise NotInvertible("singular system")
-        piv = col + int(nonzero[0])
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-        # columns left of col are already zero in the pivot row
-        M[col, col:] = M[col, col:] * pow(int(M[col, col]), m - 2, m) % m
-        factors = M[:, col].copy()
-        factors[col] = 0
-        M[:, col:] -= factors[:, None] * M[col, col:]
-        M[:, col:] %= m
-    return M[:, k].copy()
+def _frobenius(f: np.ndarray, m: int) -> np.ndarray:
+    """f**m mod m, m prime: f(x^m), each coefficient moved to its monomial's m-th power."""
+    out = np.zeros(len(f), dtype=np.int64)
+    np.add.at(out, np.arange(len(f)) * m % len(f), f)
+    return out % m
 
 
 def poly_inverse(f: np.ndarray, modulus: int) -> np.ndarray:
-    """Inverse mod a prime or a power of two (Hensel lifting from GF(2)).
+    """Inverse mod an odd prime or a power of two; raises NotInvertible.
 
-    Over a prime field the inverse u solves conv(u, f) = e0, the system
-    A @ u = e0 with A = f[_cyclic_index(n)].
+    Mod a prime m it is ring.unit_inverse's power of f under conv and
+    _frobenius.  Mod 2^k the inverse mod 2 is lifted by Newton's iteration
+    inv <- inv * (2 - f * inv), which doubles the exponent each step.
     """
     f = np.asarray(f, dtype=np.int64) % modulus
-    A = f[_cyclic_index(len(f))]
-    e0 = np.zeros(len(f), dtype=np.int64)
-    e0[0] = 1
-    if modulus % 2 == 0:
-        k = modulus.bit_length() - 1
-        if modulus != 1 << k:
-            raise ValueError("even modulus must be a power of two")
-        inv = solve_mod_prime(A, e0, 2)
-        two = 2 * e0
-        m = 2
-        while m < modulus:
-            m = min(m * m, modulus)
-            # Newton step: inv <- inv * (2 - f * inv) mod m
-            prod = conv(f % m, inv, m)
-            inv = conv(inv, (two - prod) % m, m)
-        return inv % modulus
-    return solve_mod_prime(A, e0, modulus)
+    n = len(f)
+    # conv sums n products below (modulus-1)**2
+    if n * (modulus - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"modulus {modulus} is too large for int64 convolution at n={n}")
+    if modulus % 2:
+        return unit_inverse(f, modulus, n, conv, _frobenius)
+    if modulus & (modulus - 1):
+        raise ValueError("even modulus must be a power of two")
+    inv, m = unit_inverse(f % 2, 2, n, conv, _frobenius), 2
+    while m < modulus:
+        m = min(m * m, modulus)
+        inv = (2 * inv - conv(inv, conv(f, inv, m), m)) % m
+    return inv
 
 
 def ntru_keygen(params: NtruParams, rng, max_attempts: int = 1000):

@@ -9,10 +9,12 @@ n**2 * (m-1)**2 < 2**63 (params.fits_int64); Params rejects larger moduli.
 
 Inverses are powers: every unit u satisfies u**e == 1 for
 e = (m**k - 1) * m**s, where n = m**s * n' with m not dividing n' and
-k = ord_{n'}(m), so ring_inverse returns f**(e-1).  It walks the base-m
+k = ord_{n'}(m), so unit_inverse returns f**(e-1).  It walks the base-m
 digits of e-1: each m-th power is the Frobenius map f(x,y) -> f(x^m, y^m),
 a coefficient map, so only the digit products are convolutions (6 at
-n = 11, m = 3, counting the check).
+n = 11, m = 3, counting the check).  The same holds in Z_m[x]/(x^n - 1),
+so unit_inverse takes the ring's product and Frobenius map as arguments:
+ring_inverse passes conv_mul and frobenius, the NTRU baseline its own.
 
 Mod q the ring is Z_q^(n**2), because n | q-1: EvalDomain maps
 coefficients to the values on the n**2-point grid of n-th roots of unity
@@ -267,11 +269,13 @@ def _primitive_root(q: int) -> int:
 
 
 def _unit_exponent(n: int, m: int) -> int:
-    """An exponent e with u**e == 1 for every unit u of Z_m[x,y]/(x^n-1, y^n-1).
+    """An exponent e with u**e == 1 for every unit u of Z_m[C_n] or
+    Z_m[C_n x C_n], m prime: Z_m[x]/(x^n-1) or Z_m[x,y]/(x^n-1, y^n-1).
 
     Write n = m**s * n' with m not dividing n', and k = ord_{n'}(m).  The
-    s-fold Frobenius u -> u**(m**s) maps the ring into Z_m[x^(m**s), y^(m**s)],
-    a product of fields of order m**d with d | k, so e = (m**k - 1) * m**s.
+    s-fold Frobenius u -> u**(m**s) maps either ring into its subring in
+    x^(m**s) (and y^(m**s)), a product of fields of order m**d with d | k,
+    so e = (m**k - 1) * m**s.
     """
     s, n1 = 0, n
     while n1 % m == 0:
@@ -301,41 +305,49 @@ def frobenius(f, m: int) -> np.ndarray:
     return out % m
 
 
-def _power(f: np.ndarray, d: int, m: int) -> np.ndarray:
+def _power(f: np.ndarray, d: int, m: int, mul) -> np.ndarray:
     """f**d mod m, d >= 1, by left-to-right square-and-multiply."""
     u = f
     for bit in bin(d)[3:]:
-        u = conv_mul(u, u, m)
+        u = mul(u, u, m)
         if bit == "1":
-            u = conv_mul(u, f, m)
+            u = mul(u, f, m)
     return u
 
 
-def ring_inverse(f, m: int) -> np.ndarray:
-    """Inverse mod m of the row f in Z_m[x,y]/(x^n-1, y^n-1), m an odd prime.
+def unit_inverse(f: np.ndarray, m: int, n: int, mul, frob) -> np.ndarray:
+    """Inverse of the row f, reduced mod the prime m, in Z_m[C_n] or
+    Z_m[C_n x C_n], the ring whose product is mul(a, b, m) and whose m-th
+    power map is frob(a, m).
 
     Every unit satisfies u**e == 1 (see _unit_exponent), so the inverse is
     f**(e-1).  With the base-m digits d_j of e-1, Horner's rule
-    u <- frobenius(u) * f**d_j needs one convolution per nonzero digit
-    after the first, plus those for the digit powers: the digits of e-1
-    are m-1 and m-2 only, so at m = 3 that is f**2 alone.  That gives 6
-    convolutions at n = 11 and 7 at n = 7 (m = 3, counting the check).
-    Raises NotInvertible when f * f**(e-1) is not 1.
+    u <- frob(u) * f**d_j needs one product per nonzero digit after the
+    first, plus those for the digit powers: the digits of e-1 are m-1 and
+    m-2 only, so at m = 3 that is f**2 alone, and at m = 2 none.  Raises
+    NotInvertible when f * f**(e-1) is not 1.
     """
-    f = np.asarray(f, dtype=np.int64) % m
-    n = math.isqrt(f.size)
-    if not fits_int64(n, m):
-        raise ValueError(f"modulus {m} is too large for int64 convolution")
     digits, r = [], _unit_exponent(n, m) - 1
     while r:
         r, d = divmod(r, m)
         digits.append(d)
-    powers = {d: _power(f, d, m) for d in set(digits) if d}
+    powers = {d: _power(f, d, m, mul) for d in set(digits) if d}
     u = powers[digits[-1]]
     for d in reversed(digits[:-1]):
-        u = frobenius(u, m)
+        u = frob(u, m)
         if d:
-            u = conv_mul(u, powers[d], m)
-    if conv_mul(f, u, m).tolist() != [1] + [0] * (n * n - 1):
+            u = mul(u, powers[d], m)
+    if mul(f, u, m).tolist() != [1] + [0] * (f.size - 1):
         raise NotInvertible("element is not a unit")
     return u
+
+
+def ring_inverse(f, m: int) -> np.ndarray:
+    """Inverse mod m of the row f in Z_m[x,y]/(x^n-1, y^n-1), m an odd prime,
+    by unit_inverse: 6 convolutions at n = 11 and 7 at n = 7 (m = 3, counting
+    the check).  Raises NotInvertible when f is not a unit."""
+    f = np.asarray(f, dtype=np.int64) % m
+    n = math.isqrt(f.size)
+    if not fits_int64(n, m):
+        raise ValueError(f"modulus {m} is too large for int64 convolution")
+    return unit_inverse(f, m, n, conv_mul, frobenius)

@@ -200,6 +200,13 @@ def _private_key(params: Params, seed: int) -> PrivateKey:
     if params.d_g == 0 and not _scannable(range(params.nsq), q):
         # G = 0 vanishes on the whole grid, so every draw gives this T
         raise RetriesExhausted(f"d_g = 0 makes T the whole grid, {q}^{params.nsq} classes")
+    # an F passes only if N(F) vanishes at none of the n^2 - 1 or fewer grid
+    # points off T, each a zero about once in q draws
+    expected = MAX_G_DRAWS * F_DRAWS_PER_G * (1 - 1 / q) ** (params.nsq - 1)
+    if expected < 1e-3:
+        raise RetriesExhausted(f"an F draw passes with probability about (1 - 1/q)^(n^2 - 1) "
+                               f"at n={n} q={q}: {expected:.1e} expected to pass in "
+                               f"{MAX_G_DRAWS * F_DRAWS_PER_G}")
     rng = random.Random(seed)
     dom = eval_domain(n, q)
     for _ in range(MAX_G_DRAWS):

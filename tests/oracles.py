@@ -13,10 +13,11 @@ point evaluation, Lagrange interpolants and interpolation on the grid;
 quaternion sums, differences, negatives and scalar multiples; the
 conjugate, scalar quaternion products and inverses, the pointwise product
 written out row by row, and the inverse of F modulo the secret ideal; the
-quaternion with given coefficient rows and the centered lift; the
-key-membership identity and the (4 floor(log2 q) + 12)
-n^2-dimensional expanded key-recovery lattice with its fold back to the
-12 n^2 one; the LLL conditions; the message codec written one digit at a
+inverse in either group ring, bqtru's and the NTRU baseline's, as a
+Gauss-Jordan solve mod a prime; the quaternion with given coefficient rows
+and the centered lift; the key-membership identity and the
+(4 floor(log2 q) + 12) n^2-dimensional expanded key-recovery lattice with
+its fold back to the 12 n^2 one; the LLL conditions; the message codec written one digit at a
 time; the text writer as one % into a format per layout; and the sampled
 noise variance of honest keys.
 """
@@ -92,10 +93,6 @@ def quat_unit(which: str, n: int, modulus=None) -> Quaternion:
     rows = np.zeros((4, n * n), dtype=np.int64)
     rows["1ijk".index(which), 0] = 1
     return Quaternion(rows, modulus)
-
-
-def quat_zero(n: int, modulus=None) -> Quaternion:
-    return Quaternion(np.zeros((4, n * n), dtype=np.int64), modulus)
 
 
 def quat_one(n: int, modulus=None) -> Quaternion:
@@ -261,6 +258,41 @@ def build_sigma(T, weights, dom: EvalDomain) -> np.ndarray:
             raise InvalidWeight(f"weight {w} vanishes mod {dom.q}")
         vals[int(k)] = int(w) % dom.q
     return interpolate(dom, vals)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra mod a prime: the inverse in either group ring as a solve
+# ---------------------------------------------------------------------------
+
+def solve_mod_prime(A: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Solve A x = b over Z_m (m prime) by Gauss-Jordan elimination in int64.
+
+    The inverse of f solves the system whose matrix is f's multiplication
+    matrix (bqtru.ring.mult_matrix(f).T in Z_m[x,y]/(x^n-1, y^n-1),
+    f[bqtru.ntru._cyclic_index(n)] in Z_m[x]/(x^n-1)) and whose right-hand
+    side is the one.  Every intermediate stays within (m-1)**2 in absolute
+    value, so the arithmetic is exact while that is below 2**63; raises
+    NotInvertible when A is singular mod m.
+    """
+    if (m - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"modulus {m} is too large for int64 elimination")
+    k = A.shape[0]
+    M = np.concatenate([np.asarray(A, dtype=np.int64) % m,
+                        np.asarray(b, dtype=np.int64).reshape(-1, 1) % m], axis=1)
+    for col in range(k):
+        nonzero = np.flatnonzero(M[col:, col])
+        if nonzero.size == 0:
+            raise NotInvertible("singular system")
+        piv = col + int(nonzero[0])
+        if piv != col:
+            M[[col, piv]] = M[[piv, col]]
+        # columns left of col are already zero in the pivot row
+        M[col, col:] = M[col, col:] * pow(int(M[col, col]), m - 2, m) % m
+        factors = M[:, col].copy()
+        factors[col] = 0
+        M[:, col:] -= factors[:, None] * M[col, col:]
+        M[:, col:] %= m
+    return M[:, k].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,15 @@ class TestKeygen:
         assert time.perf_counter() - t0 < 0.5
         assert "q^|T| <= 2^16" in capsys.readouterr().err
 
+    def test_underivable_params_exit_2_at_once(self, tmp_path, capsys):
+        # about 3.5e-12 of F draws pass at n=53 q=107
+        t0 = time.perf_counter()
+        code, _ = run("keygen", "--n", "53", "--p", "3", "--q", "107", "--d-f", "5",
+                      "--d-g", "5", "--d-phi", "5", "--seed", "1", "--out", str(tmp_path / "k"))
+        assert code == 2
+        assert time.perf_counter() - t0 < 0.5
+        assert "expected to pass" in capsys.readouterr().err
+
 
 class TestEncryptDecrypt:
     def test_round_trip(self, keyfiles, tmp_path):

@@ -9,6 +9,9 @@ name alone may be another class's method of the same name.  No two classes
 in src/bqtru define the same non-dunder method or property name, since a
 load of such a name could not tell which of the two it calls.
 
+Every definition in tests/oracles.py is loaded by a test module, or by
+an oracle that one loads.
+
 Every module in src/bqtru and tests loads each name it imports; a name
 listed in the module's __all__ counts as loaded.
 
@@ -36,6 +39,8 @@ AWAITING_CALLER = {
     "monte_carlo_failure_rate",
     # item 2: the fold maps give the 4n-dimensional images of the attack lattice
     "fold_to_univariate",
+    # item 8: bench times the univariate NTRU baseline against the scheme
+    "NtruParams", "ntru_keygen", "ntru_encrypt", "ntru_decrypt", "ntru_public_key_bits",
 }
 
 
@@ -91,12 +96,8 @@ def _uncalled(trees, exempt=frozenset()):
 
 
 def test_every_definition_has_a_caller_in_src():
-    trees = _trees()
-    # the package's public API, and the univariate NTRU baseline the
-    # operation-count comparison is made against
-    exempt = set(bqtru.__all__) | AWAITING_CALLER
-    exempt |= {d.name for d in _definitions(trees["ntru"]) if not d.name.startswith("_")}
-    assert _uncalled(trees, exempt) == []
+    # the package's public API is called from outside
+    assert _uncalled(_trees(), set(bqtru.__all__) | AWAITING_CALLER) == []
 
 
 def test_guard_sees_methods():
@@ -121,6 +122,47 @@ def test_guard_sees_methods():
     # A.make is called through its class, B.make's name alone does not
     # count, and a method calling itself is not a caller
     assert _uncalled({"m": tree}) == ["m.A.size", "m.B.make", "m.f"]
+
+
+def _unreached_oracles(oracles, tests):
+    """Names of the definitions in the oracles tree that no test tree loads,
+    directly or through the oracles it loads, in source order."""
+    defs = {d.name: d for d in _definitions(oracles)}
+    todo = [name for tree in tests for name in _loaded(tree) if name in defs]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [sub for sub in _loaded(defs[name]) if sub in defs]
+    return [name for name in defs if name not in reached]
+
+
+def test_every_oracle_is_used():
+    tests = [ast.parse(path.read_text(), str(path)) for path in sorted(TESTS.glob("test_*.py"))]
+    oracles = ast.parse((TESTS / "oracles.py").read_text())
+    assert _unreached_oracles(oracles, tests) == []
+
+
+def test_oracle_guard_sees_unused():
+    oracles = ast.parse(
+        "class Failure(Exception):\n"
+        "    pass\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def checked():\n"
+        "    return helper()\n"
+        "def chain():\n"
+        "    return unused_twin()\n"
+        "def unused_twin():\n"
+        "    return chain()\n"
+        "def dead():\n"
+        "    raise Failure\n")
+    tests = [ast.parse("from oracles import checked, dead\n"
+                       "def test_a():\n"
+                       "    assert checked()\n")]
+    # an import is not a use, and oracles that only load each other are dead
+    assert _unreached_oracles(oracles, tests) == ["Failure", "chain", "unused_twin", "dead"]
 
 
 def _shared_method_names(trees):

@@ -1,7 +1,10 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqtru.errors import (
     DecryptionFailure,
@@ -9,7 +12,6 @@ from bqtru.errors import (
     WeightTooLarge,
 )
 from bqtru.ntru import (
-    MULT_COUNTER,
     NtruParams,
     _cyclic_index,
     conv,
@@ -21,8 +23,16 @@ from bqtru.ntru import (
 )
 from bqtru.ring import signed_ternary
 
+from oracles import solve_mod_prime
+
 SMALL = NtruParams(17, 3, 103, 2)
 GUARDED = NtruParams(107, 3, 659, 34)  # q > (6d+1)p = 627
+
+
+def one(n):
+    e0 = np.zeros(n, dtype=np.int64)
+    e0[0] = 1
+    return e0
 
 
 def naive_conv(f, g):
@@ -63,12 +73,6 @@ class TestConv:
             f = np.array([rng.randrange(-5, 6) for _ in range(11)])
             g = np.array([rng.randrange(-5, 6) for _ in range(11)])
             assert np.array_equal(conv(f, g), naive_conv(f, g))
-
-    def test_mult_count(self):
-        f = np.ones(13, dtype=np.int64)
-        MULT_COUNTER.reset()
-        conv(f, f)
-        assert MULT_COUNTER.count == 169
 
     def test_circulant_row_identity(self):
         # the transposed gather h[_cyclic_index(n)].T has row r = x^r * h,
@@ -116,6 +120,63 @@ class TestInverse:
         with pytest.raises(NotInvertible):
             poly_inverse(np.ones(5, dtype=np.int64), 7)
 
+    @pytest.mark.parametrize("modulus", [2, 128, 2048])
+    @pytest.mark.parametrize("n", [7, 8, 17, 107])
+    def test_power_of_two_moduli(self, n, modulus):
+        # the inverse mod 2 and its Newton lift; n = 8 is a power of 2
+        rng = random.Random(n * modulus)
+        found = 0
+        while found < 5:
+            f = np.array([rng.randrange(-1, 2) for _ in range(n)])
+            try:
+                inv = poly_inverse(f, modulus)
+            except NotInvertible:
+                continue
+            assert ((0 <= inv) & (inv < modulus)).all()
+            assert np.array_equal(conv(f, inv, modulus), one(n))
+            found += 1
+        # 1 + x vanishes at x = 1 mod 2
+        with pytest.raises(NotInvertible):
+            poly_inverse(one(n) + np.roll(one(n), 1), modulus)
+
+    def test_int64_bound(self):
+        # 4294967311 is prime and 5 (q-1)^2 > 2^63: conv would wrap
+        with pytest.raises(ValueError, match="int64"):
+            poly_inverse(one(5), 4294967311)
+        q = 1358187913  # prime, 5 (q-1)^2 < 2^63
+        assert np.array_equal(poly_inverse(one(5), q), one(5))
+        f = one(5) * (q - 1)
+        assert np.array_equal(poly_inverse(f, q), f)
+
+
+class TestInverseOracle:
+    """poly_inverse (unit-group powering) against the linear-solve oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(9, 3), (15, 5), (15, 3), (11, 7), (17, 3), (13, 103),
+                            (7, 2), (12, 2)]),
+           st.integers(0, 2**32), st.booleans())
+    def test_matches_solve_mod_prime(self, nm, seed, force_nonunit):
+        # m | n at (9, 3), (15, 5), (15, 3) and (12, 2): the Frobenius map
+        # folds coefficients together
+        n, m = nm
+        rng = random.Random(seed)
+        coeffs = [rng.randrange(m) for _ in range(n)]
+        if force_nonunit:
+            # value 0 at x = 1: the coefficients sum to 0 mod m
+            coeffs[0] = (coeffs[0] - sum(coeffs)) % m
+        f = np.array(coeffs)
+        try:
+            expect = solve_mod_prime(f[_cyclic_index(n)], one(n), m)
+        except NotInvertible:
+            expect = None
+        if expect is None:
+            with pytest.raises(NotInvertible):
+                poly_inverse(f, m)
+        else:
+            assert np.array_equal(poly_inverse(f, m), expect)
+        assert not (force_nonunit and expect is not None)
+
 
 class TestScheme:
     def test_inverse_identity(self):
@@ -148,15 +209,6 @@ class TestScheme:
             c = ntru_encrypt(h, m, GUARDED, rng)
             assert np.array_equal(ntru_decrypt(sk, c, GUARDED, strict=True), m)
 
-    def test_encryption_mult_count(self):
-        rng = random.Random(88)
-        h, _ = ntru_keygen(SMALL, rng)
-        m = signed_ternary(17, 2, 2, rng)
-        r = signed_ternary(17, 2, 2, rng)
-        MULT_COUNTER.reset()
-        ntru_encrypt(h, m, SMALL, None, r=r)
-        assert MULT_COUNTER.count == 17 * 17
-
     def test_strict_flags_garbage(self):
         rng = random.Random(89)
         h, sk = ntru_keygen(GUARDED, rng)
@@ -168,6 +220,28 @@ class TestScheme:
             except DecryptionFailure:
                 flagged += 1
         assert flagged >= 9
+
+
+def keygen_digest(params):
+    """sha256 over h, f, g and f_p for seeds 0-2, as little-endian int64."""
+    digest = hashlib.sha256()
+    for seed in range(3):
+        h, (f, g, f_p) = ntru_keygen(params, seed)
+        for a in (h, f, g, f_p):
+            digest.update(a.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+class TestGolden:
+    """Keys are those of the Gauss-Jordan inverse: inverses are unique, and
+    the same f fail, so keygen retries in the same order."""
+
+    @pytest.mark.parametrize("params, digest", [
+        (SMALL, "545370a794ace929967c05b0eac29b2bd13ed0ea16504e348fad1380f7f7bcb7"),
+        (GUARDED, "c35bf915bb91c80150ef5a6155a128b501525dbdcaba3c69f916ea654d9ce371"),
+    ])
+    def test_keys_unchanged(self, params, digest):
+        assert keygen_digest(params) == digest
 
 
 class TestSizing:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqtru.errors import ContextMismatch, NotInvertible
-from bqtru.ntru import solve_mod_prime
 from bqtru.params import Params, _is_prime
 from bqtru.ring import (
     CONV_COUNTER,
@@ -31,6 +30,7 @@ from oracles import (
     monomial,
     ring_eval,
     ring_zero,
+    solve_mod_prime,
 )
 
 

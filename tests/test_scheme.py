@@ -715,6 +715,30 @@ class TestDecryptPaths:
             deserialize_private(text)
         assert draws == []
 
+    def test_underivable_header_refused_before_any_draw(self, monkeypatch):
+        # every G gives T = {(1, 1)}, and an F passes only if N(F) vanishes
+        # at none of the other 2,808 grid points, about (106/107)^2808 =
+        # 3.5e-12 of draws, so the 10^6 draws allowed would almost surely all fail
+        text = "BQTRU v1 private-seed\nn=53 p=3 q=107 df=5 dg=5 dphi=5\nseed: " + " ".join(
+            map(str, range(32))) + "\n"
+        assert len(text) == 146
+        draws = []
+        monkeypatch.setattr(scheme, "signed_ternary",
+                            lambda *args: draws.append(args) or signed_ternary(*args))
+        with pytest.raises(MalformedData, match=r"3\.5e-06 expected to pass in 1000000"):
+            deserialize_private(text)
+        with pytest.raises(RetriesExhausted, match=r"\(1 - 1/q\)\^\(n\^2 - 1\)"):
+            keygen(Params(53, 3, 107, 5, 5, 5), 0)
+        assert draws == []
+
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_shipped_sets_expect_many_passing_F(self, name):
+        # the refusal above is far from every shipped set
+        params = PARAM_SETS[name]
+        expected = (scheme.MAX_G_DRAWS * scheme.F_DRAWS_PER_G
+                    * (1 - 1 / params.q) ** (params.nsq - 1))
+        assert expected > 10 ** 5
+
     def test_derivable_dg0_header_still_derives(self):
         # T is the whole grid of n^2 = 4 points, 5^4 classes: keygen admits
         # it and derives the key it derived before the early refusal
