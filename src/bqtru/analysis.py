@@ -66,8 +66,9 @@ class MonteCarloResult:
     wilson_high: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963985) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% score interval for a binomial proportion."""
+    z = 1.959963985  # the two-sided 95% standard normal quantile
     if trials < 1:
         raise ValueError("need at least one trial")
     phat = successes / trials

@@ -2,9 +2,11 @@
 reports, operation-count benchmarks, and a desk-scale lattice-attack demo.
 
 Exit codes: 0 success, 1 I/O or malformed input, 2 key generation
-exhausted its retries, 3 decryption failure (strict mode), 4 payload too
-large, 5 basis reduction exceeded its step budget.  main reads them from
-EXIT_CODES, the one table that maps each error to its code.
+exhausted its retries (argparse exits 2 too, on a command line it cannot
+parse), 3 decryption failure (the strict check, or recovered digits that
+do not decode, in either mode), 4 payload too large, 5 basis reduction
+exceeded its step budget.  main reads them from EXIT_CODES, the one
+table that maps each error to its code.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import argparse
 import errno
 import math
 import os
-import random
 import statistics
 import sys
 import tempfile
@@ -35,7 +36,7 @@ from .errors import (
 from .ideal import build_bqtru_lattice, hybrid_norm
 from .lattice import gaussian_heuristic, lll_reduce
 from .ntru import conv as ntru_conv
-from .params import PARAM_SETS, Params, get_params
+from .params import MODERATE, TOY, Params, get_params
 from .quat import (
     Quaternion,
     quat_inverse_mod_p,
@@ -45,7 +46,7 @@ from .quat import (
     rho_interpolate,
     rho_mul,
 )
-from .ring import CONV_COUNTER, eval_domain
+from .ring import CONV_COUNTER, as_rng, eval_domain
 from .scheme import (
     decode_message,
     decrypt,
@@ -60,20 +61,13 @@ from .scheme import (
     serialize_public,
 )
 
-def _rng_from(args) -> random.Random:
-    # Random(None) seeds itself from system entropy
-    return random.Random(args.seed)
 
-
-def _resolve_params(args) -> tuple[Params, str]:
-    if getattr(args, "n", None) is not None:
-        explicit = (args.p, args.q, args.d_f, args.d_g, args.d_phi)
-        if any(v is None for v in explicit):
-            raise MalformedData("explicit parameters need --p --q --d-f --d-g --d-phi")
-        p = Params(args.n, args.p, args.q, args.d_f, args.d_g, args.d_phi)
-        return p, "custom"
-    name = args.params
-    return get_params(name), name
+def _chosen_params(args) -> tuple[Params, str]:
+    """The set --params gives and its label: a name labels its set, and a line is "custom"."""
+    text = "moderate" if args.params is None else args.params
+    if "=" in text:
+        return Params.from_line(text), "custom"
+    return get_params(text), text
 
 
 def _write_atomic(*outputs) -> None:
@@ -103,8 +97,8 @@ def _write_atomic(*outputs) -> None:
         raise
 
 
-def _warn_if_toy(label: str, out) -> None:
-    if label == "toy":
+def _warn_if_toy(params: Params, out) -> None:
+    if params == TOY:
         print("WARNING: 'toy' parameters are NOT SECURE (testing only)", file=out)
 
 
@@ -113,8 +107,8 @@ def _warn_if_toy(label: str, out) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_keygen(args, out) -> int:
-    params, label = _resolve_params(args)
-    _warn_if_toy(label, out)
+    params, label = _chosen_params(args)
+    _warn_if_toy(params, out)
     pk, sk = keygen(params, args.seed)
     # the private key first, so no new public key is left without it
     _write_atomic((args.out + ".priv", serialize_private(sk)),
@@ -130,7 +124,7 @@ def cmd_encrypt(args, out) -> int:
     with open(getattr(args, "in"), "rb") as fh:
         payload = fh.read()
     M = encode_message(payload, pk.params)
-    ct = encrypt(pk, M, _rng_from(args))
+    ct = encrypt(pk, M, args.seed)
     _write_atomic((args.out, serialize_ct(ct)))
     print(f"encrypted {len(payload)} bytes -> {args.out}", file=out)
     return 0
@@ -150,18 +144,18 @@ def cmd_decrypt(args, out) -> int:
 
 
 def cmd_analyze(args, out) -> int:
-    params, label = _resolve_params(args)
-    _warn_if_toy(label, out)
+    params, label = _chosen_params(args)
+    _warn_if_toy(params, out)
     print(analysis_report(params, label), end="", file=out)
     return 0
 
 
 def cmd_bench(args, out) -> int:
-    params, label = _resolve_params(args)
+    params, label = _chosen_params(args)
     if args.trials < 1:
         raise MalformedData(f"--trials must be at least 1, got {args.trials}")
     n, q = params.n, params.q
-    rng = _rng_from(args)
+    rng = as_rng(args.seed)
 
     def rand_quat(m):
         return Quaternion([[rng.randrange(m) for _ in range(n * n)] for _ in range(4)], m)
@@ -223,16 +217,19 @@ def cmd_bench(args, out) -> int:
 
 
 def cmd_attack(args, out) -> int:
-    params, label = _resolve_params(args)
-    _warn_if_toy(label, out)
-
+    if args.budget < 0:
+        raise MalformedData(f"--budget must be at least 0, got {args.budget}")
     sk = None
-    if args.target:
+    if args.target is not None:
+        if args.params is not None:
+            raise MalformedData("give --params or --target, not both: a key file holds its own")
         pk = deserialize_public(_read_text(args.target))
-        if pk.params.n != params.n or pk.params.q != params.q:
-            raise MalformedData("target key does not match the chosen parameters")
-    elif params.n <= 3:
-        pk, sk = keygen(params, args.seed)
+        params = pk.params
+    else:
+        params, _ = _chosen_params(args)
+        if params.n <= 3:
+            pk, sk = keygen(params, args.seed)
+    _warn_if_toy(params, out)
 
     # the dimensions are closed formulas; the lattices are built only to be reduced
     dim = 12 * params.nsq
@@ -246,7 +243,7 @@ def cmd_attack(args, out) -> int:
         return 0
 
     M = build_bqtru_lattice(pk.H, eval_domain(params.n, params.q))
-    rb = lll_reduce(M, delta=0.99, max_swaps=args.budget)
+    rb = lll_reduce(M, max_swaps=args.budget)
     norms = np.sqrt((rb.rows.astype(np.float64) ** 2).sum(axis=1))
     shortest = int(np.argmin(norms))
     print(f"reduced_shortest_norm = {norms[shortest]:.4f}", file=out)
@@ -285,16 +282,6 @@ def _median_time(fn, pairs) -> float:
     return statistics.median(samples)
 
 
-def _add_param_flags(sub):
-    sub.add_argument("--params", choices=sorted(PARAM_SETS), default="moderate")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--q", type=int)
-    sub.add_argument("--d-f", dest="d_f", type=int)
-    sub.add_argument("--d-g", dest="d_g", type=int)
-    sub.add_argument("--d-phi", dest="d_phi", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bqtru",
@@ -303,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     kg = subs.add_parser("keygen", help="generate a keypair")
-    _add_param_flags(kg)
     kg.add_argument("--seed", type=int)
     kg.add_argument("--out", required=True, help="path prefix for .pub/.priv")
     kg.set_defaults(fn=cmd_keygen)
@@ -324,22 +310,22 @@ def build_parser() -> argparse.ArgumentParser:
     dec.set_defaults(fn=cmd_decrypt)
 
     ana = subs.add_parser("analyze", help="print the parameter analysis report")
-    _add_param_flags(ana)
     ana.set_defaults(fn=cmd_analyze)
 
     ben = subs.add_parser("bench", help="operation counts and timings")
-    _add_param_flags(ben)
     ben.add_argument("--trials", type=int, default=25)
     ben.add_argument("--seed", type=int)
     ben.set_defaults(fn=cmd_bench)
 
     atk = subs.add_parser("attack", help="build and reduce the key-recovery lattice")
-    _add_param_flags(atk)
-    atk.add_argument("--target", help="public key file (defaults to a fresh keypair)")
+    atk.add_argument("--target", help="public key file and its parameters (default: a fresh key)")
     atk.add_argument("--seed", type=int)
     atk.add_argument("--budget", type=int, default=200_000,
                      help="maximum LLL swap count before giving up")
     atk.set_defaults(fn=cmd_attack)
+    for sub in (kg, ana, ben, atk):
+        sub.add_argument("--params", help="toy, moderate (the default), highest, or a "
+                         f"parameter line as key files hold it, '{MODERATE.line()}'")
     return parser
 
 

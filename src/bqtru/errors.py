@@ -34,7 +34,7 @@ class MessageOutOfRange(BqtruError):
 
 
 class DecryptionFailure(BqtruError):
-    """Strict-mode consistency check failed after decryption."""
+    """No message: the strict-mode check failed, or (in either mode) the digits do not decode."""
 
 
 class PayloadTooLarge(BqtruError):

@@ -16,17 +16,20 @@ import numpy as np
 from .errors import RankDeficient, ReductionBudgetExceeded
 
 
+# the Lovasz parameter lll_reduce reduces with
+LLL_DELTA = 0.99
+
+
 class ReducedBasis:
     """LLL output: integer rows plus the Gram-Schmidt data used to reduce them."""
 
-    __slots__ = ("rows", "mu", "bstar", "norms_sq", "delta")
+    __slots__ = ("rows", "mu", "bstar", "norms_sq")
 
-    def __init__(self, rows, mu, bstar, norms_sq, delta):
+    def __init__(self, rows, mu, bstar, norms_sq):
         self.rows = rows
         self.mu = mu
         self.bstar = bstar
         self.norms_sq = norms_sq
-        self.delta = delta
 
 
 def _gso_rows(rows: np.ndarray, mu, bstar, norms, start: int):
@@ -54,15 +57,12 @@ def _gso(rows: np.ndarray):
     return mu, bstar, norms
 
 
-def lll_reduce(basis, delta: float = 0.99,
-               max_swaps: int | None = None) -> ReducedBasis:
+def lll_reduce(basis, max_swaps: int | None = None) -> ReducedBasis:
     """Standard LLL with floating-point Gram-Schmidt on the rows of an
-    integer matrix; the input is copied.
+    integer matrix, at Lovasz parameter LLL_DELTA; the input is copied.
 
     max_swaps caps the number of Lovasz swaps before giving up.
     """
-    if not 0.25 < delta < 1:
-        raise ValueError("delta must lie in (0.25, 1)")
     rows = np.array(basis, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[0] > rows.shape[1]:
         raise RankDeficient("need at most as many rows as columns")
@@ -77,7 +77,7 @@ def lll_reduce(basis, delta: float = 0.99,
                 rows[i] -= r * rows[j]
                 mu[i, :j] -= r * mu[j, :j]
                 mu[i, j] -= r
-        if norms[i] >= (delta - mu[i, i - 1] ** 2) * norms[i - 1]:
+        if norms[i] >= (LLL_DELTA - mu[i, i - 1] ** 2) * norms[i - 1]:
             i += 1
         else:
             swaps += 1
@@ -87,7 +87,7 @@ def lll_reduce(basis, delta: float = 0.99,
             _gso_rows(rows, mu, bstar, norms, i - 1)
             i = max(i - 1, 1)
     mu, bstar, norms = _gso(rows)
-    return ReducedBasis(rows, mu, bstar, norms, delta)
+    return ReducedBasis(rows, mu, bstar, norms)
 
 
 def coset_decode(gens, q: int, targets) -> np.ndarray:

@@ -93,7 +93,10 @@ def poly_inverse(f: np.ndarray, modulus: int) -> np.ndarray:
     return inv
 
 
-def ntru_keygen(params: NtruParams, rng, max_attempts: int = 1000):
+MAX_F_DRAWS = 1000  # ntru_keygen's limit on f draws
+
+
+def ntru_keygen(params: NtruParams, rng):
     """Public h = f^{-1} * g mod q; private (f, g).
 
     f takes d+1 ones and d minus-ones -- a balanced f has f(1) = 0 and is
@@ -101,7 +104,7 @@ def ntru_keygen(params: NtruParams, rng, max_attempts: int = 1000):
     """
     rng = as_rng(rng)
     n, p, q, d = params.n, params.p, params.q, params.d
-    for _ in range(max_attempts):
+    for _ in range(MAX_F_DRAWS):
         f = signed_ternary(n, d + 1, d, rng)
         try:
             f_q = poly_inverse(f, q)
@@ -111,7 +114,7 @@ def ntru_keygen(params: NtruParams, rng, max_attempts: int = 1000):
         g = signed_ternary(n, d, d, rng)
         h = conv(f_q, g, q)
         return h, (f, g, f_p)
-    raise RetriesExhausted(f"no invertible f in {max_attempts} attempts")
+    raise RetriesExhausted(f"no invertible f in {MAX_F_DRAWS} attempts")
 
 
 def ntru_encrypt(h: np.ndarray, m: np.ndarray, params: NtruParams, rng,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import MalformedData
+
 
 def _is_prime(m: int) -> bool:
     if m < 2:
@@ -46,12 +48,11 @@ class Params:
         n, p, q = self.n, self.p, self.q
         if not fits_int64(n, q):
             raise ValueError(f"q={q} is too large for int64 arithmetic at n={n}")
-        if not _is_prime(n):
-            raise ValueError(f"n={n} must be prime")
-        if not _is_prime(p) or not _is_prime(q):
-            raise ValueError("p and q must be prime")
-        if q <= p:
-            raise ValueError("q must exceed p")
+        # bounds first: fits_int64 then keeps n and q below 2**31 for trial division
+        if n < 2 or p < 2 or q <= p:
+            raise ValueError(f"need n >= 2, p >= 2 and q > p, not n={n} p={p} q={q}")
+        if not (_is_prime(n) and _is_prime(p) and _is_prime(q)):
+            raise ValueError("n, p and q must be prime")
         if p == 2:
             raise ValueError("p must be odd (the centered lift needs an odd modulus)")
         if (q - 1) % n != 0:
@@ -65,6 +66,23 @@ class Params:
     @property
     def nsq(self) -> int:
         return self.n * self.n
+
+    def line(self) -> str:
+        """The one spelling of the set, which key files and --params hold."""
+        return (f"n={self.n} p={self.p} q={self.q} "
+                f"df={self.d_f} dg={self.d_g} dphi={self.d_phi}")
+
+    @classmethod
+    def from_line(cls, line: str) -> Params:
+        """The parameters whose line() is line; any other text, another
+        spelling of valid parameters among it, is MalformedData."""
+        try:
+            params = cls(*(int(token.partition("=")[2]) for token in line.split(" ")))
+        except (TypeError, ValueError) as exc:
+            raise MalformedData(f"bad parameter line {line!r}: {exc}") from exc
+        if params.line() != line:
+            raise MalformedData(f"not a parameter line as written: {line!r}")
+        return params
 
 
 # "toy" relaxes the weight guidance so n=3 keygen terminates quickly.

@@ -14,12 +14,13 @@ ciphertexts share one text format, defined by its writer alone: _dump
 writes the header lines and a line per field (_public_form, _private_form
 and _ct_form give each kind's header, fields' (label, count) and bound
 hi), each value in [0, hi) spelled from a cached table of str(i); hi is
-q, or 256 for the seed's bytes.  A loader checks the fields' counts, their range,
-then their spelling, by having _dump write the text back byte for byte
-from the values it parsed, so each file has one spelling.  A header's q
-sizes the table, so a q above MAX_SCAN_CLASSES, which no key has, is
-refused first.  A private key file holds the parameters and the seed
-alone, and loading it derives the key again, so the seed pins keygen's
+q, or 256 for the seed's bytes.  A loader checks the fields' counts,
+their range, then their spelling, by having _dump write the text back
+byte for byte from the values it parsed, so each file has one spelling;
+a key's header is its Params.line(), read by Params.from_line.  A
+header's q sizes the table, so a q above MAX_SCAN_CLASSES, which no key
+has, is refused first.  A private key file holds the parameters and the
+seed alone, and loading it derives the key again, so the seed pins keygen's
 draws: ring.signed_ternary's sampler, their order and the retry limits.
 All randomness comes from an explicit random.Random instance, or a seed
 for one, supplied by the caller; ternary polynomials come from
@@ -410,11 +411,6 @@ def decode_message(M, params: Params) -> bytes:
 _MAGIC = "BQTRU v1"
 
 
-def _param_line(params: Params) -> str:
-    return (f"n={params.n} p={params.p} q={params.q} "
-            f"df={params.d_f} dg={params.d_g} dphi={params.d_phi}")
-
-
 @lru_cache(maxsize=4)
 def _spellings(hi: int) -> np.ndarray:
     """str(i) for each i in [0, hi), as an object array a field's values index."""
@@ -448,11 +444,11 @@ def _quat_layout(label: str, nsq: int) -> tuple:
 # holds a text to
 
 def _public_form(params: Params) -> tuple:
-    return "public", _param_line(params), _quat_layout("h", params.nsq), params.q
+    return "public", params.line(), _quat_layout("h", params.nsq), params.q
 
 
 def _private_form(params: Params) -> tuple:
-    return "private-seed", _param_line(params), (("seed", SEED_BYTES),), 256
+    return "private-seed", params.line(), (("seed", SEED_BYTES),), 256
 
 
 def _ct_form(q: int, n: int) -> tuple:
@@ -460,24 +456,15 @@ def _ct_form(q: int, n: int) -> tuple:
 
 
 def _parse(text: str) -> tuple:
-    """(header {key: int}, {label: int64 values}) of a file's text, read
-    leniently: other spellings than the writer's parse too, and _written
-    refuses them."""
+    """(header line, {label: int64 values}) of a file's text, its fields
+    read leniently: other spellings than the writer's parse too, and
+    _written refuses them."""
     try:
         _, head, *lines = text.split("\n")
-        header = {key: int(value) for key, value in (tok.split("=") for tok in head.split())}
-        return header, {label: np.array(values.split(), dtype=np.int64)
-                        for label, _, values in (line.partition(":") for line in lines)}
+        return head, {label: np.array(values.split(), dtype=np.int64)
+                      for label, _, values in (line.partition(":") for line in lines)}
     except (ValueError, OverflowError) as exc:
         raise MalformedData(f"not a {_MAGIC} file: {exc}") from exc
-
-
-def _params(header: dict) -> Params:
-    try:
-        return Params(n=header["n"], p=header["p"], q=header["q"],
-                      d_f=header["df"], d_g=header["dg"], d_phi=header["dphi"])
-    except (KeyError, ValueError) as exc:
-        raise MalformedData(f"bad parameter line: {exc}") from exc
 
 
 def _written(text: str, kind: str, header_line: str, layout: tuple, hi: int,
@@ -514,8 +501,8 @@ def serialize_ct(ct: Ciphertext) -> str:
 
 
 def deserialize_public(text: str) -> PublicKey:
-    header, fields = _parse(text)
-    params = _params(header)
+    head, fields = _parse(text)
+    params = Params.from_line(head)
     return PublicKey(params, Quaternion(_written(text, *_public_form(params), fields), params.q))
 
 
@@ -524,8 +511,8 @@ def deserialize_private(text: str) -> PrivateKey:
     key from them as keygen does, without its public half.  A seed that
     derives no key at the file's parameters, like a field out of range,
     raises MalformedData."""
-    header, fields = _parse(text)
-    params = _params(header)
+    head, fields = _parse(text)
+    params = Params.from_line(head)
     seed = int.from_bytes(bytes(_written(text, *_private_form(params), fields)[0].tolist()), "big")
     try:
         return _private_key(params, seed)
@@ -534,11 +521,11 @@ def deserialize_private(text: str) -> PrivateKey:
 
 
 def deserialize_ct(text: str) -> Ciphertext:
-    header, fields = _parse(text)
-    try:
-        n, q = header["n"], header["q"]
-    except KeyError as exc:
-        raise MalformedData(f"header key {exc} missing") from exc
+    head, fields = _parse(text)
+    try:  # _written refuses any other spelling than "q=... n=..."
+        q, n = (int(token.partition("=")[2]) for token in head.split(" "))
+    except ValueError as exc:
+        raise MalformedData(f"bad ciphertext header: {exc}") from exc
     if n < 1 or q < 3 or not fits_int64(n, q):
         raise MalformedData(f"a ciphertext needs n >= 1 and q >= 3, with q small enough "
                             f"for int64 arithmetic at n, not n={n} q={q}")

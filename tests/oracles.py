@@ -32,7 +32,7 @@ import numpy as np
 
 from bqtru.errors import BqtruError, ContextMismatch, MalformedData, NotInvertible, PayloadTooLarge
 from bqtru.ideal import _quat_block_matrix, build_bqtru_lattice
-from bqtru.lattice import ReducedBasis
+from bqtru.lattice import LLL_DELTA, ReducedBasis
 from bqtru.quat import (
     Quaternion,
     quat_mul_schoolbook,
@@ -502,7 +502,7 @@ def is_size_reduced(rb: ReducedBasis, tol: float = 1e-9) -> bool:
 
 def satisfies_lovasz(rb: ReducedBasis, tol: float = 1e-9) -> bool:
     for i in range(1, len(rb.rows)):
-        lhs = (rb.delta - rb.mu[i, i - 1] ** 2) * rb.norms_sq[i - 1]
+        lhs = (LLL_DELTA - rb.mu[i, i - 1] ** 2) * rb.norms_sq[i - 1]
         if rb.norms_sq[i] < lhs - tol * rb.norms_sq[i - 1]:
             return False
     return True

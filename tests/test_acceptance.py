@@ -212,7 +212,7 @@ class TestCriterion6LatticeCorrectness:
                                  for _ in range(dim)])
                 if abs(np.linalg.det(rows.astype(float))) > 0.5:
                     break
-            rb = lll_reduce(rows, delta=0.99)
+            rb = lll_reduce(rows)
             assert is_size_reduced(rb) and satisfies_lovasz(rb)
             x_true = np.array([rng.uniform(-1.5, 1.5) for _ in range(dim)])
             t = x_true @ rb.rows + np.array([rng.uniform(-0.3, 0.3)

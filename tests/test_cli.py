@@ -91,8 +91,8 @@ class TestKeygen:
     def test_unscannable_q_exits_2_at_once(self, tmp_path, capsys):
         # every secret set has q^|T| >= 65539 > 2^16 coset classes
         t0 = time.perf_counter()
-        code, _ = run("keygen", "--n", "3", "--p", "3", "--q", "65539", "--d-f", "1",
-                      "--d-g", "1", "--d-phi", "1", "--seed", "1", "--out", str(tmp_path / "k"))
+        code, _ = run("keygen", "--params", "n=3 p=3 q=65539 df=1 dg=1 dphi=1",
+                      "--seed", "1", "--out", str(tmp_path / "k"))
         assert code == 2
         assert time.perf_counter() - t0 < 0.5
         assert "q^|T| <= 2^16" in capsys.readouterr().err
@@ -100,11 +100,59 @@ class TestKeygen:
     def test_underivable_params_exit_2_at_once(self, tmp_path, capsys):
         # about 3.5e-12 of F draws pass at n=53 q=107
         t0 = time.perf_counter()
-        code, _ = run("keygen", "--n", "53", "--p", "3", "--q", "107", "--d-f", "5",
-                      "--d-g", "5", "--d-phi", "5", "--seed", "1", "--out", str(tmp_path / "k"))
+        code, _ = run("keygen", "--params", "n=53 p=3 q=107 df=5 dg=5 dphi=5",
+                      "--seed", "1", "--out", str(tmp_path / "k"))
         assert code == 2
         assert time.perf_counter() - t0 < 0.5
         assert "expected to pass" in capsys.readouterr().err
+
+
+class TestParamsOption:
+    """--params takes a set name or the parameter line key files hold."""
+
+    def test_line_writes_the_named_sets_keys(self, tmp_path):
+        named, lined = str(tmp_path / "named"), str(tmp_path / "lined")
+        line = "n=7 p=3 q=113 df=7 dg=6 dphi=6"
+        assert run("keygen", "--params", "moderate", "--seed", "41", "--out", named)[0] == 0
+        code, out = run("keygen", "--params", line, "--seed", "41", "--out", lined)
+        assert code == 0
+        assert "parameter_set = custom" in out
+        for ext in (".pub", ".priv"):
+            assert open(named + ext, "rb").read() == open(lined + ext, "rb").read()
+        assert open(lined + ".pub").read().splitlines()[1] == line
+
+    @pytest.mark.parametrize("line", [
+        "n=7  p=3 q=113 df=7 dg=6 dphi=6",
+        "p=3 n=7 q=113 df=7 dg=6 dphi=6",
+        "n=7 p=3 q=+113 df=7 dg=6 dphi=6",
+        "n=7 p=3 q=0113 df=7 dg=6 dphi=6",
+        "n=7 p=3 q=113 df=7 dg=6 dphi=6 ",
+        "n=7 p=3 q=113 df=7 dg=6",
+        "n=7 p=3 q=113 df=7 dg=6 dphi=6 x=1",
+    ], ids=["double space", "reordered", "plus sign", "leading zero", "trailing space",
+            "missing key", "extra key"])
+    def test_respelled_line_exits_1(self, tmp_path, capsys, line):
+        code, out = run("keygen", "--params", line, "--seed", "41",
+                        "--out", str(tmp_path / "k"))
+        assert code == 1
+        assert out == "" and not list(tmp_path.iterdir())
+        assert "parameter line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["keygen", "analyze", "bench", "attack"])
+    def test_unknown_name_exits_1_and_names_the_sets(self, tmp_path, capsys, command):
+        argv = [command, "--params", "bogus"]
+        if command == "keygen":
+            argv += ["--out", str(tmp_path / "k")]
+        code, out = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert "'bogus'" in err and all(repr(name) in err for name in ("toy", "moderate",
+                                                                        "highest"))
+
+    def test_line_analyzed_as_custom(self):
+        code, out = run("analyze", "--params", "n=7 p=3 q=113 df=7 dg=6 dphi=6")
+        assert code == 0
+        assert out.replace("custom", "moderate") == run("analyze", "--params", "moderate")[1]
 
 
 class TestEncryptDecrypt:
@@ -154,6 +202,21 @@ class TestEncryptDecrypt:
                       "--out", out, "--strict")
         assert code == 3
         assert not (tmp_path / "out").exists()  # no partial output
+
+    def test_other_keys_digits_exit_3_without_strict(self, keyfiles, tmp_path, capsys):
+        # another key's private half recovers digits that are no message:
+        # exit 3 as in strict mode, and no output
+        pub, _ = keyfiles
+        other = str(tmp_path / "other")
+        assert run("keygen", "--params", "moderate", "--seed", "42", "--out", other)[0] == 0
+        msg, ct = tmp_path / "msg", str(tmp_path / "ct")
+        msg.write_bytes(b"hello")
+        assert run("encrypt", "--key", pub, "--in", str(msg), "--out", ct, "--seed", "5")[0] == 0
+        code, _ = run("decrypt", "--key", other + ".priv", "--in", ct,
+                      "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert "do not decode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_file(self, keyfiles, tmp_path):
         pub, _ = keyfiles
@@ -256,8 +319,7 @@ class TestAnalyze:
         assert "public_key_bits = 3872  [reference: 3872]" in out
 
     def test_modulus_too_large_for_int64(self):
-        code, _ = run("analyze", "--n", "3", "--p", "3", "--q", "4294967311",
-                      "--d-f", "1", "--d-g", "1", "--d-phi", "1")
+        code, _ = run("analyze", "--params", "n=3 p=3 q=4294967311 df=1 dg=1 dphi=1")
         assert code == 1
 
     def test_toy_report(self):
@@ -370,25 +432,40 @@ class TestAttack:
             "reduction skipped: dimension too large for desk-scale LLL",
         ]
 
-    def test_mismatched_target_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("params", ["toy", "highest"])
+    def test_params_with_target_exit_1(self, tmp_path, capsys, params):
+        # the key file holds its parameters; a second source of them is
+        # refused, whether or not it agrees
         prefix = str(tmp_path / "t")
         run("keygen", "--params", "toy", "--seed", "12", "--out", prefix)
-        code, out = run("attack", "--params", "highest", "--target", prefix + ".pub")
+        code, out = run("attack", "--params", params, "--target", prefix + ".pub")
         assert code == 1
         assert out == ""
-        assert "target key does not match" in capsys.readouterr().err
+        assert "give --params or --target, not both" in capsys.readouterr().err
 
     def test_budget_exceeded_exit_5(self):
         code, _ = run("attack", "--params", "toy", "--seed", "11", "--budget", "5")
         assert code == 5
 
+    def test_negative_budget_is_an_input_error(self, capsys):
+        code, out = run("attack", "--params", "toy", "--seed", "11", "--budget", "-1")
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: --budget must be at least 0")
+
     def test_target_pubkey(self, tmp_path):
+        # the parameters come from the key file, toy's warning among them
         prefix = str(tmp_path / "t")
         run("keygen", "--params", "toy", "--seed", "12", "--out", prefix)
-        code, out = run("attack", "--params", "toy", "--seed", "13",
-                        "--target", prefix + ".pub")
+        code, out = run("attack", "--target", prefix + ".pub")
         assert code == 0
-        assert "private_key_recovered" not in out  # no private key available
+        assert out.splitlines() == [
+            "WARNING: 'toy' parameters are NOT SECURE (testing only)",
+            "key_recovery_lattice_dim = 108",
+            "expanded_lattice_dim = 180",
+            "gaussian_heuristic = 4.8103",
+            "reduced_shortest_norm = 2.8284",
+        ]  # no private key available, so no recovery lines
 
 
 class TestExitCodes:

@@ -58,7 +58,7 @@ class TestLLL:
     def test_reduction_conditions(self):
         rng = random.Random(51)
         for _ in range(10):
-            rb = lll_reduce(rand_basis(rng, 8), delta=0.99)
+            rb = lll_reduce(rand_basis(rng, 8))
             assert is_size_reduced(rb)
             assert satisfies_lovasz(rb)
 
@@ -66,10 +66,6 @@ class TestLLL:
         rows = np.array([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
         with pytest.raises(RankDeficient):
             lll_reduce(rows)
-
-    def test_bad_delta(self):
-        with pytest.raises(ValueError):
-            lll_reduce(np.eye(2, dtype=np.int64), delta=1.5)
 
 
 class TestBabai:

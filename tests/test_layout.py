@@ -15,6 +15,11 @@ an oracle that one loads.
 Every module in src/bqtru and tests loads each name it imports; a name
 listed in the module's __all__ counts as loaded.
 
+Every defaulted parameter of a function or method in src/bqtru is set by
+some call in src/bqtru, by keyword or by position; a call of a class sets
+its __init__'s.  A parameter that every caller leaves at its default is a
+constant.
+
 No module in src/bqtru reads an environment variable: its inputs are
 arguments and files.
 
@@ -246,6 +251,120 @@ def test_import_guard_sees_unused_names():
         "    return x.isqrt(os.sep)\n")
     # a store or an attribute of the same name is not a load of the import
     assert _unused_imports(tree) == ["comb", "isqrt", "RingElem"]
+
+
+# defaulted parameters kept without a caller in src that sets them, by
+# function or method name
+UNSET_DEFAULTS = {
+    # perfbench and the tests drive main with their own arguments and sink
+    "main": {"argv", "out"},
+    # ROADMAP item 9 passes a given Phi, and tests compare against one
+    "encrypt": {"phi"},
+}
+
+
+def _defaulted(fn, bound: int):
+    """(name, index among the positional arguments a call passes, or None
+    for keyword-only) of each defaulted parameter of fn, whose first bound
+    parameters the call does not pass."""
+    pos = fn.args.posonlyargs + fn.args.args
+    first = len(pos) - len(fn.args.defaults)
+    found = [(a.arg, i - bound) for i, a in enumerate(pos) if i >= first]
+    return found + [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                    if d is not None]
+
+
+def _callables(tree):
+    """(name a call uses, qualified name, definition, parameters the call
+    does not pass) of each function and method; a class call names __init__."""
+    for d in _definitions(tree):
+        if isinstance(d, ast.ClassDef):
+            for m in d.body:
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(isinstance(x, ast.Name) and x.id == "staticmethod"
+                                 for x in m.decorator_list)
+                    yield (d.name if m.name == "__init__" else m.name,
+                           f"{d.name}.{m.name}", m, 0 if static else 1)
+        else:
+            yield d.name, d.name, d, 0
+
+
+def _calls(tree):
+    """(callee name, call) of each call in a module, an imported alias
+    mapped back to the imported name."""
+    alias = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names if a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name is not None:
+                yield alias.get(name, name), node
+
+
+def _sets(call, name: str, index) -> bool:
+    """Whether call passes the parameter name, at positional index index."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index or any(
+        isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unset_defaults(trees, exempt=frozenset(), kept=None):
+    """module.function(parameter) for each defaulted parameter that no call
+    in trees, outside the function's own body, sets; functions named in
+    exempt and the parameters kept names for a function are skipped."""
+    kept = kept or {}
+    calls = [c for tree in trees.values() for c in _calls(tree)]
+    unset = []
+    for module, tree in trees.items():
+        for key, qualified, fn, bound in _callables(tree):
+            if fn.name in exempt or key in exempt:
+                continue
+            own = {id(node) for node in ast.walk(fn)}
+            for name, index in _defaulted(fn, bound):
+                if name in kept.get(fn.name, ()):
+                    continue
+                if not any(callee == key and id(call) not in own and _sets(call, name, index)
+                           for callee, call in calls):
+                    unset.append(f"{module}.{qualified}({name})")
+    return unset
+
+
+def test_every_default_is_set_in_src():
+    # a parameter no caller sets is a constant with the cost of an option
+    assert _unset_defaults(_trees(), AWAITING_CALLER, UNSET_DEFAULTS) == []
+
+
+def test_default_guard_sees_unset():
+    tree = ast.parse(
+        "from .m import f as g\n"
+        "class A:\n"
+        "    def __init__(self, x, y=1, *, z=2):\n"
+        "        self.x = x\n"
+        "    def step(self, k=0, m=0):\n"
+        "        return self.step(m=1)\n"
+        "    @staticmethod\n"
+        "    def make(a=0):\n"
+        "        return A(a, z=a)\n"
+        "def f(a, b=0, c=0, *, d=0):\n"
+        "    return A.make(1).step(k=a)\n"
+        "def h(v=0):\n"
+        "    return g(1, *v)\n")
+    # A(a, z=a) sets z, not y; step's own call of itself does not count; a
+    # static method's first parameter is passed; an alias is its function,
+    # and a starred argument passes every position but no keyword
+    assert _unset_defaults({"m": tree}) == [
+        "m.A.__init__(y)", "m.A.step(m)", "m.f(d)", "m.h(v)"]
+    assert _unset_defaults({"m": tree}, {"h"}, {"step": {"m"}}) == [
+        "m.A.__init__(y)", "m.f(d)"]
+
+
+def test_default_exemptions_name_parameters():
+    params = {fn.name: {name for name, _ in _defaulted(fn, 0)}
+              for tree in _trees().values() for _, _, fn, _ in _callables(tree)}
+    for fn, names in UNSET_DEFAULTS.items():
+        assert names <= params[fn]
 
 
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
