@@ -42,8 +42,6 @@ from .quat import (
     quat_inverse_mod_p,
     quat_mul_schoolbook,
     quat_mul_strassen,
-    rho,
-    rho_interpolate,
     rho_mul,
 )
 from .ring import CONV_COUNTER, as_rng, eval_domain
@@ -173,8 +171,8 @@ def cmd_bench(args, out) -> int:
     t_strassen = _median_time(lambda a, b: quat_mul_strassen(a, b), pairs)
     # both factors transformed, multiplied pointwise and transformed back
     dom = eval_domain(n, q)
-    t_eval = _median_time(
-        lambda a, b: rho_interpolate(rho_mul(rho(a, dom), rho(b, dom), q), dom), pairs)
+    t_eval = _median_time(lambda a, b: Quaternion(dom.inverse_transform(
+        rho_mul(dom.transform(a.rows), dom.transform(b.rows), q)), q), pairs)
 
     # univariate baseline over 4n^2 coefficients: one length-4n^2 cyclic
     # convolution per encryption, i.e. (4n^2)^2 = 16 n^4 scalar products
@@ -223,6 +221,8 @@ def cmd_attack(args, out) -> int:
     if args.target is not None:
         if args.params is not None:
             raise MalformedData("give --params or --target, not both: a key file holds its own")
+        if args.seed is not None:
+            raise MalformedData("give --seed or --target, not both: --seed draws a fresh key")
         pk = deserialize_public(_read_text(args.target))
         params = pk.params
     else:

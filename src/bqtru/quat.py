@@ -7,16 +7,15 @@ with ring.conv_mul, which counts them in ring.CONV_COUNTER; they are the
 paper's reference paths.
 
 A quaternion is one int64 (4, n**2) array, a row of coefficients per
-component.  Mod q it is also its evaluation array rho(F), of the same
-layout: column k is the scalar quaternion F(points[k]) over Z_q.  rho is
-an isomorphism of algebras, so a mod-q product is n**2 scalar products,
-no convolution, and rho_interpolate maps back.  rho and rho_interpolate
-are the one pair of grid maps, for F's own domain and for
-ring.product_domain alike: rho transforms the centered lifts of the
-coefficients, and rho_interpolate reduces the centered result mod the
-target modulus.  So the norm N(F) and the inverse mod p,
-N(F)^-1 o conj(F), run pointwise on an auxiliary prime's grid, and
-quat_inverse_mod_p convolves only inside ring_inverse.
+component.  Mod q, ring.EvalDomain.transform maps those rows to the
+evaluation array of the same layout: column k is the scalar quaternion
+F(points[k]) over Z_q.  The map is an isomorphism of algebras, so a
+mod-q product is n**2 scalar products, no convolution, and
+inverse_transform maps back.  Mod p there is no grid: quat_norm and
+quat_inverse_mod_p transform centered lifts on ring.product_domain's
+auxiliary prime, where N(F) and N(F)^-1 o conj(F) are exact over Z, and
+reduce the centered result mod p, so quat_inverse_mod_p convolves only
+inside ring_inverse.
 
 A pointwise product u * v is two steps: rho_left_tensor gathers u's
 (4, 4, n**2) left-multiplication tensor, and rho_apply applies it to v
@@ -129,14 +128,21 @@ def quat_mul_strassen(F: Quaternion, G: Quaternion) -> Quaternion:
     return matrix_to_quat([[m1 + m4 - m5 + m7, m3 + m5], [m2 + m4, m1 - m2 + m3 + m6]], m)
 
 
+def _product_grid(F: Quaternion) -> tuple:
+    """ring.product_domain(F.n, m) for F's modulus m (an odd prime), and
+    the grid values there of F's centered lift."""
+    m = F.modulus
+    if m is None:
+        raise ValueError("N(F) and the inverse mod p need a prime modulus")
+    dom = product_domain(F.n, m)
+    return dom, dom.transform(centered(F.rows, m))
+
+
 def quat_norm(F: Quaternion) -> np.ndarray:
     """N(F) = c0^2 - c1^2 - c2^2 + c3^2, a row mod F.modulus (an odd prime),
     with F o conj(F) = N(F); pointwise in ring.product_domain, no convolution."""
-    m = F.modulus
-    if m is None:
-        raise ValueError("the quaternion norm needs a prime modulus")
-    dom = product_domain(F.n, m)
-    return _norm_from_rho(rho(F, dom), dom, m)
+    dom, vals = _product_grid(F)
+    return _norm_from_rho(vals, dom, F.modulus)
 
 
 def _norm_from_rho(rho_F: np.ndarray, dom: EvalDomain, m: int) -> np.ndarray:
@@ -147,43 +153,20 @@ def _norm_from_rho(rho_F: np.ndarray, dom: EvalDomain, m: int) -> np.ndarray:
 def quat_inverse_mod_p(F: Quaternion) -> Quaternion:
     """Inverse in the quaternion algebra over Z_p: N(F)^-1 o conj(F).
 
-    rho(F) on ring.product_domain is computed once; the norm is one row
-    mapped back and N(F)^-1 one row mapped there, so ring_inverse's digit
-    products are the only convolutions.
+    F's grid values on ring.product_domain are computed once; the norm is
+    one row mapped back and N(F)^-1 one row mapped there, so ring_inverse's
+    digit products are the only convolutions.
     """
     m = F.modulus
-    dom = product_domain(F.n, m)
-    rho_F = rho(F, dom)
-    ninv = ring_inverse(_norm_from_rho(rho_F, dom, m), m)
+    dom, vals = _product_grid(F)
+    ninv = ring_inverse(_norm_from_rho(vals, dom, m), m)
     ninv_vals = dom.transform(centered(ninv, m)[None])[0]
-    return rho_interpolate(ninv_vals * _CONJ * rho_F % dom.q, dom, m)
+    return Quaternion(centered(dom.inverse_transform(ninv_vals * _CONJ * vals % dom.q), dom.q), m)
 
 
 # ---------------------------------------------------------------------------
 # scalar quaternions over Z_q (entries are integers, not polynomials)
 # ---------------------------------------------------------------------------
-
-def rho(F: Quaternion, dom: EvalDomain) -> np.ndarray:
-    """Grid evaluation map: column k is the scalar quaternion F(points[k]).
-
-    Shape (4, n**2), like F.rows; a homomorphism for both + and the
-    quaternion product.  dom is F's own domain or product_domain(F.n,
-    F.modulus); either way the centered lifts of F's coefficients are
-    transformed.
-    """
-    m = F.modulus
-    # a product domain's prime exceeds m: a smaller dom.q is foreign, unbuilt
-    if F.n != dom.n or m is None or dom.q < m or (
-            dom.q > m and product_domain(F.n, m).q != dom.q):
-        raise ContextMismatch("quaternion does not match the domain")
-    return dom.transform(centered(F.rows, m))
-
-
-def rho_interpolate(vals, dom: EvalDomain, m: int | None = None) -> Quaternion:
-    """The quaternion mod m (dom.q by default) whose evaluation array is vals:
-    the inverse of rho, taking the centered result mod m."""
-    return Quaternion(centered(dom.inverse_transform(vals), dom.q), dom.q if m is None else m)
-
 
 # left multiplication by a = a0 + a1*i + a2*j + a3*k is the 4x4 matrix
 # a[_LEFT_IDX] * _LEFT_SIGN: (a * b)[r] = sum_c _LEFT_SIGN[r, c] * a[_LEFT_IDX[r, c]] * b[c]

@@ -21,12 +21,15 @@ coefficients to the values on the n**2-point grid of n-th roots of unity
 and back, each way a product with an n x n Vandermonde matrix on both
 sides (back, its inverse, with the factor n^-1 folded in once per
 domain), so a product mod q costs two transforms, n**2 scalar products
-and one inverse transform instead of a convolution.  Its lagrange_matrix,
-the inverse transform of the identity, holds the interpolant rows the
-secret and key-recovery lattices are made of.  Mod a prime m with n not
-dividing m-1 (p in every shipped set), product_domain supplies an
-auxiliary prime P = 1 (mod n) large enough that products of centered
-lifts are exact over Z, and the result is reduced mod m.
+and one inverse transform instead of a convolution.  transform is the
+one map from coefficient rows to the grid, for keys, messages and
+ciphertexts alike; it reduces its rows mod q first, so signed rows need
+no lift.  Its lagrange_matrix, the inverse transform of the identity,
+holds the interpolant rows the secret and key-recovery lattices are made
+of.  Mod a prime m with n not dividing m-1 (p in every shipped set),
+product_domain supplies an auxiliary prime P = 1 (mod n) large enough
+that products of centered lifts are exact over Z; its callers lift onto
+it and reduce the centered result mod m.
 
 A module-level counter tracks convolution products so that callers can
 verify operation counts (16 vs 7 ring products per quaternion multiply);
@@ -129,8 +132,14 @@ def _sample_slots(size: int, k: int, rng: random.Random) -> list:
 
 
 def as_rng(rng) -> random.Random:
-    """rng itself if it is a random.Random, else a random.Random seeded with it."""
-    return rng if isinstance(rng, random.Random) else random.Random(rng)
+    """rng itself if it is a random.Random, else a random.Random seeded with
+    it; a negative int raises ValueError, since random.Random seeds from
+    the absolute value and -s would draw what s draws."""
+    if isinstance(rng, random.Random):
+        return rng
+    if isinstance(rng, int) and rng < 0:
+        raise ValueError(f"a seed is a nonnegative int, not {rng}")
+    return random.Random(rng)
 
 
 def conv_mul(f, g, m=None) -> np.ndarray:
@@ -239,14 +248,18 @@ def product_domain(n: int, m: int) -> EvalDomain:
     at most n**2 * (m-1)**2, so its centered lift mod P is the integer
     result, which is then reduced mod m.
     """
+    def too_large(P):
+        # the transform sums n products below (P-1)**2, a quaternion norm four
+        return max(n, 4) * (P - 1) ** 2 >= 2 ** 63
+
     if (m - 1) % n == 0:
         P = m
     else:
         P = (4 * n * (m - 1) ** 2 + 1) * n + 1
-        while not _is_prime(P):
+        # P only grows, so the search stops at the first P past the bound
+        while not too_large(P) and not _is_prime(P):
             P += n
-    # the transform sums n products below (P-1)**2, a quaternion norm four
-    if max(n, 4) * (P - 1) ** 2 >= 2 ** 63:
+    if too_large(P):
         raise ValueError(f"no int64 evaluation domain for products mod {m} at n={n}")
     return eval_domain(n, P)
 

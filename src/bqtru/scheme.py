@@ -5,11 +5,13 @@ from a 256-bit seed; the private key keeps the seed, its secret fields
 (F, G, the secret grid subset T with its nonzero weights mod q, W) and
 F^-1 mod p, and derives the rest.  Messages (centered mod p) and
 ciphertexts (in [0, q)) are int64 (4, n^2) arrays, a row per component,
-like a Quaternion's rows and the evaluation arrays rho(F); decrypt wraps
-V and M_hat, each one array, in a Quaternion only for its reference
-products.  Each key caches the (4, 4, n^2) left-multiplication tensor of
-its evaluation array (PublicKey.left_H of rho(H), PrivateKey.left_F of
-rho(F)), so a message costs one einsum and the two transforms.  Keys and
+like a Quaternion's rows and the evaluation arrays rho(F): rho(F) is
+EvalDomain.transform of F's rows, which reduces them mod q itself, so
+signed rows go in as they are.  decrypt wraps V and M_hat, each one
+array, in a Quaternion only for its reference products.  Each key
+caches the (4, 4, n^2) left-multiplication tensor of its evaluation
+array (PublicKey.left_H of rho(H), PrivateKey.left_F of rho(F)), so a
+message costs one einsum and the two transforms.  Keys and
 ciphertexts share one text format, defined by its writer alone: _dump
 writes the header lines and a line per field (_public_form, _private_form
 and _ct_form give each kind's header, fields' (label, count) and bound
@@ -59,9 +61,7 @@ from .quat import (
     quat_mul_schoolbook,
     quat_mul_strassen,
     quat_norm,
-    rho,
     rho_apply,
-    rho_interpolate,
     rho_inverse,
     rho_left_tensor,
     rho_mul,
@@ -77,8 +77,8 @@ class PublicKey:
 
     @cached_property
     def rho_H(self) -> np.ndarray:
-        """rho(H), the evaluation array encryption multiplies by."""
-        return rho(self.H, eval_domain(self.params.n, self.params.q))
+        """rho(H), H's evaluation array, which encryption multiplies by."""
+        return eval_domain(self.params.n, self.params.q).transform(self.H.rows)
 
     @cached_property
     def left_H(self) -> np.ndarray:
@@ -116,9 +116,9 @@ class PrivateKey:
     Z*lambda_t, with lambda_t the Lagrange rows for the secret points
     (lagrange_T, entries in [0, q)).  Decryption scans the q^|T| cosets
     of qZ^{n^2} in D' and never builds a basis of D'; keygen admits only
-    a T for which _scannable(T, q) holds.  rho_F caches rho(F mod q),
-    left_F its left-multiplication tensor, which decryption and rho_gamma
-    = rho(F) * rho(theta) apply.
+    a T for which _scannable(T, q) holds.  rho_F caches rho(F), left_F
+    its left-multiplication tensor, which decryption and rho_gamma =
+    rho(F) * rho(theta) apply.
     """
 
     params: Params
@@ -136,8 +136,7 @@ class PrivateKey:
 
     @cached_property
     def rho_F(self) -> np.ndarray:
-        q = self.params.q
-        return rho(self.F.with_modulus(q), eval_domain(self.params.n, q))
+        return eval_domain(self.params.n, self.params.q).transform(self.F.rows)
 
     @cached_property
     def left_F(self) -> np.ndarray:
@@ -179,9 +178,9 @@ def keygen(params: Params, seed=None) -> tuple[PublicKey, PrivateKey]:
         raise ValueError(f"a key seed is an int in [0, 2^{8 * SEED_BYTES}), not {seed}")
     sk = _private_key(params, seed)
     q, dom = params.q, eval_domain(params.n, params.q)
-    rho_H = (rho_mul(rho_inverse(sk.rho_F, q, sk.T), rho(sk.G.with_modulus(q), dom), q)
+    rho_H = (rho_mul(rho_inverse(sk.rho_F, q, sk.T), dom.transform(sk.G.rows), q)
              + _rho_theta(sk.T, sk.weights, sk.W, params)) % q
-    return PublicKey(params, rho_interpolate(rho_H, dom)), sk
+    return PublicKey(params, Quaternion(dom.inverse_transform(rho_H), q)), sk
 
 
 def _private_key(params: Params, seed: int) -> PrivateKey:
@@ -212,7 +211,7 @@ def _private_key(params: Params, seed: int) -> PrivateKey:
     dom = eval_domain(n, q)
     for _ in range(MAX_G_DRAWS):
         G = Quaternion(signed_ternary(params.nsq, [params.d_g] * 4, [params.d_g] * 4, rng))
-        T = derive_T(rho(G.with_modulus(q), dom))
+        T = derive_T(dom.transform(G.rows))
         if not _scannable(T, q):
             continue
         found = _find_F(params, T, dom, rng)

@@ -36,8 +36,6 @@ from bqtru.lattice import LLL_DELTA, ReducedBasis
 from bqtru.quat import (
     Quaternion,
     quat_mul_schoolbook,
-    rho,
-    rho_interpolate,
     rho_inverse,
 )
 from bqtru.ring import EvalDomain, centered, conv_mul, signed_ternary
@@ -245,7 +243,8 @@ def quat_inverse_mod_J(F: Quaternion, t_indices, dom: EvalDomain) -> Quaternion:
     scalar inverse of F at each point of E \\ T and to zero on T, so that
     F o F^-1 == 1 at every point off T.
     """
-    return rho_interpolate(rho_inverse(rho(F, dom), dom.q, t_indices), dom)
+    return Quaternion(dom.inverse_transform(rho_inverse(dom.transform(F.rows), dom.q, t_indices)),
+                      dom.q)
 
 
 def build_sigma(T, weights, dom: EvalDomain) -> np.ndarray:

@@ -36,7 +36,6 @@ from bqtru.quat import (
     quat_mul_strassen,
     quat_norm,
     quat_to_matrix,
-    rho,
     rho_mul,
 )
 from bqtru.ring import CONV_COUNTER, EvalDomain, conv_mul, signed_ternary
@@ -127,8 +126,8 @@ class TestCriterion5AlgebraicSuites:
         dom = EvalDomain(3, 7)
         for _ in range(100):
             F, G = rand_quat(3, 7, rng), rand_quat(3, 7, rng)
-            lhs = rho(quat_mul_schoolbook(F, G), dom)
-            rhs = rho_mul(rho(F, dom), rho(G, dom), 7)
+            lhs = dom.transform(quat_mul_schoolbook(F, G).rows)
+            rhs = rho_mul(dom.transform(F.rows), dom.transform(G.rows), 7)
             assert np.array_equal(lhs, rhs)
 
     def test_interpolant_delta_and_absorption(self):
@@ -161,7 +160,7 @@ class TestCriterion5AlgebraicSuites:
             _, sk = keygen(TOY, rng)
             F = sk.F.with_modulus(7)
             Finv = quat_inverse_mod_J(F, sk.T, dom)
-            vals = rho(quat_mul_schoolbook(F, Finv), dom)
+            vals = dom.transform(quat_mul_schoolbook(F, Finv).rows)
             for k in range(9):
                 if k not in sk.T:
                     assert vals[:, k].tolist() == [1, 0, 0, 0]

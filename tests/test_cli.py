@@ -178,6 +178,18 @@ class TestEncryptDecrypt:
         assert run("decrypt", "--key", priv, "--in", ct, "--out", out)[0] == 0
         assert open(out, "rb").read() == b""
 
+    def test_negative_seed_is_an_input_error(self, keyfiles, tmp_path, capsys):
+        # random.Random(-1) draws what random.Random(1) draws, so -1 is refused
+        pub, _ = keyfiles
+        msg = tmp_path / "msg"
+        msg.write_bytes(b"hello")
+        ct = tmp_path / "ct"
+        code, out = run("encrypt", "--key", pub, "--in", str(msg), "--out", str(ct),
+                        "--seed", "-1")
+        assert code == 1
+        assert out == "" and not ct.exists()
+        assert capsys.readouterr().err.startswith("error: a seed is a nonnegative int")
+
     def test_payload_too_large(self, keyfiles, tmp_path):
         pub, _ = keyfiles
         msg = tmp_path / "msg"
@@ -359,6 +371,12 @@ class TestBench:
         assert int(lines["mod_p_inverse_convolutions"]) <= 3
         assert float(lines["median_mod_p_inverse_s"]) > 0
 
+    def test_negative_seed_is_an_input_error(self, capsys):
+        code, out = run("bench", "--params", "toy", "--trials", "1", "--seed", "-3")
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: a seed is a nonnegative int")
+
     def test_zero_trials_is_an_input_error(self, capsys):
         code, _ = run("bench", "--params", "toy", "--trials", "0")
         assert code == 1
@@ -442,6 +460,16 @@ class TestAttack:
         assert code == 1
         assert out == ""
         assert "give --params or --target, not both" in capsys.readouterr().err
+
+    def test_seed_with_target_exit_1(self, tmp_path, capsys):
+        # --seed draws the fresh key that --target replaces, so it would
+        # change nothing
+        prefix = str(tmp_path / "t")
+        run("keygen", "--params", "toy", "--seed", "12", "--out", prefix)
+        code, out = run("attack", "--target", prefix + ".pub", "--seed", "5")
+        assert code == 1
+        assert out == ""
+        assert "give --seed or --target, not both" in capsys.readouterr().err
 
     def test_budget_exceeded_exit_5(self):
         code, _ = run("attack", "--params", "toy", "--seed", "11", "--budget", "5")

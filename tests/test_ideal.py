@@ -8,7 +8,7 @@ import pytest
 from bqtru.analysis import expansion_ratio
 from bqtru.ideal import build_bqtru_lattice, derive_T, hybrid_norm
 from bqtru.params import MODERATE, TOY
-from bqtru.quat import Quaternion, quat_mul_schoolbook, quat_norm, rho, rho_norms
+from bqtru.quat import Quaternion, quat_mul_schoolbook, quat_norm, rho_norms
 from bqtru.ring import EvalDomain, conv_mul, ring_inverse
 
 from oracles import (
@@ -62,7 +62,7 @@ def toy_keygen(rng, dom, p=3, d=1):
     q = dom.q
     while True:
         G = Quaternion([sample_balanced(rng, dom.n, d) for _ in range(4)], q)
-        T = derive_T(rho(G, dom))
+        T = derive_T(dom.transform(G.rows))
         if not (1 <= len(T) <= dom.n):
             continue
         for _ in range(200):
@@ -88,7 +88,7 @@ def toy_keygen(rng, dom, p=3, d=1):
         theta = Quaternion([sigma * w for w in W], q)
         Finv = quat_inverse_mod_J(F, T, dom)
         H = quat_add(quat_mul_schoolbook(Finv, G), theta)
-        rho_gamma = rho(quat_mul_schoolbook(F, theta), dom)
+        rho_gamma = dom.transform(quat_mul_schoolbook(F, theta).rows)
         sk = SimpleNamespace(F=F, G=G, rho_gamma=rho_gamma, T=T, W=W, theta=theta)
         pk = SimpleNamespace(H=H)
         return sk, pk
@@ -106,7 +106,7 @@ def dom5():
 
 class TestDeriveT:
     def test_constant_never_vanishes(self, dom3):
-        assert derive_T(rho(quat_one(3, 7), dom3)) == []
+        assert derive_T(dom3.transform(quat_one(3, 7).rows)) == []
 
     def test_planted_zero_set(self, dom3):
         chosen = [2, 5]
@@ -114,7 +114,7 @@ class TestDeriveT:
         vals[chosen] = 0
         c = interpolate(dom3, vals)
         G = Quaternion([c] * 4, 7)
-        assert derive_T(rho(G, dom3)) == chosen
+        assert derive_T(dom3.transform(G.rows)) == chosen
 
     def test_matches_scan_oracle(self):
         dom = EvalDomain(7, 113)
@@ -125,14 +125,14 @@ class TestDeriveT:
                 k for k, (a, b) in enumerate(dom.points)
                 if all(ring_eval(c, a, b, 113) == 0 for c in G.rows)
             ]
-            assert derive_T(rho(G, dom)) == scan
+            assert derive_T(dom.transform(G.rows)) == scan
 
     def test_balanced_components_vanish_at_unity(self, dom3):
         rng = random.Random(31)
         k11 = dom3.points.index((1, 1))
         for _ in range(20):
             G = Quaternion([sample_balanced(rng, 3, 2) for _ in range(4)], 7)
-            assert k11 in derive_T(rho(G, dom3))
+            assert k11 in derive_T(dom3.transform(G.rows))
 
 
 class TestBuildSigma:
@@ -280,7 +280,7 @@ class TestBqtruLattice:
         rng = random.Random(39)
         for _ in range(10):
             Gam = rand_quat(rng, 3, 7)
-            vec = gamma_vector(rho(Gam, dom3), dom3)
+            vec = gamma_vector(dom3.transform(Gam.rows), dom3)
             assert np.array_equal(
                 np.array([int(v) % 7 for v in vec]), Gam.rows.reshape(-1)
             )
@@ -321,7 +321,7 @@ class TestKeyMembership:
         rng = random.Random(42)
         sk, pk = toy_keygen(rng, dom3)
         # theta = W-scaled sigma: all four entries nonzero exactly on T
-        rt = rho(sk.theta, dom3)
+        rt = dom3.transform(sk.theta.rows)
         for k in range(9):
             if k in sk.T:
                 assert all(rt[c, k] != 0 for c in range(4))
@@ -400,5 +400,5 @@ class TestHybridNorm:
         # the rho part is supported on T, so at most 4|T| entries are set;
         # with all W components nonzero rho(theta) itself hits exactly 4|T|
         assert nz <= 4 * len(sk.T)
-        assert int(np.count_nonzero(rho(sk.theta, dom3))) == 4 * len(sk.T)
+        assert int(np.count_nonzero(dom3.transform(sk.theta.rows))) == 4 * len(sk.T)
 

@@ -74,6 +74,24 @@ def test_pinned_call_sites_are_traced():
     assert "scheme.keygen.F_draw" in names
 
 
+def test_every_convolution_is_traced():
+    # perfbench reads the per-product convolution counts from conv_mul's
+    # spans; a convolution reached through a name it does not wrap counts in
+    # ring.CONV_COUNTER but in no span
+    run, tracing = _load("run"), _load("tracing")
+    tracer = tracing.Tracer()
+    rng = random.Random(1)
+    before = run.conv_counter()
+    with tracer.installed(run.trace_targets(HIGHEST.q)):
+        pk, sk = scheme.keygen(HIGHEST, rng)
+        sk = scheme.deserialize_private(scheme.serialize_private(sk))
+        M = scheme.random_message(HIGHEST, rng)
+        assert np.array_equal(scheme.decrypt(sk, scheme.encrypt(pk, M, rng), strict=True), M)
+    spans = sum(span[0] == "ring.conv_mul" for span in tracer.spans)
+    assert spans > 0
+    assert run.conv_counter() - before == spans
+
+
 def test_convolution_counter_is_read():
     assert _load("run").conv_counter() is not None
 

@@ -15,9 +15,7 @@ from bqtru.quat import (
     quat_mul_strassen,
     quat_norm,
     quat_to_matrix,
-    rho,
     rho_apply,
-    rho_interpolate,
     rho_inverse,
     rho_left_tensor,
     rho_mul,
@@ -46,6 +44,7 @@ from oracles import (
     quat_sub,
     quat_unit,
     rho_mul_rows,
+    ring_eval,
     scalar_inverse,
     scalar_mul,
     scalar_norm,
@@ -304,16 +303,18 @@ class TestEvaluationRoutes:
 
 
 class TestRho:
+    """rho(F) is EvalDomain.transform of F's rows: the one map to the grid."""
+
     def test_constant_one(self, dom3):
-        vals = rho(quat_one(3, 7), dom3)
+        vals = dom3.transform(quat_one(3, 7).rows)
         assert np.array_equal(vals, np.tile([[1], [0], [0], [0]], (1, 9)))
 
     def test_product_homomorphism(self, dom3):
         rng = random.Random(19)
         for _ in range(100):
             F, G = rand_quat(rng, 3, 7), rand_quat(rng, 3, 7)
-            lhs = rho(quat_mul_schoolbook(F, G), dom3)
-            rhs = rho_mul(rho(F, dom3), rho(G, dom3), 7)
+            lhs = dom3.transform(quat_mul_schoolbook(F, G).rows)
+            rhs = rho_mul(dom3.transform(F.rows), dom3.transform(G.rows), 7)
             assert np.array_equal(lhs, rhs)
 
     @settings(max_examples=25, deadline=None)
@@ -324,44 +325,51 @@ class TestRho:
         rng = random.Random(seed)
         F, G = rand_quat(rng, n, q), rand_quat(rng, n, q)
         # (4, n^2) like F.rows: row r holds the grid values of component r
-        assert np.array_equal(rho(F, dom), dom.transform(F.rows))
-        assert rho_interpolate(rho(F, dom), dom) == F
-        prod = rho_interpolate(rho_mul(rho(F, dom), rho(G, dom), q), dom)
-        assert prod == quat_mul_schoolbook(F, G)
+        assert Quaternion(dom.inverse_transform(dom.transform(F.rows)), q) == F
+        prod = rho_mul(dom.transform(F.rows), dom.transform(G.rows), q)
+        assert Quaternion(dom.inverse_transform(prod), q) == quat_mul_schoolbook(F, G)
 
-    def test_context_mismatch(self, dom3):
-        with pytest.raises(ContextMismatch):
-            rho(quat_one(3, 3), dom3)
-
-    def test_foreign_domain_found_before_a_product_domain_is_built(self, dom3):
-        # product_domain(3, m) would search for a prime near 36 m**2, far
-        # past int64; dom3's q is below m, so it cannot be m's product domain
-        with pytest.raises(ContextMismatch):
-            rho(quat_one(3, 2 ** 61 - 1), dom3)
+    @settings(max_examples=25, deadline=None)
+    @given(nq=st.sampled_from(GRIDS), data=st.data())
+    def test_signed_rows_need_no_lift(self, nq, data):
+        # the transform reduces its rows mod q, so signed int64 rows (a key's
+        # ternary F and G over Z) give the values of their residues and of
+        # their centered lifts, point by point
+        n, q = nq
+        dom = eval_domain(n, q)
+        rows = np.array(data.draw(st.lists(
+            st.lists(st.integers(-5 * q, 5 * q), min_size=n * n, max_size=n * n),
+            min_size=4, max_size=4)), dtype=np.int64)
+        vals = dom.transform(rows)
+        assert np.array_equal(vals, dom.transform(centered(rows, q)))
+        expect = [[ring_eval(row, a, b, q) for a, b in dom.points] for row in rows]
+        assert vals.tolist() == expect
 
     @settings(max_examples=25, deadline=None)
     @given(name=st.sampled_from(sorted(PARAM_SETS)), seed=st.integers(0, 2 ** 32))
     def test_maps_on_the_product_domain(self, name, seed):
-        # mod p the same two maps run on product_domain's auxiliary grid
+        # mod p, where there is no grid, centered lifts go onto
+        # product_domain's auxiliary prime, and the centered product
+        # comes back exact over Z, reduced mod p
         n, p = PARAM_SETS[name].n, PARAM_SETS[name].p
         dom = product_domain(n, p)
         rng = random.Random(seed)
         F, G = rand_quat(rng, n, p), rand_quat(rng, n, p)
-        # the centered lifts' grid values, laid out like F.rows
-        assert np.array_equal(rho(F, dom), dom.transform(centered(F.rows, p)))
-        assert rho_interpolate(rho(F, dom), dom, p) == F
-        prod = rho_interpolate(rho_mul(rho(F, dom), rho(G, dom), dom.q), dom, p)
+        vals = rho_mul(dom.transform(centered(F.rows, p)), dom.transform(centered(G.rows, p)),
+                       dom.q)
+        prod = Quaternion(centered(dom.inverse_transform(vals), dom.q), p)
         assert prod == quat_mul_schoolbook(F, G)
 
     def test_sum_homomorphism(self, dom3):
         rng = random.Random(20)
         F, G = rand_quat(rng, 3, 7), rand_quat(rng, 3, 7)
-        assert np.array_equal(rho(quat_add(F, G), dom3), (rho(F, dom3) + rho(G, dom3)) % 7)
+        assert np.array_equal(dom3.transform(quat_add(F, G).rows),
+                              (dom3.transform(F.rows) + dom3.transform(G.rows)) % 7)
 
     def test_lagrange_indicator(self, dom3):
         a, b = dom3.points[5]
         lam = lagrange_interpolant(dom3, a, b)
-        vals = rho(Quaternion([lam, *np.zeros((3, 9))], 7), dom3)
+        vals = dom3.transform(Quaternion([lam, *np.zeros((3, 9))], 7).rows)
         expect = np.zeros((4, 9), dtype=np.int64)
         expect[0, 5] = 1
         assert np.array_equal(vals, expect)
@@ -460,7 +468,7 @@ class TestInverseModJ:
         for _ in range(10):
             F, T = self._valid_instance(rng, dom3)
             Finv = quat_inverse_mod_J(F, T, dom3)
-            prod_vals = rho(quat_mul_schoolbook(F, Finv), dom3)
+            prod_vals = dom3.transform(quat_mul_schoolbook(F, Finv).rows)
             for k in range(dom3.size):
                 if k in T:
                     continue
@@ -469,7 +477,7 @@ class TestInverseModJ:
     def test_one_with_any_T(self, dom3):
         one = quat_one(3, 7)
         inv = quat_inverse_mod_J(one, [0], dom3)
-        vals = rho(quat_mul_schoolbook(one, inv), dom3)
+        vals = dom3.transform(quat_mul_schoolbook(one, inv).rows)
         for k in range(1, 9):
             assert tuple(vals[:, k]) == (1, 0, 0, 0)
 
@@ -487,9 +495,9 @@ class TestInverseModJ:
         rng = random.Random(seed)
         vals = rand_rho(rng, n, q)
         zeros = [k for k in range(n * n) if scalar_norm(vals[:, k], q) == 0]
-        F = rho_interpolate(vals, dom)
+        F = Quaternion(dom.inverse_transform(vals), q)
         Finv = quat_inverse_mod_J(F, zeros, dom)
-        prod_vals = rho(quat_mul_schoolbook(F, Finv), dom)
+        prod_vals = dom.transform(quat_mul_schoolbook(F, Finv).rows)
         for k in range(n * n):
             assert tuple(prod_vals[:, k]) == ((0, 0, 0, 0) if k in zeros else (1, 0, 0, 0))
         with pytest.raises(NormVanishesOutsideT):

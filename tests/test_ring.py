@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bqtru.params import Params, _is_prime
 from bqtru.ring import (
     CONV_COUNTER,
     EvalDomain,
+    as_rng,
     centered,
     conv_mul,
     eval_domain,
@@ -345,6 +347,20 @@ class TestFrobenius:
         assert CONV_COUNTER.count == 0
 
 
+class TestAsRng:
+    def test_seeds_and_generators(self):
+        rng = random.Random(5)
+        assert as_rng(rng) is rng
+        assert as_rng(5).random() == random.Random(5).random()
+        assert isinstance(as_rng(None), random.Random)
+
+    @pytest.mark.parametrize("seed", [-1, -3, -(2 ** 70)])
+    def test_negative_seed_refused(self, seed):
+        # random.Random seeds from the absolute value: -s would draw as s does
+        with pytest.raises(ValueError):
+            as_rng(seed)
+
+
 class TestProductDomain:
     @pytest.mark.parametrize("n, m, P", [(11, 199, 199), (7, 113, 113), (11, 3, 2003),
                                          (7, 3, 827), (3, 3, 151)])
@@ -362,6 +378,16 @@ class TestProductDomain:
         # 11 does not divide 1998, and P > 4 * 121 * 1998^2 gives 11 (P-1)^2 > 2^63
         with pytest.raises(ValueError):
             product_domain(11, 1999)
+
+    @pytest.mark.parametrize("n, m", [(3, 1000000007), (11, 1000003), (7, 65537),
+                                      (3, 2 ** 61 - 1), (11, 2 ** 31 - 1)])
+    def test_large_primes_refused_before_a_search(self, n, m):
+        # the search only raises P, so a start past the int64 bound is
+        # refused at once, not after a search through primes near 4 n^2 m^2
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            product_domain(n, m)
+        assert time.perf_counter() - start < 0.5
 
 
 def unit_lu(rng, k, m):

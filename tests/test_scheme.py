@@ -32,7 +32,7 @@ from bqtru.errors import (
 from bqtru.ideal import derive_T
 from bqtru.lattice import coset_decode, lll_reduce
 from bqtru.params import HIGHEST, MODERATE, PARAM_SETS, TOY, Params
-from bqtru.quat import Quaternion, quat_inverse_mod_p, quat_mul_schoolbook, rho
+from bqtru.quat import Quaternion, quat_inverse_mod_p, quat_mul_schoolbook
 from bqtru.ring import (
     CONV_COUNTER,
     EvalDomain,
@@ -145,7 +145,7 @@ class TestKeygen:
         pk, sk = toy_key
         dom = EvalDomain(3, 7)
         resid = quat_sub(quat_mul_schoolbook(sk.F.with_modulus(7), pk.H), sk.G.with_modulus(7))
-        vals = rho(resid, dom)
+        vals = dom.transform(resid.rows)
         for k in range(9):
             if k not in sk.T:
                 assert not vals[:, k].any()
@@ -154,8 +154,8 @@ class TestKeygen:
         # rho(F o H) = rho(G) + rho(gamma) pointwise
         pk, sk = moderate_key
         dom = EvalDomain(7, 113)
-        lhs = rho(quat_mul_schoolbook(sk.F.with_modulus(113), pk.H), dom)
-        rhs = (rho(sk.G.with_modulus(113), dom) + np.asarray(sk.rho_gamma)) % 113
+        lhs = dom.transform(quat_mul_schoolbook(sk.F.with_modulus(113), pk.H).rows)
+        rhs = (dom.transform(sk.G.rows) + np.asarray(sk.rho_gamma)) % 113
         assert np.array_equal(lhs, rhs)
 
     def test_theta_support(self, moderate_key):
@@ -320,8 +320,8 @@ class TestEncrypt:
     def test_cached_evaluation_arrays(self, moderate_key):
         pk, sk = moderate_key
         dom = EvalDomain(7, 113)
-        assert np.array_equal(pk.rho_H, rho(pk.H, dom))
-        assert np.array_equal(sk.rho_F, rho(sk.F.with_modulus(113), dom))
+        assert np.array_equal(pk.rho_H, dom.transform(pk.H.rows))
+        assert np.array_equal(sk.rho_F, dom.transform(sk.F.with_modulus(113).rows))
         assert pk.rho_H is pk.rho_H and sk.rho_F is sk.rho_F
 
     def test_strassen_schoolbook_agree(self, moderate_key):
