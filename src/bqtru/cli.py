@@ -243,8 +243,8 @@ def cmd_attack(args, out) -> int:
         return 0
 
     M = build_bqtru_lattice(pk.H, eval_domain(params.n, params.q))
-    rb = lll_reduce(M, max_swaps=args.budget)
-    norms = np.sqrt((rb.rows.astype(np.float64) ** 2).sum(axis=1))
+    reduced = lll_reduce(M, max_swaps=args.budget)
+    norms = np.sqrt((reduced.astype(np.float64) ** 2).sum(axis=1))
     shortest = int(np.argmin(norms))
     print(f"reduced_shortest_norm = {norms[shortest]:.4f}", file=out)
 
@@ -257,7 +257,7 @@ def cmd_attack(args, out) -> int:
         print(f"private_key_hybrid_norm = {hyb:.4f}", file=out)
         recovered = any(
             np.array_equal(row, key_vec) or np.array_equal(row, -key_vec)
-            for row in rb.rows
+            for row in reduced
         )
         print(f"private_key_recovered = {'yes' if recovered else 'no'}", file=out)
     return 0

@@ -42,14 +42,14 @@ def build_bqtru_lattice(H: Quaternion, dom: EvalDomain) -> np.ndarray:
     as an int64 row basis.
 
     HH maps vector(F) to vector(F o H) mod q, and DD holds the interpolant
-    rows once per quaternion slot.
+    rows, the inverse transform of the identity, once per quaternion slot.
     """
     nsq = dom.size
     four = 4 * nsq
     rows = np.zeros((3 * four, 3 * four), dtype=np.int64)
     rows[:four, :four] = dom.q * np.eye(four, dtype=np.int64)
     rows[four:2 * four, :four] = _quat_block_matrix(H) % dom.q
-    D = dom.lagrange_matrix
+    D = dom.inverse_transform(np.eye(nsq, dtype=np.int64))
     for b in range(4):
         rows[2 * four + b * nsq:2 * four + (b + 1) * nsq, b * nsq:(b + 1) * nsq] = D
     rows[four:, four:] = np.eye(2 * four, dtype=np.int64)

@@ -2,8 +2,9 @@
 lattices, and volume heuristics.
 
 Everything operates on row bases.  LLL keeps its Gram-Schmidt data in
-64-bit floats; the coset decoder works in exact integer arithmetic and
-needs no basis at all.
+64-bit floats while it reduces and returns the reduced integer rows
+alone; the coset decoder works in exact integer arithmetic and needs no
+basis at all.
 """
 
 from __future__ import annotations
@@ -18,18 +19,6 @@ from .errors import RankDeficient, ReductionBudgetExceeded
 
 # the Lovasz parameter lll_reduce reduces with
 LLL_DELTA = 0.99
-
-
-class ReducedBasis:
-    """LLL output: integer rows plus the Gram-Schmidt data used to reduce them."""
-
-    __slots__ = ("rows", "mu", "bstar", "norms_sq")
-
-    def __init__(self, rows, mu, bstar, norms_sq):
-        self.rows = rows
-        self.mu = mu
-        self.bstar = bstar
-        self.norms_sq = norms_sq
 
 
 def _gso_rows(rows: np.ndarray, mu, bstar, norms, start: int):
@@ -48,26 +37,18 @@ def _gso_rows(rows: np.ndarray, mu, bstar, norms, start: int):
             raise RankDeficient(f"row {i} is dependent on earlier rows")
 
 
-def _gso(rows: np.ndarray):
-    k, m = rows.shape
-    mu = np.zeros((k, k))
-    bstar = np.zeros((k, m))
-    norms = np.zeros(k)
-    _gso_rows(rows, mu, bstar, norms, 0)
-    return mu, bstar, norms
-
-
-def lll_reduce(basis, max_swaps: int | None = None) -> ReducedBasis:
-    """Standard LLL with floating-point Gram-Schmidt on the rows of an
-    integer matrix, at Lovasz parameter LLL_DELTA; the input is copied.
+def lll_reduce(basis, max_swaps: int | None = None) -> np.ndarray:
+    """The int64 rows of an integer matrix, LLL-reduced at Lovasz parameter
+    LLL_DELTA with floating-point Gram-Schmidt; the input is copied.
 
     max_swaps caps the number of Lovasz swaps before giving up.
     """
     rows = np.array(basis, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[0] > rows.shape[1]:
         raise RankDeficient("need at most as many rows as columns")
-    k = rows.shape[0]
-    mu, bstar, norms = _gso(rows)
+    k, m = rows.shape
+    mu, bstar, norms = np.zeros((k, k)), np.zeros((k, m)), np.zeros(k)
+    _gso_rows(rows, mu, bstar, norms, 0)
     swaps = 0
     i = 1
     while i < k:
@@ -86,8 +67,7 @@ def lll_reduce(basis, max_swaps: int | None = None) -> ReducedBasis:
             rows[[i - 1, i]] = rows[[i, i - 1]]
             _gso_rows(rows, mu, bstar, norms, i - 1)
             i = max(i - 1, 1)
-    mu, bstar, norms = _gso(rows)
-    return ReducedBasis(rows, mu, bstar, norms)
+    return rows
 
 
 def coset_decode(gens, q: int, targets) -> np.ndarray:

@@ -26,6 +26,7 @@ from .errors import (
     RetriesExhausted,
     WeightTooLarge,
 )
+from .params import _is_prime
 from .ring import as_rng, centered, signed_ternary, unit_inverse
 
 
@@ -71,10 +72,12 @@ def _frobenius(f: np.ndarray, m: int) -> np.ndarray:
 
 
 def poly_inverse(f: np.ndarray, modulus: int) -> np.ndarray:
-    """Inverse mod an odd prime or a power of two; raises NotInvertible.
+    """Inverse mod an odd prime or a power of two; raises NotInvertible,
+    and ValueError for any other modulus.
 
     Mod a prime m it is ring.unit_inverse's power of f under conv and
-    _frobenius.  Mod 2^k the inverse mod 2 is lifted by Newton's iteration
+    _frobenius, whose exponent and Frobenius map hold for a prime alone.
+    Mod 2^k the inverse mod 2 is lifted by Newton's iteration
     inv <- inv * (2 - f * inv), which doubles the exponent each step.
     """
     f = np.asarray(f, dtype=np.int64) % modulus
@@ -83,6 +86,8 @@ def poly_inverse(f: np.ndarray, modulus: int) -> np.ndarray:
     if n * (modulus - 1) ** 2 >= 2 ** 63:
         raise ValueError(f"modulus {modulus} is too large for int64 convolution at n={n}")
     if modulus % 2:
+        if not _is_prime(modulus):
+            raise ValueError(f"odd modulus {modulus} is not prime")
         return unit_inverse(f, modulus, n, conv, _frobenius)
     if modulus & (modulus - 1):
         raise ValueError("even modulus must be a power of two")

@@ -57,11 +57,12 @@ class Params:
             raise ValueError("p must be odd (the centered lift needs an odd modulus)")
         if (q - 1) % n != 0:
             raise ValueError(f"n={n} must divide q-1={q - 1}")
+        # F's first component carries 2*d_f + 1 nonzeros in its n**2 slots
         half = n * n // 2
-        for name in ("d_f", "d_g", "d_phi"):
+        for name, top in (("d_f", (n * n - 1) // 2), ("d_g", half), ("d_phi", half)):
             d = getattr(self, name)
-            if d < 0 or d > half:
-                raise ValueError(f"{name}={d} out of range [0, {half}]")
+            if d < 0 or d > top:
+                raise ValueError(f"{name}={d} out of range [0, {top}]")
 
     @property
     def nsq(self) -> int:

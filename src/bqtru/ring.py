@@ -24,12 +24,14 @@ domain), so a product mod q costs two transforms, n**2 scalar products
 and one inverse transform instead of a convolution.  transform is the
 one map from coefficient rows to the grid, for keys, messages and
 ciphertexts alike; it reduces its rows mod q first, so signed rows need
-no lift.  Its lagrange_matrix, the inverse transform of the identity,
-holds the interpolant rows the secret and key-recovery lattices are made
-of.  Mod a prime m with n not dividing m-1 (p in every shipped set),
-product_domain supplies an auxiliary prime P = 1 (mod n) large enough
-that products of centered lifts are exact over Z; its callers lift onto
-it and reduce the centered result mod m.
+no lift.  The domain keeps its two Vandermonde matrices and nothing
+else: the interpolant of grid point k, which the secret and key-recovery
+lattices are made of, is the inverse transform of the k-th indicator
+row, and callers compute the rows they need.  Mod a prime m with n not
+dividing m-1 (p in every shipped set), product_domain supplies an
+auxiliary prime P = 1 (mod n) large enough that products of centered
+lifts are exact over Z; its callers lift onto it and reduce the centered
+result mod m.
 
 A module-level counter tracks convolution products so that callers can
 verify operation counts (16 vs 7 ring products per quaternion multiply);
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import math
 import random
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,7 +172,7 @@ def mult_matrix(f) -> np.ndarray:
 
 
 class EvalDomain:
-    """The n**2-point root-of-unity grid mod q and its Lagrange interpolants.
+    """The n**2-point root-of-unity grid mod q: evaluation there and interpolation.
 
     omega is derived from the smallest primitive root of q, so domains are
     deterministic and reproducible for fixed (n, q); eval_domain returns
@@ -181,7 +183,9 @@ class EvalDomain:
     Vandermonde V[a, i] = omega^(a*i); transform and inverse_transform
     apply that map and its inverse to stacked rows in O(n**3) each.  The
     inverse is the same sandwich with V^-1 mod q, the Vandermonde at
-    omega^-1 with the factor n^-1 folded in, so no per-call scaling is left.
+    omega^-1 with the factor n^-1 folded in, so no per-call scaling is left;
+    the inverse transform of the k-th indicator row is the Lagrange
+    interpolant of point k.
     """
 
     def __init__(self, n: int, q: int):
@@ -191,10 +195,8 @@ class EvalDomain:
         self.q = q
         omega = pow(_primitive_root(q), (q - 1) // n, q)
         assert pow(omega, n, q) == 1
-        w_pows = [pow(omega, a, q) for a in range(n)]
-        self.points = [(w_pows[a], w_pows[b]) for a in range(n) for b in range(n)]
         ai = np.outer(np.arange(n), np.arange(n))
-        w = np.array(w_pows, dtype=np.int64)
+        w = np.array([pow(omega, a, q) for a in range(n)], dtype=np.int64)
         self._vandermonde = w[ai % n]
         # V's inverse: n^-1 times the Vandermonde at omega^-1, so the
         # inverse sandwich carries the factor n^-2 itself
@@ -216,20 +218,12 @@ class EvalDomain:
         return (np.matmul(Y, V) % q).reshape(-1, n * n)
 
     def transform(self, coeffs) -> np.ndarray:
-        """Grid values of each row of a (k, n**2) coefficient array, ordered like points."""
+        """Grid values of each row of a (k, n**2) coefficient array, in point order."""
         return self._sandwich(self._vandermonde, coeffs)
 
     def inverse_transform(self, values) -> np.ndarray:
         """Coefficient rows, in [0, q), of the elements taking each row of grid values."""
         return self._sandwich(self._vandermonde_inv, values)
-
-    @cached_property
-    def lagrange_matrix(self) -> np.ndarray:
-        """Row k = coefficient vector of the interpolant for points[k], in [0, q):
-        the inverse transform of the identity, computed once and read-only."""
-        rows = self.inverse_transform(np.eye(self.size, dtype=np.int64))
-        rows.flags.writeable = False
-        return rows
 
 
 @lru_cache(maxsize=None)

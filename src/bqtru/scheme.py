@@ -114,7 +114,8 @@ class PrivateKey:
     index in weights; rho(theta) is weight_t * W at each t in T and zero
     elsewhere.  The private lattice D' is qZ^{n^2} + sum_{t in T}
     Z*lambda_t, with lambda_t the Lagrange rows for the secret points
-    (lagrange_T, entries in [0, q)).  Decryption scans the q^|T| cosets
+    (lagrange_T, entries in [0, q): the inverse transform of T's
+    indicator rows).  Decryption scans the q^|T| cosets
     of qZ^{n^2} in D' and never builds a basis of D'; keygen admits only
     a T for which _scannable(T, q) holds.  rho_F caches rho(F), left_F
     its left-multiplication tensor, which decryption and rho_gamma =
@@ -132,7 +133,9 @@ class PrivateKey:
 
     @cached_property
     def lagrange_T(self) -> np.ndarray:
-        return eval_domain(self.params.n, self.params.q).lagrange_matrix[list(self.T)]
+        indicators = np.zeros((len(self.T), self.params.nsq), dtype=np.int64)
+        indicators[range(len(self.T)), self.T] = 1
+        return eval_domain(self.params.n, self.params.q).inverse_transform(indicators)
 
     @cached_property
     def rho_F(self) -> np.ndarray:

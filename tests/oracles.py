@@ -9,7 +9,9 @@ Lagrange interpolants on T) and a brute-force closest-vector search,
 live here as oracles.
 
 The paper's other claims are checked through the rest of this module:
-point evaluation, Lagrange interpolants and interpolation on the grid;
+the grid points, derived from the smallest primitive root on their own;
+point evaluation, Lagrange interpolants built from per-point powers and
+interpolation on the grid;
 quaternion sums, differences, negatives and scalar multiples; the
 conjugate, scalar quaternion products and inverses, the pointwise product
 written out row by row, and the inverse of F modulo the secret ideal; the
@@ -17,7 +19,8 @@ inverse in either group ring, bqtru's and the NTRU baseline's, as a
 Gauss-Jordan solve mod a prime; the quaternion with given coefficient rows
 and the centered lift; the key-membership identity and the
 (4 floor(log2 q) + 12) n^2-dimensional expanded key-recovery lattice with
-its fold back to the 12 n^2 one; the LLL conditions; the message codec written one digit at a
+its fold back to the 12 n^2 one; a float64 Gram-Schmidt of given rows and
+the LLL conditions read from it; the message codec written one digit at a
 time; the text writer as one % into a format per layout; and the sampled
 noise variance of honest keys.
 """
@@ -32,7 +35,7 @@ import numpy as np
 
 from bqtru.errors import BqtruError, ContextMismatch, MalformedData, NotInvertible, PayloadTooLarge
 from bqtru.ideal import _quat_block_matrix, build_bqtru_lattice
-from bqtru.lattice import LLL_DELTA, ReducedBasis
+from bqtru.lattice import LLL_DELTA
 from bqtru.quat import (
     Quaternion,
     quat_mul_schoolbook,
@@ -157,13 +160,35 @@ def ring_eval(f, a: int, b: int, q: int) -> int:
     return int((pa @ (grid @ pb % q)) % q)
 
 
+def grid_points(dom: EvalDomain) -> list:
+    """The grid in point order: point k = a*n + b is (omega^a, omega^b) with
+    omega = g^((q-1)/n), g the smallest primitive root mod q, found as the
+    first g whose powers take all q-1 nonzero values."""
+    n, q = dom.n, dom.q
+    g = next(g for g in range(2, q) if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
+    w = [pow(g, (q - 1) // n * a, q) for a in range(n)]
+    return [(w[a], w[b]) for a in range(n) for b in range(n)]
+
+
+def lagrange_rows(dom: EvalDomain, points) -> np.ndarray:
+    """The interpolant of each grid point (a, b), one row each, in [0, q):
+    coefficient i*n + j is a^-i b^-j n^-2 mod q."""
+    n, q = dom.n, dom.q
+    ninv2 = pow(n * n, -1, q)
+    rows = np.empty((len(points), n * n), dtype=np.int64)
+    for row, (a, b) in zip(rows, points):
+        pa = np.array([pow(a, -i, q) for i in range(n)], dtype=np.int64)
+        pb = np.array([pow(b, -j, q) * ninv2 % q for j in range(n)], dtype=np.int64)
+        row[:] = np.outer(pa, pb).reshape(-1) % q
+    return rows
+
+
 def lagrange_interpolant(dom: EvalDomain, a: int, b: int) -> np.ndarray:
     """The unique element that is 1 at (a, b) and 0 at every other grid point."""
-    try:
-        k = dom.points.index((a % dom.q, b % dom.q))
-    except ValueError:
+    point = (a % dom.q, b % dom.q)
+    if point not in grid_points(dom):
         raise NotAGridPoint(f"({a}, {b}) is not on the grid")
-    return dom.lagrange_matrix[k].copy()
+    return lagrange_rows(dom, [point])[0]
 
 
 def absorb_check(alpha, dom: EvalDomain, a: int, b: int) -> bool:
@@ -368,9 +393,10 @@ def build_D_prime(T, dom: EvalDomain) -> LatticeBasis:
     lattice whatever the weights.
     """
     nsq = dom.size
+    points = grid_points(dom)
     stack = np.zeros((nsq + len(T), nsq), dtype=np.int64)
     stack[:nsq] = dom.q * np.eye(nsq, dtype=np.int64)
-    stack[nsq:] = dom.lagrange_matrix[list(T)]
+    stack[nsq:] = lagrange_rows(dom, [points[t] for t in T])
     H = _row_hnf(stack)
     return LatticeBasis(np.array(H, dtype=object), nsq)
 
@@ -388,22 +414,39 @@ def build_private_lattice(D_prime: LatticeBasis) -> LatticeBasis:
 # closest-vector search: nearest plane, sphere decoding, brute force
 # ---------------------------------------------------------------------------
 
-def babai_nearest_plane(rb: ReducedBasis, t) -> np.ndarray:
+def gram_schmidt(rows):
+    """Float64 Gram-Schmidt of the rows b_i, by modified Gram-Schmidt:
+    (mu, bstar, norms_sq) with b_i = bstar_i + sum_{j<i} mu[i, j] bstar_j,
+    mu unit lower triangular and norms_sq[i] = |bstar_i|^2."""
+    B = np.asarray(rows, dtype=np.float64)
+    k = len(B)
+    mu, bstar, norms_sq = np.eye(k), B.copy(), np.zeros(k)
+    for i in range(k):
+        for j in range(i):
+            mu[i, j] = bstar[i] @ bstar[j] / norms_sq[j]
+            bstar[i] -= mu[i, j] * bstar[j]
+        norms_sq[i] = bstar[i] @ bstar[i]
+    return mu, bstar, norms_sq
+
+
+def babai_nearest_plane(rows, t) -> np.ndarray:
     """Nearest-plane estimate; distance at most half the sum of GSO lengths."""
+    rows = np.asarray(rows, dtype=np.int64)
     t = np.asarray(t, dtype=np.float64)
-    if t.shape != (rb.rows.shape[1],):
+    if t.shape != (rows.shape[1],):
         raise ValueError("target has the wrong dimension")
+    _, bstar, norms_sq = gram_schmidt(rows)
     w = t.copy()
-    out = np.zeros(rb.rows.shape[1], dtype=np.int64)
-    for i in range(len(rb.rows) - 1, -1, -1):
-        c = round(w @ rb.bstar[i] / rb.norms_sq[i])
+    out = np.zeros(rows.shape[1], dtype=np.int64)
+    for i in range(len(rows) - 1, -1, -1):
+        c = round(w @ bstar[i] / norms_sq[i])
         if c:
-            out += c * rb.rows[i]
-            w = w - c * rb.rows[i].astype(np.float64)
+            out += c * rows[i]
+            w = w - c * rows[i].astype(np.float64)
     return out
 
 
-def sphere_decode(rb: ReducedBasis, t, radius: float | None = None,
+def sphere_decode(rows, t, radius: float | None = None,
                   max_nodes: int | None = None) -> np.ndarray:
     """Exact closest vector by Schnorr-Euchner enumeration.
 
@@ -416,13 +459,15 @@ def sphere_decode(rb: ReducedBasis, t, radius: float | None = None,
     lattice the full tree is astronomically large and the exact answer is
     worthless anyway).
     """
+    rows = np.asarray(rows, dtype=np.int64)
     t = np.asarray(t, dtype=np.float64)
-    k = len(rb.rows)
+    k = len(rows)
+    mu, _, norms_sq = gram_schmidt(rows)
     # coordinates of t in the basis (least squares handles non-square spans)
-    x, *_ = np.linalg.lstsq(rb.rows.T.astype(np.float64), t, rcond=None)
+    x, *_ = np.linalg.lstsq(rows.T.astype(np.float64), t, rcond=None)
 
     if radius is None:
-        guess = babai_nearest_plane(rb, t)
+        guess = babai_nearest_plane(rows, t)
         best_sq = float(np.sum((t - guess) ** 2))
         best = guess
         bound = best_sq * (1 + 1e-9) + 1e-9
@@ -446,7 +491,7 @@ def sphere_decode(rb: ReducedBasis, t, radius: float | None = None,
         if max_nodes is not None and nodes > max_nodes:
             break
         diff = centers[i] - u[i]
-        d = dists[i + 1] + diff * diff * rb.norms_sq[i]
+        d = dists[i + 1] + diff * diff * norms_sq[i]
         if d <= bound:
             if i == 0:
                 if d < best_sq:
@@ -458,7 +503,7 @@ def sphere_decode(rb: ReducedBasis, t, radius: float | None = None,
             else:
                 dists[i] = d
                 i -= 1
-                centers[i] = x[i] + (x[i + 1:] - u[i + 1:]) @ rb.mu[i + 1:, i]
+                centers[i] = x[i] + (x[i + 1:] - u[i + 1:]) @ mu[i + 1:, i]
                 u[i] = round(centers[i])
                 steps[i] = math.copysign(1.0, centers[i] - u[i]) or 1.0
         else:
@@ -468,7 +513,7 @@ def sphere_decode(rb: ReducedBasis, t, radius: float | None = None,
             u[i] += steps[i]
             steps[i] = -steps[i] - math.copysign(1.0, steps[i])
     if best_u is not None:
-        best = best_u.astype(np.int64) @ rb.rows
+        best = best_u.astype(np.int64) @ rows
     if best is None:
         raise NoPointInRadius("no lattice point within the given radius")
     return best
@@ -495,14 +540,16 @@ def exhaustive_cvp(rows, t, center, box):
 # LLL conditions
 # ---------------------------------------------------------------------------
 
-def is_size_reduced(rb: ReducedBasis, tol: float = 1e-9) -> bool:
-    return all(abs(rb.mu[i, j]) <= 0.5 + tol for i in range(len(rb.rows)) for j in range(i))
+def is_size_reduced(rows, tol: float = 1e-9) -> bool:
+    mu, _, _ = gram_schmidt(rows)
+    return all(abs(mu[i, j]) <= 0.5 + tol for i in range(len(mu)) for j in range(i))
 
 
-def satisfies_lovasz(rb: ReducedBasis, tol: float = 1e-9) -> bool:
-    for i in range(1, len(rb.rows)):
-        lhs = (LLL_DELTA - rb.mu[i, i - 1] ** 2) * rb.norms_sq[i - 1]
-        if rb.norms_sq[i] < lhs - tol * rb.norms_sq[i - 1]:
+def satisfies_lovasz(rows, tol: float = 1e-9) -> bool:
+    mu, _, norms_sq = gram_schmidt(rows)
+    for i in range(1, len(mu)):
+        lhs = (LLL_DELTA - mu[i, i - 1] ** 2) * norms_sq[i - 1]
+        if norms_sq[i] < lhs - tol * norms_sq[i - 1]:
             return False
     return True
 
@@ -518,7 +565,7 @@ def gamma_vector(rho_gamma: np.ndarray, dom: EvalDomain) -> np.ndarray:
     constructions, so the result is the exact integer product
     rho_gamma.reshape(-1) @ blockdiag(D).
     """
-    D = dom.lagrange_matrix.astype(object)
+    D = lagrange_rows(dom, grid_points(dom)).astype(object)
     return np.concatenate([row @ D for row in np.asarray(rho_gamma, dtype=object)])
 
 
@@ -563,7 +610,8 @@ def build_expanded_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
     four = 4 * nsq
     per = (ell + 1) * nsq
     dim = 2 * four + 4 * per
-    scaled = np.concatenate([(1 << t) * dom.lagrange_matrix for t in range(ell + 1)])
+    D = lagrange_rows(dom, grid_points(dom))
+    scaled = np.concatenate([(1 << t) * D for t in range(ell + 1)])
     rows = np.zeros((dim, dim), dtype=np.int64)
     rows[:four, :four] = dom.q * np.eye(four, dtype=np.int64)
     rows[four:2 * four, :four] = _quat_block_matrix(H) % dom.q

@@ -46,8 +46,10 @@ from oracles import (
     conjugate,
     empirical_noise_variance,
     exhaustive_cvp,
+    grid_points,
     is_size_reduced,
     lagrange_interpolant,
+    lagrange_rows,
     quat_inverse_mod_J,
     ring_eval,
     satisfies_lovasz,
@@ -133,11 +135,12 @@ class TestCriterion5AlgebraicSuites:
     def test_interpolant_delta_and_absorption(self):
         rng = random.Random(RNG_BASE + 3)
         dom = EvalDomain(3, 7)
+        points = grid_points(dom)
         for _ in range(100):
             k = rng.randrange(9)
-            a, b = dom.points[k]
+            a, b = points[k]
             lam = lagrange_interpolant(dom, a, b)
-            vals = [ring_eval(lam, *point, 7) for point in dom.points]
+            vals = [ring_eval(lam, *point, 7) for point in points]
             expect = np.zeros(9, dtype=np.int64)
             expect[k] = 1
             assert np.array_equal(vals, expect)
@@ -183,7 +186,7 @@ class TestCriterion5AlgebraicSuites:
     def test_interpolation_round_trip(self):
         rng = random.Random(RNG_BASE + 7)
         dom = EvalDomain(3, 7)
-        L = dom.lagrange_matrix
+        L = lagrange_rows(dom, grid_points(dom))
         for _ in range(100):
             vals = np.array([rng.randrange(7) for _ in range(9)], dtype=np.int64)
             f = vals @ L % 7
@@ -211,14 +214,14 @@ class TestCriterion6LatticeCorrectness:
                                  for _ in range(dim)])
                 if abs(np.linalg.det(rows.astype(float))) > 0.5:
                     break
-            rb = lll_reduce(rows)
-            assert is_size_reduced(rb) and satisfies_lovasz(rb)
+            reduced = lll_reduce(rows)
+            assert is_size_reduced(reduced) and satisfies_lovasz(reduced)
             x_true = np.array([rng.uniform(-1.5, 1.5) for _ in range(dim)])
-            t = x_true @ rb.rows + np.array([rng.uniform(-0.3, 0.3)
+            t = x_true @ reduced + np.array([rng.uniform(-0.3, 0.3)
                                              for _ in range(dim)])
-            got = sphere_decode(rb, t)
-            x = np.linalg.solve(rb.rows.T.astype(float), t)
-            _, best_sq = exhaustive_cvp(rb.rows, t, np.round(x), 2)
+            got = sphere_decode(reduced, t)
+            x = np.linalg.solve(reduced.T.astype(float), t)
+            _, best_sq = exhaustive_cvp(reduced, t, np.round(x), 2)
             d = float(np.sum((t - got) ** 2))
             assert d == pytest.approx(best_sq, abs=1e-6)
             assert d <= best_sq + 1e-6

@@ -23,8 +23,10 @@ from oracles import (
     determinant,
     expansion_psi,
     gamma_vector,
+    grid_points,
     interpolate,
     lagrange_interpolant,
+    lagrange_rows,
     lift_centered,
     quat_add,
     quat_from_vector,
@@ -122,14 +124,14 @@ class TestDeriveT:
         for _ in range(20):
             G = Quaternion([sample_balanced(rng, 7, 6) for _ in range(4)], 113)
             scan = [
-                k for k, (a, b) in enumerate(dom.points)
+                k for k, (a, b) in enumerate(grid_points(dom))
                 if all(ring_eval(c, a, b, 113) == 0 for c in G.rows)
             ]
             assert derive_T(dom.transform(G.rows)) == scan
 
     def test_balanced_components_vanish_at_unity(self, dom3):
         rng = random.Random(31)
-        k11 = dom3.points.index((1, 1))
+        k11 = grid_points(dom3).index((1, 1))
         for _ in range(20):
             G = Quaternion([sample_balanced(rng, 3, 2) for _ in range(4)], 7)
             assert k11 in derive_T(dom3.transform(G.rows))
@@ -137,7 +139,7 @@ class TestDeriveT:
 
 class TestBuildSigma:
     def test_single_point_unit_weight(self, dom3):
-        for k, (a, b) in enumerate(dom3.points):
+        for k, (a, b) in enumerate(grid_points(dom3)):
             assert np.array_equal(build_sigma([k], [1], dom3), lagrange_interpolant(dom3, a, b))
 
     def test_zero_weight_rejected(self, dom3):
@@ -152,7 +154,7 @@ class TestBuildSigma:
             T = rng.sample(range(25), rng.randrange(1, 5))
             weights = [rng.randrange(1, 11) for _ in T]
             sigma = build_sigma(T, weights, dom5)
-            vals = [ring_eval(sigma, a, b, 11) for a, b in dom5.points]
+            vals = [ring_eval(sigma, a, b, 11) for a, b in grid_points(dom5)]
             for k in range(25):
                 if k in T:
                     assert vals[k] == weights[T.index(k)]
@@ -166,7 +168,7 @@ class TestBuildSigma:
         weights = [rng.randrange(1, 11) for _ in T]
         sigma = build_sigma(T, weights, dom5)
         for k, w in zip(T, weights):
-            a, b = dom5.points[k]
+            a, b = grid_points(dom5)[k]
             lam = lagrange_interpolant(dom5, a, b)
             winv = pow(w, 11 - 2, 11)
             assert np.array_equal(conv_mul(sigma, lam, 11) * winv % 11, lam)
@@ -217,7 +219,7 @@ class TestDPrime:
                 v[rng.randrange(9)] += 7 * rng.randrange(-2, 3)
             else:
                 v = np.array([rng.randrange(-10, 11) for _ in range(9)])
-            vals = [ring_eval(v, a, b, 7) for a, b in dom3.points]
+            vals = [ring_eval(v, a, b, 7) for a, b in grid_points(dom3)]
             expect = all(vals[k] == 0 for k in range(9) if k not in T)
             got = basis_contains(basis, v)
             assert got == expect
@@ -294,7 +296,7 @@ class TestBqtruLattice:
             vals = np.zeros((4, 9), dtype=np.int64)
             vals[c, k] = 1
             img = (vals.reshape(-1) @ DD).reshape(4, 9)
-            assert np.array_equal(img[c], dom3.lagrange_matrix[k])
+            assert np.array_equal(img[c], lagrange_rows(dom3, [grid_points(dom3)[k]])[0])
             assert not np.delete(img, c, axis=0).any()
 
 

@@ -15,7 +15,10 @@ from oracles import (
     build_D_prime,
     determinant,
     exhaustive_cvp,
+    gram_schmidt,
+    grid_points,
     is_size_reduced,
+    lagrange_rows,
     satisfies_lovasz,
     sphere_decode,
 )
@@ -30,14 +33,14 @@ def rand_basis(rng, dim, lo=-5, hi=6):
 
 class TestLLL:
     def test_identity_unchanged(self):
-        rb = lll_reduce(np.eye(5, dtype=np.int64))
-        assert np.array_equal(rb.rows, np.eye(5, dtype=np.int64))
+        reduced = lll_reduce(np.eye(5, dtype=np.int64))
+        assert reduced.dtype == np.int64
+        assert np.array_equal(reduced, np.eye(5, dtype=np.int64))
 
     def test_shear_reduces_to_shortest(self):
         # a long shear of Z^2: the reduced first row must be a shortest vector
         rows = np.array([[1, 0], [997, 1]])
-        rb = lll_reduce(rows)
-        b1 = rb.rows[0]
+        b1 = lll_reduce(rows)[0]
         best = min(
             float(np.sum((np.array([a, b]) @ rows) ** 2))
             for a in range(-4, 5)
@@ -50,17 +53,16 @@ class TestLLL:
         rng = random.Random(50)
         for _ in range(5):
             rows = rand_basis(rng, 10)
-            rb = lll_reduce(rows)
             d0 = round(np.linalg.det(rows.astype(float)))
-            d1 = round(np.linalg.det(rb.rows.astype(float)))
+            d1 = round(np.linalg.det(lll_reduce(rows).astype(float)))
             assert abs(d0) == abs(d1)
 
     def test_reduction_conditions(self):
         rng = random.Random(51)
         for _ in range(10):
-            rb = lll_reduce(rand_basis(rng, 8))
-            assert is_size_reduced(rb)
-            assert satisfies_lovasz(rb)
+            reduced = lll_reduce(rand_basis(rng, 8))
+            assert is_size_reduced(reduced)
+            assert satisfies_lovasz(reduced)
 
     def test_rank_deficient(self):
         rows = np.array([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
@@ -70,61 +72,54 @@ class TestLLL:
 
 class TestBabai:
     def test_identity_rounding(self):
-        rb = lll_reduce(np.eye(2, dtype=np.int64))
-        assert np.array_equal(babai_nearest_plane(rb, [0.4, -0.6]), [0, -1])
+        assert np.array_equal(babai_nearest_plane(np.eye(2, dtype=np.int64), [0.4, -0.6]), [0, -1])
 
     def test_lattice_point_fixed(self):
         rng = random.Random(52)
         rows = rand_basis(rng, 4)
-        rb = lll_reduce(rows)
         v = np.array([2, -1, 3, 0]) @ rows
-        assert np.array_equal(babai_nearest_plane(rb, v.astype(float)), v)
+        assert np.array_equal(babai_nearest_plane(lll_reduce(rows), v.astype(float)), v)
 
     def test_distance_bound_and_oracle(self):
         rng = random.Random(53)
         for _ in range(20):
-            rows = rand_basis(rng, 4)
-            rb = lll_reduce(rows)
+            reduced = lll_reduce(rand_basis(rng, 4))
             t = np.array([rng.uniform(-4, 4) for _ in range(4)])
-            got = babai_nearest_plane(rb, t)
+            got = babai_nearest_plane(reduced, t)
             d = math.sqrt(float(np.sum((t - got) ** 2)))
-            bound = 0.5 * sum(math.sqrt(s) for s in rb.norms_sq)
+            bound = 0.5 * sum(math.sqrt(s) for s in gram_schmidt(reduced)[2])
             assert d <= bound + 1e-9
-            x = np.linalg.solve(rb.rows.T.astype(float), t)
-            _, best_sq = exhaustive_cvp(rb.rows, t, np.round(x), 8)
+            x = np.linalg.solve(reduced.T.astype(float), t)
+            _, best_sq = exhaustive_cvp(reduced, t, np.round(x), 8)
             assert d * d >= best_sq - 1e-9
 
     def test_dimension_mismatch(self):
-        rb = lll_reduce(np.eye(3, dtype=np.int64))
         with pytest.raises(ValueError):
-            babai_nearest_plane(rb, [1.0, 2.0])
+            babai_nearest_plane(np.eye(3, dtype=np.int64), [1.0, 2.0])
 
 
 class TestSphereDecode:
     def test_identity_rounding(self):
-        rb = lll_reduce(np.eye(3, dtype=np.int64))
-        got = sphere_decode(rb, [0.4, -0.6, 2.2], radius=5.0)
+        got = sphere_decode(np.eye(3, dtype=np.int64), [0.4, -0.6, 2.2], radius=5.0)
         assert np.array_equal(got, [0, -1, 2])
 
     def test_matches_exhaustive(self):
         rng = random.Random(54)
         for trial in range(200):
             dim = rng.randrange(2, 7)
-            rows = rand_basis(rng, dim, -3, 4)
-            rb = lll_reduce(rows)
+            reduced = lll_reduce(rand_basis(rng, dim, -3, 4))
             x_true = np.array([rng.uniform(-1.5, 1.5) for _ in range(dim)])
-            t = x_true @ rb.rows + np.array([rng.uniform(-0.3, 0.3) for _ in range(dim)])
-            got = sphere_decode(rb, t)
-            x = np.linalg.solve(rb.rows.T.astype(float), t)
-            _, best_sq = exhaustive_cvp(rb.rows, t, np.round(x), 2)
+            t = x_true @ reduced + np.array([rng.uniform(-0.3, 0.3) for _ in range(dim)])
+            got = sphere_decode(reduced, t)
+            x = np.linalg.solve(reduced.T.astype(float), t)
+            _, best_sq = exhaustive_cvp(reduced, t, np.round(x), 2)
             d = float(np.sum((t - got) ** 2))
             assert d <= best_sq + 1e-6
             assert d == pytest.approx(best_sq, abs=1e-6)
 
     def test_no_point_in_radius(self):
-        rb = lll_reduce((5 * np.eye(2)).astype(np.int64))
         with pytest.raises(NoPointInRadius):
-            sphere_decode(rb, [2.5, 2.5], radius=1.0)
+            sphere_decode(5 * np.eye(2, dtype=np.int64), [2.5, 2.5], radius=1.0)
 
     @pytest.mark.parametrize("n,q", [(3, 7), (5, 11)])
     def test_planted_noise_recovery(self, n, q):
@@ -135,16 +130,16 @@ class TestSphereDecode:
         dom = EvalDomain(n, q)
         rng = np.random.default_rng(55)
         basis = build_D_prime([0], dom)
-        rb = lll_reduce(basis.rows.astype(np.int64))
+        reduced = lll_reduce(basis.rows.astype(np.int64))
         nsq = n * n
         sigma_sq = 0.05 * poltyrev_sigma_max(abs(determinant(basis)), nsq)
         ok = 0
         trials = 500
         for _ in range(trials):
             coeffs = rng.integers(-2, 3, nsq)
-            planted = coeffs @ rb.rows
+            planted = coeffs @ reduced
             t = planted + rng.normal(0.0, math.sqrt(sigma_sq), nsq)
-            got = sphere_decode(rb, t)
+            got = sphere_decode(reduced, t)
             ok += np.array_equal(got, planted)
         assert ok / trials >= 0.99
 
@@ -204,8 +199,9 @@ COSET_CASES = [(3, 7, (4,)), (3, 7, (1, 6)), (7, 113, (0,)), (7, 113, (3, 40))]
 def coset_lattice(n, q, T):
     """Domain, Lagrange generator rows and LLL-reduced D' for one case."""
     dom = EvalDomain(n, q)
-    rb = lll_reduce(build_D_prime(T, dom).rows.astype(np.int64))
-    return dom, dom.lagrange_matrix[list(T)], rb
+    points = grid_points(dom)
+    reduced = lll_reduce(build_D_prime(T, dom).rows.astype(np.int64))
+    return dom, lagrange_rows(dom, [points[t] for t in T]), reduced
 
 
 def in_lattice(dom, T, v) -> bool:
@@ -236,21 +232,21 @@ def exhaustive_closest(gens, q, t):
     return best_sq, set(best)
 
 
-def near_target(rb, rng, q, noise):
-    dim = len(rb.rows)
-    planted = rng.integers(-3, 4, dim) @ rb.rows + q * rng.integers(-2, 3, dim)
+def near_target(reduced, rng, q, noise):
+    dim = len(reduced)
+    planted = rng.integers(-3, 4, dim) @ reduced + q * rng.integers(-2, 3, dim)
     return planted + rng.integers(-noise, noise + 1, dim)
 
 
 class TestCosetDecode:
     @pytest.mark.parametrize("n,q,T", COSET_CASES)
     def test_near_targets_match_sphere_decoder(self, n, q, T):
-        dom, gens, rb = coset_lattice(n, q, T)
+        dom, gens, reduced = coset_lattice(n, q, T)
         rng = np.random.default_rng(91)
         for _ in range(20):
-            t = near_target(rb, rng, q, 1 if n == 3 else 3)
+            t = near_target(reduced, rng, q, 1 if n == 3 else 3)
             got = coset_decode(gens, q, t)
-            ref = sphere_decode(rb, t.astype(np.float64))
+            ref = sphere_decode(reduced, t.astype(np.float64))
             assert in_lattice(dom, T, got)
             assert np.sum((t - got) ** 2) == np.sum((t - ref) ** 2)
 
@@ -265,12 +261,12 @@ class TestCosetDecode:
         # |T| = 1 target is checked, drawn from a seed whose enumeration
         # ends in about a second; |T| = 2 is covered by the exhaustive
         # search at n = 3 and by test_far_targets_ignore_generator_choice
-        dom, gens, rb = coset_lattice(n, q, T)
+        dom, gens, reduced = coset_lattice(n, q, T)
         rng = np.random.default_rng(seed)
         for _ in range(count):
             t = rng.integers(0, q, n * n)
             got = coset_decode(gens, q, t)
-            ref = sphere_decode(rb, t.astype(np.float64))
+            ref = sphere_decode(reduced, t.astype(np.float64))
             assert in_lattice(dom, T, got)
             assert np.sum((t - got) ** 2) == np.sum((t - ref) ** 2)
 
@@ -288,11 +284,11 @@ class TestCosetDecode:
 
     @pytest.mark.parametrize("T,count", [((4,), 200), ((1, 6), 200), ((2, 4, 8), 40)])
     def test_toy_matches_exhaustive_search(self, T, count):
-        dom, gens, rb = coset_lattice(3, 7, T)
+        dom, gens, reduced = coset_lattice(3, 7, T)
         rng = np.random.default_rng(93)
         ties = 0
         for i in range(count):
-            t = rng.integers(0, 7, 9) if i % 2 else near_target(rb, rng, 7, 1)
+            t = rng.integers(0, 7, 9) if i % 2 else near_target(reduced, rng, 7, 1)
             best_sq, closest = exhaustive_closest(gens, 7, t)
             got = coset_decode(gens, 7, t)
             # a tie may resolve to any of the closest points, never elsewhere

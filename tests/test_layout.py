@@ -20,6 +20,10 @@ some call in src/bqtru, by keyword or by position; a call of a class sets
 its __init__'s.  A parameter that every caller leaves at its default is a
 constant.
 
+Every attribute a class in src/bqtru stores, a dataclass field or a
+self.<name> its methods assign, is loaded as .<name> somewhere in
+src/bqtru: a field nothing reads is state built for no caller.
+
 No module in src/bqtru reads an environment variable: its inputs are
 arguments and files.
 
@@ -127,6 +131,68 @@ def test_guard_sees_methods():
     # A.make is called through its class, B.make's name alone does not
     # count, and a method calling itself is not a caller
     assert _uncalled({"m": tree}) == ["m.A.size", "m.B.make", "m.f"]
+
+
+# classes whose stored fields are kept without a reader in src, each for
+# the open ROADMAP item that will read them
+AWAITING_READER = {
+    # item 12: `analyze --trials` prints the Monte-Carlo estimate's fields
+    "MonteCarloResult",
+}
+
+
+def _stored_fields(cls):
+    """The attributes a class definition stores: its annotated class-body
+    names (dataclass fields) and each self.<name> its methods assign."""
+    fields = [node.target.id for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    for sub in ast.walk(cls):
+        if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+            fields.append(sub.attr)
+    return list(dict.fromkeys(fields))
+
+
+def _unread_fields(trees, exempt=frozenset()):
+    """Class.field for each stored attribute that no tree loads as .field."""
+    loads = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    return [f"{d.name}.{field}" for tree in trees.values() for d in _definitions(tree)
+            if isinstance(d, ast.ClassDef) and d.name not in exempt
+            for field in _stored_fields(d) if field not in loads]
+
+
+def test_every_stored_attribute_is_read():
+    # a field nothing reads is state every instance builds for no caller
+    trees = _trees()
+    classes = {d.name for tree in trees.values() for d in _definitions(tree)}
+    assert AWAITING_READER <= classes
+    assert _unread_fields(trees, AWAITING_READER) == []
+
+
+def test_field_guard_sees_unread():
+    tree = ast.parse(
+        "@dataclass\n"
+        "class A:\n"
+        "    read: int\n"
+        "    unread: int\n"
+        "class B:\n"
+        "    def __init__(self, a):\n"
+        "        self.a = a\n"
+        "        self.cache = None\n"
+        "        self.cache = a.read\n"
+        "    def get(self):\n"
+        "        return self.a\n"
+        "class C:\n"
+        "    kept: int\n"
+        "def f(b):\n"
+        "    b.cache2 = 1\n"
+        "    return b.get()\n")
+    # a store is not a read, a field stored twice is named once, a store
+    # outside a class's own methods is no field of it, and exempt classes
+    # are skipped
+    assert _unread_fields({"m": tree}) == ["A.unread", "B.cache", "C.kept"]
+    assert _unread_fields({"m": tree}, {"C"}) == ["A.unread", "B.cache"]
 
 
 def _unreached_oracles(oracles, tests):

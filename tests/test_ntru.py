@@ -139,6 +139,16 @@ class TestInverse:
         with pytest.raises(NotInvertible):
             poly_inverse(one(n) + np.roll(one(n), 1), modulus)
 
+    def test_odd_composite_modulus_refused(self):
+        # 1 + x - x^4 is a unit mod 5, hence mod 25, but the unit-group
+        # exponent and the Frobenius map hold mod a prime alone: refused,
+        # not reported as a non-unit
+        f = np.array([1, 1, 0, 0, -1] + [0] * 6)
+        assert np.array_equal(conv(f, poly_inverse(f, 5), 5), one(11))
+        for modulus in (25, 9, 15):
+            with pytest.raises(ValueError, match="not prime"):
+                poly_inverse(f, modulus)
+
     def test_int64_bound(self):
         # 4294967311 is prime and 5 (q-1)^2 > 2^63: conv would wrap
         with pytest.raises(ValueError, match="int64"):

@@ -19,7 +19,8 @@ def valid_params(draw):
     n = draw(st.sampled_from(PRIMES[:8]))
     p = draw(st.sampled_from([p for p in PRIMES[1:12]]))
     q = draw(st.sampled_from([q for q in PRIMES if q > p and q % n == 1 and fits_int64(n, q)]))
-    d_f, d_g, d_phi = (draw(st.integers(0, n * n // 2)) for _ in range(3))
+    d_f = draw(st.integers(0, (n * n - 1) // 2))
+    d_g, d_phi = (draw(st.integers(0, n * n // 2)) for _ in range(2))
     return Params(n, p, q, d_f, d_g, d_phi)
 
 
@@ -92,6 +93,8 @@ def test_respellings_refused(line):
     "n=7 p=3 q=4294967311 df=7 dg=6 dphi=6",
     "n=7 p=3 q=113 df=25 dg=6 dphi=6",
     "n=7 p=-3 q=113 df=7 dg=6 dphi=6",
+    # F's first component would need 2*df + 1 = 5 nonzeros in n**2 = 4 slots
+    "n=2 p=3 q=7 df=2 dg=2 dphi=2",
 ])
 def test_invalid_parameters_refused(line):
     with pytest.raises(MalformedData):

@@ -34,6 +34,7 @@ from bqtru.ring import (
 from oracles import (
     conjugate,
     from_scalar,
+    grid_points,
     is_zero,
     lagrange_interpolant,
     monomial,
@@ -342,7 +343,7 @@ class TestRho:
             min_size=4, max_size=4)), dtype=np.int64)
         vals = dom.transform(rows)
         assert np.array_equal(vals, dom.transform(centered(rows, q)))
-        expect = [[ring_eval(row, a, b, q) for a, b in dom.points] for row in rows]
+        expect = [[ring_eval(row, a, b, q) for a, b in grid_points(dom)] for row in rows]
         assert vals.tolist() == expect
 
     @settings(max_examples=25, deadline=None)
@@ -367,7 +368,7 @@ class TestRho:
                               (dom3.transform(F.rows) + dom3.transform(G.rows)) % 7)
 
     def test_lagrange_indicator(self, dom3):
-        a, b = dom3.points[5]
+        a, b = grid_points(dom3)[5]
         lam = lagrange_interpolant(dom3, a, b)
         vals = dom3.transform(Quaternion([lam, *np.zeros((3, 9))], 7).rows)
         expect = np.zeros((4, 9), dtype=np.int64)

@@ -799,12 +799,15 @@ class TestDecryptPaths:
             keygen(MODERATE, 82)
 
     def test_results_do_not_depend_on_blas_threads(self):
-        # strict decrypts at `highest`, honest and garbage, in a child
-        # process with OpenBLAS pinned to one thread and in one left at
-        # its default thread count
+        # strict decrypts at `highest`, honest and garbage, and LLL, the one
+        # float64 path, through `bqtru attack` at `toy`, in a child process
+        # with OpenBLAS pinned to one thread and in one left at its default
+        # thread count
         script = textwrap.dedent("""
+            import io
             import random
             import numpy as np
+            from bqtru.cli import main
             from bqtru.errors import DecryptionFailure
             from bqtru.params import HIGHEST
             from bqtru.scheme import Ciphertext, decrypt, encrypt, keygen, random_message
@@ -818,6 +821,10 @@ class TestDecryptPaths:
                     print(decrypt(sk, ct, strict=True).tobytes().hex())
                 except DecryptionFailure:
                     print("rejected")
+            for seed in ("1", "3", "11"):
+                out = io.StringIO()
+                main(["attack", "--params", "toy", "--seed", seed], out)
+                print(out.getvalue(), end="")
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(bqtru.__file__)))
 
@@ -833,8 +840,8 @@ class TestDecryptPaths:
         pinned, default = run("1"), run(None)
         assert pinned == default
         lines = pinned.splitlines()
-        assert len(lines) == 4 and lines[-1] == "rejected"
-        assert "rejected" not in lines[:3]
+        assert lines[3] == "rejected" and "rejected" not in lines[:3]
+        assert sum(line.startswith("reduced_shortest_norm") for line in lines[4:]) == 3
 
 
 class TestMessageCodec:
