@@ -92,17 +92,28 @@ def signed_ternary(size: int, plus, minus, rng: random.Random) -> np.ndarray:
     """plus coefficients +1 and minus coefficients -1 at uniformly drawn
     distinct slots of a length-size int64 vector, the rest 0.  Given lists
     of counts, it draws a row per pair of counts, in order, into one array;
-    a row's slots are _sample_slots(size, plus + minus, rng), plus first."""
+    a row's slots are _sample_slots(size, plus + minus, rng), plus first.
+    Every row's weight is checked before the first draw, so WeightTooLarge
+    leaves rng as it was; the values are then written in one scatter."""
     if isinstance(plus, int):
         return signed_ternary(size, [plus], [minus], rng)[0]
-    out = np.zeros((len(plus), size), dtype=np.int64)
-    for row, up, down in zip(out, plus, minus):
+    for up, down in zip(plus, minus):
         if up + down > size:
             raise WeightTooLarge(f"{up}+{down} nonzeros do not fit in {size} slots")
-        picks = np.array(_sample_slots(size, up + down, rng), dtype=np.intp)
-        row[picks[:up]] = 1
-        row[picks[up:]] = -1
-    return out
+    slots = [j for up, down in zip(plus, minus) for j in _sample_slots(size, up + down, rng)]
+    offsets, signs = _scatter_pattern(size, tuple(plus), tuple(minus))
+    out = np.zeros(len(plus) * size, dtype=np.int64)
+    out[offsets + np.array(slots, dtype=np.intp)] = signs
+    return out.reshape(len(plus), size)
+
+
+@lru_cache(maxsize=32)
+def _scatter_pattern(size: int, plus: tuple, minus: tuple) -> tuple:
+    """(row * size, sign) of each slot signed_ternary draws for these
+    counts, in draw order: a row's plus ones, then its minus ones."""
+    rows = np.repeat(np.arange(len(plus)), [up + down for up, down in zip(plus, minus)])
+    signs = [sign for up, down in zip(plus, minus) for sign in [1] * up + [-1] * down]
+    return rows * size, np.array(signs, dtype=np.int64)
 
 
 def _sample_slots(size: int, k: int, rng: random.Random) -> list:
@@ -350,11 +361,17 @@ def unit_inverse(f: np.ndarray, m: int, n: int, mul, frob) -> np.ndarray:
 
 
 def ring_inverse(f, m: int) -> np.ndarray:
-    """Inverse mod m of the row f in Z_m[x,y]/(x^n-1, y^n-1), m an odd prime,
+    """Inverse mod m of the row f in Z_m[x,y]/(x^n-1, y^n-1), m a prime,
     by unit_inverse: 6 convolutions at n = 11 and 7 at n = 7 (m = 3, counting
-    the check).  Raises NotInvertible when f is not a unit."""
-    f = np.asarray(f, dtype=np.int64) % m
+    the check).  Raises NotInvertible when f is not a unit, and ValueError,
+    before any product, for a modulus that is not prime or is too large for
+    int64 products: the unit-group exponent holds only for a prime m (at
+    m = 9, n = 3 its order search never ends, and at m = 25 the unit 1 + x
+    fails the check)."""
+    f = np.asarray(f, dtype=np.int64)
     n = math.isqrt(f.size)
     if not fits_int64(n, m):
         raise ValueError(f"modulus {m} is too large for int64 convolution")
-    return unit_inverse(f, m, n, conv_mul, frobenius)
+    if not _is_prime(m):
+        raise ValueError(f"ring_inverse needs a prime modulus, not {m}")
+    return unit_inverse(f % m, m, n, conv_mul, frobenius)

@@ -31,6 +31,9 @@ grid norms from quat.rho_norms.  A message is base-p digits, least
 significant first: a _LEN_DIGITS-digit length prefix, zero past its first
 _digits_for(capacity, p) digits, then _digits_for(255, p) digits per
 byte; _to_digits and _from_digits are the one array rule each way.
+_codec(params) holds, built on first use, the centered digits of each
+byte value and of each length, tables _to_digits builds and
+encode_message gathers from.
 """
 
 from __future__ import annotations
@@ -348,14 +351,23 @@ def _digits_for(v: int, p: int) -> int:
 
 @lru_cache(maxsize=32)
 def _codec(params: Params) -> tuple:
-    """The codec's constants at params, computed once: the capacity, the
-    length prefix's significant digits, the digits per byte, and the place
-    values p**k of as many digits as the larger of the two."""
+    """The codec's constants at params, computed on first use: the
+    capacity, the length prefix's significant digits, the digits per byte,
+    the place values p**k of as many digits as the larger of the two, and
+    two digit tables built by _to_digits, row v the centered digits of v:
+    one of each byte value 0..255 and one of each length 0..capacity.
+
+    The digits are centered residues: digit 0 stays 0, so padding and
+    leading zeros do not bias the coefficient sums (a large per-component
+    sum lines up with a short lattice direction and breaks decryption)."""
     p = params.p
     per = _digits_for(255, p)
     cap = (4 * params.nsq - _LEN_DIGITS) // per
     low = _digits_for(cap, p)
-    return cap, low, per, p ** np.arange(max(low, per))
+    places = p ** np.arange(max(low, per))
+    byte_digits = centered(_to_digits(np.arange(256), places[:per], p), p)
+    length_digits = centered(_to_digits(np.arange(cap + 1), places[:low], p), p)
+    return cap, low, per, places, byte_digits, length_digits
 
 
 def _to_digits(values, places: np.ndarray, p: int) -> np.ndarray:
@@ -374,23 +386,19 @@ def message_capacity(params: Params) -> int:
 
 
 def encode_message(payload: bytes, params: Params) -> np.ndarray:
-    p = params.p
-    cap, low, per, places = _codec(params)
+    cap, low, _, _, byte_digits, length_digits = _codec(params)
     if len(payload) > cap:
         raise PayloadTooLarge(f"{len(payload)} bytes exceed the {cap}-byte capacity")
-    body = _to_digits(np.frombuffer(payload, dtype=np.uint8), places[:per], p)
     flat = np.zeros(4 * params.nsq, dtype=np.int64)
-    flat[:low] = _to_digits([len(payload)], places[:low], p)[0]
-    flat[_LEN_DIGITS:_LEN_DIGITS + body.size] = body.reshape(-1)
-    # centered residue: digit 0 stays 0 so padding and leading zeros do not
-    # bias the coefficient sums (a large per-component sum lines up with a
-    # short lattice direction and breaks decryption)
-    return centered(flat, p).reshape(4, params.nsq)
+    body = byte_digits[np.frombuffer(payload, dtype=np.uint8)].reshape(-1)
+    flat[:low] = length_digits[len(payload)]
+    flat[_LEN_DIGITS:_LEN_DIGITS + body.size] = body
+    return flat.reshape(4, params.nsq)
 
 
 def decode_message(M, params: Params) -> bytes:
     p, half = params.p, (params.p - 1) // 2
-    cap, low, per, places = _codec(params)
+    cap, low, per, places, _, _ = _codec(params)
     M = np.asarray(M)
     if M.shape != (4, params.nsq) or M.dtype.kind not in "iu" or M.min() < -half or M.max() > half:
         raise MalformedData(f"a message is a (4, {params.nsq}) array of centered base-p digits")

@@ -294,6 +294,13 @@ class TestRingInverse:
             assert np.array_equal(conv_mul(f, u, m), one(3))
             found += 1
 
+    @pytest.mark.parametrize("n, m", [(3, 9), (3, 15), (5, 15), (3, 25), (3, 1)])
+    def test_composite_modulus_refused(self, n, m):
+        # the unit-group exponent needs a prime m: at m = 9 and 15 its
+        # order search never ends, and at m = 25 the unit 1 + x fails its check
+        with pytest.raises(ValueError, match="prime"):
+            ring_inverse(one(n) + monomial(n, 1, 0), m)
+
 
 class TestRingInverseOracle:
     """ring_inverse (unit-group powering) against the linear-solve oracle."""

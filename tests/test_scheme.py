@@ -136,8 +136,11 @@ class TestSampleTernary:
         rows = signed_ternary(49, [8, 7, 7, 7], [7] * 4, ours)
         assert np.array_equal(rows, [signed_ternary(49, up, 7, ref) for up in (8, 7, 7, 7)])
         assert ours.getrandbits(32) == ref.getrandbits(32)
+        # every row's weight is checked before the first draw
+        rng = random.Random(4)
         with pytest.raises(WeightTooLarge):
-            signed_ternary(9, [1, 5], [1, 5], ours)
+            signed_ternary(9, [1, 5], [1, 5], rng)
+        assert rng.getstate() == random.Random(4).getstate()
 
 
 class TestKeygen:
@@ -979,10 +982,13 @@ class TestCodecAgainstLoops:
         assert outcome(decode_message, M, params) == outcome(loop_decode_message, M, params)
 
     def test_every_payload_length(self):
+        # and every byte value: bytes(range(256)) in capacity-sized pieces
         rng = random.Random(14)
         for params in CODEC_PARAMS:
-            for size in range(message_capacity(params) + 1):
-                payload = bytes(rng.randrange(256) for _ in range(size))
+            cap = message_capacity(params)
+            payloads = [bytes(rng.randrange(256) for _ in range(size)) for size in range(cap + 1)]
+            payloads += [bytes(range(256))[i:i + cap] for i in range(0, 256, cap)]
+            for payload in payloads:
                 M = encode_message(payload, params)
                 assert np.array_equal(M, loop_encode_message(payload, params))
                 assert decode_message(M, params) == payload
