@@ -1,9 +1,9 @@
 """Quantitative analysis of the quaternion scheme.
 
 Noise model and decryption-failure probability, brute-force security
-exponents, key sizes, lattice dimension accounting, and the fold map down
-to a univariate convolution ring.  Everything here is a pure calculator
-except the Monte-Carlo estimator, which runs real round trips.
+exponents, key sizes and lattice dimension accounting.  Everything here
+is a pure calculator except the Monte-Carlo estimator, which runs real
+round trips.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     z = 1.959963985  # the two-sided 95% standard normal quantile
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, trials], got {successes} of {trials}")
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -89,6 +91,8 @@ def monte_carlo_failure_rate(params: Params, trials: int, rng,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if keys < 1:
+        raise ValueError(f"need at least one keypair, got keys={keys}")
     rng = as_rng(rng)
     per_key = [trials // keys + (1 if k < trials % keys else 0) for k in range(keys)]
     successes = 0
@@ -172,26 +176,6 @@ def poltyrev_sigma_sq_max(params: Params, t_size: int) -> float:
     if not 0 <= t_size <= params.nsq:
         raise ValueError("t_size out of range")
     return poltyrev_sigma_max(params.q ** (params.nsq - t_size), params.nsq)
-
-
-# ---------------------------------------------------------------------------
-# fold to a univariate convolution ring
-# ---------------------------------------------------------------------------
-
-def fold_to_univariate(f, r: int, s: int) -> np.ndarray:
-    """Image over Z of the coefficient row f under x -> t^r, y -> t^s, into
-    Z[t]/(t^n - 1); the caller reduces it.
-
-    A ring homomorphism for every choice of exponents: cyclic convolution
-    in two variables maps to cyclic convolution in one.
-    """
-    n = math.isqrt(len(f))
-    if not (0 <= r < n and 0 <= s < n):
-        raise ValueError("fold exponents must lie in [0, n)")
-    idx = np.arange(n * n)
-    out = np.zeros(n, dtype=np.int64)
-    np.add.at(out, (r * (idx // n) + s * (idx % n)) % n, f)
-    return out
 
 
 # ---------------------------------------------------------------------------

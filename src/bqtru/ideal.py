@@ -1,23 +1,22 @@
-"""Lattices built from the secret grid subset T and the public key.
+"""The secret grid subset T, and the key-recovery lattice of a public key.
 
 The two-sided ideal is generated by q and Lagrange interpolants supported
 on the secret point set T; decryption scans its coefficient lattice
 directly (lattice.coset_decode).  This module derives T from G and builds
-the 12 n^2-dimensional public key-recovery lattice that `bqtru attack`
-reduces at toy scale, an int64 row basis that lattice.lll_reduce takes
-as it is.  Its power-of-two expansion (whose dimension
-analysis.expansion_ratio computes) and the key-membership identity every
-honest key satisfies are reference paths in tests/oracles.py.
+the 4 n^2-dimensional key-recovery lattice that `bqtru attack` reduces at
+toy scale, an int64 row basis that lattice.lll_reduce takes as it is.
+The paper's 12 n^2-dimensional lattice with its hybrid norm, its
+power-of-two expansion (whose dimension analysis.expansion_ratio
+computes) and the key-membership identity every honest key satisfies are
+reference paths in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .quat import Quaternion
-from .ring import EvalDomain, mult_matrix
+from .quat import Quaternion, quat_to_matrix
+from .ring import mult_matrix
 
 
 def derive_T(rho_G: np.ndarray) -> list:
@@ -26,39 +25,31 @@ def derive_T(rho_G: np.ndarray) -> list:
     return np.flatnonzero(~rho_G.any(axis=0)).tolist()
 
 
-def _quat_block_matrix(H: Quaternion) -> np.ndarray:
-    """4x4 block matrix M with vector(F) @ M == vector(F o H) for every F."""
-    H0, H1, H2, H3 = (mult_matrix(c) for c in H.rows)
-    return np.block([
-        [H0, H1, H2, H3],
-        [H1, H0, H3, H2],
-        [H2, -H3, H0, -H1],
-        [-H3, H2, -H1, H0],
-    ])
+def build_key_lattice(H: Quaternion) -> np.ndarray:
+    """Key-recovery lattice [[I, M], [0, qI]] of dimension 4 n^2, as an
+    int64 row basis, from the public key H mod q.
 
+    theta_hat = H(1,1) (n^2)^-1 mod q, per component, and
+    H0 = H - theta_hat * 1 (1 the all-ones row) vanishes at (1,1).  When
+    T = {(1,1)}, theta is theta_hat * 1, so F o H0 = G mod q; split
+    quaternions are 2x2 matrices (quat.quat_to_matrix), so A_F A_H0 = A_G,
+    and M = [[mult_matrix(A00), mult_matrix(A01)], [mult_matrix(A10),
+    mult_matrix(A11)]] mod q, with A = A_H0, maps a row of A_F to the same
+    row of A_G.  The key rows (f0+f1, f2+f3, g0+g1, g2+g3) and
+    (f2-f3, f0-f1, g2-g3, g0-g1), and each n x n block of them rotated by
+    one monomial, are lattice points.
 
-def build_bqtru_lattice(H: Quaternion, dom: EvalDomain) -> np.ndarray:
-    """Key-recovery lattice [[qI, 0, 0], [HH, I, 0], [DD, 0, I]] of dimension 12 n^2,
-    as an int64 row basis.
-
-    HH maps vector(F) to vector(F o H) mod q, and DD holds the interpolant
-    rows, the inverse transform of the identity, once per quaternion slot.
+    (1, 0, 0, 0) and (0, 1, 0, 0), with 1 the all-ones row, are lattice
+    points of norm n that say nothing about the key: H0 vanishes at (1,1).
+    Keys with |T| >= 2 are not caught, since theta_hat clears only the
+    public point (1,1).
     """
-    nsq = dom.size
-    four = 4 * nsq
-    rows = np.zeros((3 * four, 3 * four), dtype=np.int64)
-    rows[:four, :four] = dom.q * np.eye(four, dtype=np.int64)
-    rows[four:2 * four, :four] = _quat_block_matrix(H) % dom.q
-    D = dom.inverse_transform(np.eye(nsq, dtype=np.int64))
-    for b in range(4):
-        rows[2 * four + b * nsq:2 * four + (b + 1) * nsq, b * nsq:(b + 1) * nsq] = D
-    rows[four:, four:] = np.eye(2 * four, dtype=np.int64)
+    q, nsq = H.modulus, H.rows.shape[1]
+    theta_hat = H.rows.sum(axis=1) * pow(nsq, -1, q) % q
+    A = quat_to_matrix(Quaternion(H.rows - theta_hat[:, None], q))
+    half = 2 * nsq
+    rows = np.zeros((2 * half, 2 * half), dtype=np.int64)
+    rows[:half, :half] = np.eye(half, dtype=np.int64)
+    rows[:half, half:] = np.block([[mult_matrix(a) for a in row] for row in A]) % q
+    rows[half:, half:] = q * np.eye(half, dtype=np.int64)
     return rows
-
-
-def hybrid_norm(g_part, f_part, rho_part) -> float:
-    """Euclidean length of the (g, f) halves plus Hamming weight of the rho half."""
-    g = np.asarray(g_part, dtype=np.float64)
-    f = np.asarray(f_part, dtype=np.float64)
-    ham = int(np.count_nonzero(np.asarray(rho_part)))
-    return math.sqrt(float(np.dot(g, g) + np.dot(f, f))) + ham

@@ -121,8 +121,7 @@ class PrivateKey:
     indicator rows).  Decryption scans the q^|T| cosets
     of qZ^{n^2} in D' and never builds a basis of D'; keygen admits only
     a T for which _scannable(T, q) holds.  rho_F caches rho(F), left_F
-    its left-multiplication tensor, which decryption and rho_gamma =
-    rho(F) * rho(theta) apply.
+    its left-multiplication tensor, which decryption applies.
     """
 
     params: Params
@@ -147,11 +146,6 @@ class PrivateKey:
     @cached_property
     def left_F(self) -> np.ndarray:
         return rho_left_tensor(self.rho_F, self.params.q)
-
-    @cached_property
-    def rho_gamma(self) -> np.ndarray:
-        return rho_apply(self.left_F, _rho_theta(self.T, self.weights, self.W, self.params),
-                         self.params.q)
 
 
 @dataclass

@@ -17,7 +17,9 @@ conjugate, scalar quaternion products and inverses, the pointwise product
 written out row by row, and the inverse of F modulo the secret ideal; the
 inverse in either group ring, bqtru's and the NTRU baseline's, as a
 Gauss-Jordan solve mod a prime; the quaternion with given coefficient rows
-and the centered lift; the key-membership identity and the
+and the centered lift; the paper's 12 n^2-dimensional key-recovery
+lattice with its hybrid norm, whose key vector holds rho(gamma) =
+rho(F) * rho(theta), the key-membership identity and the
 (4 floor(log2 q) + 12) n^2-dimensional expanded key-recovery lattice with
 its fold back to the 12 n^2 one; a float64 Gram-Schmidt of given rows and
 the LLL conditions read from it; the message codec written one digit at a
@@ -34,15 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from bqtru.errors import BqtruError, ContextMismatch, MalformedData, NotInvertible, PayloadTooLarge
-from bqtru.ideal import _quat_block_matrix, build_bqtru_lattice
 from bqtru.lattice import LLL_DELTA
 from bqtru.quat import (
     Quaternion,
     quat_mul_schoolbook,
+    rho_apply,
     rho_inverse,
 )
-from bqtru.ring import EvalDomain, centered, conv_mul, signed_ternary
-from bqtru.scheme import keygen, message_capacity, random_message
+from bqtru.ring import EvalDomain, centered, conv_mul, mult_matrix, signed_ternary
+from bqtru.scheme import _rho_theta, keygen, message_capacity, random_message
 
 
 class InvalidWeight(BqtruError):
@@ -555,22 +557,70 @@ def satisfies_lovasz(rows, tol: float = 1e-9) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# key recovery: the membership identity and the expanded lattice
+# key recovery: the paper's lattice and hybrid norm, the membership
+# identity and the expanded lattice
 # ---------------------------------------------------------------------------
 
-def gamma_vector(rho_gamma: np.ndarray, dom: EvalDomain) -> np.ndarray:
-    """Integer coefficient vector (length 4n^2) interpolating rho_gamma.
+def rho_gamma(sk) -> np.ndarray:
+    """rho(gamma) = rho(F) * rho(theta) of a bqtru.scheme.PrivateKey, zero off T:
+    rho(F o H) = rho(G) + rho(gamma) mod q."""
+    return rho_apply(sk.left_F, _rho_theta(sk.T, sk.weights, sk.W, sk.params), sk.params.q)
+
+
+def _quat_block_matrix(H: Quaternion) -> np.ndarray:
+    """4x4 block matrix M with vector(F) @ M == vector(F o H) for every F."""
+    H0, H1, H2, H3 = (mult_matrix(c) for c in H.rows)
+    return np.block([
+        [H0, H1, H2, H3],
+        [H1, H0, H3, H2],
+        [H2, -H3, H0, -H1],
+        [-H3, H2, -H1, H0],
+    ])
+
+
+def build_bqtru_lattice(H: Quaternion, dom: EvalDomain) -> np.ndarray:
+    """The paper's key-recovery lattice [[qI, 0, 0], [HH, I, 0], [DD, 0, I]]
+    of dimension 12 n^2, as an int64 row basis.
+
+    HH maps vector(F) to vector(F o H) mod q, and DD holds the interpolant
+    rows, the inverse transform of the identity, once per quaternion slot.
+    Its key vector is (G, F, -rho(gamma)) flattened row by row.
+    """
+    nsq = dom.size
+    four = 4 * nsq
+    rows = np.zeros((3 * four, 3 * four), dtype=np.int64)
+    rows[:four, :four] = dom.q * np.eye(four, dtype=np.int64)
+    rows[four:2 * four, :four] = _quat_block_matrix(H) % dom.q
+    D = dom.inverse_transform(np.eye(nsq, dtype=np.int64))
+    for b in range(4):
+        rows[2 * four + b * nsq:2 * four + (b + 1) * nsq, b * nsq:(b + 1) * nsq] = D
+    rows[four:, four:] = np.eye(2 * four, dtype=np.int64)
+    return rows
+
+
+def hybrid_norm(g_part, f_part, rho_part) -> float:
+    """The paper's hybrid norm: Euclidean length of the (g, f) halves plus
+    Hamming weight of the rho half."""
+    g = np.asarray(g_part, dtype=np.float64)
+    f = np.asarray(f_part, dtype=np.float64)
+    ham = int(np.count_nonzero(np.asarray(rho_part)))
+    return math.sqrt(float(np.dot(g, g) + np.dot(f, f))) + ham
+
+
+def gamma_vector(rho_g: np.ndarray, dom: EvalDomain) -> np.ndarray:
+    """Integer coefficient vector (length 4n^2) interpolating the evaluation array rho_g.
 
     Uses the same interpolant rows, in [0, q), as the lattice
     constructions, so the result is the exact integer product
-    rho_gamma.reshape(-1) @ blockdiag(D).
+    rho_g.reshape(-1) @ blockdiag(D).
     """
     D = lagrange_rows(dom, grid_points(dom)).astype(object)
-    return np.concatenate([row @ D for row in np.asarray(rho_gamma, dtype=object)])
+    return np.concatenate([row @ D for row in np.asarray(rho_g, dtype=object)])
 
 
-def verify_key_membership(sk, pk, dom: EvalDomain, strict: bool = False) -> bool:
-    """Check the defining identity (-U, F, -rho(gamma)) @ M == (G, F, -rho(gamma)).
+def verify_key_membership(sk, pk, dom: EvalDomain, rho_g, strict: bool = False) -> bool:
+    """Check the defining identity (-U, F, -rho(gamma)) @ M == (G, F, -rho(gamma)),
+    with rho(gamma) given as rho_g.
 
     U is the exact integer quotient (F o H - G - gamma) / q; a non-integral
     quotient means the key material is inconsistent (returns False, or
@@ -583,14 +633,14 @@ def verify_key_membership(sk, pk, dom: EvalDomain, strict: bool = False) -> bool
     HH = M[four:2 * four, :four]
     f_vec, g_vec = (X.rows.reshape(-1).astype(object) for X in (F, G))
     FH_vec = f_vec @ HH
-    gamma = gamma_vector(sk.rho_gamma, dom)
+    gamma = gamma_vector(rho_g, dom)
     diff = FH_vec - g_vec - gamma
     if any(int(v) % q != 0 for v in diff):
         if strict:
             raise NonIntegralU("F o H - G - gamma is not divisible by q")
         return False
     U = np.array([int(v) // q for v in diff], dtype=object)
-    r = np.asarray(sk.rho_gamma, dtype=object).reshape(-1)
+    r = np.asarray(rho_g, dtype=object).reshape(-1)
     x = np.concatenate([-U, f_vec, -r])
     target = np.concatenate([g_vec, f_vec, -r])
     return bool(np.array_equal(x @ M, target))
@@ -599,7 +649,7 @@ def verify_key_membership(sk, pk, dom: EvalDomain, strict: bool = False) -> bool
 def build_expanded_lattice(H: Quaternion, dom: EvalDomain) -> LatticeBasis:
     """The key-recovery lattice with interpolant rows scaled by 1, 2, ..., 2^l.
 
-    [[qI, 0, 0], [HH, I, 0], [DD, 0, I]] as in bqtru.ideal.build_bqtru_lattice,
+    [[qI, 0, 0], [HH, I, 0], [DD, 0, I]] as in build_bqtru_lattice,
     but DD holds, per quaternion slot, the interpolant rows scaled by each
     power of two in turn.  Dimension (4l + 12) n^2 with l = floor(log2 q);
     the scaled copies let a reducer reach interpolant combinations with

@@ -51,6 +51,7 @@ from oracles import (
     lagrange_interpolant,
     lagrange_rows,
     quat_inverse_mod_J,
+    rho_gamma,
     ring_eval,
     satisfies_lovasz,
     sphere_decode,
@@ -199,11 +200,11 @@ class TestCriterion6LatticeCorrectness:
         dom3 = EvalDomain(3, 7)
         for _ in range(100):
             pk, sk = keygen(TOY, rng)
-            assert verify_key_membership(sk, pk, dom3)
+            assert verify_key_membership(sk, pk, dom3, rho_gamma(sk))
         dom7 = EvalDomain(7, 113)
         for _ in range(10):
             pk, sk = keygen(MODERATE, rng)
-            assert verify_key_membership(sk, pk, dom7)
+            assert verify_key_membership(sk, pk, dom7, rho_gamma(sk))
 
     def test_sphere_decode_equals_exhaustive(self):
         rng = random.Random(RNG_BASE + 9)
@@ -295,7 +296,7 @@ class TestCriterion9VolumeHeuristics:
             # expanded key vector: (G | F | signed power-of-two digits of
             # the centered interpolation values), entry-exact by construction
             tail_sq = 0
-            for v in np.asarray(sk.rho_gamma).reshape(-1):
+            for v in rho_gamma(sk).reshape(-1):
                 centered = int(v) if int(v) <= q // 2 else int(v) - q
                 digits = _signed_power_digits(-centered, ell)
                 assert sum(d * (1 << t) for t, d in digits.items()) == -centered

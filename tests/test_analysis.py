@@ -3,14 +3,12 @@ import random
 from math import comb
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from bqtru.analysis import (
     analysis_report,
     expansion_ratio,
     failure_probability_estimate,
-    fold_to_univariate,
     ideal_count,
     key_security_bits,
     message_security_bits,
@@ -22,12 +20,8 @@ from bqtru.analysis import (
     wilson_interval,
 )
 from bqtru.params import HIGHEST, MODERATE, TOY, Params
-from bqtru.ring import conv_mul
 
-from oracles import (
-    empirical_noise_variance,
-    monomial,
-)
+from oracles import empirical_noise_variance
 
 OVERSIZED = Params(7, 3, 547, 7, 7, 7)  # q far beyond the wrap-around guard
 
@@ -88,6 +82,10 @@ class TestWilson:
         assert lo == 0.0 and hi < 0.35
         lo, hi = wilson_interval(10, 10)
         assert lo > 0.65 and hi == 1.0
+        # past the extremes there is no proportion, and the error names both values
+        for successes in (5, -1):
+            with pytest.raises(ValueError, match=f"got {successes} of 3"):
+                wilson_interval(successes, 3)
 
 
 class TestMonteCarlo:
@@ -110,6 +108,10 @@ class TestMonteCarlo:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             monte_carlo_failure_rate(TOY, 0, random.Random(0))
+        # no keypair would run no round trip at all
+        for keys in (0, -1):
+            with pytest.raises(ValueError, match="keypair"):
+                monte_carlo_failure_rate(TOY, 3, random.Random(0), keys=keys)
 
 
 class TestSecurityCounts:
@@ -170,51 +172,6 @@ class TestSizesAndDims:
     def test_poltyrev_range_check(self):
         with pytest.raises(ValueError):
             poltyrev_sigma_sq_max(MODERATE, 50)
-
-
-class TestFold:
-    def test_identity_element(self):
-        one = monomial(5, 0, 0)
-        assert fold_to_univariate(one, 2, 3).tolist() == [1, 0, 0, 0, 0]
-
-    def test_monomial_image(self):
-        xy = monomial(5, 1, 1)
-        out = fold_to_univariate(xy, 1, 1)
-        assert out.tolist() == [0, 0, 1, 0, 0]
-
-    def test_exponent_range(self):
-        with pytest.raises(ValueError):
-            fold_to_univariate(monomial(5, 0, 0), 5, 0)
-
-    @staticmethod
-    def _uni_conv(a, b):
-        n = len(a)
-        out = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                out[(i + j) % n] += a[i] * b[j]
-        return out
-
-    def test_ring_homomorphism(self):
-        rng = random.Random(104)
-        for _ in range(100):
-            f = np.array([rng.randrange(-4, 5) for _ in range(25)])
-            g = np.array([rng.randrange(-4, 5) for _ in range(25)])
-            r, s = rng.randrange(5), rng.randrange(5)
-            folded_prod = fold_to_univariate(conv_mul(f, g), r, s)
-            prod_folded = self._uni_conv(fold_to_univariate(f, r, s),
-                                         fold_to_univariate(g, r, s))
-            assert np.array_equal(folded_prod, prod_folded)
-            assert np.array_equal(fold_to_univariate(f + g, r, s),
-                                  fold_to_univariate(f, r, s) + fold_to_univariate(g, r, s))
-
-    def test_modulus_respected(self):
-        # the fold runs over Z and commutes with reduction mod 7, which the
-        # caller applies
-        f = np.arange(25)
-        out = fold_to_univariate(f, 1, 0)
-        assert out.tolist() == [10, 35, 60, 85, 110]
-        assert np.array_equal(fold_to_univariate(f % 7, 1, 0) % 7, out % 7)
 
 
 class TestReport:

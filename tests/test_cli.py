@@ -418,35 +418,38 @@ class TestParser:
 
 class TestAttack:
     def test_toy_full_run(self, tmp_path):
-        code, out = run("attack", "--params", "toy", "--seed", "11")
-        assert code == 0
-        assert "key_recovery_lattice_dim = 108" in out
-        assert "expanded_lattice_dim = 180" in out
-        assert "reduced_shortest_norm" in out
-        assert "private_key_recovered" in out
+        # LLL finds a key row, up to sign and a monomial rotation of its
+        # blocks, in the 36-dimensional lattice of these toy keys
+        for seed in ("1", "3", "11"):
+            code, out = run("attack", "--params", "toy", "--seed", seed)
+            assert code == 0
+            assert [line.split(" = ")[0] for line in out.splitlines()[1:]] == [
+                "key_recovery_lattice_dim", "gaussian_heuristic", "reduced_shortest_norm",
+                "private_key_euclidean_norm", "private_key_recovered"]
+            assert "key_recovery_lattice_dim = 36" in out
+            assert "private_key_recovered = yes" in out
 
     def test_moderate_builds_only(self):
         code, out = run("attack", "--params", "moderate", "--seed", "11")
         assert code == 0
-        assert "key_recovery_lattice_dim = 588" in out
-        assert "expanded_lattice_dim = 1764" in out
+        assert "key_recovery_lattice_dim = 196" in out
+        assert "expanded_lattice_dim" not in out
         assert "reduction skipped" in out
 
     def test_highest_builds_no_lattice_and_draws_no_key(self, monkeypatch):
-        # the dimension lines are closed formulas: the 1452- and
-        # 4840-dimensional lattices are neither built nor reduced
+        # the dimension line is a closed formula: the 484-dimensional
+        # lattice is neither built nor reduced
         def refuse(*_):
             raise AssertionError("attack built a lattice or drew a key it does not use")
 
-        monkeypatch.setattr(ideal, "build_bqtru_lattice", refuse)
-        monkeypatch.setattr(cli, "build_bqtru_lattice", refuse)
+        monkeypatch.setattr(ideal, "build_key_lattice", refuse)
+        monkeypatch.setattr(cli, "build_key_lattice", refuse)
         monkeypatch.setattr(cli, "keygen", refuse)
         code, out = run("attack", "--params", "highest", "--seed", "1")
         assert code == 0
         assert out.splitlines() == [
-            "key_recovery_lattice_dim = 1452",
-            "expanded_lattice_dim = 4840",
-            "gaussian_heuristic = 53.8308",
+            "key_recovery_lattice_dim = 484",
+            "gaussian_heuristic = 75.0952",
             "reduction skipped: dimension too large for desk-scale LLL",
         ]
 
@@ -489,10 +492,9 @@ class TestAttack:
         assert code == 0
         assert out.splitlines() == [
             "WARNING: 'toy' parameters are NOT SECURE (testing only)",
-            "key_recovery_lattice_dim = 108",
-            "expanded_lattice_dim = 180",
-            "gaussian_heuristic = 4.8103",
-            "reduced_shortest_norm = 2.8284",
+            "key_recovery_lattice_dim = 36",
+            "gaussian_heuristic = 3.8412",
+            "reduced_shortest_norm = 3.0000",
         ]  # no private key available, so no recovery lines
 
 

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from bqtru.analysis import expansion_ratio
-from bqtru.ideal import build_bqtru_lattice, derive_T, hybrid_norm
-from bqtru.params import MODERATE, TOY
+from bqtru.ideal import build_key_lattice, derive_T
+from bqtru.params import HIGHEST, MODERATE, TOY
 from bqtru.quat import Quaternion, quat_mul_schoolbook, quat_norm, rho_norms
 from bqtru.ring import EvalDomain, conv_mul, ring_inverse
+from bqtru.scheme import keygen
 
 from oracles import (
     InvalidWeight,
     LatticeBasis,
     NonIntegralU,
     basis_contains,
+    build_bqtru_lattice,
     build_D_prime,
     build_expanded_lattice,
     build_private_lattice,
@@ -24,6 +26,7 @@ from oracles import (
     expansion_psi,
     gamma_vector,
     grid_points,
+    hybrid_norm,
     interpolate,
     lagrange_interpolant,
     lagrange_rows,
@@ -300,24 +303,97 @@ class TestBqtruLattice:
             assert not np.delete(img, c, axis=0).any()
 
 
+def in_key_lattice(basis, x) -> bool:
+    """Whether x = (u, v) lies in the lattice [[I, M], [0, qI]]: v = u M mod q."""
+    half = len(basis) // 2
+    q = basis[-1, -1]
+    return not ((x[:half] @ basis[:half, half:] - x[half:]) % q).any()
+
+
+def rotated_key_rows(sk):
+    """The key rows (f0+f1, f2+f3, g0+g1, g2+g3) and (f2-f3, f0-f1, g2-g3,
+    g0-g1), each n x n block multiplied by every monomial x^a y^b, signed
+    both ways: a (4 n^2, 4 n^2) array."""
+    n = sk.params.n
+    f0, f1, f2, f3 = sk.F.rows
+    g0, g1, g2, g3 = sk.G.rows
+    rows = []
+    for blocks in ([f0 + f1, f2 + f3, g0 + g1, g2 + g3], [f2 - f3, f0 - f1, g2 - g3, g0 - g1]):
+        for a in range(n):
+            for b in range(n):
+                rows.append(np.concatenate([np.roll(c.reshape(n, n), (a, b), axis=(0, 1))
+                                            .reshape(-1) for c in blocks]))
+    rows = np.array(rows)
+    return np.concatenate([rows, -rows])
+
+
+class TestKeyLattice:
+    @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=["toy", "moderate", "highest"])
+    def test_shape(self, params):
+        n, q = params.n, params.q
+        H = rand_quat(random.Random(46), n, q)
+        basis = build_key_lattice(H)
+        half = 2 * n * n
+        assert basis.shape == (2 * half, 2 * half) and basis.dtype == np.int64
+        assert np.array_equal(basis[:half, :half], np.eye(half, dtype=np.int64))
+        assert not basis[half:, :half].any()
+        assert np.array_equal(basis[half:, half:], q * np.eye(half, dtype=np.int64))
+        assert basis[:half, half:].min() >= 0 and basis[:half, half:].max() < q
+
+    @pytest.mark.parametrize("params", [TOY, MODERATE, HIGHEST], ids=["toy", "moderate", "highest"])
+    def test_key_rows_are_members(self, params):
+        # every key keygen makes has T = {(1,1)}, grid index 0, so
+        # F o (H - theta_hat * 1) = G mod q, and A_F A_H0 = A_G row by row
+        for seed in range(5):
+            pk, sk = keygen(params, seed)
+            assert sk.T == (0,)
+            basis = build_key_lattice(pk.H)
+            rows = rotated_key_rows(sk)
+            assert len(rows) == 4 * params.nsq
+            assert all(in_key_lattice(basis, r) for r in rows)
+
+    @pytest.mark.parametrize("params", [TOY, MODERATE], ids=["toy", "moderate"])
+    def test_trap_rows_are_members(self, params):
+        # H0 vanishes at (1,1), so the all-ones row times any block of A_H0
+        # is 0 mod q: (1, 0, 0, 0) and (0, 1, 0, 0) have norm n and no key in them
+        nsq = params.nsq
+        rng = random.Random(47)
+        for H in (keygen(params, 0)[0].H, rand_quat(rng, params.n, params.q)):
+            basis = build_key_lattice(H)
+            for slot in (0, 1):
+                trap = np.zeros(4 * nsq, dtype=np.int64)
+                trap[slot * nsq:(slot + 1) * nsq] = 1
+                assert in_key_lattice(basis, trap)
+                assert np.linalg.norm(trap) == params.n
+
+    def test_member_test_agrees_with_basis(self):
+        # in_key_lattice's rule against integer combinations of the rows
+        rng = random.Random(48)
+        basis = build_key_lattice(rand_quat(rng, 3, 7))
+        for _ in range(20):
+            z = np.array([rng.randrange(-3, 4) for _ in range(36)])
+            x = z @ basis
+            assert in_key_lattice(basis, x)
+            x[rng.randrange(18, 36)] += rng.randrange(1, 7)
+            assert not in_key_lattice(basis, x)
+
+
 class TestKeyMembership:
     def test_honest_keys_n3(self, dom3):
         rng = random.Random(40)
         for _ in range(100):
             sk, pk = toy_keygen(rng, dom3)
-            assert verify_key_membership(sk, pk, dom3)
+            assert verify_key_membership(sk, pk, dom3, sk.rho_gamma)
 
     def test_corrupt_F_fails(self, dom3):
         rng = random.Random(41)
         sk, pk = toy_keygen(rng, dom3)
         bad = sk.F.rows.flatten()
         bad[0] += 1
-        sk_bad = SimpleNamespace(
-            F=quat_from_vector(bad, 3, 7), G=sk.G, rho_gamma=sk.rho_gamma
-        )
-        assert verify_key_membership(sk_bad, pk, dom3) is False
+        sk_bad = SimpleNamespace(F=quat_from_vector(bad, 3, 7), G=sk.G)
+        assert verify_key_membership(sk_bad, pk, dom3, sk.rho_gamma) is False
         with pytest.raises(NonIntegralU):
-            verify_key_membership(sk_bad, pk, dom3, strict=True)
+            verify_key_membership(sk_bad, pk, dom3, sk.rho_gamma, strict=True)
 
     def test_rho_theta_supported_on_T(self, dom3):
         rng = random.Random(42)
@@ -352,13 +428,15 @@ class TestExpandedLattice:
 
     @pytest.mark.parametrize("params", [TOY, MODERATE], ids=["toy", "moderate"])
     def test_attack_formulas_match_built_lattices(self, params):
-        # bqtru attack prints both dimensions from these formulas
+        # bqtru analyze prints the expanded dimension and bqtru attack the
+        # key lattice's from closed formulas
         rng = random.Random(45)
         n, q = params.n, params.q
         dom = EvalDomain(n, q)
         H = rand_quat(rng, n, q)
         assert expansion_ratio(params).built_dim == build_expanded_lattice(H, dom).dim
         assert build_bqtru_lattice(H, dom).shape == (12 * n * n,) * 2
+        assert build_key_lattice(H).shape == (4 * n * n,) * 2
 
     def test_psi_maps_into_base_lattice(self, dom3):
         rng = random.Random(43)

@@ -67,6 +67,7 @@ from oracles import (
     quat_one,
     quat_scale,
     quat_sub,
+    rho_gamma,
     rho_mul_rows,
     sphere_decode,
     verify_key_membership,
@@ -158,7 +159,7 @@ class TestKeygen:
         pk, sk = moderate_key
         dom = EvalDomain(7, 113)
         lhs = dom.transform(quat_mul_schoolbook(sk.F.with_modulus(113), pk.H).rows)
-        rhs = (dom.transform(sk.G.rows) + np.asarray(sk.rho_gamma)) % 113
+        rhs = (dom.transform(sk.G.rows) + rho_gamma(sk)) % 113
         assert np.array_equal(lhs, rhs)
 
     def test_theta_support(self, moderate_key):
@@ -166,18 +167,18 @@ class TestKeygen:
         # gamma is supported on T: weights times W, carried through F
         for k in range(49):
             if k not in sk.T:
-                assert not np.asarray(sk.rho_gamma)[:, k].any()
+                assert not rho_gamma(sk)[:, k].any()
 
     def test_membership_identity(self, moderate_key):
         pk, sk = moderate_key
-        assert verify_key_membership(sk, pk, EvalDomain(7, 113))
+        assert verify_key_membership(sk, pk, EvalDomain(7, 113), rho_gamma(sk))
 
     def test_membership_many_toy_keys(self):
         rng = random.Random(62)
         dom = EvalDomain(3, 7)
         for _ in range(100):
             pk, sk = keygen(TOY, rng)
-            assert verify_key_membership(sk, pk, dom)
+            assert verify_key_membership(sk, pk, dom, rho_gamma(sk))
 
     def test_f_inverse_mod_p(self, moderate_key):
         _, sk = moderate_key
@@ -253,8 +254,8 @@ class TestKeygen:
         assert sum(usable) == drawn and inverses == [3] * drawn
 
     def test_no_mod_q_quaternion_product(self, monkeypatch):
-        # keygen runs no mod-q convolution: N(F) per F draw, H and rho_gamma
-        # are pointwise products on the evaluation grid
+        # keygen runs no mod-q convolution: N(F) per F draw and H are
+        # pointwise products on the evaluation grid
         mod_q_convs, norms = [], []
         real_conv, real_norm = quat.conv_mul, scheme.quat_norm
 
@@ -276,7 +277,7 @@ class TestKeygen:
         pk, sk = keygen(MODERATE, 63)
         assert sum(norms) >= 1
         assert sum(mod_q_convs) == 0
-        assert verify_key_membership(sk, pk, EvalDomain(7, 113))
+        assert verify_key_membership(sk, pk, EvalDomain(7, 113), rho_gamma(sk))
 
     def test_unscannable_q_fails_before_drawing_G(self, monkeypatch):
         # q > MAX_SCAN_CLASSES: even |T| = 1 is too many coset classes
@@ -635,7 +636,7 @@ def honest_files(toy_key, moderate_key):
 
 def with_secret_points(sk, T):
     """sk with the secret set T instead, each point at weight 1, built in
-    memory; rho_gamma and the Lagrange rows are derived afresh.  Decryption
+    memory; the Lagrange rows are derived afresh.  Decryption
     reads T, and neither G nor the weights."""
     return dataclasses.replace(sk, T=tuple(T), weights=(1,) * len(T))
 
@@ -1070,7 +1071,7 @@ class TestSerialization:
         assert again.F == sk.F and again.G == sk.G
         assert again.T == sk.T and again.weights == sk.weights
         assert again.W == sk.W
-        assert np.array_equal(np.asarray(again.rho_gamma), np.asarray(sk.rho_gamma))
+        assert np.array_equal(rho_gamma(again), rho_gamma(sk))
 
     @pytest.mark.parametrize("seed", [84, random.Random(84), None], ids=["int", "Random", "None"])
     @pytest.mark.parametrize("name", ["toy", "moderate", "highest"])
@@ -1083,7 +1084,7 @@ class TestSerialization:
         for field in ("F", "G", "F_p_inv"):
             assert np.array_equal(getattr(again, field).rows, getattr(sk, field).rows)
         assert (again.T, again.weights, again.W) == (sk.T, sk.weights, sk.W)
-        assert np.array_equal(again.rho_gamma, sk.rho_gamma)
+        assert np.array_equal(rho_gamma(again), rho_gamma(sk))
 
     def test_seed_kinds(self):
         # an int is the seed itself, a random.Random gives 256 bits, and
@@ -1098,7 +1099,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("name", ["toy", "moderate", "highest"])
     def test_private_keys_compare_equal(self, name):
-        # keys compare by their fields; rho_gamma is derived, not a field
+        # keys compare by their fields; the cached arrays are derived, not fields
         _, sk = keygen(PARAM_SETS[name], 84)
         again = deserialize_private(serialize_private(sk))
         assert (again == sk) is True
