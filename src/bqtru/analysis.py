@@ -114,7 +114,8 @@ def monte_carlo_failure_rate(params: Params, trials: int, rng,
 def ideal_count(params: Params) -> int:
     """Size of the brute-force search space for the secret grid subset:
     sum over sizes i = 1..n of (q-1)^i nonzero-weight choices times the
-    C(n^2, i) subset choices."""
+    C(n^2, i) subset choices.  This is the paper's figure: keygen admits
+    only the public set T = {(1,1)}, so its keys use none of the others."""
     nsq, q = params.nsq, params.q
     return sum((q - 1) ** i * comb(nsq, i) for i in range(1, params.n + 1))
 
@@ -172,7 +173,10 @@ def expansion_ratio(params: Params) -> ExpansionAccount:
 
 def poltyrev_sigma_sq_max(params: Params, t_size: int) -> float:
     """Largest decodable per-coordinate noise variance for the secret-subset
-    lattice with |T| = t_size grid points (volume q^(n^2 - |T|))."""
+    lattice with |T| = t_size grid points (volume q^(n^2 - |T|)).
+
+    Keys from keygen have T = {(1,1)}, so t_size = 1 describes them; the
+    report prints the paper's t_size = n."""
     if not 0 <= t_size <= params.nsq:
         raise ValueError("t_size out of range")
     return poltyrev_sigma_max(params.q ** (params.nsq - t_size), params.nsq)
@@ -229,7 +233,8 @@ def analysis_report(params: Params, label: str = "") -> str:
         fmt("success_probability", f"{failure_probability_estimate(params):.10f}"),
         fmt("message_security_bits", f"{message_security_bits(params):.2f}"),
         fmt("key_security_bits", f"{key_security_bits(params):.2f}"),
-        f"secret_subset_search_log2 = {math.log2(ideal_count(params)):.2f}",
+        f"secret_subset_search_log2 = {math.log2(ideal_count(params)):.2f}"
+        "  [paper's figure: keygen's keys have T = {(1,1)}]",
         f"lattice_dim_base = {acct.base_dim}",
         f"lattice_dim_expanded_real = {acct.real_dim:.1f}",
         f"lattice_dim_expanded_built = {acct.built_dim}",

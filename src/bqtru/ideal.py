@@ -1,10 +1,14 @@
 """The secret grid subset T, and the key-recovery lattice of a public key.
 
-The two-sided ideal is generated by q and Lagrange interpolants supported
-on the secret point set T; decryption scans its coefficient lattice
-directly (lattice.coset_decode).  This module derives T from G and builds
-the 4 n^2-dimensional key-recovery lattice that `bqtru attack` reduces at
-toy scale, an int64 row basis that lattice.lll_reduce takes as it is.
+The paper's two-sided ideal is generated by q and Lagrange interpolants
+supported on a secret point set T, the grid points where G vanishes.
+Every balanced G vanishes at (1,1), and keygen admits only T = {(1,1)},
+so the ideal's coefficient lattice has one generator, (n^2)^-1 * 1 mod q,
+whose q cosets decryption scans (lattice.coset_decode); the general T,
+its weights and the scan over several generators are reference paths in
+tests/oracles.py.  This module derives T from G and builds the
+4 n^2-dimensional key-recovery lattice that `bqtru attack` reduces at toy
+scale, an int64 row basis that lattice.lll_reduce takes as it is.
 The paper's 12 n^2-dimensional lattice with its hybrid norm, its
 power-of-two expansion (whose dimension analysis.expansion_ratio
 computes) and the key-membership identity every honest key satisfies are
@@ -30,8 +34,8 @@ def build_key_lattice(H: Quaternion) -> np.ndarray:
     int64 row basis, from the public key H mod q.
 
     theta_hat = H(1,1) (n^2)^-1 mod q, per component, and
-    H0 = H - theta_hat * 1 (1 the all-ones row) vanishes at (1,1).  When
-    T = {(1,1)}, theta is theta_hat * 1, so F o H0 = G mod q; split
+    H0 = H - theta_hat * 1 (1 the all-ones row) vanishes at (1,1).  Every
+    key has T = {(1,1)}, so theta is theta_hat * 1 and F o H0 = G mod q; split
     quaternions are 2x2 matrices (quat.quat_to_matrix), so A_F A_H0 = A_G,
     and M = [[mult_matrix(A00), mult_matrix(A01)], [mult_matrix(A10),
     mult_matrix(A11)]] mod q, with A = A_H0, maps a row of A_F to the same
@@ -41,8 +45,6 @@ def build_key_lattice(H: Quaternion) -> np.ndarray:
 
     (1, 0, 0, 0) and (0, 1, 0, 0), with 1 the all-ones row, are lattice
     points of norm n that say nothing about the key: H0 vanishes at (1,1).
-    Keys with |T| >= 2 are not caught, since theta_hat clears only the
-    public point (1,1).
     """
     q, nsq = H.modulus, H.rows.shape[1]
     theta_hat = H.rows.sum(axis=1) * pow(nsq, -1, q) % q

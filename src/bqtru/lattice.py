@@ -1,5 +1,5 @@
-"""Lattice toolbox: LLL reduction, an exact coset decoder for q-ary
-lattices, and volume heuristics.
+"""Lattice toolbox: LLL reduction, an exact coset decoder for the q-ary
+lattice of one generator, and volume heuristics.
 
 Everything operates on row bases.  LLL keeps its Gram-Schmidt data in
 64-bit floats while it reduces and returns the reduced integer rows
@@ -9,7 +9,6 @@ basis at all.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -70,48 +69,35 @@ def lll_reduce(basis, max_swaps: int | None = None) -> np.ndarray:
     return rows
 
 
-def coset_decode(gens, q: int, targets) -> np.ndarray:
-    """Exact closest points of the lattice qZ^N + sum_t Z*gens[t] to targets.
+def coset_decode(gen, q: int, targets) -> np.ndarray:
+    """Exact closest points of the lattice qZ^N + Z*gen to targets.
 
-    Every lattice point is congruent mod q to c @ gens for some c in
-    Z_q^k, and the point of that class closest to a target a is
-    a - centered(a - c @ gens mod q); q is odd, so the centered residue is
+    Every lattice point is congruent mod q to c * gen for some c in Z_q,
+    and the point of that class closest to a target a is
+    a - centered(a - c * gen mod q); q is odd, so the centered residue is
     unique.  Scanning every c therefore yields the exact closest point with
-    no node budget.  Ties between classes go to the first c in
-    lexicographic order.
+    no node budget.  Ties between classes go to the least c.
 
     targets is one integer vector of length N or a stack of them, decoded
-    one at a time.  The q multiples of the last generator are scanned in
-    one vectorised step and the other generators in a loop, so q*N
-    candidates are held at once while the work grows as q^k.
+    one at a time, the q classes of each in one vectorised step.  The
+    scan over several generators, which the paper's general secret set
+    needs, is a reference path in tests/oracles.py.
     """
     t = np.asarray(targets)
     if not np.issubdtype(t.dtype, np.integer):
         raise ValueError("targets must be integer vectors")
     a = np.atleast_2d(t).astype(np.int64)
-    N = a.shape[1]
-    gens = np.asarray(gens, dtype=np.int64).reshape(-1, N) % q
     half = (q - 1) // 2
-    if len(gens):
-        head = gens[:-1]
-        steps = np.arange(q, dtype=np.int64)[:, None] * gens[-1] % q
-    else:  # qZ^N alone is a single class
-        head, steps = gens, np.zeros((1, N), dtype=np.int64)
+    steps = np.arange(q, dtype=np.int64)[:, None] * (np.asarray(gen, dtype=np.int64) % q) % q
     out = np.empty_like(a)
     r = np.empty_like(steps)
     for i, target in enumerate(a):
-        best_d = best_r = None
-        for c in itertools.product(range(q), repeat=len(head)):
-            # residues shifted by half, in [0, q), so one masked add reduces them
-            base = (target + half - np.asarray(c, dtype=np.int64) @ head) % q
-            np.subtract(base, steps, out=r)
-            np.add(r, q, out=r, where=r < 0)
-            # sum of (r - half)^2, less the constant N * half^2
-            d = np.einsum("jk,jk->j", r, r) - 2 * half * r.sum(axis=1)
-            j = d.argmin()
-            if best_d is None or d[j] < best_d:
-                best_d, best_r = d[j], r[j] - half
-        out[i] = target - best_r
+        # residues shifted by half, in [0, q), so one masked add reduces them
+        np.subtract((target + half) % q, steps, out=r)
+        np.add(r, q, out=r, where=r < 0)
+        # sum of (r - half)^2, less the constant N * half^2
+        d = np.einsum("jk,jk->j", r, r) - 2 * half * r.sum(axis=1)
+        out[i] = target - r[d.argmin()] + half
     return out[0] if t.ndim == 1 else out
 
 

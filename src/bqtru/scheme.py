@@ -2,8 +2,10 @@
 
 Keys live over the bivariate convolution ring.  keygen derives a keypair
 from a 256-bit seed; the private key keeps the seed, its secret fields
-(F, G, the secret grid subset T with its nonzero weights mod q, W) and
-F^-1 mod p, and derives the rest.  Messages (centered mod p) and
+(F, G, and theta's nonzero weight mod q and scalar quaternion W) and
+F^-1 mod p, and derives the rest.  keygen admits only a G whose secret
+set T, the grid points where G vanishes, is {(1,1)}: every balanced G
+vanishes there, so that point is public.  Messages (centered mod p) and
 ciphertexts (in [0, q)) are int64 (4, n^2) arrays, a row per component,
 like a Quaternion's rows and the evaluation arrays rho(F): rho(F) is
 EvalDomain.transform of F's rows, which reduces them mod q itself, so
@@ -20,8 +22,8 @@ q, or 256 for the seed's bytes.  A loader checks the fields' counts,
 their range, then their spelling, by having _dump write the text back
 byte for byte from the values it parsed, so each file has one spelling;
 a key's header is its Params.line(), read by Params.from_line.  A
-header's q sizes the table, so a q above MAX_SCAN_CLASSES, which no key
-has, is refused first.  A private key file holds the parameters and the
+header's q sizes the table, so a q above MAX_Q, which no key has, is
+refused first.  A private key file holds the parameters and the
 seed alone, and loading it derives the key again, so the seed pins keygen's
 draws: ring.signed_ternary's sampler, their order and the retry limits.
 All randomness comes from an explicit random.Random instance, or a seed
@@ -89,9 +91,12 @@ class PublicKey:
         return rho_left_tensor(self.rho_H, self.params.q)
 
 
-# decryption scans the q^|T| cosets of qZ^{n^2} in D' per component; keygen
-# admits only secret sets T whose scan stays within this bound
-MAX_SCAN_CLASSES = 2 ** 16
+# the text format's bound on q: _dump spells values from a table of q
+# strings, and keygen refuses a larger q first
+MAX_Q = 2 ** 16
+
+# the secret set T of every key keygen makes: grid index 0, the point (1,1)
+_T = [0]
 
 # keygen draws at most this many G, and this many F for each usable G
 # before drawing a new G; a key file holds only its seed, so both limits
@@ -103,41 +108,26 @@ F_DRAWS_PER_G = 100
 SEED_BYTES = 32
 
 
-def _scannable(T, q: int) -> bool:
-    """Whether decryption can scan the cosets of a secret set T exactly."""
-    return 1 <= len(T) and q ** len(T) <= MAX_SCAN_CLASSES
-
-
 @dataclass
 class PrivateKey:
     """A private key: its seed, the secret half of the key it derives
-    (F, G, T, weights, W) and F^-1 mod p.
+    (F, G, weight, W) and F^-1 mod p.
 
-    T is the secret set of grid indices, with one nonzero weight mod q per
-    index in weights; rho(theta) is weight_t * W at each t in T and zero
-    elsewhere.  The private lattice D' is qZ^{n^2} + sum_{t in T}
-    Z*lambda_t, with lambda_t the Lagrange rows for the secret points
-    (lagrange_T, entries in [0, q): the inverse transform of T's
-    indicator rows).  Decryption scans the q^|T| cosets
-    of qZ^{n^2} in D' and never builds a basis of D'; keygen admits only
-    a T for which _scannable(T, q) holds.  rho_F caches rho(F), left_F
-    its left-multiplication tensor, which decryption applies.
+    The secret set T is {(1,1)}, grid index 0, and rho(theta) is
+    weight * W there and zero elsewhere.  The private lattice D' is
+    qZ^{n^2} + Z*lambda, with lambda = (n^2)^-1 * 1 mod q the Lagrange row
+    of (1,1); decryption scans its q cosets of qZ^{n^2} and never builds
+    a basis of D'.  rho_F caches rho(F), left_F its left-multiplication
+    tensor, which decryption applies.
     """
 
     params: Params
     seed: int
     F: Quaternion
     G: Quaternion
-    T: tuple
-    weights: tuple
+    weight: int
     W: tuple
     F_p_inv: Quaternion
-
-    @cached_property
-    def lagrange_T(self) -> np.ndarray:
-        indicators = np.zeros((len(self.T), self.params.nsq), dtype=np.int64)
-        indicators[range(len(self.T)), self.T] = 1
-        return eval_domain(self.params.n, self.params.q).inverse_transform(indicators)
 
     @cached_property
     def rho_F(self) -> np.ndarray:
@@ -167,8 +157,8 @@ def keygen(params: Params, seed=None) -> tuple[PublicKey, PrivateKey]:
     getrandbits(256), and None takes one from the operating system's
     entropy through random.SystemRandom, as secrets does.  The private key
     is _private_key(params, seed); the public key is then H with rho(H) =
-    rho(F)^-1 * rho(G) off T plus rho(theta), a pointwise product on the
-    evaluation grid.
+    rho(F)^-1 * rho(G) off (1,1), a pointwise product on the evaluation
+    grid, and rho(theta) = weight * W at (1,1).
     """
     if seed is None:
         seed = random.SystemRandom().getrandbits(8 * SEED_BYTES)
@@ -178,14 +168,14 @@ def keygen(params: Params, seed=None) -> tuple[PublicKey, PrivateKey]:
         raise ValueError(f"a key seed is an int in [0, 2^{8 * SEED_BYTES}), not {seed}")
     sk = _private_key(params, seed)
     q, dom = params.q, eval_domain(params.n, params.q)
-    rho_H = (rho_mul(rho_inverse(sk.rho_F, q, sk.T), dom.transform(sk.G.rows), q)
-             + _rho_theta(sk.T, sk.weights, sk.W, params)) % q
+    rho_H = rho_mul(rho_inverse(sk.rho_F, q, _T), dom.transform(sk.G.rows), q)
+    rho_H[:, 0] = np.multiply(sk.W, sk.weight) % q  # rho(theta) at (1,1)
     return PublicKey(params, Quaternion(dom.inverse_transform(rho_H), q)), sk
 
 
 def _private_key(params: Params, seed: int) -> PrivateKey:
-    """The private key that random.Random(seed) draws, retrying G until its
-    zero set and F cooperate, at most MAX_G_DRAWS times.
+    """The private key that random.Random(seed) draws, retrying G until it
+    vanishes at (1,1) alone and an F cooperates, at most MAX_G_DRAWS times.
 
     The first component of F carries one extra +1 (d_f+1 ones, d_f minus
     ones): a fully balanced component vanishes at the grid point (1,1),
@@ -193,15 +183,14 @@ def _private_key(params: Params, seed: int) -> PrivateKey:
     inverses impossible.
     """
     n, q = params.n, params.q
-    if q > MAX_SCAN_CLASSES:
-        # even one secret point has q coset classes
-        raise RetriesExhausted(f"no secret set T is scannable at q = {q}: decryption needs "
-                               f"q^|T| <= 2^16 = {MAX_SCAN_CLASSES} coset classes")
-    if params.d_g == 0 and not _scannable(range(params.nsq), q):
+    if q > MAX_Q:
+        raise RetriesExhausted(f"no key has q = {q}: key files hold residues "
+                               f"below 2^16 = {MAX_Q}")
+    if params.d_g == 0:
         # G = 0 vanishes on the whole grid, so every draw gives this T
-        raise RetriesExhausted(f"d_g = 0 makes T the whole grid, {q}^{params.nsq} classes")
-    # an F passes only if N(F) vanishes at none of the n^2 - 1 or fewer grid
-    # points off T, each a zero about once in q draws
+        raise RetriesExhausted("d_g = 0 makes T the whole grid, not {(1,1)}")
+    # an F passes only if N(F) vanishes at none of the n^2 - 1 grid points
+    # off (1,1), each a zero about once in q draws
     expected = MAX_G_DRAWS * F_DRAWS_PER_G * (1 - 1 / q) ** (params.nsq - 1)
     if expected < 1e-3:
         raise RetriesExhausted(f"an F draw passes with probability about (1 - 1/q)^(n^2 - 1) "
@@ -211,37 +200,29 @@ def _private_key(params: Params, seed: int) -> PrivateKey:
     dom = eval_domain(n, q)
     for _ in range(MAX_G_DRAWS):
         G = Quaternion(signed_ternary(params.nsq, [params.d_g] * 4, [params.d_g] * 4, rng))
-        T = derive_T(dom.transform(G.rows))
-        if not _scannable(T, q):
+        if derive_T(dom.transform(G.rows)) != _T:
             continue
-        found = _find_F(params, T, dom, rng)
+        found = _find_F(params, dom, rng)
         if found is None:
             continue
         F, F_p_inv = found
-        weights = [rng.randrange(1, q) for _ in T]
+        weight = rng.randrange(1, q)
         while True:
             W = tuple(rng.randrange(1, q) for _ in range(4))
             if rho_norms(W, q) != 0:
                 break
-        return PrivateKey(params, seed, F, G, tuple(T), tuple(weights), W, F_p_inv)
+        return PrivateKey(params, seed, F, G, weight, W, F_p_inv)
     raise RetriesExhausted(f"no usable G found in {MAX_G_DRAWS} attempts")
 
 
-def _rho_theta(T, weights, W, params: Params) -> np.ndarray:
-    """rho(theta): weight_t * W at each t in T, zero elsewhere."""
-    rho_theta = np.zeros((4, params.nsq), dtype=np.int64)
-    rho_theta[:, list(T)] = np.outer(W, weights) % params.q
-    return rho_theta
-
-
-def _find_F(params: Params, T, dom: EvalDomain, rng: random.Random):
-    """(F, F^-1 mod p) for an F whose norm vanishes only inside T and is
-    invertible mod p, or None when all F_DRAWS_PER_G draws fail."""
+def _find_F(params: Params, dom: EvalDomain, rng: random.Random):
+    """(F, F^-1 mod p) for an F whose norm vanishes at no grid point but
+    (1,1) and is invertible mod p, or None when all F_DRAWS_PER_G draws fail."""
     nsq, d_f = params.nsq, params.d_f
     for _ in range(F_DRAWS_PER_G):
         F = Quaternion(signed_ternary(nsq, [d_f + 1] + [d_f] * 3, [d_f] * 4, rng))
         norm = quat_norm(F.with_modulus(dom.q))
-        if norm_zeros_off_T(dom.transform(norm[None])[0], T).size:
+        if norm_zeros_off_T(dom.transform(norm[None])[0], _T).size:
             continue
         try:
             return F, quat_inverse_mod_p(F.with_modulus(params.p))
@@ -286,17 +267,15 @@ def encrypt(pk: PublicKey, M, rng, phi=None) -> Ciphertext:
 def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> np.ndarray:
     """Recover M by solving one closest-vector problem per component.
 
-    F o C equals a point of D' = qZ^{n^2} + sum_{t in T} Z*lambda_t plus
-    the small vector p*G o Phi + F o M; subtracting the closest lattice
-    point and reducing centered mod p undoes the blinding; M's rows return
-    centered, as an int64 (4, n^2) array.
+    F o C equals a point of D' = qZ^{n^2} + Z*lambda, lambda = (n^2)^-1 * 1
+    mod q, plus the small vector p*G o Phi + F o M; subtracting the closest
+    lattice point and reducing centered mod p undoes the blinding; M's rows
+    return centered, as an int64 (4, n^2) array.
 
-    The closest point is found exactly by scanning the q^|T| cosets of
-    qZ^{n^2} in D' for each of the four components; no admitted key scans
-    more than MAX_SCAN_CLASSES cosets, and keys from keygen at `moderate`
-    and `highest` have T = {(1,1)}, q cosets.  The work does not depend on
-    the ciphertext, so strict rejections cost no more than honest
-    decryptions.  F o C mod q is computed pointwise on the evaluation
+    The closest point is found exactly by scanning the q cosets of
+    qZ^{n^2} in D' for each of the four components.  The work does not
+    depend on the ciphertext, so strict rejections cost no more than
+    honest decryptions.  F o C mod q is computed pointwise on the evaluation
     grid, rho(F) * rho(C) through the key's cached tensor, with no
     convolution.  F_p^-1 o V mod p takes the Strassen route (7
     convolutions), although ring.product_domain could run it pointwise on
@@ -311,7 +290,7 @@ def decrypt(sk: PrivateKey, ct: Ciphertext, strict: bool = False) -> np.ndarray:
     # the inverse transform returns the [0, q) representatives the scan expects
     targets = dom.inverse_transform(rho_apply(sk.left_F, dom.transform(ct.C), q))
     # coset_decode returns target - centered residue, so V's rows are centered
-    V = targets - coset_decode(sk.lagrange_T, q, targets)
+    V = targets - coset_decode(np.full(params.nsq, pow(params.nsq, -1, q)), q, targets)
     M_hat = centered(quat_mul_strassen(sk.F_p_inv, Quaternion(V, p)).rows, p)
     if strict:
         # On success V - F o M_hat equals p * G o Phi exactly over Z.  Two
@@ -424,9 +403,9 @@ def _spellings(hi: int) -> np.ndarray:
 def _dump(kind: str, header_line: str, layout: tuple, hi: int, rows: np.ndarray) -> str:
     """A file of this layout holding rows, one per (label, count) of it,
     each value in [0, hi) spelled str(int) from the table _spellings(hi).
-    An hi above MAX_SCAN_CLASSES, which no key's q is, and a value out of
-    range are MalformedData, raised before a table is built or read."""
-    if hi > MAX_SCAN_CLASSES:
+    An hi above MAX_Q, which no key's q is, and a value out of range are
+    MalformedData, raised before a table is built or read."""
+    if hi > MAX_Q:
         raise MalformedData(f"no key has q = {hi} > 2^16: keygen refuses it")
     if rows.min() < 0 or rows.max() >= hi:
         bad = ((rows < 0) | (rows >= hi)).any(axis=1).argmax()

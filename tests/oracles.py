@@ -1,12 +1,18 @@
 """Reference paths that the property tests check the library against.
 
-The paper decrypts by a closest-vector search in the secret lattice
+The paper hides a secret set T of grid points, where G vanishes, and
+decrypts by a closest-vector search in the secret lattice
 D' = qZ^{n^2} + sum_{t in T} Z*lambda_t: an HNF basis of D', Babai's
-nearest plane and Schnorr-Euchner sphere decoding.  bqtru decrypts by an
-exact coset scan instead (bqtru.lattice.coset_decode) and never builds
-D', so these constructions, together with sigma (the weighted sum of
-Lagrange interpolants on T) and a brute-force closest-vector search,
-live here as oracles.
+nearest plane and Schnorr-Euchner sphere decoding.  bqtru admits only
+T = {(1,1)}, which every balanced G has, decrypts by an exact scan of the
+q cosets of one generator (bqtru.lattice.coset_decode) and never builds
+D'.  So the paper's general construction lives here as oracles: keygen
+admitting any T whose q^|T| classes the scan bound allows, with a weight
+per point of T (paper_keygen and rho_theta), the exact scan over the
+q^|T| classes of several generators (coset_scan), decryption through it
+(paper_decrypt), sigma (the weighted sum of Lagrange interpolants on T),
+the HNF basis of D', both searches in it and a brute-force closest-vector
+search.
 
 The paper's other claims are checked through the rest of this module:
 the grid points, derived from the smallest primitive root on their own;
@@ -29,22 +35,37 @@ noise variance of honest keys.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from bqtru.errors import BqtruError, ContextMismatch, MalformedData, NotInvertible, PayloadTooLarge
+from bqtru.errors import (
+    BqtruError,
+    ContextMismatch,
+    MalformedData,
+    NotInvertible,
+    PayloadTooLarge,
+    RetriesExhausted,
+)
+from bqtru.ideal import derive_T
 from bqtru.lattice import LLL_DELTA
+from bqtru.params import Params
 from bqtru.quat import (
     Quaternion,
+    norm_zeros_off_T,
+    quat_inverse_mod_p,
     quat_mul_schoolbook,
+    quat_norm,
     rho_apply,
     rho_inverse,
+    rho_mul,
+    rho_norms,
 )
 from bqtru.ring import EvalDomain, centered, conv_mul, mult_matrix, signed_ternary
-from bqtru.scheme import _rho_theta, keygen, message_capacity, random_message
+from bqtru.scheme import F_DRAWS_PER_G, MAX_G_DRAWS, keygen, message_capacity, random_message
 
 
 class InvalidWeight(BqtruError):
@@ -413,6 +434,107 @@ def build_private_lattice(D_prime: LatticeBasis) -> LatticeBasis:
 
 
 # ---------------------------------------------------------------------------
+# the paper's general secret set: keygen for any T, the scan over several
+# generators and decryption through it
+# ---------------------------------------------------------------------------
+
+# the paper's keygen admits a secret set T only if its q^|T| coset classes
+# stay within this bound
+MAX_SCAN_CLASSES = 2 ** 16
+
+
+@dataclass
+class PaperKey:
+    """A keypair of the paper's construction: the secret half (F, G, T,
+    one nonzero weight mod q per point of T, W), F^-1 mod p and the
+    public key H."""
+
+    params: Params
+    F: Quaternion
+    G: Quaternion
+    T: tuple
+    weights: tuple
+    W: tuple
+    F_p_inv: Quaternion
+    H: Quaternion
+
+
+def rho_theta(T, weights, W, dom: EvalDomain) -> np.ndarray:
+    """rho(theta): weights[i] * W at grid index T[i], zero elsewhere."""
+    out = np.zeros((4, dom.size), dtype=np.int64)
+    out[:, list(T)] = np.outer(W, weights) % dom.q
+    return out
+
+
+def paper_keygen(params: Params, seed: int) -> PaperKey:
+    """The key random.Random(seed) draws when keygen admits every secret
+    set T with 1 <= |T| and q^|T| <= MAX_SCAN_CLASSES, drawing one weight
+    per point of T.  The draws are bqtru.scheme.keygen's, so the two give
+    the same key for a seed unless a G drawn for it vanishes at more
+    points than (1,1) and passes the bound."""
+    q, nsq = params.q, params.nsq
+    dom = EvalDomain(params.n, q)
+    rng = random.Random(seed)
+    for _ in range(MAX_G_DRAWS):
+        G = Quaternion(signed_ternary(nsq, [params.d_g] * 4, [params.d_g] * 4, rng))
+        T = derive_T(dom.transform(G.rows))
+        if not (T and q ** len(T) <= MAX_SCAN_CLASSES):
+            continue
+        for _ in range(F_DRAWS_PER_G):
+            F = Quaternion(signed_ternary(nsq, [params.d_f + 1] + [params.d_f] * 3,
+                                          [params.d_f] * 4, rng))
+            if norm_zeros_off_T(dom.transform(quat_norm(F.with_modulus(q))[None])[0], T).size:
+                continue
+            try:
+                F_p_inv = quat_inverse_mod_p(F.with_modulus(params.p))
+            except NotInvertible:
+                continue
+            break
+        else:
+            continue
+        weights = tuple(rng.randrange(1, q) for _ in T)
+        while True:
+            W = tuple(rng.randrange(1, q) for _ in range(4))
+            if rho_norms(W, q) != 0:
+                break
+        rho_H = (rho_mul(rho_inverse(dom.transform(F.rows), q, T), dom.transform(G.rows), q)
+                 + rho_theta(T, weights, W, dom)) % q
+        return PaperKey(params, F, G, tuple(T), weights, W, F_p_inv,
+                        Quaternion(dom.inverse_transform(rho_H), q))
+    raise RetriesExhausted(f"no usable G found in {MAX_G_DRAWS} attempts")
+
+
+def coset_scan(gens, q: int, targets) -> np.ndarray:
+    """Exact closest points of qZ^N + sum_t Z*gens[t] to targets, by the
+    paper's scan of every class c in Z_q^k: the point of class c closest
+    to a target a is a - centered(a - c @ gens mod q).  Ties go to the
+    first c in lexicographic order.  All q^k classes are held at once."""
+    a = np.atleast_2d(np.asarray(targets, dtype=np.int64))
+    gens = np.asarray(gens, dtype=np.int64).reshape(-1, a.shape[1])
+    k = len(gens)
+    classes = np.array(list(itertools.product(range(q), repeat=k)),
+                       dtype=np.int64).reshape(q ** k, k)
+    points = classes @ gens % q
+    out = np.empty_like(a)
+    for i, t in enumerate(a):
+        r = centered(t - points, q)
+        out[i] = t - r[np.einsum("jk,jk->j", r, r).argmin()]
+    return out[0] if np.ndim(targets) == 1 else out
+
+
+def paper_decrypt(sk, T, C) -> np.ndarray:
+    """M's centered rows from the ciphertext rows C under a key with F and
+    F_p_inv, by the scan of the q^|T| classes of the secret set T."""
+    params = sk.params
+    q, p = params.q, params.p
+    dom = EvalDomain(params.n, q)
+    targets = dom.inverse_transform(rho_mul(dom.transform(sk.F.rows), dom.transform(C), q))
+    points = grid_points(dom)
+    V = targets - coset_scan(lagrange_rows(dom, [points[t] for t in T]), q, targets)
+    return centered(quat_mul_schoolbook(sk.F_p_inv, Quaternion(V, p)).rows, p)
+
+
+# ---------------------------------------------------------------------------
 # closest-vector search: nearest plane, sphere decoding, brute force
 # ---------------------------------------------------------------------------
 
@@ -562,9 +684,10 @@ def satisfies_lovasz(rows, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 def rho_gamma(sk) -> np.ndarray:
-    """rho(gamma) = rho(F) * rho(theta) of a bqtru.scheme.PrivateKey, zero off T:
-    rho(F o H) = rho(G) + rho(gamma) mod q."""
-    return rho_apply(sk.left_F, _rho_theta(sk.T, sk.weights, sk.W, sk.params), sk.params.q)
+    """rho(gamma) = rho(F) * rho(theta) of a bqtru.scheme.PrivateKey, zero
+    off its secret set {(1,1)}: rho(F o H) = rho(G) + rho(gamma) mod q."""
+    dom = EvalDomain(sk.params.n, sk.params.q)
+    return rho_apply(sk.left_F, rho_theta([0], [sk.weight], sk.W, dom), dom.q)
 
 
 def _quat_block_matrix(H: Quaternion) -> np.ndarray:

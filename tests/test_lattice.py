@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bqtru.errors import RankDeficient
 from bqtru.lattice import coset_decode, gaussian_heuristic, lll_reduce, poltyrev_sigma_max
@@ -13,6 +15,7 @@ from oracles import (
     NoPointInRadius,
     babai_nearest_plane,
     build_D_prime,
+    coset_scan,
     determinant,
     exhaustive_cvp,
     gram_schmidt,
@@ -192,7 +195,9 @@ class TestHeuristics:
 
 
 # (n, q, T): the private lattice qZ^{n^2} + sum_{t in T} Z*lambda_t at the
-# toy and moderate grid sizes, with one and two secret points
+# toy and moderate grid sizes, with one and two secret points; the oracle's
+# scan decodes every case, and the library's one-generator scan the
+# one-point cases
 COSET_CASES = [(3, 7, (4,)), (3, 7, (1, 6)), (7, 113, (0,)), (7, 113, (3, 40))]
 
 
@@ -238,6 +243,15 @@ def near_target(reduced, rng, q, noise):
     return planted + rng.integers(-noise, noise + 1, dim)
 
 
+def scan(gens, q, t):
+    """The oracle's scan over every class of the generator rows gens; for
+    one generator, the library's scan must return the very same points."""
+    got = coset_scan(gens, q, t)
+    if len(gens) == 1:
+        assert np.array_equal(coset_decode(gens[0], q, t), got)
+    return got
+
+
 class TestCosetDecode:
     @pytest.mark.parametrize("n,q,T", COSET_CASES)
     def test_near_targets_match_sphere_decoder(self, n, q, T):
@@ -245,7 +259,7 @@ class TestCosetDecode:
         rng = np.random.default_rng(91)
         for _ in range(20):
             t = near_target(reduced, rng, q, 1 if n == 3 else 3)
-            got = coset_decode(gens, q, t)
+            got = scan(gens, q, t)
             ref = sphere_decode(reduced, t.astype(np.float64))
             assert in_lattice(dom, T, got)
             assert np.sum((t - got) ** 2) == np.sum((t - ref) ** 2)
@@ -265,7 +279,7 @@ class TestCosetDecode:
         rng = np.random.default_rng(seed)
         for _ in range(count):
             t = rng.integers(0, q, n * n)
-            got = coset_decode(gens, q, t)
+            got = scan(gens, q, t)
             ref = sphere_decode(reduced, t.astype(np.float64))
             assert in_lattice(dom, T, got)
             assert np.sum((t - got) ** 2) == np.sum((t - ref) ** 2)
@@ -278,7 +292,7 @@ class TestCosetDecode:
         rng = np.random.default_rng(95)
         for _ in range(10):
             t = rng.integers(0, 113, 49)
-            got, alt = coset_decode(gens, 113, t), coset_decode(other, 113, t)
+            got, alt = coset_scan(gens, 113, t), coset_scan(other, 113, t)
             assert in_lattice(dom, (3, 40), got) and in_lattice(dom, (3, 40), alt)
             assert np.sum((t - got) ** 2) == np.sum((t - alt) ** 2)
 
@@ -290,7 +304,7 @@ class TestCosetDecode:
         for i in range(count):
             t = rng.integers(0, 7, 9) if i % 2 else near_target(reduced, rng, 7, 1)
             best_sq, closest = exhaustive_closest(gens, 7, t)
-            got = coset_decode(gens, 7, t)
+            got = scan(gens, 7, t)
             # a tie may resolve to any of the closest points, never elsewhere
             assert tuple(got) in closest
             assert np.sum((t - got) ** 2) == best_sq
@@ -298,18 +312,40 @@ class TestCosetDecode:
         assert ties  # the tie branch is exercised
 
     def test_batch_matches_one_at_a_time(self):
-        _, gens, _ = coset_lattice(7, 113, (3, 40))
+        _, gens, _ = coset_lattice(7, 113, (40,))
         targets = np.random.default_rng(94).integers(-500, 500, (4, 49))
-        got = coset_decode(gens, 113, targets)
+        got = coset_decode(gens[0], 113, targets)
         assert got.shape == (4, 49)
         for t, g in zip(targets, got):
-            assert np.array_equal(coset_decode(gens, 113, t), g)
+            assert np.array_equal(coset_decode(gens[0], 113, t), g)
 
     def test_no_generators_is_centered_reduction(self):
+        # qZ^N alone is one class, in the oracle with no generator and in
+        # the library with a zero one
         t = np.arange(-20, 20)
-        got = coset_decode(np.zeros((0, 40), dtype=np.int64), 7, t)
+        got = coset_scan(np.zeros((0, 40), dtype=np.int64), 7, t)
         assert np.array_equal(t - got, (t + 3) % 7 - 3)
+        assert np.array_equal(coset_decode(np.zeros(40, dtype=np.int64), 7, t), got)
 
     def test_rejects_real_targets(self):
         with pytest.raises(ValueError):
-            coset_decode(np.ones((1, 4), dtype=np.int64), 7, [0.5, 0.0, 0.0, 0.0])
+            coset_decode(np.ones(4, dtype=np.int64), 7, [0.5, 0.0, 0.0, 0.0])
+
+    def test_ties_go_to_the_least_class(self):
+        # (0, 3) is as close to class 1, the point (1, 1), as to class 2,
+        # the point (2, 2); the least class wins
+        assert coset_decode(np.array([1, 1]), 7, np.array([0, 3])).tolist() == [1, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.sampled_from([3, 5, 7, 11, 113]), data=st.data())
+    def test_one_generator_matches_the_scan_oracle(self, q, data):
+        # the same points as the oracle's scan of every class, ties
+        # included: small q and short vectors make them frequent
+        N = data.draw(st.integers(1, 8))
+        gen = np.array(data.draw(st.lists(st.integers(-300, 300), min_size=N, max_size=N)))
+        rows = data.draw(st.integers(1, 4))
+        targets = np.array(data.draw(st.lists(
+            st.lists(st.integers(-1000, 1000), min_size=N, max_size=N),
+            min_size=rows, max_size=rows)))
+        for t in (targets, targets[0]):
+            assert np.array_equal(coset_decode(gen, q, t), coset_scan(gen[None], q, t))

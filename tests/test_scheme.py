@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import os
 import random
 import subprocess
@@ -30,7 +31,7 @@ from bqtru.errors import (
     WeightTooLarge,
 )
 from bqtru.ideal import derive_T
-from bqtru.lattice import coset_decode, lll_reduce
+from bqtru.lattice import lll_reduce
 from bqtru.params import HIGHEST, MODERATE, PARAM_SETS, TOY, Params
 from bqtru.quat import Quaternion, quat_inverse_mod_p, quat_mul_schoolbook
 from bqtru.ring import (
@@ -58,9 +59,14 @@ from bqtru.scheme import (
 
 from oracles import (
     build_D_prime,
+    coset_scan,
+    grid_points,
     is_zero,
+    lagrange_rows,
     loop_decode_message,
     loop_encode_message,
+    paper_decrypt,
+    paper_keygen,
     percent_dump,
     quat_add,
     quat_from_vector,
@@ -150,9 +156,8 @@ class TestKeygen:
         dom = EvalDomain(3, 7)
         resid = quat_sub(quat_mul_schoolbook(sk.F.with_modulus(7), pk.H), sk.G.with_modulus(7))
         vals = dom.transform(resid.rows)
-        for k in range(9):
-            if k not in sk.T:
-                assert not vals[:, k].any()
+        # every point but (1,1), grid index 0
+        assert not vals[:, 1:].any()
 
     def test_rho_gamma_identity(self, moderate_key):
         # rho(F o H) = rho(G) + rho(gamma) pointwise
@@ -164,10 +169,9 @@ class TestKeygen:
 
     def test_theta_support(self, moderate_key):
         pk, sk = moderate_key
-        # gamma is supported on T: weights times W, carried through F
-        for k in range(49):
-            if k not in sk.T:
-                assert not rho_gamma(sk)[:, k].any()
+        # gamma is supported on T = {(1,1)}: weight times W, carried through F
+        assert not rho_gamma(sk)[:, 1:].any()
+        assert rho_gamma(sk)[:, 0].all()
 
     def test_membership_identity(self, moderate_key):
         pk, sk = moderate_key
@@ -201,15 +205,15 @@ class TestKeygen:
         ones = np.ones(params.nsq, dtype=np.int64)
         for seed in range(5):
             pk, sk = keygen(params, seed)
-            assert sk.T == (0,)  # grid index 0 is the point (1, 1)
             theta_hat = Quaternion([ones * (int(c.sum()) * pow(n * n, -1, q)) for c in pk.H.rows],
                                    q)
             H0 = quat_sub(pk.H, theta_hat)
             assert quat_mul_schoolbook(sk.F.with_modulus(q), H0) == sk.G.with_modulus(q)
 
     def test_T_window(self, moderate_key):
+        # G vanishes at (1,1), grid index 0, alone
         _, sk = moderate_key
-        assert 1 <= len(sk.T) <= 7
+        assert derive_T(EvalDomain(7, 113).transform(sk.G.rows)) == [0]
 
     def test_retries_exhausted(self, monkeypatch):
         monkeypatch.setattr(scheme, "MAX_G_DRAWS", 0)
@@ -280,13 +284,30 @@ class TestKeygen:
         assert verify_key_membership(sk, pk, EvalDomain(7, 113), rho_gamma(sk))
 
     def test_unscannable_q_fails_before_drawing_G(self, monkeypatch):
-        # q > MAX_SCAN_CLASSES: even |T| = 1 is too many coset classes
+        # q > MAX_Q: a key file could not spell the key's residues
         def derive_T(*_):
             raise AssertionError("keygen drew a G")
 
         monkeypatch.setattr(scheme, "derive_T", derive_T)
-        with pytest.raises(RetriesExhausted, match=r"q\^\|T\| <= 2\^16"):
+        with pytest.raises(RetriesExhausted, match=r"key files hold residues below 2\^16"):
             keygen(Params(3, 3, 65539, 1, 1, 1), 0)
+
+    def test_toy_keys_have_the_one_secret_point(self):
+        # every key vanishes at (1,1) alone.  The paper's construction
+        # makes the same draws but admits any scannable secret set; it
+        # agrees with keygen on every seed but toy's 66, 100 and 255 of
+        # 0-299, where it admitted |T| = 3 and keygen draws another G
+        changed = []
+        for params, seeds in ((TOY, range(300)), (MODERATE, range(20)), (HIGHEST, range(5))):
+            dom = EvalDomain(params.n, params.q)
+            for seed in seeds:
+                pk, sk = keygen(params, seed)
+                assert derive_T(dom.transform(sk.G.rows)) == [0]
+                ref = paper_keygen(params, seed)
+                if not (ref.T == (0,) and ref.weights == (sk.weight,) and ref.W == sk.W
+                        and ref.F == sk.F and ref.G == sk.G and ref.H == pk.H):
+                    changed.append((params.n, seed, len(ref.T)))
+        assert changed == [(3, 66, 3), (3, 100, 3), (3, 255, 3)]
 
 
 def zeros(n):
@@ -634,17 +655,17 @@ def honest_files(toy_key, moderate_key):
     return files
 
 
-def with_secret_points(sk, T):
-    """sk with the secret set T instead, each point at weight 1, built in
-    memory; the Lagrange rows are derived afresh.  Decryption
-    reads T, and neither G nor the weights."""
-    return dataclasses.replace(sk, T=tuple(T), weights=(1,) * len(T))
+def reduced_D_prime(params, T):
+    """LLL-reduced basis of the secret lattice D' of the secret set T (reference path)."""
+    dom = EvalDomain(params.n, params.q)
+    return lll_reduce(build_D_prime(T, dom).rows.astype(np.int64))
 
 
-def reduced_D_prime(sk):
-    """LLL-reduced basis of the secret lattice D' of sk (reference path)."""
-    dom = EvalDomain(sk.params.n, sk.params.q)
-    return lll_reduce(build_D_prime(sk.T, dom).rows.astype(np.int64))
+def lagrange_gens(params, T):
+    """The Lagrange rows of the points of T, the generators of D' mod q."""
+    dom = EvalDomain(params.n, params.q)
+    points = grid_points(dom)
+    return lagrange_rows(dom, [points[t] for t in T])
 
 
 def forbid_basis_of_D_prime(monkeypatch):
@@ -659,44 +680,36 @@ def forbid_basis_of_D_prime(monkeypatch):
 class TestDecryptPaths:
     def test_honest_key_never_builds_D_prime(self, moderate_key, monkeypatch):
         pk, sk = moderate_key
-        assert len(sk.T) == 1
         forbid_basis_of_D_prime(monkeypatch)
         rng = random.Random(76)
         sk2 = deserialize_private(serialize_private(sk))
         M = random_message(MODERATE, rng)
         assert np.array_equal(decrypt(sk2, encrypt(pk, M, rng), strict=True), M)
 
-    def test_two_point_key_decrypts_through_coset_scan(self, moderate_key, monkeypatch):
-        # a key file naming a second secret point: decrypt scans the q^2
-        # cosets, agrees with the sphere decoder on honest ciphertexts and
-        # still rejects garbage in strict mode
+    def test_two_point_key_decrypts_through_coset_scan(self, moderate_key):
+        # the paper's decryption with a second secret point, (1,1) and
+        # grid index 30: the oracle scans the q^2 cosets, recovers M from
+        # honest ciphertexts as decrypt does, and agrees with the sphere
+        # decoder over the same D'
         pk, sk = moderate_key
-        extra = next(k for k in (20, 30, 40) if k not in sk.T)
-        sk2 = with_secret_points(sk, list(sk.T) + [extra])
-        ref_basis = reduced_D_prime(sk2)
-        assert len(sk2.T) == 2
-        forbid_basis_of_D_prime(monkeypatch)
+        T = (0, 30)
+        ref_basis, gens = reduced_D_prime(MODERATE, T), lagrange_gens(MODERATE, T)
         rng = random.Random(79)
         for _ in range(5):
             M = random_message(MODERATE, rng)
             ct = encrypt(pk, M, rng)
-            assert np.array_equal(decrypt(sk2, ct, strict=True), M)
-            # the sphere decoder over the same D' finds the same points
+            assert np.array_equal(paper_decrypt(sk, T, ct.C), M)
+            assert np.array_equal(paper_decrypt(sk, (0,), ct.C), decrypt(sk, ct))
             A = quat_mul_schoolbook(sk.F.with_modulus(MODERATE.q),
                                     quat_from_vector(ct.C, MODERATE.n, MODERATE.q))
             for comp in A.rows:
                 ref = sphere_decode(ref_basis, comp.astype(np.float64), max_nodes=50_000)
-                got = coset_decode(sk2.lagrange_T, MODERATE.q, comp)
-                assert np.array_equal(got, ref)
-        garbage = Ciphertext(np.array([[rng.randrange(MODERATE.q) for _ in range(MODERATE.nsq)]
-                                       for _ in range(4)]), MODERATE.q)
-        with pytest.raises(DecryptionFailure):
-            decrypt(sk2, garbage, strict=True)
+                assert np.array_equal(coset_scan(gens, MODERATE.q, comp), ref)
 
     @pytest.fixture(scope="class")
     def unscannable_text(self, moderate_key):
         """A key file at moderate with dg=0: G = 0 vanishes on the whole
-        grid, so every G draw gives a T of 49 points, 113^49 classes."""
+        grid, so every G draw gives a T of 49 points, not {(1,1)}."""
         _, sk = moderate_key
         return serialize_private(dataclasses.replace(
             sk, params=dataclasses.replace(MODERATE, d_g=0)))
@@ -709,7 +722,8 @@ class TestDecryptPaths:
 
     def test_dg0_header_refused_before_any_draw(self, monkeypatch):
         # a 146-byte file whose header makes every G zero is refused at
-        # once, not after MAX_G_DRAWS draws of G
+        # once, not after MAX_G_DRAWS draws of G; so is a dg=0 header at
+        # any size, n=2 q=5 included, which the paper's scan bound admitted
         text = "BQTRU v1 private-seed\nn=53 p=3 q=107 df=5 dg=0 dphi=5\nseed: " + " ".join(
             ["7"] * 32) + "\n"
         draws = []
@@ -717,6 +731,11 @@ class TestDecryptPaths:
                             lambda *args: draws.append(args) or signed_ternary(*args))
         with pytest.raises(MalformedData, match="d_g = 0 makes T the whole grid"):
             deserialize_private(text)
+        with pytest.raises(MalformedData, match="d_g = 0 makes T the whole grid"):
+            deserialize_private(text.replace("n=53 p=3 q=107 df=5 dg=0 dphi=5",
+                                             "n=2 p=3 q=5 df=1 dg=0 dphi=1"))
+        with pytest.raises(RetriesExhausted, match="d_g = 0 makes T the whole grid"):
+            keygen(Params(2, 3, 5, 1, 0, 1), 0)
         assert draws == []
 
     def test_underivable_header_refused_before_any_draw(self, monkeypatch):
@@ -743,15 +762,6 @@ class TestDecryptPaths:
                     * (1 - 1 / params.q) ** (params.nsq - 1))
         assert expected > 10 ** 5
 
-    def test_derivable_dg0_header_still_derives(self):
-        # T is the whole grid of n^2 = 4 points, 5^4 classes: keygen admits
-        # it and derives the key it derived before the early refusal
-        pk, sk = keygen(Params(2, 3, 5, 1, 0, 1), 0)
-        assert sk.T == (0, 1, 2, 3)
-        digest = hashlib.sha256((serialize_public(pk) + serialize_private(sk)).encode())
-        assert digest.hexdigest() == (
-            "9f7b7e0c78e5593e5126c9b8b277642d000bd70f17fc6fedb11a3acab8ddef9f")
-
     def test_cli_decrypt_with_unscannable_key_exits_1(self, moderate_key, unscannable_text,
                                                       tmp_path):
         pk, _ = moderate_key
@@ -765,39 +775,39 @@ class TestDecryptPaths:
         assert code == 1
         assert not out.exists()
 
-    def test_three_point_toy_key_decrypts_through_coset_scan(self, monkeypatch):
-        # 7^3 = 343 classes: keygen admits this toy key, and the scan finds
-        # a closest point of D' for every component, as the uncapped sphere
-        # decoder does (ties may pick different but equally close points)
+    def test_three_point_toy_key_decrypts_through_coset_scan(self):
+        # the paper's key of toy seed 66 vanishes at three grid points, 7^3
+        # = 343 classes; the oracle's scan finds a closest point of its D'
+        # for every component, as the uncapped sphere decoder does (ties
+        # may pick different but equally close points)
         rng = random.Random(80)
-        pk, sk = keygen(TOY, 66)
-        assert len(sk.T) == 3
-        ref_basis = reduced_D_prime(sk)
+        key = paper_keygen(TOY, 66)
+        assert len(key.T) == 3
+        ref_basis, gens = reduced_D_prime(TOY, key.T), lagrange_gens(TOY, key.T)
+        pk = scheme.PublicKey(TOY, key.H)
         for _ in range(20):
             ct = encrypt(pk, random_message(TOY, rng), rng)
-            A = quat_mul_schoolbook(sk.F.with_modulus(TOY.q), quat_from_vector(ct.C, 3, TOY.q))
+            A = quat_mul_schoolbook(key.F.with_modulus(TOY.q), quat_from_vector(ct.C, 3, TOY.q))
             targets = A.rows
-            with monkeypatch.context() as m:
-                forbid_basis_of_D_prime(m)
-                decrypt(sk, ct)
-                got = coset_decode(sk.lagrange_T, TOY.q, targets)
+            got = coset_scan(gens, TOY.q, targets)
             for a, g in zip(targets, got):
                 ref = sphere_decode(ref_basis, a.astype(np.float64))
                 assert np.dot(a - g, a - g) == np.dot(a - ref, a - ref)
 
     def test_keygen_never_returns_unscannable_key(self, monkeypatch):
-        # a G whose zero set has three grid points would need 113^3
-        # classes per component at moderate: keygen draws another G
+        # a G that vanishes at a second grid point k as well as at (1,1)
+        # is not admitted: keygen draws another G
         calls = []
 
-        def three_points(rho_G):
+        def two_points(rho_G):
             calls.append(1)
-            return [1, 2, 3] if len(calls) <= 3 else derive_T(rho_G)
+            return [0, len(calls)] if len(calls) <= 3 else derive_T(rho_G)
 
-        monkeypatch.setattr(scheme, "derive_T", three_points)
+        monkeypatch.setattr(scheme, "derive_T", two_points)
         _, sk = keygen(MODERATE, 81)
-        assert len(calls) > 3 and len(sk.T) == 1
-        monkeypatch.setattr(scheme, "derive_T", lambda rho_G: [1, 2, 3])
+        assert len(calls) > 3
+        assert derive_T(EvalDomain(7, 113).transform(sk.G.rows)) == [0]
+        monkeypatch.setattr(scheme, "derive_T", lambda rho_G: [0, 5])
         monkeypatch.setattr(scheme, "MAX_G_DRAWS", 5)
         with pytest.raises(RetriesExhausted):
             keygen(MODERATE, 82)
@@ -1069,8 +1079,7 @@ class TestSerialization:
         _, sk = moderate_key
         again = deserialize_private(serialize_private(sk))
         assert again.F == sk.F and again.G == sk.G
-        assert again.T == sk.T and again.weights == sk.weights
-        assert again.W == sk.W
+        assert again.weight == sk.weight and again.W == sk.W
         assert np.array_equal(rho_gamma(again), rho_gamma(sk))
 
     @pytest.mark.parametrize("seed", [84, random.Random(84), None], ids=["int", "Random", "None"])
@@ -1083,7 +1092,7 @@ class TestSerialization:
         assert again.seed == sk.seed and again.params == sk.params
         for field in ("F", "G", "F_p_inv"):
             assert np.array_equal(getattr(again, field).rows, getattr(sk, field).rows)
-        assert (again.T, again.weights, again.W) == (sk.T, sk.weights, sk.W)
+        assert (again.weight, again.W) == (sk.weight, sk.W)
         assert np.array_equal(rho_gamma(again), rho_gamma(sk))
 
     def test_seed_kinds(self):
@@ -1104,9 +1113,8 @@ class TestSerialization:
         again = deserialize_private(serialize_private(sk))
         assert (again == sk) is True
         assert [f.name for f in dataclasses.fields(sk)] == [
-            "params", "seed", "F", "G", "T", "weights", "W", "F_p_inv"]
-        other = dataclasses.replace(sk, weights=tuple(w % (sk.params.q - 1) + 1
-                                                      for w in sk.weights))
+            "params", "seed", "F", "G", "weight", "W", "F_p_inv"]
+        other = dataclasses.replace(sk, weight=sk.weight % (sk.params.q - 1) + 1)
         assert (other != sk) is True
 
     def test_custom_params_round_trip(self):
@@ -1376,13 +1384,14 @@ class TestKeyValidation:
         assert inverses and CONV_COUNTER.count == 7 * len(inverses)
 
 
-def golden_digest(name, private_text=True):
-    """sha256 over keys for seeds 0-9, two ciphertexts per key (under the
-    key and its reloaded copy) and their strict decrypts with both copies
-    of the private key; the private key's text only if private_text."""
-    params = PARAM_SETS[name]
+def golden_digest(*names, seeds=range(10), private_text=True):
+    """sha256 over keys for the seeds at each named set in turn, two
+    ciphertexts per key (under the key and its reloaded copy) and their
+    strict decrypts with both copies of the private key; the private
+    key's text only if private_text."""
     h = hashlib.sha256()
-    for seed in range(10):
+    for name, seed in itertools.product(names, seeds):
+        params = PARAM_SETS[name]
         pk, sk = keygen(params, seed)
         pub, priv = serialize_public(pk), serialize_private(sk)
         h.update(pub.encode())
@@ -1423,3 +1432,9 @@ class TestGolden:
         # public keys, ciphertexts and strict decrypts, pinned before the
         # private key file held its seed
         assert golden_digest(name, private_text=False) == digest
+
+    def test_more_seeds_unchanged(self):
+        # with the digests above, every key of seeds 0-99 at moderate and
+        # highest, pinned when keygen still admitted any scannable secret set
+        assert golden_digest("moderate", "highest", seeds=range(10, 100)) == (
+            "1741e6e3eb1e17106770e76b7588a8b6f2b7365a8aa2a5132c02cef2c390d71e")
