@@ -762,6 +762,22 @@ class TestDecryptPaths:
                     * (1 - 1 / params.q) ** (params.nsq - 1))
         assert expected > 10 ** 5
 
+    def test_derivable_dg0_header_still_derives(self):
+        # T is the whole grid of n^2 = 4 points, 5^4 classes: the paper's
+        # construction still admits it and derives the key keygen derived
+        # before dg=0 was refused at every size; keygen now refuses it
+        params = Params(2, 3, 5, 1, 0, 1)
+        key = paper_keygen(params, 0)
+        assert key.T == (0, 1, 2, 3)
+        text = "BQTRU v1 private-seed\nn=2 p=3 q=5 df=1 dg=0 dphi=1\nseed: " + " ".join(
+            ["0"] * 32) + "\n"
+        digest = hashlib.sha256(
+            (serialize_public(scheme.PublicKey(params, key.H)) + text).encode())
+        assert digest.hexdigest() == (
+            "9f7b7e0c78e5593e5126c9b8b277642d000bd70f17fc6fedb11a3acab8ddef9f")
+        with pytest.raises(MalformedData, match="d_g = 0 makes T the whole grid"):
+            deserialize_private(text)
+
     def test_cli_decrypt_with_unscannable_key_exits_1(self, moderate_key, unscannable_text,
                                                       tmp_path):
         pk, _ = moderate_key
